@@ -99,8 +99,14 @@ def write_depth_raster(path, depth) -> None:
     if depth.ndim != 2:
         raise ValueError("depth raster must be 2-D")
     rows, cols = depth.shape
+    # a predicted raster repeats one value per superpixel, so format each
+    # distinct bit pattern once; bits, not values, keep -0.0 apart from 0.0
+    bits, inverse = np.unique(
+        np.ascontiguousarray(depth).view(np.uint64), return_inverse=True
+    )
+    text = np.array([_fmt(v) for v in bits.view(float)], dtype=object)
     lines = [f"{DEPTH_MAGIC} {rows} {cols}"]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in depth)
+    lines.extend(" ".join(row) for row in text[inverse].reshape(rows, cols).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,11 +7,17 @@ space: seeds on a regular grid, ten assignment/update sweeps, distance
 
     d^2 = |rgb_p - rgb_c|^2 + (m / s)^2 |xy_p - xy_c|^2
 
-with cell pitch s = sqrt(H W / target) and compactness m.  Afterwards every
-superpixel is reduced to its largest 4-connected component and stray pieces
-are merged into an adjacent surviving superpixel, so labels are connected;
-beyond that no connectivity enforcement happens.  Label ids are compacted to
-0..n-1 and both modes are deterministic functions of their inputs.
+with cell pitch s = sqrt(H W / target) and compactness m.  Each centre
+competes for the pixels within 2s of it.  A sweep evaluates blocks of
+centres at once, so the working set stays at a few MB, and gives every pixel
+to the strictly closest centre, the lowest centre index winning an exact
+tie; a pixel no window covers keeps its seed-grid label.  Afterwards every
+superpixel is reduced to its largest 4-connected component (the first in
+raster order among equally large ones), found inside the label's bounding
+box, and stray pieces are merged into an adjacent surviving superpixel in
+label order, so labels are connected; beyond that no connectivity
+enforcement happens.  Label ids are compacted to 0..n-1 and both modes are
+deterministic functions of their inputs.
 
 Per superpixel the feature extractor computes mean RGB, an L1-normalized
 color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
@@ -34,6 +40,10 @@ COLOR_BINS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+# window cells (SLIC) or crop pixels (patches) evaluated per block; bounds
+# the working set to a few MB whatever the image size or superpixel count
+BLOCK_CELLS = 32768
 
 
 @dataclass
@@ -133,21 +143,27 @@ def _compact(labels):
     return compacted.reshape(labels.shape), ids.size
 
 
-def _enforce_connectivity(labels, count):
-    """Keep each label's largest component; merge strays into neighbors."""
-    height, width = labels.shape
-    final = np.full((height, width), -1, dtype=np.intp)
+def _enforce_connectivity(labels):
+    """Keep each label's largest component; merge strays into neighbors.
+
+    Components are found inside each label's bounding box; raster order in
+    a box is raster order in the image, so the first of equally large
+    components stays and orphans are queued in (label, raster) order.
+    """
+    final = np.full(labels.shape, -1, dtype=np.intp)
     orphans = []
-    for i in range(count):
-        comps, num = scipy.ndimage.label(labels == i, structure=FOUR_CONNECTED)
-        if num == 0:
+    for i, box in enumerate(scipy.ndimage.find_objects(labels + 1)):
+        if box is None:
             continue
+        comps, num = scipy.ndimage.label(labels[box] == i, structure=FOUR_CONNECTED)
         sizes = np.bincount(comps.ravel())[1:]
         main = int(np.argmax(sizes)) + 1
-        final[comps == main] = i
+        final[box][comps == main] = i
         for c in range(1, num + 1):
             if c != main:
-                orphans.append(comps == c)
+                mask = np.zeros(labels.shape, dtype=bool)
+                mask[box] = comps == c
+                orphans.append(mask)
     while orphans:
         remaining = []
         for mask in orphans:
@@ -162,6 +178,76 @@ def _enforce_connectivity(labels, count):
             raise RuntimeError("orphan components have no assigned neighbor")
         orphans = remaining
     return _compact(final)
+
+
+def _assign(image, centers, colors, spatial_scale, reach, fallback):
+    """Label every pixel with the nearest centre whose window covers it.
+
+    A centre's window spans ``reach`` pixels on each side of its truncated
+    position.  Blocks of about ``BLOCK_CELLS`` window cells are evaluated at
+    once; within a block ``np.minimum.at`` finds each pixel's best distance
+    and the lowest centre index reaching it, and a block replaces the running
+    result only where it is strictly closer.  Ties therefore go to the lowest
+    centre index, and pixels no window covers take their ``fallback`` label.
+    """
+    height, width = fallback.shape
+    sink = height * width  # slot for window cells outside the image
+    offsets = np.arange(-reach, reach + 1)
+    cells_per_center = offsets.size**2
+    pixels = image.reshape(sink, 3)
+    anchors = centers.astype(np.intp)
+    best = np.full(sink + 1, np.inf)
+    labels = np.full(sink + 1, -1, dtype=np.intp)
+    step = max(1, BLOCK_CELLS // cells_per_center)
+    for start in range(0, len(centers), step):
+        ids = np.arange(start, min(start + step, len(centers)))
+        rows = anchors[ids, :1] + offsets
+        cols = anchors[ids, 1:] + offsets
+        d_space = (
+            ((rows - centers[ids, :1]) ** 2)[:, :, None]
+            + ((cols - centers[ids, 1:]) ** 2)[:, None, :]
+        )
+        inside = ((rows >= 0) & (rows < height))[:, :, None] & (
+            (cols >= 0) & (cols < width)
+        )[:, None, :]
+        cells = (
+            np.clip(rows, 0, height - 1)[:, :, None] * width
+            + np.clip(cols, 0, width - 1)[:, None, :]
+        )
+        # channel by channel is the (a0 + a1) + a2 of a 3-channel sum
+        d_color = (pixels[cells, 0] - colors[ids, 0, None, None]) ** 2
+        for ch in (1, 2):
+            d_color += (pixels[cells, ch] - colors[ids, ch, None, None]) ** 2
+        dist = (d_color + spatial_scale * d_space).ravel()
+        slots = np.where(inside, cells, sink).ravel()
+        block_best = np.full(sink + 1, np.inf)
+        np.minimum.at(block_best, slots, dist)
+        hit = dist == block_best[slots]
+        winner = np.full(sink + 1, len(centers), dtype=np.intp)
+        np.minimum.at(winner, slots[hit], np.repeat(ids, cells_per_center)[hit])
+        closer = block_best < best
+        best[closer] = block_best[closer]
+        labels[closer] = winner[closer]
+    labels = labels[:sink].reshape(height, width)
+    # a drifted center can leave a pixel outside every window
+    uncovered = labels < 0
+    labels[uncovered] = fallback[uncovered]
+    return labels
+
+
+def _update_centers(image, labels, centers, colors):
+    """Move centres to their pixels' centroid and mean colour, in place.
+
+    A centre that won no pixel keeps its previous position and colour.
+    """
+    count = len(centers)
+    flat = labels.ravel()
+    sizes = np.bincount(flat, minlength=count)
+    occupied = sizes > 0
+    centers[occupied] = _centroids(labels, count)[occupied]
+    for ch in range(3):
+        acc = np.bincount(flat, weights=image[..., ch].ravel(), minlength=count)
+        colors[occupied, ch] = acc[occupied] / sizes[occupied]
 
 
 def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
@@ -185,37 +271,13 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
     ]
-    rows, cols = np.indices((height, width))
     spatial_scale = (compactness / pitch) ** 2
     reach = int(np.ceil(2 * pitch))
     labels = seed_labels.copy()
     for _ in range(iters):
-        best = np.full((height, width), np.inf)
-        labels = np.full((height, width), -1, dtype=np.intp)
-        for i in range(count):
-            cr, cc = centers[i]
-            r0, r1 = max(0, int(cr) - reach), min(height, int(cr) + reach + 1)
-            c0, c1 = max(0, int(cc) - reach), min(width, int(cc) + reach + 1)
-            window = image[r0:r1, c0:c1]
-            d_color = ((window - colors[i]) ** 2).sum(axis=2)
-            d_space = (rows[r0:r1, c0:c1] - cr) ** 2 + (cols[r0:r1, c0:c1] - cc) ** 2
-            dist = d_color + spatial_scale * d_space
-            closer = dist < best[r0:r1, c0:c1]
-            best[r0:r1, c0:c1][closer] = dist[closer]
-            labels[r0:r1, c0:c1][closer] = i
-        # a drifted center can leave a pixel outside every window
-        uncovered = labels < 0
-        if np.any(uncovered):
-            labels[uncovered] = seed_labels[uncovered]
-        flat = labels.ravel()
-        sizes = np.bincount(flat, minlength=count)
-        occupied = sizes > 0
-        centers_new = _centroids(labels, count)
-        centers[occupied] = centers_new[occupied]
-        for ch in range(3):
-            acc = np.bincount(flat, weights=image[..., ch].ravel(), minlength=count)
-            colors[occupied, ch] = acc[occupied] / sizes[occupied]
-    labels, count = _enforce_connectivity(labels, count)
+        labels = _assign(image, centers, colors, spatial_scale, reach, seed_labels)
+        _update_centers(image, labels, centers, colors)
+    labels, count = _enforce_connectivity(labels)
     return labels, _centroids(labels, count)
 
 
@@ -301,14 +363,17 @@ def extract_features(sample: SceneSample, box_size: int, patch_dim: int,
     lbp_hist /= lbp_hist.sum(axis=1, keepdims=True)
 
     shrink = _area_average_weights(box_size, patch_dim)
+    corners = np.floor(centroids + 0.5).astype(np.intp) - box_size // 2
+    span = np.arange(box_size)
+    rows = np.clip(corners[:, :1] + span, 0, height - 1)
+    cols = np.clip(corners[:, 1:] + span, 0, width - 1)
     patches = np.empty((count, patch_dim, patch_dim, 3))
-    for i in range(count):
-        r0 = int(np.floor(centroids[i, 0] + 0.5)) - box_size // 2
-        c0 = int(np.floor(centroids[i, 1] + 0.5)) - box_size // 2
-        rows = np.clip(np.arange(r0, r0 + box_size), 0, height - 1)
-        cols = np.clip(np.arange(c0, c0 + box_size), 0, width - 1)
-        crop = image[np.ix_(rows, cols)]
-        patches[i] = np.einsum("ir,rcd,jc->ijd", shrink, crop, shrink)
+    step = max(1, BLOCK_CELLS // box_size**2)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        crops = image[rows[block, :, None], cols[block, None, :]]
+        reduced = np.einsum("ir,nrcd->nicd", shrink, crops)
+        patches[block] = np.einsum("nicd,jc->nijd", reduced, shrink)
     patch = patches.reshape(count, -1)
 
     gt_logdepth = None

@@ -1,0 +1,143 @@
+"""Loop-per-item versions of the graph front end, kept as test references.
+
+``depthcrf.graph`` evaluates the SLIC assignment in blocks of centres,
+repairs connectivity per label bounding box and contracts patches in
+batches.  The functions here are the straightforward loops those replace:
+one pass per centre, one full-image ``ndimage.label`` per label and one
+three-operand ``einsum`` per superpixel.  Tests require labels and every
+feature except ``patch`` to match them bit for bit, and ``patch`` to match
+within 1e-12 (its contraction order differs).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.ndimage
+
+from depthcrf import graph
+from depthcrf.graph import FOUR_CONNECTED, GraphConfig, GraphData, SceneSample
+
+
+def assign(image, centers, colors, spatial_scale, reach, fallback):
+    """One SLIC assignment sweep, one centre at a time."""
+    height, width = fallback.shape
+    rows, cols = np.indices((height, width))
+    best = np.full((height, width), np.inf)
+    labels = np.full((height, width), -1, dtype=np.intp)
+    for i in range(len(centers)):
+        cr, cc = centers[i]
+        r0, r1 = max(0, int(cr) - reach), min(height, int(cr) + reach + 1)
+        c0, c1 = max(0, int(cc) - reach), min(width, int(cc) + reach + 1)
+        window = image[r0:r1, c0:c1]
+        d_color = ((window - colors[i]) ** 2).sum(axis=2)
+        d_space = (rows[r0:r1, c0:c1] - cr) ** 2 + (cols[r0:r1, c0:c1] - cc) ** 2
+        dist = d_color + spatial_scale * d_space
+        closer = dist < best[r0:r1, c0:c1]
+        best[r0:r1, c0:c1][closer] = dist[closer]
+        labels[r0:r1, c0:c1][closer] = i
+    uncovered = labels < 0
+    labels[uncovered] = fallback[uncovered]
+    return labels
+
+
+def enforce_connectivity(labels, count):
+    """Keep each label's largest component; merge strays into neighbors."""
+    height, width = labels.shape
+    final = np.full((height, width), -1, dtype=np.intp)
+    orphans = []
+    for i in range(count):
+        comps, num = scipy.ndimage.label(labels == i, structure=FOUR_CONNECTED)
+        if num == 0:
+            continue
+        sizes = np.bincount(comps.ravel())[1:]
+        main = int(np.argmax(sizes)) + 1
+        final[comps == main] = i
+        for c in range(1, num + 1):
+            if c != main:
+                orphans.append(comps == c)
+    while orphans:
+        remaining = []
+        for mask in orphans:
+            grown = scipy.ndimage.binary_dilation(mask, structure=FOUR_CONNECTED)
+            neighbor_ids = final[grown & ~mask]
+            neighbor_ids = neighbor_ids[neighbor_ids >= 0]
+            if neighbor_ids.size == 0:
+                remaining.append(mask)
+                continue
+            final[mask] = np.bincount(neighbor_ids).argmax()
+        if len(remaining) == len(orphans):
+            raise RuntimeError("orphan components have no assigned neighbor")
+        orphans = remaining
+    ids, compacted = np.unique(final, return_inverse=True)
+    return compacted.reshape(final.shape), ids.size
+
+
+def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
+    """``graph.segment`` with the per-centre sweep and per-label repair."""
+    image = np.asarray(image, dtype=float)
+    if mode != "slic":
+        return graph.segment(image, target_n, compactness, mode, iters)
+    height, width = image.shape[:2]
+    pitch = np.sqrt(height * width / target_n)
+    seed_labels = graph._grid_labels(height, width, target_n)
+    count = seed_labels.max() + 1
+    centers = graph._centroids(seed_labels, count)
+    colors = image[
+        np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
+        np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
+    ]
+    spatial_scale = (compactness / pitch) ** 2
+    reach = int(np.ceil(2 * pitch))
+    labels = seed_labels.copy()
+    for _ in range(iters):
+        labels = assign(image, centers, colors, spatial_scale, reach, seed_labels)
+        flat = labels.ravel()
+        sizes = np.bincount(flat, minlength=count)
+        occupied = sizes > 0
+        centers_new = graph._centroids(labels, count)
+        centers[occupied] = centers_new[occupied]
+        for ch in range(3):
+            acc = np.bincount(flat, weights=image[..., ch].ravel(), minlength=count)
+            colors[occupied, ch] = acc[occupied] / sizes[occupied]
+    labels, count = enforce_connectivity(labels, count)
+    return labels, graph._centroids(labels, count)
+
+
+def patches(image, centroids, box_size, patch_dim):
+    """Area-averaged patches, one three-operand ``einsum`` per superpixel."""
+    height, width = image.shape[:2]
+    count = len(centroids)
+    shrink = graph._area_average_weights(box_size, patch_dim)
+    out = np.empty((count, patch_dim, patch_dim, 3))
+    for i in range(count):
+        r0 = int(np.floor(centroids[i, 0] + 0.5)) - box_size // 2
+        c0 = int(np.floor(centroids[i, 1] + 0.5)) - box_size // 2
+        rows = np.clip(np.arange(r0, r0 + box_size), 0, height - 1)
+        cols = np.clip(np.arange(c0, c0 + box_size), 0, width - 1)
+        crop = image[np.ix_(rows, cols)]
+        out[i] = np.einsum("ir,rcd,jc->ijd", shrink, crop, shrink)
+    return out.reshape(count, -1)
+
+
+def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
+    """``graph.build_graph`` on the reference segmentation and patches.
+
+    Mean colour, histograms, LBP, edges and similarities come from the
+    unchanged ``graph`` functions applied to the reference labels.
+    """
+    labels, centroids = segment(
+        sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
+    )
+    segmented = SceneSample(
+        image=sample.image, depth=sample.depth, labels=labels, centroids=centroids
+    )
+    features = graph.extract_features(
+        segmented, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
+    )
+    features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
+    edges = graph.adjacency(labels)
+    sims = graph.similarities(features, cfg.gammas, edges, int(labels.max()) + 1)
+    return GraphData(
+        labels=labels, centroids=centroids, features=features, edges=edges,
+        similarities=sims,
+    )

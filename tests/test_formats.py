@@ -76,6 +76,22 @@ def test_depth_raster_round_trip_is_lossless(tmp_path):
     assert np.array_equal(read_depth_raster(path), depth)
 
 
+@pytest.mark.parametrize("kind", ["repeated", "distinct"])
+def test_depth_raster_bytes_match_per_pixel_repr(tmp_path, kind):
+    rng = np.random.default_rng(3)
+    if kind == "repeated":
+        levels = np.array([0.0, -0.0, 1.5, np.inf, np.nan, 1e-300, 7.25e12])
+        depth = rng.choice(np.concatenate([levels, rng.uniform(1, 10, 5)]), (9, 13))
+    else:
+        depth = np.exp(rng.normal(size=(9, 13)))
+        assert np.unique(depth).size == depth.size
+    path = tmp_path / "depth.txt"
+    write_depth_raster(path, depth)
+    rows = [" ".join(repr(float(v)) for v in row) for row in depth]
+    expected = "\n".join([f"DEPTH {depth.shape[0]} {depth.shape[1]}", *rows]) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
 def test_depth_raster_rejects_malformed_files(tmp_path):
     path = tmp_path / "depth.txt"
     path.write_text("RASTER 2 2\n1 2\n3 4\n")

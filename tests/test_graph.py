@@ -1,10 +1,13 @@
 """Segmentation, adjacency, per-superpixel features and similarity kernels."""
 
+import tracemalloc
+
+import graph_reference
 import numpy as np
 import pytest
 import scipy.ndimage
 
-from depthcrf import graph
+from depthcrf import graph, synth
 from depthcrf.graph import GraphConfig, SceneSample
 
 
@@ -314,3 +317,120 @@ class TestBuildGraph:
                     b = getattr(moved, name)[dst]
                     assert np.allclose(a, b, atol=1e-12), name
                 assert abs(base.gt_logdepth[src] - moved.gt_logdepth[dst]) < 1e-12
+
+
+REFERENCE_CORPUS = [
+    synth.SceneSpec(texture=texture, seed=seed)
+    for texture, seed in (("noise", 11), ("gradient", 12), ("flat", 13))
+]
+
+
+class TestAgainstReferenceLoops:
+    """The blocked front end against the loop-per-item versions it replaced."""
+
+    @pytest.mark.parametrize("mode", ["slic", "grid"])
+    @pytest.mark.parametrize("target", [150, 700])
+    def test_graph_matches_reference(self, target, mode):
+        cfg = GraphConfig(target_superpixels=target, seg_mode=mode)
+        for spec in REFERENCE_CORPUS:
+            sample = synth.generate(spec)
+            fast = graph.build_graph(sample, cfg)
+            slow = graph_reference.build_graph(sample, cfg)
+            for name in ("labels", "centroids", "edges", "similarities"):
+                assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+            for name in ("mean_color", "color_hist", "lbp_hist", "gt_logdepth"):
+                assert np.array_equal(
+                    getattr(fast.features, name), getattr(slow.features, name)
+                ), name
+            assert np.max(np.abs(fast.features.patch - slow.features.patch)) <= 1e-12
+
+    @pytest.mark.parametrize("block_cells", [1, 50, 10**6])
+    def test_assignment_independent_of_block_size(self, monkeypatch, block_cells):
+        rng = np.random.default_rng(4)
+        image = rng.random((23, 31, 3))
+        fallback = graph._grid_labels(23, 31, 20)
+        centers = graph._centroids(fallback, fallback.max() + 1)
+        centers += rng.uniform(-1.5, 1.5, centers.shape)
+        centers = np.clip(centers, 0, [22, 30])
+        colors = rng.random((len(centers), 3))
+        args = (image, centers, colors, 0.01, 5, fallback)
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
+
+    def test_connectivity_repair_on_fragmented_labels(self):
+        rng = np.random.default_rng(5)
+        for size, count in ((12, 3), (20, 12), (17, 40)):
+            labels = rng.integers(0, count, (size, size + 3))
+            fast, fast_count = graph._enforce_connectivity(labels)
+            slow, slow_count = graph_reference.enforce_connectivity(labels, count)
+            assert fast_count == slow_count
+            assert np.array_equal(fast, slow)
+
+
+class TestAssignmentSemantics:
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    def test_exact_ties_go_to_the_lowest_centre_index(self, monkeypatch, block_cells):
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        image = np.full((7, 7, 3), 0.3)
+        # symmetric centres, deliberately not listed in raster order
+        centers = np.array([[5.0, 5.0], [1.0, 5.0], [5.0, 1.0], [1.0, 1.0]])
+        colors = np.full((4, 3), 0.3)
+        labels = graph._assign(image, centers, colors, 1.0, 6, np.zeros((7, 7), int))
+        rows, cols = np.indices((7, 7))
+        dists = np.stack(
+            [(rows - r) ** 2 + (cols - c) ** 2 for r, c in centers]
+        ).astype(float)
+        # np.argmin returns the first of equal minima
+        assert np.array_equal(labels, np.argmin(dists, axis=0))
+        assert labels[3, 3] == 0  # equidistant from all four centres
+        assert labels[3, 0] == 2 and labels[0, 3] == 1
+
+    def test_pixel_outside_every_window_keeps_seed_label(self):
+        image = np.full((1, 9, 3), 0.5)
+        centers = np.array([[0.0, 0.0], [0.0, 8.0]])
+        colors = np.full((2, 3), 0.5)
+        fallback = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0]])
+        args = (image, centers, colors, 1.0, 2, fallback)
+        labels = graph._assign(*args)
+        assert labels.tolist() == [[0, 0, 0, 1, 1, 0, 1, 1, 1]]
+        assert np.array_equal(labels, graph_reference.assign(*args))
+
+    def test_centre_without_pixels_keeps_position_and_colour(self):
+        image = np.zeros((2, 4, 3))
+        image[:, 2:] = 0.8
+        labels = np.array([[0, 0, 2, 2], [0, 0, 2, 2]])
+        centers = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
+        colors = np.array([[0.1, 0.1, 0.1], [0.4, 0.5, 0.6], [0.9, 0.9, 0.9]])
+        graph._update_centers(image, labels, centers, colors)
+        assert np.array_equal(centers, [[0.5, 0.5], [1.0, 1.0], [0.5, 2.5]])
+        assert np.allclose(colors, [[0, 0, 0], [0.4, 0.5, 0.6], [0.8, 0.8, 0.8]])
+
+    def test_size_tie_keeps_first_component_in_raster_order(self):
+        labels = np.array([[0, 0, 1, 0, 0], [2, 2, 1, 2, 2]])
+        final, count = graph._enforce_connectivity(labels)
+        # labels 0 and 2 each split into two equal pieces: the left piece
+        # (first in raster order) stays and the right one merges into 1
+        assert count == 3
+        assert final.tolist() == [[0, 0, 1, 1, 1], [2, 2, 1, 1, 1]]
+
+    def test_orphans_merge_in_label_then_raster_order(self):
+        labels = np.array([[0, 0, 1, 2, 1, 1, 1, 2, 2, 2]])
+        final, _ = graph._enforce_connectivity(labels)
+        # label 1's orphan merges first (into 0), so label 2's orphan then
+        # sees 0 and 1 equally and takes 0; the reverse order would give 1
+        assert final.tolist() == [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]]
+        slow, _ = graph_reference.enforce_connectivity(labels, 3)
+        assert np.array_equal(final, slow)
+
+
+def test_front_end_working_set_stays_small():
+    sample = synth.generate(synth.SceneSpec(seed=3))
+    tracemalloc.start()
+    try:
+        labels, centroids = graph.segment(sample.image, 700)
+        sample.labels, sample.centroids = labels, centroids
+        graph.extract_features(sample, box_size=24, patch_dim=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

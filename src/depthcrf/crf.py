@@ -14,26 +14,33 @@ is a Gaussian integral and everything downstream is closed form:
     -log p(y) = E(y) + log Z
     argmax_y p(y|x) = A^{-1} z
 
-``R`` collects the per-edge couplings, assembled as a beta-weighted sum of a
-stack of similarity matrices.  With ``beta >= 0`` and similarities in
-``[0, 1]`` the matrix ``A`` is strictly diagonally dominant with positive
-diagonal, hence symmetric positive definite, so a plain dense Cholesky
-factorization carries the solves and the log-determinant.  Graph sizes are
-desk scale (hundreds to low thousands of nodes); dense linear algebra is the
-simplest thing that can be audited.
+The graph is an edge list: ``edges[e] = (p, q)`` with ``p < q``, and a
+(K, E) similarity array whose column ``e`` holds edge ``e``'s K channel
+similarities.  The coupling of edge ``e`` is ``r_e = sum_k beta_k s_ke``;
+``R`` holds it at (p, q) and (q, p) and is zero elsewhere.  With
+``beta >= 0`` and similarities in ``[0, 1]`` the matrix ``A`` is strictly
+diagonally dominant with positive diagonal, hence symmetric positive
+definite, so a plain dense Cholesky factorization carries the solves and the
+log-determinant.  Graph sizes are desk scale (hundreds to low thousands of
+nodes); dense linear algebra is the simplest thing that can be audited.
 
 Gradients of the negative log-likelihood:
 
     d(-log p)/dz     = 2 (A^{-1} z - y)
-    d(-log p)/dbeta_k = y' J_k y - z' A^{-1} J_k A^{-1} z - (1/2) tr(A^{-1} J_k)
+    d(-log p)/dbeta_k = y' J_k y - u' J_k u - (1/2) tr(A^{-1} J_k),  u = A^{-1} z
 
-where ``J_k = dA/dbeta_k = diag(S_k 1) - S_k``.  The ``z`` gradient is the
-hook for backpropagation into whatever regressor produced ``z``.
+where ``J_k = dA/dbeta_k`` is the graph Laplacian of channel ``k``, so
+
+    v' J_k v       = sum_e s_ke (v_p - v_q)^2
+    tr(A^{-1} J_k) = sum_e s_ke (inv_pp + inv_qq - 2 inv_pq),  inv = A^{-1}.
+
+The ``z`` gradient is the hook for backpropagation into whatever regressor
+produced ``z``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +56,7 @@ class FactorizationError(RuntimeError):
 
 
 def _frozen(values, dtype=float):
-    """Return a read-only float array, copying only if needed."""
+    """Return a read-only array of ``dtype``, copying only if needed."""
     arr = np.asarray(values, dtype=dtype)
     if arr.flags.writeable:
         arr = arr.copy()
@@ -75,76 +82,56 @@ class PairwiseWeights:
         return self.beta.size
 
 
-def _canonical_edges(edges):
-    """Edges as a read-only (E, 2) int array, rows sorted, low index first."""
-    arr = np.asarray(edges, dtype=np.intp)
-    if arr.size == 0:
-        arr = np.empty((0, 2), dtype=np.intp)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("edges must have shape (E, 2)")
-    arr = np.sort(arr, axis=1)
-    arr = np.unique(arr, axis=0)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class CrfInstance:
-    """One image's graph: regressed values, similarity stack, edge set.
+    """One image's graph: regressed values, per-edge similarities, edge set.
 
-    ``similarities`` has shape (K, n, n).  Each channel is symmetric, zero on
-    the diagonal, zero off the edge set, with entries in [0, 1].  ``y`` holds
-    ground-truth log-depths and may be omitted at prediction time.
-
-    Construction with ``validate=False`` skips the structural checks (and the
-    edge canonicalization); that path is for rebuilding instances from arrays
-    that already passed validation, e.g. once per training step.
+    ``edges`` has shape (E, 2) and is canonical: every row ``(p, q)`` has
+    ``p < q`` and the rows strictly increase, as ``graph.adjacency`` emits
+    them.  ``similarities`` has shape (K, E); column ``e`` holds the K
+    channel similarities of ``edges[e]``, each in [0, 1].  ``y`` holds
+    ground-truth log-depths and may be omitted at prediction time.  Every
+    array is stored read-only, so instances rebuilt from another instance's
+    arrays share them without copying.
     """
 
     z: np.ndarray
     similarities: np.ndarray
     edges: np.ndarray
     y: np.ndarray | None = None
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         object.__setattr__(self, "z", _frozen(self.z))
         object.__setattr__(self, "similarities", _frozen(self.similarities))
+        object.__setattr__(self, "edges", _frozen(self.edges, dtype=np.intp))
         if self.y is not None:
             object.__setattr__(self, "y", _frozen(self.y))
-        if validate:
-            object.__setattr__(self, "edges", _canonical_edges(self.edges))
-            self._check()
-        else:
-            object.__setattr__(self, "edges", self.edges)
+        self._check()
 
     def _check(self):
         z, sims, edges = self.z, self.similarities, self.edges
         if z.ndim != 1 or z.size < 1:
             raise ValueError("z must be a vector with at least one node")
         n = z.size
-        if sims.ndim != 3 or sims.shape[1:] != (n, n) or sims.shape[0] < 1:
-            raise ValueError(f"similarities must have shape (K, {n}, {n})")
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must have shape (E, 2)")
+        if sims.ndim != 2 or sims.shape[0] < 1 or sims.shape[1] != len(edges):
+            raise ValueError(f"similarities must have shape (K, {len(edges)})")
         if self.y is not None and self.y.shape != (n,):
             raise ValueError("y must match z in length")
         for arr in (z, sims) + (() if self.y is None else (self.y,)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("instance arrays must be finite")
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge indices out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
-        if not np.array_equal(sims, sims.transpose(0, 2, 1)):
-            raise ValueError("similarity matrices must be symmetric")
         if np.any(sims < 0) or np.any(sims > 1):
             raise ValueError("similarities must lie in [0, 1]")
-        allowed = np.zeros((n, n), dtype=bool)
         if edges.size:
-            allowed[edges[:, 0], edges[:, 1]] = True
-            allowed[edges[:, 1], edges[:, 0]] = True
-        if np.any(sims[:, ~allowed] != 0.0):
-            raise ValueError("similarities must vanish off the edge set")
+            p, q = edges[:, 0], edges[:, 1]
+            if p.min() < 0 or q.max() >= n:
+                raise ValueError("edge indices out of range")
+            if np.any(p >= q):
+                raise ValueError("each edge must be listed as (p, q) with p < q")
+            if np.any((p[1:] < p[:-1]) | ((p[1:] == p[:-1]) & (q[1:] <= q[:-1]))):
+                raise ValueError("edges must be sorted and unique")
 
     @property
     def n(self):
@@ -168,28 +155,30 @@ class Precision:
 
 
 def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
-    """Dense symmetric coupling matrix: entrywise beta-weighted similarity sum."""
+    """The coupling matrix R in edge-list form: r_e = sum_k beta_k s_ke, shape (E,)."""
     if len(weights) != instance.num_channels:
         raise ValueError(
             f"expected {instance.num_channels} weights, got {len(weights)}"
         )
-    return np.einsum("k,kpq->pq", weights.beta, instance.similarities)
+    return weights.beta @ instance.similarities
 
 
-def build_precision(coupling: np.ndarray) -> Precision:
-    """Factor A = I + D - R for a symmetric coupling matrix R.
+def build_precision(n: int, edges, couplings) -> Precision:
+    """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``edges[e]``.
 
     Raises FactorizationError when A is not positive definite, which under
-    valid inputs (R nonnegative) cannot happen.
+    valid inputs (couplings nonnegative) cannot happen.
     """
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]:
-        raise ValueError("coupling matrix must be square")
-    if not np.array_equal(coupling, coupling.T):
-        raise ValueError("coupling matrix must be symmetric")
-    n = coupling.shape[0]
-    a = -coupling.copy()
-    a[np.diag_indices(n)] += 1.0 + coupling.sum(axis=1)
+    edges = np.asarray(edges, dtype=np.intp)
+    couplings = np.asarray(couplings, dtype=float)
+    if edges.ndim != 2 or edges.shape[1] != 2 or couplings.shape != (len(edges),):
+        raise ValueError("need an (E, 2) edge array and one coupling per edge")
+    p, q = edges[:, 0], edges[:, 1]
+    a = np.zeros((n, n))
+    a[p, q] = -couplings
+    a[q, p] = -couplings
+    degree = np.bincount(p, couplings, minlength=n) + np.bincount(q, couplings, minlength=n)
+    a[np.diag_indices(n)] = 1.0 + degree
     try:
         chol = scipy.linalg.cholesky(a, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -199,7 +188,20 @@ def build_precision(coupling: np.ndarray) -> Precision:
 
 
 def _precision_for(instance, weights):
-    return build_precision(coupling_matrix(instance, weights))
+    couplings = coupling_matrix(instance, weights)
+    return couplings, build_precision(instance.n, instance.edges, couplings)
+
+
+def _edge_quadratic(edges, weights, v):
+    """sum_e w_e (v_p - v_q)^2 for weights (E,), or per row for weights (K, E)."""
+    diffs = v[edges[:, 0]] - v[edges[:, 1]]
+    return weights @ (diffs * diffs)
+
+
+def _energy(instance, couplings, y):
+    return float(np.sum((y - instance.z) ** 2)) + float(
+        _edge_quadratic(instance.edges, couplings, y)
+    )
 
 
 def energy(instance: CrfInstance, weights: PairwiseWeights, depths) -> float:
@@ -211,106 +213,62 @@ def energy(instance: CrfInstance, weights: PairwiseWeights, depths) -> float:
     y = np.asarray(depths, dtype=float)
     if y.shape != (instance.n,):
         raise ValueError("depth assignment must match the node count")
-    unary = float(np.sum((y - instance.z) ** 2))
-    edges = instance.edges
-    if edges.size == 0:
-        return unary
-    coupling = coupling_matrix(instance, weights)
-    diffs = y[edges[:, 0]] - y[edges[:, 1]]
-    pairwise = float(np.sum(coupling[edges[:, 0], edges[:, 1]] * diffs * diffs))
-    return unary + pairwise
+    return _energy(instance, coupling_matrix(instance, weights), y)
 
 
-def log_partition(instance: CrfInstance, weights: PairwiseWeights) -> float:
-    """log integral of exp(-E) over all depth assignments."""
-    prec = _precision_for(instance, weights)
+def _log_partition(instance, prec, u):
     z = instance.z
     return (
         0.5 * instance.n * np.log(np.pi)
         - 0.5 * prec.logdet
-        + float(z @ prec.solve(z))
+        + float(z @ u)
         - float(z @ z)
     )
 
 
-def _require_y(instance):
+def log_partition(instance: CrfInstance, weights: PairwiseWeights) -> float:
+    """log integral of exp(-E) over all depth assignments."""
+    _, prec = _precision_for(instance, weights)
+    return _log_partition(instance, prec, prec.solve(instance.z))
+
+
+def _nll(instance, weights):
+    """NLL of the ground truth, with the factorization and u = A^{-1} z behind it."""
     if instance.y is None:
         raise ValueError("instance has no ground-truth depths")
-    return instance.y
+    couplings, prec = _precision_for(instance, weights)
+    u = prec.solve(instance.z)
+    value = _energy(instance, couplings, instance.y) + _log_partition(instance, prec, u)
+    return value, prec, u
 
 
 def nll(instance: CrfInstance, weights: PairwiseWeights) -> float:
     """Negative log-likelihood of the instance's ground-truth depths."""
-    y = _require_y(instance)
-    prec = _precision_for(instance, weights)
-    z = instance.z
-    return (
-        float(y @ (prec.matrix @ y))
-        - 2.0 * float(z @ y)
-        + float(z @ prec.solve(z))
-        - 0.5 * prec.logdet
-        + 0.5 * instance.n * np.log(np.pi)
-    )
+    return _nll(instance, weights)[0]
 
 
 def map_infer(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
     """Most probable depth assignment, the solution of A y = z."""
-    prec = _precision_for(instance, weights)
+    _, prec = _precision_for(instance, weights)
     return prec.solve(instance.z)
-
-
-def grad_unary(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
-    """Gradient of the NLL with respect to the regressed values z.
-
-    Chaining this with dz/dtheta of the regressor gives the full parameter
-    gradient.
-    """
-    y = _require_y(instance)
-    prec = _precision_for(instance, weights)
-    return 2.0 * (prec.solve(instance.z) - y)
-
-
-def _channel_quadratic(sims, rowsums, v):
-    """v' J_k v for every channel, with J_k = diag(S_k 1) - S_k."""
-    return np.einsum("kp,p->k", rowsums, v * v) - np.einsum(
-        "p,kpq,q->k", v, sims, v
-    )
-
-
-def grad_pairwise(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
-    """Gradient of the NLL with respect to each coupling coefficient."""
-    y = _require_y(instance)
-    prec = _precision_for(instance, weights)
-    return _grad_pairwise(instance, prec, y)
-
-
-def _grad_pairwise(instance, prec, y):
-    sims = instance.similarities
-    rowsums = sims.sum(axis=2)
-    u = prec.solve(instance.z)
-    inv = prec.solve(np.eye(instance.n))
-    term_y = _channel_quadratic(sims, rowsums, y)
-    term_u = _channel_quadratic(sims, rowsums, u)
-    traces = np.einsum("kp,p->k", rowsums, np.diag(inv)) - np.einsum(
-        "pq,kpq->k", inv, sims
-    )
-    return term_y - term_u - 0.5 * traces
 
 
 def nll_with_grads(instance: CrfInstance, weights: PairwiseWeights):
     """NLL plus both gradient blocks from a single factorization.
 
     Returns (nll, grad wrt z, grad wrt beta); what a training step needs.
+    Chaining the z gradient with dz/dtheta of the regressor gives the full
+    parameter gradient.
     """
-    y = _require_y(instance)
-    prec = _precision_for(instance, weights)
-    z = instance.z
-    u = prec.solve(z)
-    value = (
-        float(y @ (prec.matrix @ y))
-        - 2.0 * float(z @ y)
-        + float(z @ u)
-        - 0.5 * prec.logdet
-        + 0.5 * instance.n * np.log(np.pi)
+    value, prec, u = _nll(instance, weights)
+    sims, edges = instance.similarities, instance.edges
+    inv = prec.solve(np.eye(instance.n))
+    diag = np.diag(inv)
+    p, q = edges[:, 0], edges[:, 1]
+    traces = sims @ (diag[p] + diag[q] - 2.0 * inv[p, q])
+    grad_beta = (
+        _edge_quadratic(edges, sims, instance.y)
+        - _edge_quadratic(edges, sims, u)
+        - 0.5 * traces
     )
-    return value, 2.0 * (u - y), _grad_pairwise(instance, prec, y)
+    return value, 2.0 * (u - instance.y), grad_beta

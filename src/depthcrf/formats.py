@@ -6,15 +6,15 @@ exactly:
 * images are 8-bit binary PPM (P6), values mapped linearly to [0, 1];
 * depth rasters are text: a ``DEPTH rows cols`` header, then one line per
   row of decimal meters (shortest representation that parses back to the
-  identical float);
+  identical float); the reader accepts only finite, positive depths;
 * dataset manifests are text: a ``MANIFEST v1`` header, then one line per
   sample with the image path, the depth path and the sample's seed, paths
   relative to the manifest;
 * checkpoints are text: a ``NFCKPT v1`` header, the run configuration as
   key-value lines, the activation tags, then ``TENSOR name dims...``
   sections in row-major order covering the regressor, the coupling
-  coefficients, the similarity bandwidths and the input standardization
-  statistics;
+  coefficients, the similarity bandwidths (which must equal the configured
+  gammas) and the input standardization statistics;
 * training history is CSV with columns epoch, lr, mean_nll.
 """
 
@@ -124,6 +124,8 @@ def read_depth_raster(path) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (rows, cols):
         raise FormatError(f"{path}: depth raster shape mismatch")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise FormatError(f"{path}: depth values must be finite and positive")
     return arr
 
 
@@ -236,6 +238,13 @@ def read_checkpoint(path) -> Checkpoint:
     for required in ("beta", "gammas", "input_mean", "input_std"):
         if required not in tensors:
             raise FormatError(f"{path}: checkpoint is missing tensor {required!r}")
+    # prediction takes its gammas from the configuration, so the tensor must agree
+    gammas = (config.gamma_color, config.gamma_hist, config.gamma_lbp)
+    if tensors["gammas"].shape != (3,) or not np.array_equal(tensors["gammas"], gammas):
+        raise FormatError(
+            f"{path}: gammas tensor {tensors['gammas'].tolist()} differs from "
+            f"the configured {list(gammas)}"
+        )
     return Checkpoint(
         config=config,
         model=model,

@@ -25,7 +25,8 @@ binary pattern histogram over luminance (8 neighbors, radius 1, edge rows
 and columns replicated), a square patch around the centroid (edge-replicated
 at borders, area-averaged down to a fixed resolution) and the log of the
 mean ground-truth depth.  Pairwise similarities between adjacent superpixels
-are exp(-gamma_k * ||f_p - f_q||_2) per feature channel.
+are exp(-gamma_k * ||f_p - f_q||_2) per feature channel, stored per edge: a
+(3, E) array whose column e belongs to row e of the (E, 2) edge list.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class SuperpixelFeatures:
 
 @dataclass
 class GraphData:
+    """A segmented scene: edges in canonical order, similarities (3, E) per edge."""
+
     labels: np.ndarray
     centroids: np.ndarray
     features: SuperpixelFeatures
@@ -282,7 +285,11 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
 
 
 def adjacency(labels) -> np.ndarray:
-    """Edges between 4-connected superpixels, as a sorted (E, 2) array."""
+    """Edges between 4-connected superpixels, as an (E, 2) array.
+
+    Rows are (p, q) with p < q in increasing order, the canonical order
+    ``crf.CrfInstance`` requires.
+    """
     labels = np.asarray(labels)
     pairs = [
         np.stack([labels[:-1, :].ravel(), labels[1:, :].ravel()], axis=1),
@@ -398,22 +405,19 @@ def extract_features(sample: SceneSample, box_size: int, patch_dim: int,
     )
 
 
-def similarities(features: SuperpixelFeatures, gammas, edges, count: int) -> np.ndarray:
-    """exp(-gamma_k ||f_p - f_q||) per channel, zero off the edge set."""
+def similarities(features: SuperpixelFeatures, gammas, edges) -> np.ndarray:
+    """exp(-gamma_k ||f_p - f_q||) per channel and edge, shape (3, E)."""
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape != (3,) or np.any(gammas <= 0):
         raise ValueError("gammas must be three positive reals")
-    stack = np.zeros((3, count, count))
-    if edges.size == 0:
-        return stack
     channels = (features.mean_color, features.color_hist, features.lbp_hist)
     p, q = edges[:, 0], edges[:, 1]
-    for k, (gamma, feats) in enumerate(zip(gammas, channels)):
-        dists = np.linalg.norm(feats[p] - feats[q], axis=1)
-        values = np.exp(-gamma * dists)
-        stack[k, p, q] = values
-        stack[k, q, p] = values
-    return stack
+    return np.stack(
+        [
+            np.exp(-gamma * np.linalg.norm(feats[p] - feats[q], axis=1))
+            for gamma, feats in zip(gammas, channels)
+        ]
+    )
 
 
 def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
@@ -428,7 +432,7 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
         segmented, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
     )
     edges = adjacency(labels)
-    sims = similarities(features, cfg.gammas, edges, int(labels.max()) + 1)
+    sims = similarities(features, cfg.gammas, edges)
     return GraphData(
         labels=labels,
         centroids=centroids,

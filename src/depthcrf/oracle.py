@@ -30,11 +30,8 @@ def random_edges(rng, n, edge_prob: float = 0.6) -> np.ndarray:
 def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=None):
     """A valid random instance plus weights, for randomized cross-checks."""
     edges = random_edges(rng, n, edge_prob)
-    sims = np.zeros((num_channels, n, n))
-    for p, q in edges:
-        values = rng.uniform(0.05, 1.0, size=num_channels)
-        sims[:, p, q] = values
-        sims[:, q, p] = values
+    # one row of channel similarities per edge, drawn in edge order
+    sims = rng.uniform(0.05, 1.0, size=(len(edges), num_channels)).T
     instance = CrfInstance(
         z=rng.normal(0.0, 1.0, size=n),
         similarities=sims,
@@ -44,6 +41,15 @@ def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=Non
     if beta is None:
         beta = rng.uniform(0.1, 1.5, size=num_channels)
     return instance, PairwiseWeights(beta)
+
+
+def rel_err(actual, expected, floor: float = 1e-12) -> float:
+    """Max-norm error of ``actual`` relative to the magnitude of ``expected``."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    scale = max(float(np.max(np.abs(expected))) if expected.size else 0.0, floor)
+    diff = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
+    return diff / scale
 
 
 @dataclass(frozen=True)
@@ -73,16 +79,14 @@ class GridSpec:
 
 
 def direct_coupling(instance, weights) -> np.ndarray:
-    """Entrywise coupling matrix via plain Python loops."""
-    n = instance.n
+    """Per-edge couplings, one scalar loop over channels for every edge."""
     beta = [float(b) for b in weights.beta]
-    out = np.zeros((n, n))
-    for p in range(n):
-        for q in range(n):
-            acc = 0.0
-            for k, b in enumerate(beta):
-                acc += b * float(instance.similarities[k, p, q])
-            out[p, q] = acc
+    out = np.zeros(len(instance.edges))
+    for e in range(out.size):
+        acc = 0.0
+        for k, b in enumerate(beta):
+            acc += b * float(instance.similarities[k, e])
+        out[e] = acc
     return out
 
 
@@ -94,16 +98,20 @@ def direct_energy(instance, weights, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     coupling = direct_coupling(instance, weights)
     total = ((pts - instance.z) ** 2).sum(axis=-1)
-    for p, q in instance.edges:
+    for (p, q), r in zip(instance.edges, coupling):
         diff = pts[..., p] - pts[..., q]
-        total = total + coupling[p, q] * diff * diff
+        total = total + r * diff * diff
     return total
 
 
 def gaussian_params(instance, weights):
     """Posterior mean and covariance, via generic LU-based linear algebra."""
-    coupling = direct_coupling(instance, weights)
-    a = np.diag(1.0 + coupling.sum(axis=1)) - coupling
+    a = np.eye(instance.n)
+    for (p, q), r in zip(instance.edges, direct_coupling(instance, weights)):
+        a[p, q] -= r
+        a[q, p] -= r
+        a[p, p] += r
+        a[q, q] += r
     mean = np.linalg.solve(a, instance.z)
     cov = 0.5 * np.linalg.inv(a)
     return mean, cov

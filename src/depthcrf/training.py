@@ -11,10 +11,13 @@ multiplied by ``lr_decay`` every ``lr_decay_every`` epochs.  Scene order is
 reshuffled every epoch from the run's own generator, so a (config, dataset)
 pair determines the final state exactly.
 
-The unary-only baseline is the identical loop with beta frozen at zero; a
-regressor-warmup phase can freeze the first layer instead.  Regressor inputs
-are flattened patches standardized per dimension with training-set statistics
-(kept with the model so prediction can reproduce them).
+The unary-only baseline is the identical loop with beta frozen at zero
+(``unary_only=True``); a regressor-warmup phase can freeze the first layer
+instead.  Regressor inputs are flattened patches standardized per dimension
+with training-set statistics (kept with the model so prediction can
+reproduce them).  Each prepared scene keeps its graph as the canonical edge
+list and per-edge (3, E) similarities, stored read-only so that every step's
+``CrfInstance`` shares them without copying.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ class TrainConfig:
 
 @dataclass
 class PreparedScene:
-    """One image, ready for the loss: standardized inputs, graph, targets."""
+    """One image, ready for the loss: standardized inputs, graph, targets.
+
+    ``similarities`` has shape (3, E), column e belonging to ``edges[e]``.
+    """
 
     inputs: np.ndarray
     similarities: np.ndarray
@@ -162,7 +168,6 @@ def step(state: TrainState, batch, config: TrainConfig, *,
             similarities=scene.similarities,
             edges=scene.edges,
             y=scene.target,
-            validate=False,
         )
         value, gz, gb = crf.nll_with_grads(instance, weights)
         loss += value
@@ -208,8 +213,3 @@ def train(scenes, config: TrainConfig, layer_dims=None, *, state: TrainState | N
         state.epoch += 1
     return state
 
-
-def train_unary_only(scenes, config: TrainConfig, layer_dims=None, *,
-                     state: TrainState | None = None) -> TrainState:
-    """The coupling-free baseline: same loop, beta pinned to zero."""
-    return train(scenes, config, layer_dims, state=state, unary_only=True)

@@ -136,7 +136,7 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     )
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)
-    sims = graph.similarities(features, cfg.gammas, edges, int(labels.max()) + 1)
+    sims = graph.similarities(features, cfg.gammas, edges)
     return GraphData(
         labels=labels, centroids=centroids, features=features, edges=edges,
         similarities=sims,

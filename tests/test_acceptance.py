@@ -92,7 +92,6 @@ def test_criterion_2_gradients_match_finite_differences():
                 similarities=instance.similarities,
                 edges=instance.edges,
                 y=instance.y,
-                validate=False,
             )
         value, grad_z, grad_beta = crf.nll_with_grads(with_z(z), weights)
         grad_theta = unary.backward(model, tape, grad_z)
@@ -194,12 +193,14 @@ def test_criterion_6_precision_is_positive_definite_and_corruption_raises():
         instance, weights = random_instance(
             rng, n, beta=rng.uniform(0.0, 1.5, size=3)
         )
-        precision = crf.build_precision(crf.coupling_matrix(instance, weights))
+        precision = crf.build_precision(
+            instance.n, instance.edges, crf.coupling_matrix(instance, weights)
+        )
         factored += int(np.all(np.isfinite(precision.chol)))
-    corrupt = np.array([[0.0, -5.0], [-5.0, 0.0]])
     raised = False
     try:
-        crf.build_precision(corrupt)
+        # one edge whose coupling of -5 puts A = [[-4, 5], [5, -4]]
+        crf.build_precision(2, np.array([[0, 1]]), np.array([-5.0]))
     except FactorizationError:
         raised = True
     ok = factored == 100 and raised
@@ -223,9 +224,7 @@ def _pooled_rms(state, input_mean, input_std, test_samples, test_graphs) -> floa
     for sample, data in zip(test_samples, test_graphs):
         inputs = (data.features.patch - input_mean) / input_std
         z, _ = unary.forward(state.model, inputs)
-        instance = CrfInstance(
-            z=z, similarities=data.similarities, edges=data.edges, validate=False
-        )
+        instance = CrfInstance(z=z, similarities=data.similarities, edges=data.edges)
         star = crf.map_infer(instance, PairwiseWeights(state.beta))
         predicted = np.exp(star)[data.labels]
         pairs.append(
@@ -246,7 +245,7 @@ def baseline_runs(scene_sets):
     for seed in TRAIN_SEEDS:
         config = TrainConfig(seed=seed, **BASELINE_CONFIG)
         full = training.train(scenes, config, LAYER_DIMS)
-        unary_only = training.train_unary_only(scenes, config, LAYER_DIMS)
+        unary_only = training.train(scenes, config, LAYER_DIMS, unary_only=True)
         trials.append(
             (
                 _pooled_rms(full, input_mean, input_std, test_samples, test_graphs),

@@ -169,6 +169,37 @@ def test_predict_rejects_non_checkpoint_file(tmp_path):
     assert rc == 3
 
 
+def test_predict_rejects_checkpoint_gammas_differing_from_config(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    run = train_run(tmp_path, data, "run", epochs=1)
+    ckpt = read_checkpoint(run / "checkpoint.txt")
+    ckpt.gammas = ckpt.gammas * 2.0
+    bad = tmp_path / "bad_gammas.txt"
+    write_checkpoint(bad, ckpt)
+    rc = main(["predict", "--checkpoint", str(bad),
+               "--image", str(data / "img_0000.ppm"), "--out", str(tmp_path / "p.txt")])
+    assert rc == 3
+    assert "gammas" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "-2.0"])
+def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, bad):
+    data = make_dataset(tmp_path)
+    run = train_run(tmp_path, data, "run", epochs=1)
+    raster = data / "depth_0001.txt"
+    lines = raster.read_text().splitlines()
+    lines[5] = " ".join([bad] + lines[5].split()[1:])
+    raster.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "again"),
+               "--set", "epochs=1", *FAST])
+    assert rc == 3
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"), "--dataset", str(data)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("finite and positive") == 2
+
+
 def test_strong_coupling_smooths_the_prediction(tmp_path):
     data = make_dataset(tmp_path)
     run = train_run(tmp_path, data, "run", epochs=2, extra=["--unary-only"])

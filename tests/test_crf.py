@@ -1,11 +1,14 @@
-"""Closed-form CRF quantities against hand values and brute-force oracles."""
+"""Closed-form CRF quantities against hand values, brute-force oracles and the
+dense-stack reference route."""
 
 import numpy as np
 import pytest
 
-from depthcrf import crf, oracle
+from depthcrf import crf, oracle, synth
 from depthcrf.crf import CrfInstance, FactorizationError, PairwiseWeights
+from depthcrf.graph import GraphConfig, build_graph
 
+import crf_reference
 from testutil import (
     no_edge_instance,
     permute_instance,
@@ -26,27 +29,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             PairwiseWeights(np.array([np.inf]))
 
-    def test_asymmetric_similarity_rejected(self):
-        sims = np.zeros((1, 2, 2))
-        sims[0, 0, 1] = 0.5
-        with pytest.raises(ValueError):
-            CrfInstance(z=np.zeros(2), similarities=sims, edges=[[0, 1]])
-
     def test_out_of_range_similarity_rejected(self):
-        sims = np.zeros((1, 2, 2))
-        sims[0, 0, 1] = sims[0, 1, 0] = 1.5
         with pytest.raises(ValueError):
-            CrfInstance(z=np.zeros(2), similarities=sims, edges=[[0, 1]])
-
-    def test_similarity_off_edge_rejected(self):
-        sims = np.zeros((1, 3, 3))
-        sims[0, 0, 2] = sims[0, 2, 0] = 0.5
-        with pytest.raises(ValueError):
-            CrfInstance(z=np.zeros(3), similarities=sims, edges=[[0, 1]])
+            CrfInstance(z=np.zeros(2), similarities=[[1.5]], edges=[[0, 1]])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            CrfInstance(z=np.zeros(2), similarities=np.zeros((1, 2, 2)), edges=[[1, 1]])
+            CrfInstance(z=np.zeros(2), similarities=np.zeros((1, 1)), edges=[[1, 1]])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[[1, 0]], [[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 2], [0, 2]], [[0, 3]], [[-1, 1]]],
+        ids=["reversed", "unsorted", "duplicate", "unsorted-first", "too-high", "negative"],
+    )
+    def test_non_canonical_edges_rejected(self, edges):
+        sims = np.full((1, len(edges)), 0.5)
+        with pytest.raises(ValueError):
+            CrfInstance(z=np.zeros(3), similarities=sims, edges=edges)
+
+    def test_similarity_columns_must_match_edges(self):
+        with pytest.raises(ValueError):
+            CrfInstance(z=np.zeros(3), similarities=np.zeros((1, 1)), edges=[[0, 1], [1, 2]])
+        with pytest.raises(ValueError):
+            CrfInstance(z=np.zeros(3), similarities=np.zeros((1, 3, 3)), edges=[[0, 1]])
 
     def test_channel_count_mismatch_rejected(self):
         inst = no_edge_instance([0.0], k=2)
@@ -58,7 +63,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             inst.z[0] = 1.0
         with pytest.raises(ValueError):
-            inst.similarities[0, 0, 0] = 1.0
+            inst.similarities[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            inst.edges[0, 0] = 1
 
 
 class TestCoupling:
@@ -70,15 +77,14 @@ class TestCoupling:
 
     def test_single_edge_entry(self):
         inst = single_edge_instance(0.5, z=[0.0, 0.0])
-        expected = np.array([[0.0, 0.5], [0.5, 0.0]])
-        assert np.allclose(crf.coupling_matrix(inst, ONES), expected)
+        assert np.allclose(crf.coupling_matrix(inst, ONES), [0.5])
 
 
 class TestPrecision:
     def test_hand_matrix(self):
         # r_12 = 0.5: A = [[1.5, -0.5], [-0.5, 1.5]], log|A| = log 2
         inst = single_edge_instance(0.5, z=[0.0, 0.0])
-        prec = crf.build_precision(crf.coupling_matrix(inst, ONES))
+        prec = crf.build_precision(2, inst.edges, crf.coupling_matrix(inst, ONES))
         assert np.allclose(prec.matrix, [[1.5, -0.5], [-0.5, 1.5]])
         assert abs(prec.logdet - np.log(2.0)) < 1e-12
 
@@ -86,7 +92,7 @@ class TestPrecision:
         rng = np.random.default_rng(11)
         for _ in range(20):
             inst, w = random_instance(rng, n=int(rng.integers(1, 12)))
-            prec = crf.build_precision(crf.coupling_matrix(inst, w))
+            prec = crf.build_precision(inst.n, inst.edges, crf.coupling_matrix(inst, w))
             sign, logdet = np.linalg.slogdet(prec.matrix)
             assert sign > 0
             assert abs(prec.logdet - logdet) < 1e-9 * max(1.0, abs(logdet))
@@ -95,16 +101,15 @@ class TestPrecision:
         rng = np.random.default_rng(13)
         for _ in range(100):
             inst, w = random_instance(rng, n=int(rng.integers(1, 30)))
-            crf.build_precision(crf.coupling_matrix(inst, w))
+            crf.build_precision(inst.n, inst.edges, crf.coupling_matrix(inst, w))
 
     def test_negative_coupling_raises_factorization_error(self):
-        corrupted = np.array([[0.0, -5.0], [-5.0, 0.0]])
         with pytest.raises(FactorizationError):
-            crf.build_precision(corrupted)
+            crf.build_precision(2, np.array([[0, 1]]), np.array([-5.0]))
 
-    def test_asymmetric_coupling_rejected(self):
+    def test_one_coupling_per_edge_required(self):
         with pytest.raises(ValueError):
-            crf.build_precision(np.array([[0.0, 0.3], [0.2, 0.0]]))
+            crf.build_precision(3, np.array([[0, 1], [1, 2]]), np.array([0.5]))
 
 
 class TestEnergy:
@@ -122,7 +127,7 @@ class TestEnergy:
         for _ in range(30):
             inst, w = random_instance(rng, n=int(rng.integers(1, 15)))
             y = rng.normal(size=inst.n)
-            prec = crf.build_precision(crf.coupling_matrix(inst, w))
+            prec = crf.build_precision(inst.n, inst.edges, crf.coupling_matrix(inst, w))
             quad = y @ prec.matrix @ y - 2.0 * inst.z @ y + inst.z @ inst.z
             assert rel_err(crf.energy(inst, w, y), quad, floor=1e-9) < 1e-10
 
@@ -182,8 +187,8 @@ class TestNll:
             inst, w = random_instance(rng, n=int(rng.integers(2, 12)))
             value, gz, gb = crf.nll_with_grads(inst, w)
             assert abs(value - crf.nll(inst, w)) < 1e-12
-            assert np.allclose(gz, crf.grad_unary(inst, w), atol=1e-12)
-            assert np.allclose(gb, crf.grad_pairwise(inst, w), atol=1e-12)
+            assert np.allclose(gz, 2.0 * (crf.map_infer(inst, w) - inst.y), atol=1e-12)
+            assert np.allclose(gb, crf_reference.nll_with_grads(inst, w)[2], atol=1e-12)
 
 
 class TestMapInfer:
@@ -229,7 +234,7 @@ class TestGradients:
     def test_grad_unary_hand_value(self):
         # single node, coupling-free: d/dz of (z^2 - 2zy + ...) at z=2, y=1 is 2
         inst = no_edge_instance([2.0], y=[1.0])
-        assert np.allclose(crf.grad_unary(inst, ONES), [2.0], atol=1e-12)
+        assert np.allclose(crf.nll_with_grads(inst, ONES)[1], [2.0], atol=1e-12)
 
     def test_grad_unary_matches_finite_differences(self):
         rng = np.random.default_rng(47)
@@ -246,7 +251,7 @@ class TestGradients:
                 return crf.nll(bumped, w)
 
             fd = oracle.fd_gradient(f, inst.z)
-            assert rel_err(crf.grad_unary(inst, w), fd) < 1e-6
+            assert rel_err(crf.nll_with_grads(inst, w)[1], fd) < 1e-6
 
     def test_grad_pairwise_matches_finite_differences(self):
         rng = np.random.default_rng(53)
@@ -257,11 +262,45 @@ class TestGradients:
                 return crf.nll(inst, PairwiseWeights(beta))
 
             fd = oracle.fd_gradient(f, w.beta)
-            assert rel_err(crf.grad_pairwise(inst, w), fd) < 1e-5
+            assert rel_err(crf.nll_with_grads(inst, w)[2], fd) < 1e-5
 
     def test_grad_pairwise_single_edge_against_fd(self):
         inst = single_edge_instance(0.8, z=[0.4, -0.2], y=[1.0, 0.3])
         fd = oracle.fd_gradient(
             lambda b: crf.nll(inst, PairwiseWeights(b)), np.array([1.0])
         )
-        assert rel_err(crf.grad_pairwise(inst, ONES), fd) < 1e-5
+        assert rel_err(crf.nll_with_grads(inst, ONES)[2], fd) < 1e-5
+
+
+class TestDenseReference:
+    """The edge-list path against the dense (K, n, n) route it replaced."""
+
+    @staticmethod
+    def assert_matches(inst, w):
+        value, gz, gb = crf.nll_with_grads(inst, w)
+        ref_value, ref_gz, ref_gb = crf_reference.nll_with_grads(inst, w)
+        assert rel_err(value, ref_value) < 1e-12
+        assert rel_err(gz, ref_gz) < 1e-12
+        assert rel_err(gb, ref_gb) < 1e-12
+        assert rel_err(crf.nll(inst, w), ref_value) < 1e-12
+        assert rel_err(crf.map_infer(inst, w), crf_reference.map_infer(inst, w)) < 1e-12
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            inst, w = random_instance(rng, n=int(rng.integers(1, 25)))
+            self.assert_matches(inst, w)
+
+    def test_synth_graph_at_700_superpixels(self):
+        sample = synth.generate(synth.SceneSpec(seed=5))
+        data = build_graph(sample, GraphConfig(target_superpixels=700))
+        y = data.features.gt_logdepth
+        rng = np.random.default_rng(61)
+        inst = CrfInstance(
+            z=y + rng.normal(0.0, 0.3, size=y.size),
+            similarities=data.similarities,
+            edges=data.edges,
+            y=y,
+        )
+        assert inst.n > 600
+        self.assert_matches(inst, PairwiseWeights(np.array([0.7, 1.3, 0.4])))

@@ -105,6 +105,14 @@ def test_depth_raster_rejects_malformed_files(tmp_path):
         read_depth_raster(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.0", "-0.0", "-1.5"])
+def test_depth_raster_rejects_non_finite_or_non_positive_depths(tmp_path, bad):
+    path = tmp_path / "depth.txt"
+    path.write_text(f"DEPTH 2 2\n1.0 2.0\n3.0 {bad}\n")
+    with pytest.raises(FormatError):
+        read_depth_raster(path)
+
+
 def test_manifest_round_trip(tmp_path):
     rows = [("img_0000.ppm", "depth_0000.txt", 7), ("img_0001.ppm", "depth_0001.txt", 8)]
     path = tmp_path / "manifest.txt"
@@ -173,6 +181,18 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     start = lines.index("TENSOR beta 3")
     path.write_text("\n".join(lines[:start] + lines[start + 2 :]) + "\n")
     with pytest.raises(FormatError):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "gammas", [[2.0, 2.0, 3.0], [2.0, 2.0], [[2.0, 2.0, 2.0]]], ids=["value", "short", "2-d"]
+)
+def test_checkpoint_rejects_gammas_differing_from_config(tmp_path, gammas):
+    ckpt = _sample_checkpoint()
+    ckpt.gammas = np.array(gammas)
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match="gammas"):
         read_checkpoint(path)
 
 

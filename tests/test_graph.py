@@ -8,6 +8,7 @@ import pytest
 import scipy.ndimage
 
 from depthcrf import graph, synth
+from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig, SceneSample
 
 
@@ -239,19 +240,15 @@ class TestSimilarities:
         sample.labels, sample.centroids = labels, centroids
         feats = graph.extract_features(sample, 6, 3)
         edges = graph.adjacency(labels)
-        return feats, edges, labels.max() + 1
+        return feats, edges
 
     def test_structure(self):
-        feats, edges, count = self.build()
-        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges, count)
-        assert sims.shape == (3, count, count)
-        assert np.array_equal(sims, sims.transpose(0, 2, 1))
-        assert np.all(sims >= 0) and np.all(sims <= 1)
-        assert np.all(sims[:, np.arange(count), np.arange(count)] == 0)
-        mask = np.zeros((count, count), dtype=bool)
-        mask[edges[:, 0], edges[:, 1]] = mask[edges[:, 1], edges[:, 0]] = True
-        assert np.all(sims[:, ~mask] == 0)
-        assert np.all(sims[:, mask] > 0)
+        feats, edges = self.build()
+        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges)
+        assert sims.shape == (3, len(edges))
+        assert np.all(sims > 0) and np.all(sims <= 1)
+        # the (E, 2) list plus its (3, E) columns is a valid CRF graph
+        CrfInstance(z=np.zeros(int(edges.max()) + 1), similarities=sims, edges=edges)
 
     def test_identical_features_give_unit_similarity(self):
         sample = flat_scene()
@@ -259,21 +256,21 @@ class TestSimilarities:
         sample.labels, sample.centroids = labels, centroids
         feats = graph.extract_features(sample, 4, 2)
         edges = graph.adjacency(labels)
-        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges, 4)
-        assert np.allclose(sims[:, edges[:, 0], edges[:, 1]], 1.0)
+        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges)
+        assert np.allclose(sims, 1.0)
 
     def test_kernel_value_matches_distance(self):
-        feats, edges, count = self.build(seed=5)
+        feats, edges = self.build(seed=5)
         gamma = 1.7
-        sims = graph.similarities(feats, (gamma, gamma, gamma), edges, count)
+        sims = graph.similarities(feats, (gamma, gamma, gamma), edges)
         p, q = edges[0]
         expected = np.exp(-gamma * np.linalg.norm(feats.mean_color[p] - feats.mean_color[q]))
-        assert abs(sims[0, p, q] - expected) < 1e-12
+        assert abs(sims[0, 0] - expected) < 1e-12
 
     def test_rejects_bad_gammas(self):
-        feats, edges, count = self.build()
+        feats, edges = self.build()
         with pytest.raises(ValueError):
-            graph.similarities(feats, (1.0, -1.0, 1.0), edges, count)
+            graph.similarities(feats, (1.0, -1.0, 1.0), edges)
 
 
 class TestBuildGraph:
@@ -287,7 +284,7 @@ class TestBuildGraph:
         assert data.centroids.shape == (count, 2)
         assert data.features.patch.shape == (count, 4 * 4 * 3)
         assert data.features.gt_logdepth.shape == (count,)
-        assert data.similarities.shape == (3, count, count)
+        assert data.similarities.shape == (3, len(data.edges))
         assert np.all(data.edges < count)
 
     def test_periodic_shift_permutes_features(self):

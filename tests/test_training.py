@@ -58,7 +58,7 @@ class TestPreparation:
         for scene in tiny_scenes():
             n = scene.n
             assert scene.inputs.shape == (n, 27)
-            assert scene.similarities.shape == (3, n, n)
+            assert scene.similarities.shape == (3, len(scene.edges))
             assert scene.target.shape == (n,)
 
     def test_requires_depth(self):
@@ -139,11 +139,9 @@ class TestStep:
         # a violent depth jump across one edge makes every beta gradient
         # positive, so a huge learning rate drives beta through zero
         n = 2
-        sims = np.zeros((3, n, n))
-        sims[:, 0, 1] = sims[:, 1, 0] = 1.0
         scene = training.PreparedScene(
             inputs=np.zeros((n, 3)),
-            similarities=sims,
+            similarities=np.ones((3, 1)),
             edges=np.array([[0, 1]]),
             target=np.array([10.0, -10.0]),
         )
@@ -176,7 +174,7 @@ class TestStep:
         n, d = 4, 3
         scene = training.PreparedScene(
             inputs=np.zeros((n, d)),
-            similarities=np.zeros((3, n, n)),
+            similarities=np.zeros((3, 0)),
             edges=np.empty((0, 2), dtype=np.intp),
             target=np.zeros(n),
         )
@@ -245,7 +243,7 @@ class TestUnaryOnly:
     def test_beta_stays_zero(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=2, lr0=1e-3, momentum=0.9)
-        state = training.train_unary_only(scenes, config, DIMS)
+        state = training.train(scenes, config, DIMS, unary_only=True)
         assert np.array_equal(state.beta, np.zeros(3))
 
     def test_loss_is_squared_error_plus_constant(self):

@@ -5,17 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from depthcrf.crf import CrfInstance, PairwiseWeights
-from depthcrf.oracle import random_edges  # noqa: F401  (re-exported for tests)
+from depthcrf.oracle import random_edges, rel_err  # noqa: F401  (re-exported for tests)
 from depthcrf.oracle import random_instance as _random_instance
-
-
-def rel_err(actual, expected, floor: float = 1e-12) -> float:
-    """Max-norm error of `actual` relative to the magnitude of `expected`."""
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    scale = max(float(np.max(np.abs(expected))) if expected.size else 0.0, floor)
-    diff = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
-    return diff / scale
 
 
 def random_instance(rng, n, k=3, edge_prob=0.6, with_y=True, beta=None):
@@ -27,38 +18,37 @@ def random_instance(rng, n, k=3, edge_prob=0.6, with_y=True, beta=None):
 
 def single_edge_instance(coupling_value, z, y=None, k=1):
     """Two nodes, one edge, all channels equal; beta of ones reproduces it."""
-    sims = np.zeros((k, 2, 2))
-    sims[:, 0, 1] = coupling_value / k
-    sims[:, 1, 0] = coupling_value / k
     return CrfInstance(
         z=np.asarray(z, dtype=float),
-        similarities=sims,
+        similarities=np.full((k, 1), coupling_value / k),
         edges=np.array([[0, 1]]),
         y=None if y is None else np.asarray(y, dtype=float),
     )
 
 
 def no_edge_instance(z, y=None, k=1):
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    n = z.size
     return CrfInstance(
-        z=z,
-        similarities=np.zeros((k, n, n)),
+        z=np.atleast_1d(np.asarray(z, dtype=float)),
+        similarities=np.zeros((k, 0)),
         edges=np.empty((0, 2), dtype=np.intp),
         y=None if y is None else np.asarray(y, dtype=float),
     )
 
 
 def permute_instance(instance, perm):
-    """The same graph with nodes relabeled by `perm` (old index -> position)."""
+    """The same graph with nodes relabeled by `perm` (old index -> position).
+
+    Relabeled edges are put back in canonical order, their similarity
+    columns moving with them.
+    """
     perm = np.asarray(perm)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    sims = instance.similarities[:, perm][:, :, perm]
-    edges = inv[instance.edges] if instance.edges.size else instance.edges
+    edges = np.sort(inv[instance.edges], axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
     return CrfInstance(
         z=instance.z[perm],
-        similarities=sims,
-        edges=edges,
+        similarities=instance.similarities[:, order],
+        edges=edges[order],
         y=None if instance.y is None else instance.y[perm],
     )

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crf, metrics, oracle, synth, training, unary
+from . import metrics, oracle, synth, training, unary
 from .config import ConfigError, config_from_mapping, parse_config_file
-from .crf import CrfInstance, FactorizationError, PairwiseWeights
+from .crf import FactorizationError
 from .formats import (
     Checkpoint,
     FormatError,
@@ -45,10 +45,8 @@ from .formats import (
     write_ppm,
 )
 from .graph import SceneSample
-from .oracle import rel_err
 
 CHECKPOINT_EVERY = 10
-GRAD_TOL = 1e-4
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -252,107 +250,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_line(name, err, tol) -> bool:
-    ok = err < tol
-    print(f"{'PASS' if ok else 'FAIL'} {name}: max rel err {err:.3e} (tol {tol:.0e})")
-    return ok
+def _report_checks(checks, command: str, scope: str) -> int:
+    """One PASS/FAIL line per check with its real unit, then a summary line."""
+    for check in checks:
+        print(
+            f"{'PASS' if check.ok else 'FAIL'} {check.name}: "
+            f"{check.error:.3g} {check.unit} (must be < {check.tol:.3g})"
+        )
+    ok = all(check.ok for check in checks)
+    print(f"{command} {'passed' if ok else 'FAILED'} {scope}")
+    return 0 if ok else EXIT_CHECK_FAILED
 
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    n, k = args.nodes, args.channels
-    instance, weights = oracle.random_instance(rng, n, num_channels=k)
-    dims = (5, 6, 4, 1)
-    model = unary.build_model(dims, seed=args.seed)
-    features = rng.normal(size=(n, dims[0]))
-
-    def with_z(z):
-        return CrfInstance(
-            z=np.asarray(z, dtype=float),
-            similarities=instance.similarities,
-            edges=instance.edges,
-            y=instance.y,
-        )
-
-    z0, tape = unary.forward(model, features)
-    base = with_z(z0)
-    _, grad_z, grad_beta = crf.nll_with_grads(base, weights)
-    grad_theta = unary.backward(model, tape, grad_z)
-
-    def nll_of_theta(theta):
-        probe = unary.build_model(dims, seed=args.seed)
-        unary.set_params(probe, theta)
-        z, _ = unary.forward(probe, features)
-        return crf.nll(with_z(z), weights)
-
-    fd_theta = oracle.fd_gradient(nll_of_theta, unary.get_params(model))
-    fd_z = oracle.fd_gradient(lambda z: crf.nll(with_z(z), weights), np.atleast_1d(z0))
-    fd_beta = oracle.fd_gradient(
-        lambda b: crf.nll(base, PairwiseWeights(b)), weights.beta
-    )
-    ok = True
-    ok &= _check_line("regressor outputs (dNLL/dz)", rel_err(grad_z, fd_z), GRAD_TOL)
-    ok &= _check_line(
-        "unary parameters (dNLL/dtheta)", rel_err(grad_theta, fd_theta), GRAD_TOL
-    )
-    ok &= _check_line(
-        "coupling coefficients (dNLL/dbeta)", rel_err(grad_beta, fd_beta), GRAD_TOL
-    )
-    print("gradcheck " + ("passed" if ok else "FAILED") + f" on n={n}, channels={k}")
-    return 0 if ok else EXIT_CHECK_FAILED
+    checks = oracle.check_gradients(rng, 1, nodes=args.nodes, channels=args.channels)
+    return _report_checks(checks, "gradcheck", f"on n={args.nodes}, channels={args.channels}")
 
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    ok = True
-
-    worst = 0.0
-    for _ in range(args.trials):
-        n = int(rng.integers(1, 3))
-        instance, weights = oracle.random_instance(rng, n, with_y=False)
-        analytic = crf.log_partition(instance, weights)
-        quad = oracle.quad_log_partition(instance, weights)
-        worst = max(worst, rel_err(quad, analytic))
-    ok &= _check_line("log-partition vs quadrature", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(args.trials):
-        instance, weights = oracle.random_instance(rng, 2, with_y=False)
-        star = crf.map_infer(instance, weights)
-        grid_spec = oracle.GridSpec(
-            lo=float(star.min()) - 1.0, hi=float(star.max()) + 1.0, points=401
-        )
-        found = oracle.grid_map(instance, weights, grid_spec)
-        worst = max(worst, float(np.max(np.abs(found - star))) / grid_spec.cell)
-    ok &= _check_line("MAP vs grid search (grid cells)", worst, 1.0 + 1e-9)
-
-    instance, weights = oracle.random_instance(rng, 3, with_y=False)
-    mean_mc, cov_mc = oracle.mc_moments(instance, weights, draws=20_000, seed=args.seed)
-    mean_exact, cov_exact = oracle.gaussian_params(instance, weights)
-    se = np.sqrt(np.diag(cov_exact) / 20_000)
-    worst = float(np.max(np.abs(mean_mc - mean_exact) / se))
-    print_ok = worst < 4.0
-    print(
-        f"{'PASS' if print_ok else 'FAIL'} posterior mean vs Monte Carlo: "
-        f"max {worst:.2f} standard errors (tol 4)"
-    )
-    ok &= print_ok
-
-    for _ in range(args.trials):
-        instance, weights = oracle.random_instance(rng, int(rng.integers(2, 8)))
-        crf.build_precision(
-            instance.n, instance.edges, crf.coupling_matrix(instance, weights)
-        )
-    try:
-        crf.build_precision(2, np.array([[0, 1]]), np.array([-5.0]))
-    except FactorizationError:
-        print("PASS positive definiteness: valid couplings factor, corrupted raises")
-    else:
-        print("FAIL positive definiteness: corrupted coupling did not raise")
-        ok = False
-
-    print("verify " + ("passed" if ok else "FAILED") + f" over {args.trials} trials")
-    return 0 if ok else EXIT_CHECK_FAILED
+    checks = [
+        oracle.check_log_partition(rng, args.trials),
+        *oracle.check_map(rng, args.trials),
+        oracle.check_zero_coupling(rng, args.trials),
+        oracle.check_moments(rng, args.trials),
+        *oracle.check_factorization(rng, args.trials),
+    ]
+    return _report_checks(checks, "verify", f"over {args.trials} trials")
 
 
 def cmd_sweep(args) -> int:
@@ -378,13 +303,7 @@ def cmd_sweep(args) -> int:
         )
         state = training.train(scenes, swept.train_config(), swept.layer_dims())
         seconds = time.perf_counter() - started
-        predictor = metrics.Predictor(
-            model=state.model,
-            beta=state.beta,
-            graph_cfg=swept.graph_config(),
-            input_mean=input_mean,
-            input_std=input_std,
-        )
+        predictor = _predictor(_checkpoint_of(swept, state, input_mean, input_std))
         pairs = []
         for sample in test_samples:
             pred = metrics.predict_image(sample, predictor)

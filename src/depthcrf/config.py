@@ -85,8 +85,6 @@ class RunConfig:
     dropout_keep: float = 0.5
     train_seed: int = 0
     beta_init: float = 0.5
-    # evaluation
-    c1_cap: float = 0.0
     # default output directory (commands may override via --out)
     out_dir: str = "out"
 
@@ -142,8 +140,6 @@ class RunConfig:
             raise ConfigError("hidden_dims must be positive")
         if self.count < 1:
             raise ConfigError("count must be at least 1")
-        if self.c1_cap < 0.0:
-            raise ConfigError("c1_cap must be nonnegative")
         return self
 
     def to_mapping(self) -> dict:

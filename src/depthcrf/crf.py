@@ -144,9 +144,8 @@ class CrfInstance:
 
 @dataclass(frozen=True)
 class Precision:
-    """Dense SPD precision matrix with its Cholesky factor and log|A|."""
+    """Cholesky factor and log|A| of the dense SPD precision matrix A."""
 
-    matrix: np.ndarray
     chol: np.ndarray
     logdet: float
 
@@ -184,7 +183,7 @@ def build_precision(n: int, edges, couplings) -> Precision:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"precision matrix is not positive definite: {exc}")
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return Precision(matrix=a, chol=chol, logdet=logdet)
+    return Precision(chol=chol, logdet=logdet)
 
 
 def _precision_for(instance, weights):

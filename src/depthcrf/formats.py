@@ -14,7 +14,8 @@ exactly:
   key-value lines, the activation tags, then ``TENSOR name dims...``
   sections in row-major order covering the regressor, the coupling
   coefficients, the similarity bandwidths (which must equal the configured
-  gammas) and the input standardization statistics;
+  gammas) and the input standardization statistics; the reader rejects
+  tensors that disagree with the configuration or with each other;
 * training history is CSV with columns epoch, lr, mean_nll.
 """
 
@@ -116,13 +117,11 @@ def read_depth_raster(path) -> np.ndarray:
         raise FormatError(f"{path}: not a depth raster file")
     try:
         rows, cols = (int(t) for t in lines[0].split()[1:3])
-        values = [
-            [float(t) for t in line.split()] for line in lines[1 : rows + 1]
-        ]
+        body = [line.split() for line in lines[1 : rows + 1]]
+        arr = np.array(body, dtype=float) if all(len(t) == cols for t in body) else None
     except ValueError:
         raise FormatError(f"{path}: malformed depth raster")
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (rows, cols):
+    if arr is None or arr.shape != (rows, cols):
         raise FormatError(f"{path}: depth raster shape mismatch")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise FormatError(f"{path}: depth values must be finite and positive")
@@ -198,7 +197,8 @@ def read_checkpoint(path) -> Checkpoint:
             line = lines[i]
             if line.startswith("CONFIG "):
                 _, key, value = line.split(" ", 2)
-                mapping[key] = value
+                if key != "c1_cap":  # a retired key that older checkpoints carry
+                    mapping[key] = value
                 i += 1
             elif line.startswith("ACTIVATIONS "):
                 activations = tuple(line.split()[1:])
@@ -224,34 +224,42 @@ def read_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed checkpoint: {exc}")
     config = config_from_mapping(mapping)
     num_layers = sum(1 for name in tensors if name.startswith("weight"))
-    if num_layers == 0 or activations is None:
-        raise FormatError(f"{path}: checkpoint is missing the regressor")
-    weights = [tensors[f"weight{i}"] for i in range(num_layers)]
-    biases = [tensors[f"bias{i}"] for i in range(num_layers)]
-    rectified = max(0, num_layers - 2)
-    model = unary.UnaryModel(
-        weights=weights,
-        biases=biases,
-        activations=activations,
-        dropout_layers=tuple(range(min(2, rectified))),
-    )
-    for required in ("beta", "gammas", "input_mean", "input_std"):
-        if required not in tensors:
-            raise FormatError(f"{path}: checkpoint is missing tensor {required!r}")
-    # prediction takes its gammas from the configuration, so the tensor must agree
-    gammas = (config.gamma_color, config.gamma_hist, config.gamma_lbp)
-    if tensors["gammas"].shape != (3,) or not np.array_equal(tensors["gammas"], gammas):
+    try:
+        model = unary.UnaryModel(
+            weights=[tensors[f"weight{i}"] for i in range(num_layers)],
+            biases=[tensors[f"bias{i}"] for i in range(num_layers)],
+        )
+        beta, gammas, mean, std = (
+            tensors[name] for name in ("beta", "gammas", "input_mean", "input_std")
+        )
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or malformed tensor: {exc}")
+    if (model.layer_dims, activations) != (config.layer_dims(), model.activations):
         raise FormatError(
-            f"{path}: gammas tensor {tensors['gammas'].tolist()} differs from "
-            f"the configured {list(gammas)}"
+            f"{path}: regressor widths {model.layer_dims} with activations {activations} "
+            f"differ from {config.layer_dims()} with {model.activations}"
+        )
+    if beta.shape != (3,) or not np.all(np.isfinite(beta) & (beta >= 0.0)):
+        raise FormatError(f"{path}: beta {beta.tolist()} is not 3 finite values >= 0")
+    dim = (model.input_dim,)
+    if mean.shape != dim or std.shape != dim or not np.all(
+        np.isfinite(mean) & np.isfinite(std) & (std > 0.0)
+    ):
+        raise FormatError(f"{path}: input_mean/input_std are not {dim} finite, std > 0")
+    # prediction takes its gammas from the configuration, so the tensor must agree
+    configured = (config.gamma_color, config.gamma_hist, config.gamma_lbp)
+    if gammas.shape != (3,) or not np.array_equal(gammas, configured):
+        raise FormatError(
+            f"{path}: gammas tensor {gammas.tolist()} differs from "
+            f"the configured {list(configured)}"
         )
     return Checkpoint(
         config=config,
         model=model,
-        beta=tensors["beta"],
-        gammas=tensors["gammas"],
-        input_mean=tensors["input_mean"],
-        input_std=tensors["input_std"],
+        beta=beta,
+        gammas=gammas,
+        input_mean=mean,
+        input_std=std,
     )
 
 

@@ -1,21 +1,36 @@
-"""Brute-force counterparts to the closed-form CRF quantities.
+"""Brute-force counterparts to the closed-form CRF quantities, and the checks
+that compare the two.
 
-Everything here is recomputed from first principles: couplings by scalar
-loops, energies by direct summation, the partition function by trapezoid
-quadrature, the mode by grid search, moments by Monte Carlo.  Nothing calls
-into the closed-form implementations, so a disagreement between the two
-routes is always meaningful.  Used by the test suite and by the ``gradcheck``
-and ``verify`` commands.
+The brute-force routines recompute everything from first principles:
+couplings by scalar loops, energies by direct summation, the partition
+function by trapezoid quadrature, the mode by grid search, moments by Monte
+Carlo.  None of them calls into ``crf``, so a disagreement between the two
+routes is always meaningful.  Only the checkers (``check_*``) call ``crf``:
+each runs one closed-form property over random instances and returns the
+worst error it found.  Acceptance criteria 1-6 and the ``gradcheck`` and
+``verify`` commands all run these checkers and their tolerances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .crf import CrfInstance, PairwiseWeights
+from . import crf, unary
+from .crf import CrfInstance, FactorizationError, PairwiseWeights
+
+# a check passes when its worst error is strictly below its tolerance
+LOG_PARTITION_TOL = 1e-6
+GRADIENT_TOL = 1e-4
+GRID_CELL_TOL = 1.0 + 1e-9
+MODE_TOL = 0.0
+ZERO_COUPLING_TOL = 1e-12
+MONTE_CARLO_TOL = 4.0
+FAILURE_TOL = 1
+MC_DRAWS = 100_000
+PERTURBATIONS = 1000
 
 
 def random_edges(rng, n, edge_prob: float = 0.6) -> np.ndarray:
@@ -194,3 +209,173 @@ def mc_moments(instance, weights, draws: int, seed: int):
     centered = samples - sample_mean
     sample_cov = centered.T @ centered / (draws - 1)
     return sample_mean, sample_cov
+
+
+@dataclass(frozen=True)
+class Check:
+    """The worst error one checker found, in ``unit``, and its tolerance."""
+
+    name: str
+    error: float
+    tol: float
+    unit: str
+
+    @property
+    def ok(self) -> bool:
+        return self.error < self.tol
+
+
+def check_log_partition(rng, trials: int) -> Check:
+    """log Z of alternately 1- and 2-node instances against quadrature."""
+    worst = 0.0
+    for i in range(trials):
+        instance, weights = random_instance(rng, 1 + i % 2, with_y=False)
+        analytic = crf.log_partition(instance, weights)
+        worst = max(worst, rel_err(quad_log_partition(instance, weights), analytic))
+    return Check("log-partition vs quadrature", worst, LOG_PARTITION_TOL, "rel err")
+
+
+def _kinkless_network(rng, n):
+    """A random 3-layer regressor, inputs for ``n`` nodes, and its forward pass.
+
+    The objective is piecewise smooth in theta: central differences
+    straddling a rectifier kink measure the wrong slope, so any network with
+    a pre-activation within 1e-3 of switching is redrawn.
+    """
+    while True:
+        dims = (4, int(rng.integers(3, 7)), int(rng.integers(2, 5)), 1)
+        model = unary.build_model(dims, seed=int(rng.integers(1 << 31)))
+        features = rng.normal(size=(n, dims[0]))
+        z, tape = unary.forward(model, features)  # eval mode: dropout off
+        margins = [
+            float(np.min(np.abs(pre)))
+            for pre, act in zip(tape.pres, model.activations)
+            if act == unary.RELU
+        ]
+        if min(margins, default=1.0) > 1e-3:
+            return model, features, z, tape
+
+
+def _gradient_errors(instance, weights, model, features, z, tape):
+    """Relative errors of the z, theta and beta gradients against central differences."""
+
+    def nll_at(z, beta=weights.beta):
+        return crf.nll(replace(instance, z=z), PairwiseWeights(beta))
+
+    def nll_of_theta(theta):
+        probe = unary.UnaryModel(list(model.weights), list(model.biases))
+        unary.set_params(probe, theta)
+        return nll_at(unary.forward(probe, features)[0])
+
+    _, grad_z, grad_beta = crf.nll_with_grads(replace(instance, z=z), weights)
+    grad_theta = unary.backward(model, tape, grad_z)
+    return (
+        rel_err(grad_z, fd_gradient(nll_at, z)),
+        rel_err(grad_theta, fd_gradient(nll_of_theta, unary.get_params(model))),
+        rel_err(grad_beta, fd_gradient(lambda beta: nll_at(z, beta), weights.beta)),
+    )
+
+
+def check_gradients(rng, trials: int, nodes: int | None = None, channels: int = 3):
+    """One Check each for dNLL/dz, dNLL/dtheta and dNLL/dbeta.
+
+    Each trial draws an instance of ``nodes`` nodes (2-20 when None) and a
+    regressor that produces its z.
+    """
+    worst = np.zeros(3)
+    for _ in range(trials):
+        n = nodes if nodes is not None else int(rng.integers(2, 21))
+        instance, weights = random_instance(rng, n, num_channels=channels)
+        network = _kinkless_network(rng, n)
+        worst = np.maximum(worst, _gradient_errors(instance, weights, *network))
+    groups = ("regressor outputs (dNLL/dz)", "unary parameters (dNLL/dtheta)",
+              "coupling coefficients (dNLL/dbeta)")
+    return tuple(Check(g, float(e), GRADIENT_TOL, "rel err") for g, e in zip(groups, worst))
+
+
+def check_map(rng, trials: int):
+    """MAP against a 400x400 grid search, then against random perturbations.
+
+    The second Check is the largest MAP energy minus the lowest energy of
+    PERTURBATIONS offsets (scale 10^-2 to 10^1), negative when MAP is the mode.
+    """
+    worst_cells = 0.0
+    for _ in range(trials):
+        instance, weights = random_instance(rng, 2, with_y=False)
+        star = crf.map_infer(instance, weights)
+        # A^-1 has unit row sums over nonnegative entries, so the MAP is a
+        # convex combination of z and this box always contains it
+        lo, hi = float(instance.z.min()) - 0.5, float(instance.z.max()) + 0.5
+        spec = GridSpec(lo=lo, hi=hi, points=400)
+        found = grid_map(instance, weights, spec)
+        worst_cells = max(worst_cells, float(np.max(np.abs(found - star))) / spec.cell)
+    margin = -np.inf
+    for _ in range(trials):
+        n = int(rng.integers(2, 51))
+        instance, weights = random_instance(rng, n, with_y=False)
+        star = crf.map_infer(instance, weights)
+        scales = 10.0 ** rng.uniform(-2.0, 1.0, size=PERTURBATIONS)
+        offsets = rng.normal(size=(PERTURBATIONS, n)) * scales[:, None]
+        lowest = float(np.min(direct_energy(instance, weights, star + offsets)))
+        margin = max(margin, crf.energy(instance, weights, star) - lowest)
+    return (
+        Check("MAP vs 400x400 grid search", worst_cells, GRID_CELL_TOL, "grid cells"),
+        Check("MAP energy minus lowest perturbed energy", margin, MODE_TOL, "energy"),
+    )
+
+
+def check_zero_coupling(rng, trials: int) -> Check:
+    """With beta = 0 the MAP is the regression z itself."""
+    zero = PairwiseWeights(np.zeros(3))
+    worst = 0.0
+    for _ in range(trials):
+        instance, _ = random_instance(rng, int(rng.integers(1, 40)), with_y=False)
+        worst = max(worst, rel_err(crf.map_infer(instance, zero), instance.z))
+    return Check("beta = 0 MAP vs z", worst, ZERO_COUPLING_TOL, "rel err")
+
+
+def moment_error(instance, weights, draws: int, seed: int) -> float:
+    """Largest deviation of a Monte Carlo mean or covariance entry from the
+    exact posterior moments, in standard errors of its estimate."""
+    mean_mc, cov_mc = mc_moments(instance, weights, draws, seed)
+    mean, cov = gaussian_params(instance, weights)
+    var = np.diag(cov)
+    se_mean = np.sqrt(var / draws)
+    se_cov = np.sqrt((np.outer(var, var) + cov**2) / draws)
+    return max(float(np.max(np.abs(mean_mc - mean) / se_mean)),
+               float(np.max(np.abs(cov_mc - cov) / se_cov)))
+
+
+def check_moments(rng, trials: int) -> Check:
+    """Posterior mean and covariance against MC_DRAWS Monte Carlo draws."""
+    worst = 0.0
+    for trial in range(trials):
+        instance, weights = random_instance(rng, int(rng.integers(1, 6)), with_y=False)
+        worst = max(worst, moment_error(instance, weights, MC_DRAWS, seed=trial))
+    return Check("posterior mean/covariance vs Monte Carlo", worst, MONTE_CARLO_TOL,
+                 "standard errors")
+
+
+def check_factorization(rng, trials: int):
+    """Failures of valid instances (beta in [0, 1.5]) to factor, and of a
+    negative coupling to raise FactorizationError."""
+    failed = 0
+    for _ in range(trials):
+        n = int(rng.integers(1, 30))
+        instance, weights = random_instance(rng, n, beta=rng.uniform(0.0, 1.5, size=3))
+        couplings = crf.coupling_matrix(instance, weights)
+        try:
+            precision = crf.build_precision(instance.n, instance.edges, couplings)
+            failed += int(not np.all(np.isfinite(precision.chol)))
+        except FactorizationError:
+            failed += 1
+    try:
+        # one edge whose coupling of -5 puts A = [[-4, 5], [5, -4]]
+        crf.build_precision(2, np.array([[0, 1]]), np.array([-5.0]))
+        unraised = 1
+    except FactorizationError:
+        unraised = 0
+    return (
+        Check("Cholesky of valid instances", failed, FAILURE_TOL, "failures"),
+        Check("negative coupling raises", unraised, FAILURE_TOL, "failures"),
+    )

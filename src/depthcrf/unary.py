@@ -38,22 +38,19 @@ def standard_activations(num_layers: int) -> tuple[str, ...]:
 
 @dataclass
 class UnaryModel:
-    """Weights are (fan_in, fan_out); the forward pass is x @ W + b."""
+    """Weights are (fan_in, fan_out); the forward pass is x @ W + b.
+
+    The activation pattern and the dropout layers follow from the depth
+    alone (``standard_activations``; at most the first two rectified layers),
+    so a model is just its weights and biases.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: tuple[str, ...]
-    dropout_layers: tuple[int, ...]
 
     def __post_init__(self):
-        num_layers = len(self.weights)
-        if num_layers != len(self.biases) or num_layers != len(self.activations):
-            raise ValueError("weights, biases and activations must align")
-        if self.activations != standard_activations(num_layers):
-            raise ValueError(
-                "activation pattern must be relu*, logistic, linear "
-                "(or bare linear for a single layer)"
-            )
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError("need one weight and one bias per layer, at least one layer")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError(f"layer {i}: weight/bias shapes disagree")
@@ -61,9 +58,14 @@ class UnaryModel:
                 raise ValueError(f"layer {i}: fan-in does not match previous layer")
         if self.weights[-1].shape[1] != 1:
             raise ValueError("output width must be exactly 1")
-        for i in self.dropout_layers:
-            if self.activations[i] != RELU:
-                raise ValueError("dropout is restricted to rectified layers")
+
+    @property
+    def activations(self) -> tuple[str, ...]:
+        return standard_activations(self.num_layers)
+
+    @property
+    def dropout_layers(self) -> tuple[int, ...]:
+        return tuple(range(min(2, max(0, self.num_layers - 2))))
 
     @property
     def num_layers(self):
@@ -100,15 +102,7 @@ def build_model(layer_dims, seed: int) -> UnaryModel:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    num_layers = len(weights)
-    rectified = max(0, num_layers - 2)
-    dropout_layers = tuple(range(min(2, rectified)))
-    return UnaryModel(
-        weights=weights,
-        biases=biases,
-        activations=standard_activations(num_layers),
-        dropout_layers=dropout_layers,
-    )
+    return UnaryModel(weights=weights, biases=biases)
 
 
 def _apply(activation, pre):
@@ -165,17 +159,6 @@ def forward(model: UnaryModel, features, mode: str = "eval", rng=None, keep_prob
     tape = ForwardTape(inputs=x, pres=pres, posts=posts, masks=masks, keep_prob=keep_prob)
     values = out[:, 0]
     return (float(values[0]) if single else values), tape
-
-
-def replay(model: UnaryModel, tape: ForwardTape):
-    """Recompute the forward output with the recorded dropout masks."""
-    out = tape.inputs
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        post = _apply(model.activations[i], out @ w + b)
-        if tape.masks[i] is not None:
-            post = post * tape.masks[i] / tape.keep_prob
-        out = post
-    return out[:, 0]
 
 
 def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:

@@ -1,10 +1,12 @@
 """End-to-end command tests, run in process through ``cli.main``."""
 
+import re
+
 import numpy as np
 import pytest
 
-from depthcrf import metrics
-from depthcrf.cli import main
+from depthcrf import crf, metrics
+from depthcrf.cli import _predictor, main
 from depthcrf.formats import (
     read_checkpoint,
     read_depth_raster,
@@ -43,6 +45,14 @@ def train_run(root, data, name, epochs, extra=()):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A dataset and a checkpoint trained on it for one epoch, for read-only tests."""
+    root = tmp_path_factory.mktemp("trained")
+    data = make_dataset(root)
+    return data, train_run(root, data, "run", epochs=1) / "checkpoint.txt"
+
+
 def test_synth_writes_manifest_and_files(tmp_path):
     data = make_dataset(tmp_path, count=3)
     rows = read_manifest(data / "manifest.txt")
@@ -64,10 +74,11 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 
 def test_synth_bad_config_key_exits_2_without_writing(tmp_path, capsys):
     out = tmp_path / "data"
-    rc = main(["synth", "--out", str(out), "--set", "bogus_key=3"])
-    assert rc == 2
-    assert not out.exists()
-    assert "bogus_key" in capsys.readouterr().err
+    for key in ("bogus_key", "c1_cap"):  # c1_cap is retired: eval takes --c1-cap
+        rc = main(["synth", "--out", str(out), "--set", f"{key}=3"])
+        assert rc == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
 
 def test_synth_bad_config_value_exits_2(tmp_path):
@@ -84,12 +95,11 @@ def test_config_file_and_set_overrides(tmp_path):
     assert len(read_manifest(out / "manifest.txt")) == 2
 
 
-def test_train_writes_checkpoint_and_history(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
-    history = read_history(run / "history.csv")
+def test_train_writes_checkpoint_and_history(trained):
+    _, checkpoint = trained
+    history = read_history(checkpoint.parent / "history.csv")
     assert [h.epoch for h in history] == [0]
-    ckpt = read_checkpoint(run / "checkpoint.txt")
+    ckpt = read_checkpoint(checkpoint)
     assert ckpt.config.epochs == 1
     assert np.all(np.isfinite(ckpt.beta))
 
@@ -139,11 +149,10 @@ def test_periodic_checkpoints_every_ten_epochs(tmp_path):
     assert len(read_history(run / "history.csv")) == 23
 
 
-def test_predict_writes_positive_finite_depths(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
+def test_predict_writes_positive_finite_depths(tmp_path, trained):
+    data, checkpoint = trained
     out = tmp_path / "pred.txt"
-    rc = main(["predict", "--checkpoint", str(run / "checkpoint.txt"),
+    rc = main(["predict", "--checkpoint", str(checkpoint),
                "--image", str(data / "img_0000.ppm"), "--out", str(out)])
     assert rc == 0
     depth = read_depth_raster(out)
@@ -152,11 +161,10 @@ def test_predict_writes_positive_finite_depths(tmp_path):
     assert np.all(depth > 0.0)
 
 
-def test_predict_is_deterministic(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
+def test_predict_is_deterministic(tmp_path, trained):
+    data, checkpoint = trained
     for name in ("a.txt", "b.txt"):
-        rc = main(["predict", "--checkpoint", str(run / "checkpoint.txt"),
+        rc = main(["predict", "--checkpoint", str(checkpoint),
                    "--image", str(data / "img_0001.ppm"), "--out", str(tmp_path / name)])
         assert rc == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
@@ -169,10 +177,9 @@ def test_predict_rejects_non_checkpoint_file(tmp_path):
     assert rc == 3
 
 
-def test_predict_rejects_checkpoint_gammas_differing_from_config(tmp_path, capsys):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
-    ckpt = read_checkpoint(run / "checkpoint.txt")
+def test_predict_rejects_checkpoint_gammas_differing_from_config(tmp_path, trained, capsys):
+    data, checkpoint = trained
+    ckpt = read_checkpoint(checkpoint)
     ckpt.gammas = ckpt.gammas * 2.0
     bad = tmp_path / "bad_gammas.txt"
     write_checkpoint(bad, ckpt)
@@ -183,8 +190,41 @@ def test_predict_rejects_checkpoint_gammas_differing_from_config(tmp_path, capsy
     assert not (tmp_path / "p.txt").exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "-2.0"])
-def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, bad):
+# (pattern, replacement) edits of a FAST checkpoint: hidden width 8, input width 48
+INCONSISTENT_CHECKPOINTS = {
+    "activations": (r"ACTIVATIONS .*", "ACTIVATIONS relu relu linear"),
+    "short-bias0": (r"TENSOR bias0 8\n(.*) \S+\n", r"TENSOR bias0 7\n\1\n"),
+    "short-input-mean": (r"TENSOR input_mean 48\n(.*) \S+\n", r"TENSOR input_mean 47\n\1\n"),
+    "nan-input-mean": (r"TENSOR input_mean 48\n\S+", "TENSOR input_mean 48\nnan"),
+    "zero-input-std": (r"TENSOR input_std 48\n\S+", "TENSOR input_std 48\n0.0"),
+    "short-beta": (r"TENSOR beta 3\n(.*) \S+\n", r"TENSOR beta 2\n\1\n"),
+    "negative-beta": (r"TENSOR beta 3\n\S+", "TENSOR beta 3\n-0.5"),
+    "widths-differ-from-config": (r"CONFIG hidden_dims 8", "CONFIG hidden_dims 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_CHECKPOINTS))
+def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case):
+    data, checkpoint = trained
+    pattern, replacement = INCONSISTENT_CHECKPOINTS[case]
+    text, count = re.subn(pattern, replacement, checkpoint.read_text())
+    assert count == 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    rc = main(["predict", "--checkpoint", str(bad),
+               "--image", str(data / "img_0000.ppm"), "--out", str(tmp_path / "p.txt")])
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("nan", "finite and positive"), ("-2.0", "finite and positive"),
+     ("1.5 1.5", "shape mismatch")],
+    ids=["nan", "-2.0", "ragged"],
+)
+def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, bad, message):
     data = make_dataset(tmp_path)
     run = train_run(tmp_path, data, "run", epochs=1)
     raster = data / "depth_0001.txt"
@@ -197,7 +237,7 @@ def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, bad):
     rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"), "--dataset", str(data)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.count("finite and positive") == 2
+    assert err.count(message) == 2
 
 
 def test_strong_coupling_smooths_the_prediction(tmp_path):
@@ -208,27 +248,17 @@ def test_strong_coupling_smooths_the_prediction(tmp_path):
     ckpt.beta = np.full(3, 50.0)
     write_checkpoint(smooth_path, ckpt)
     image = read_ppm(data / "img_0000.ppm")
-    raw = metrics.predict_image(SceneSample(image=image), ckpt_predictor(run / "checkpoint.txt"))
-    smooth = metrics.predict_image(SceneSample(image=image), ckpt_predictor(smooth_path))
+    raw, smooth = (
+        metrics.predict_image(SceneSample(image=image), _predictor(read_checkpoint(path)))
+        for path in (run / "checkpoint.txt", smooth_path)
+    )
     assert np.var(np.log(smooth)) < np.var(np.log(raw))
 
 
-def ckpt_predictor(path):
-    ckpt = read_checkpoint(path)
-    return metrics.Predictor(
-        model=ckpt.model,
-        beta=np.asarray(ckpt.beta, dtype=float),
-        graph_cfg=ckpt.config.graph_config(),
-        input_mean=ckpt.input_mean,
-        input_std=ckpt.input_std,
-    )
-
-
-def test_eval_writes_csv_and_table(tmp_path, capsys):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
+def test_eval_writes_csv_and_table(tmp_path, trained, capsys):
+    data, checkpoint = trained
     out = tmp_path / "metrics.csv"
-    rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"),
+    rc = main(["eval", "--checkpoint", str(checkpoint),
                "--dataset", str(data), "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -240,13 +270,12 @@ def test_eval_writes_csv_and_table(tmp_path, capsys):
     assert "rel" in printed and "all" in printed
 
 
-def test_eval_c1_cap_adds_both_rows(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
+def test_eval_c1_cap_adds_both_rows(tmp_path, trained):
+    data, checkpoint = trained
     out = tmp_path / "metrics.csv"
     gt = read_depth_raster(data / "depth_0000.txt")
     cap = float(np.median(gt))
-    rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"),
+    rc = main(["eval", "--checkpoint", str(checkpoint),
                "--dataset", str(data), "--out", str(out), "--c1-cap", str(cap)])
     assert rc == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -255,10 +284,9 @@ def test_eval_c1_cap_adds_both_rows(tmp_path):
     assert int(by_mask["C1"][7]) < int(by_mask["C2"][7])
 
 
-def test_eval_empty_c1_mask_exits_2(tmp_path, capsys):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
-    rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"),
+def test_eval_empty_c1_mask_exits_2(tmp_path, trained, capsys):
+    data, checkpoint = trained
+    rc = main(["eval", "--checkpoint", str(checkpoint),
                "--dataset", str(data), "--c1-cap", "0.5"])
     assert rc == 2
     assert "empty" in capsys.readouterr().err
@@ -279,7 +307,28 @@ def test_verify_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    assert out.count("PASS") == 7
     assert "verify passed" in out
+
+
+def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):
+    exact = crf.log_partition
+    monkeypatch.setattr(crf, "log_partition", lambda inst, w: exact(inst, w) + 1e-3)
+    assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL log-partition vs quadrature" in out
+    assert out.count("PASS") == 6
+    assert "verify FAILED" in out
+
+
+def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch, capsys):
+    exact = crf.nll  # shifted by a beta-linear term that nll_with_grads does not see
+    monkeypatch.setattr(crf, "nll", lambda inst, w: exact(inst, w) + 0.1 * float(w.beta.sum()))
+    assert main(["gradcheck", "--seed", "5", "--nodes", "9"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL coupling coefficients (dNLL/dbeta)" in out
+    assert out.count("PASS") == 2
+    assert "gradcheck FAILED" in out
 
 
 def test_sweep_single_count_writes_one_row(tmp_path):

@@ -94,15 +94,15 @@ def test_depth_raster_bytes_match_per_pixel_repr(tmp_path, kind):
 
 def test_depth_raster_rejects_malformed_files(tmp_path):
     path = tmp_path / "depth.txt"
-    path.write_text("RASTER 2 2\n1 2\n3 4\n")
-    with pytest.raises(FormatError):
-        read_depth_raster(path)
-    path.write_text("DEPTH 3 2\n1 2\n3 4\n")
-    with pytest.raises(FormatError):
-        read_depth_raster(path)
-    path.write_text("DEPTH 1 2\n1 oops\n")
-    with pytest.raises(FormatError):
-        read_depth_raster(path)
+    for text in (
+        "RASTER 2 2\n1 2\n3 4\n",
+        "DEPTH 3 2\n1 2\n3 4\n",
+        "DEPTH 1 2\n1 oops\n",
+        "DEPTH 2 2\n1 2\n3 4 5\n",  # one row longer than the header says
+    ):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_depth_raster(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.0", "-0.0", "-1.5"])
@@ -153,8 +153,6 @@ def test_checkpoint_round_trip_is_lossless(tmp_path):
     write_checkpoint(path, ckpt)
     loaded = read_checkpoint(path)
     assert loaded.config == ckpt.config
-    assert loaded.model.activations == ckpt.model.activations
-    assert loaded.model.dropout_layers == ckpt.model.dropout_layers
     for got, want in zip(loaded.model.weights, ckpt.model.weights):
         assert np.array_equal(got, want)
     for got, want in zip(loaded.model.biases, ckpt.model.biases):
@@ -182,6 +180,15 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     path.write_text("\n".join(lines[:start] + lines[start + 2 :]) + "\n")
     with pytest.raises(FormatError):
         read_checkpoint(path)
+
+
+def test_checkpoint_with_retired_c1_cap_key_still_loads(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, _sample_checkpoint())
+    text = path.read_text()
+    assert "c1_cap" not in text
+    path.write_text(text.replace("CONFIG out_dir", "CONFIG c1_cap 0.0\nCONFIG out_dir"))
+    assert read_checkpoint(path).config == _sample_checkpoint().config
 
 
 @pytest.mark.parametrize(

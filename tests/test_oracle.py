@@ -92,19 +92,8 @@ class TestMcMoments:
         assert abs(cov[0, 0] - 0.5) < 4 * se_var
 
     def test_matches_gaussian_params(self):
-        rng = np.random.default_rng(61)
-        inst, w = random_instance(rng, n=3)
-        true_mean, true_cov = oracle.gaussian_params(inst, w)
-        mean, cov = oracle.mc_moments(inst, w, draws=150_000, seed=9)
-        draws = 150_000
-        for i in range(3):
-            assert abs(mean[i] - true_mean[i]) < 4 * np.sqrt(true_cov[i, i] / draws)
-        for i in range(3):
-            for j in range(3):
-                se = np.sqrt(
-                    (true_cov[i, i] * true_cov[j, j] + true_cov[i, j] ** 2) / draws
-                )
-                assert abs(cov[i, j] - true_cov[i, j]) < 4 * se
+        inst, w = random_instance(np.random.default_rng(61), n=3)
+        assert oracle.moment_error(inst, w, draws=150_000, seed=9) < 4.0
 
     def test_rejects_small_draw_counts(self):
         inst = no_edge_instance([0.0])

@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from depthcrf.crf import CrfInstance, PairwiseWeights
-from depthcrf.oracle import random_edges, rel_err  # noqa: F401  (re-exported for tests)
-from depthcrf.oracle import random_instance as _random_instance
-
-
-def random_instance(rng, n, k=3, edge_prob=0.6, with_y=True, beta=None):
-    """A valid random instance plus weights, for property-style tests."""
-    return _random_instance(
-        rng, n, num_channels=k, edge_prob=edge_prob, with_y=with_y, beta=beta
-    )
+from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
 
 
 def single_edge_instance(coupling_value, z, y=None, k=1):

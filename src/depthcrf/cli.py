@@ -87,14 +87,8 @@ def _predictor(ckpt: Checkpoint) -> metrics.Predictor:
 
 
 def _checkpoint_of(config, state, input_mean, input_std) -> Checkpoint:
-    return Checkpoint(
-        config=config,
-        model=state.model,
-        beta=state.beta,
-        gammas=np.asarray([config.gamma_color, config.gamma_hist, config.gamma_lbp]),
-        input_mean=input_mean,
-        input_std=input_std,
-    )
+    gammas = np.asarray([config.gamma_color, config.gamma_hist, config.gamma_lbp])
+    return Checkpoint(config, state.model, state.beta, gammas, input_mean, input_std)
 
 
 def cmd_synth(args) -> int:
@@ -176,10 +170,8 @@ def cmd_train(args) -> int:
         out / "checkpoint.txt", _checkpoint_of(final_config, state, input_mean, input_std)
     )
     write_history(out / "history.csv", state.history)
-    print(
-        f"trained {additional} epochs ({completed + additional} total); "
-        f"checkpoint at {out / 'checkpoint.txt'}"
-    )
+    print(f"trained {additional} epochs ({completed + additional} total); "
+          f"checkpoint at {out / 'checkpoint.txt'}")
     return 0
 
 
@@ -196,16 +188,8 @@ _EVAL_COLUMNS = ("mask", "rel", "rms", "log10", "delta1", "delta2", "delta3", "p
 
 
 def _report_row(name, report) -> list:
-    return [
-        name,
-        repr(report.rel),
-        repr(report.rms),
-        repr(report.log10),
-        repr(report.delta1),
-        repr(report.delta2),
-        repr(report.delta3),
-        str(report.pixel_count),
-    ]
+    values = (report.rel, report.rms, report.log10, report.delta1, report.delta2, report.delta3)
+    return [name, *(repr(v) for v in values), str(report.pixel_count)]
 
 
 def cmd_eval(args) -> int:
@@ -263,12 +247,16 @@ def _report_checks(checks, command: str, scope: str) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.nodes < 1 or args.channels < 1:
+        raise ConfigError("--nodes and --channels must be positive")
     rng = np.random.default_rng(args.seed)
     checks = oracle.check_gradients(rng, 1, nodes=args.nodes, channels=args.channels)
     return _report_checks(checks, "gradcheck", f"on n={args.nodes}, channels={args.channels}")
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be positive")
     rng = np.random.default_rng(args.seed)
     checks = [
         oracle.check_log_partition(rng, args.trials),
@@ -323,12 +311,8 @@ def cmd_sweep(args) -> int:
 
 def _add_config_flags(parser) -> None:
     parser.add_argument("--config", help="configuration file of key = value lines")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one configuration key (repeatable)",
-    )
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one configuration key (repeatable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,16 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset directory with manifest.txt")
     p.add_argument("--out", help="output directory (default: out_dir key)")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument(
-        "--unary-only",
-        action="store_true",
-        help="pin all coupling coefficients to zero (regressor-only baseline)",
-    )
-    p.add_argument(
-        "--freeze-first-layer",
-        action="store_true",
-        help="keep the first regressor layer fixed during training",
-    )
+    p.add_argument("--unary-only", action="store_true",
+                   help="pin all coupling coefficients to zero (regressor-only baseline)")
+    p.add_argument("--freeze-first-layer", action="store_true",
+                   help="keep the first regressor layer fixed during training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict a depth raster for one image")
@@ -370,12 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", help="metrics CSV path (table always printed)")
-    p.add_argument(
-        "--c1-cap",
-        type=float,
-        default=None,
-        help="also report metrics restricted to ground truth below this depth",
-    )
+    p.add_argument("--c1-cap", type=float, default=None,
+                   help="also report metrics restricted to ground truth below this depth")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
@@ -390,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "sweep-superpixels",
-        aliases=["sweep_superpixels"],
-        help="train/evaluate across superpixel counts, write count,rms,train_seconds",
-    )
+        "sweep-superpixels", aliases=["sweep_superpixels"],
+        help="train/evaluate across superpixel counts, write count,rms,train_seconds")
     _add_config_flags(p)
     p.add_argument("--train-dataset", required=True)
     p.add_argument("--test-dataset", required=True)

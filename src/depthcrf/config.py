@@ -40,14 +40,6 @@ def _parse_int_tuple(text: str):
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _show_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _show_int_tuple(value) -> str:
-    return ",".join(str(v) for v in value)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline, with working defaults."""
@@ -148,9 +140,9 @@ class RunConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if isinstance(value, bool):
-                out[field.name] = _show_bool(value)
+                out[field.name] = "true" if value else "false"
             elif isinstance(value, tuple):
-                out[field.name] = _show_int_tuple(value)
+                out[field.name] = ",".join(str(v) for v in value)
             elif isinstance(value, float):
                 out[field.name] = repr(value)
             else:
@@ -158,7 +150,9 @@ class RunConfig:
         return out
 
 
-_PARSERS = {bool: _parse_bool, tuple: _parse_int_tuple, int: int, float: float, str: str.strip}
+# keyed by annotation text: under __future__ annotations a field's type is a string
+_PARSERS = {"bool": _parse_bool, "tuple": _parse_int_tuple, "int": int, "float": float,
+            "str": str.strip}
 
 
 def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
@@ -169,11 +163,8 @@ def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
     for key, raw in mapping.items():
         if key not in fields:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        kind = fields[key].type
-        if isinstance(kind, str):  # evaluated lazily under __future__ annotations
-            kind = {"int": int, "float": float, "str": str, "bool": bool, "tuple": tuple}[kind]
         try:
-            updates[key] = _PARSERS[kind](str(raw))
+            updates[key] = _PARSERS[fields[key].type](str(raw))
         except (ValueError, KeyError):
             raise ConfigError(f"bad value for {key}: {raw!r}")
     return dataclasses.replace(base, **updates).validate()

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import unary
-from .config import RunConfig, config_from_mapping
+from .config import ConfigError, RunConfig, config_from_mapping
 from .training import EpochStats
 
 PPM_MAGIC = b"P6"
@@ -222,7 +222,10 @@ def read_checkpoint(path) -> Checkpoint:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{path}: malformed checkpoint: {exc}")
-    config = config_from_mapping(mapping)
+    try:
+        config = config_from_mapping(mapping)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad configuration: {exc}")
     num_layers = sum(1 for name in tensors if name.startswith("weight"))
     try:
         model = unary.UnaryModel(
@@ -253,14 +256,7 @@ def read_checkpoint(path) -> Checkpoint:
             f"{path}: gammas tensor {gammas.tolist()} differs from "
             f"the configured {list(configured)}"
         )
-    return Checkpoint(
-        config=config,
-        model=model,
-        beta=beta,
-        gammas=gammas,
-        input_mean=mean,
-        input_std=std,
-    )
+    return Checkpoint(config, model, beta, gammas, input_mean=mean, input_std=std)
 
 
 def write_history(path, history) -> None:

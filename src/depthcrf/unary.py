@@ -81,10 +81,7 @@ class UnaryModel:
 
 
 def parameter_count(layer_dims) -> int:
-    return sum(
-        layer_dims[i] * layer_dims[i + 1] + layer_dims[i + 1]
-        for i in range(len(layer_dims) - 1)
-    )
+    return sum(a * b + b for a, b in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def build_model(layer_dims, seed: int) -> UnaryModel:
@@ -192,11 +189,7 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
 
 def pack(weights, biases) -> np.ndarray:
     """Flatten per-layer arrays into one vector (layer 0 W, b, layer 1 ...)."""
-    parts = []
-    for w, b in zip(weights, biases):
-        parts.append(np.ravel(w))
-        parts.append(np.ravel(b))
-    return np.concatenate(parts)
+    return np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer])
 
 
 def get_params(model: UnaryModel) -> np.ndarray:

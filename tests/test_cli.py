@@ -200,6 +200,7 @@ INCONSISTENT_CHECKPOINTS = {
     "short-beta": (r"TENSOR beta 3\n(.*) \S+\n", r"TENSOR beta 2\n\1\n"),
     "negative-beta": (r"TENSOR beta 3\n\S+", "TENSOR beta 3\n-0.5"),
     "widths-differ-from-config": (r"CONFIG hidden_dims 8", "CONFIG hidden_dims 9"),
+    "bad-config-value": (r"CONFIG momentum .*", "CONFIG momentum lots"),
 }
 
 
@@ -319,6 +320,22 @@ def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):
     assert "FAIL log-partition vs quadrature" in out
     assert out.count("PASS") == 6
     assert "verify FAILED" in out
+
+
+def test_verify_fails_on_a_nan_map(monkeypatch, capsys):
+    monkeypatch.setattr(crf, "map_infer", lambda inst, w: np.full(inst.n, np.nan))
+    assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
+    out = capsys.readouterr().out
+    for name in ("MAP vs 400x400 grid search", "MAP energy minus lowest perturbed energy",
+                 "beta = 0 MAP vs z", "posterior mean/covariance vs Monte Carlo"):
+        assert f"FAIL {name}: nan" in out
+    assert out.count("PASS") == 3 and "verify FAILED" in out
+
+
+@pytest.mark.parametrize("argv", [["verify", "--trials", "0"], ["gradcheck", "--nodes", "0"],
+                                  ["gradcheck", "--channels", "-1"]])
+def test_check_commands_reject_empty_counts_with_exit_2(argv, capsys):
+    assert main(argv) == 2 and "must be positive" in capsys.readouterr().err
 
 
 def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch, capsys):

@@ -1,9 +1,10 @@
-"""The brute-force oracles against quantities known in closed form."""
+"""The brute-force oracles against quantities known in closed form, and the
+checkers against deliberately wrong closed forms."""
 
 import numpy as np
 import pytest
 
-from depthcrf import oracle
+from depthcrf import crf, oracle
 from depthcrf.crf import PairwiseWeights
 
 from testutil import no_edge_instance, random_instance, rel_err, single_edge_instance
@@ -93,7 +94,8 @@ class TestMcMoments:
 
     def test_matches_gaussian_params(self):
         inst, w = random_instance(np.random.default_rng(61), n=3)
-        assert oracle.moment_error(inst, w, draws=150_000, seed=9) < 4.0
+        mean, cov = oracle.gaussian_params(inst, w)
+        assert oracle.moment_error(inst, w, mean, cov, draws=150_000, seed=9) < 4.0
 
     def test_rejects_small_draw_counts(self):
         inst = no_edge_instance([0.0])
@@ -105,3 +107,24 @@ class TestMcMoments:
         m1, c1 = oracle.mc_moments(inst, ONES, draws=20_000, seed=3)
         m2, c2 = oracle.mc_moments(inst, ONES, draws=20_000, seed=3)
         assert np.array_equal(m1, m2) and np.array_equal(c1, c2)
+
+
+class TestCheckersCatchWrongClosedForms:
+    def test_nan_map_fails_every_check_that_reads_it(self, monkeypatch):
+        # a worst-error fold that dropped NaN would report these as passed
+        monkeypatch.setattr(crf, "map_infer", lambda inst, w: np.full(inst.n, np.nan))
+        rng = np.random.default_rng(0)
+        checks = [*oracle.check_map(rng, 2), oracle.check_zero_coupling(rng, 2),
+                  oracle.check_moments(rng, 2)]
+        assert all(np.isnan(check.error) and not check.ok for check in checks)
+
+    def test_nan_log_partition_fails(self, monkeypatch):
+        monkeypatch.setattr(crf, "log_partition", lambda inst, w: np.nan)
+        check = oracle.check_log_partition(np.random.default_rng(0), 2)
+        assert np.isnan(check.error) and not check.ok
+
+    def test_scaled_map_fails_the_moments(self, monkeypatch):
+        # criterion 5's seed and draws; the moments come from the CRF, not the oracle
+        exact = crf.map_infer
+        monkeypatch.setattr(crf, "map_infer", lambda inst, w: 1.1 * exact(inst, w))
+        assert not oracle.check_moments(np.random.default_rng(53), 10).ok

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, oracle, synth, training, unary
+from . import metrics, oracle, synth, training
 from .config import ConfigError, config_from_mapping, parse_config_file
 from .crf import FactorizationError
 from .formats import (
@@ -66,14 +66,28 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
-def _load_samples(dataset_dir, *, with_depth: bool):
+def _load_samples(dataset_dir):
+    """Every (image, ground-truth depth) pair a dataset's manifest lists."""
     root = Path(dataset_dir)
     samples = []
     for img_rel, dep_rel, _seed in read_manifest(root / "manifest.txt"):
-        image = read_ppm(root / img_rel)
-        depth = read_depth_raster(root / dep_rel) if with_depth else None
+        image, depth = read_ppm(root / img_rel), read_depth_raster(root / dep_rel)
+        if depth.shape != image.shape[:2]:
+            raise FormatError(f"{root / dep_rel}: a {depth.shape[0]}x{depth.shape[1]} depth "
+                              f"raster for the {image.shape[0]}x{image.shape[1]} image {img_rel}")
         samples.append(SceneSample(image=image, depth=depth))
+    if not samples:
+        raise FormatError(f"{root / 'manifest.txt'}: the manifest lists no samples")
     return samples
+
+
+def _check_superpixels(count: int, images) -> None:
+    """A graph cannot have more superpixels than its image has pixels."""
+    for image in images:
+        height, width = image.shape[:2]
+        if count > height * width:
+            raise ConfigError(f"target_superpixels={count} exceeds the {height * width} "
+                              f"pixels of a {height}x{width} image")
 
 
 def _predictor(ckpt: Checkpoint) -> metrics.Predictor:
@@ -110,67 +124,40 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     overrides = _collect_overrides(args)
-    if args.resume is not None:
-        base_ckpt = read_checkpoint(args.resume)
-        config = config_from_mapping(overrides, base=base_ckpt.config)
-        # on resume the epochs key means ADDITIONAL epochs, default none
+    base_ckpt = read_checkpoint(args.resume) if args.resume is not None else None
+    config = config_from_mapping(overrides, base=base_ckpt.config if base_ckpt else None)
+    if base_ckpt is None:
+        additional, stats = config.epochs, None
+    else:
+        if config.layer_dims() != base_ckpt.config.layer_dims():
+            raise ConfigError(f"resume cannot change the regressor's widths: the checkpoint "
+                              f"has {base_ckpt.config.layer_dims()}, the configuration "
+                              f"{config.layer_dims()} (hidden_dims and patch_dim are fixed)")
+        # on resume the epochs key means ADDITIONAL epochs, default none;
+        # standardization stats are part of the model, never recomputed
         additional = config.epochs if "epochs" in overrides else 0
-        completed = base_ckpt.config.epochs
-    else:
-        base_ckpt = None
-        config = config_from_mapping(overrides)
-        additional = config.epochs
-        completed = 0
-    samples = _load_samples(args.dataset, with_depth=True)
-    graph_cfg = config.graph_config()
-    if base_ckpt is None:
-        scenes, input_mean, input_std = training.prepare_dataset(samples, graph_cfg)
-    else:
-        # standardization stats are part of the model; never recompute them
-        scenes = [training.prepare_scene(s, graph_cfg) for s in samples]
-        input_mean, input_std = base_ckpt.input_mean, base_ckpt.input_std
-        for scene in scenes:
-            scene.inputs = (scene.inputs - input_mean) / input_std
+        stats = (base_ckpt.input_mean, base_ckpt.input_std)
+    samples = _load_samples(args.dataset)
+    _check_superpixels(config.target_superpixels, [s.image for s in samples])
+    scenes, input_mean, input_std = training.prepare_dataset(samples, config.graph_config(), stats)
     train_cfg = config.train_config()
-    if base_ckpt is None:
-        state = training.init_state(config.layer_dims(), train_cfg)
-    else:
-        beta = np.asarray(base_ckpt.beta, dtype=float).copy()
-        state = training.TrainState(
-            model=base_ckpt.model,
-            beta=beta,
-            theta_velocity=np.zeros(unary.get_params(base_ckpt.model).size),
-            beta_velocity=np.zeros_like(beta),
-            rng=np.random.default_rng(train_cfg.seed + 1),
-            epoch=completed,
-        )
-    if args.unary_only:
-        state.beta = np.zeros_like(state.beta)
+    state = training.init_state(config.layer_dims(), train_cfg)
+    if base_ckpt is not None:
+        state.model, state.beta = base_ckpt.model, base_ckpt.beta
+        state.epoch = base_ckpt.config.epochs
     out = Path(args.out if args.out is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    done = 0
-    while done < additional:
-        chunk = min(CHECKPOINT_EVERY, additional - done)
-        state = training.train(
-            scenes,
-            dataclasses.replace(train_cfg, epochs=chunk),
-            state=state,
-            unary_only=args.unary_only,
-            freeze_first_layer=args.freeze_first_layer,
-        )
-        done += chunk
-        if done < additional:
-            snap = dataclasses.replace(config, epochs=completed + done)
-            write_checkpoint(
-                out / f"checkpoint_epoch_{state.epoch:04d}.txt",
-                _checkpoint_of(snap, state, input_mean, input_std),
-            )
-    final_config = dataclasses.replace(config, epochs=completed + additional)
-    write_checkpoint(
-        out / "checkpoint.txt", _checkpoint_of(final_config, state, input_mean, input_std)
-    )
+    # one call at least, so that unary-only training pins beta even for 0 epochs
+    for start in range(0, max(additional, 1), CHECKPOINT_EVERY):
+        chunk = min(CHECKPOINT_EVERY, additional - start)
+        state = training.train(scenes, dataclasses.replace(train_cfg, epochs=chunk),
+                               state=state, unary_only=args.unary_only)
+        last = start + chunk >= additional
+        name = "checkpoint.txt" if last else f"checkpoint_epoch_{state.epoch:04d}.txt"
+        snap = dataclasses.replace(config, epochs=state.epoch)
+        write_checkpoint(out / name, _checkpoint_of(snap, state, input_mean, input_std))
     write_history(out / "history.csv", state.history)
-    print(f"trained {additional} epochs ({completed + additional} total); "
+    print(f"trained {additional} epochs ({state.epoch} total); "
           f"checkpoint at {out / 'checkpoint.txt'}")
     return 0
 
@@ -178,6 +165,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     image = read_ppm(args.image)
+    _check_superpixels(ckpt.config.target_superpixels, [image])
     depth = metrics.predict_image(SceneSample(image=image), _predictor(ckpt))
     write_depth_raster(args.out, depth)
     print(f"wrote depth raster {args.out}")
@@ -187,41 +175,22 @@ def cmd_predict(args) -> int:
 _EVAL_COLUMNS = ("mask", "rel", "rms", "log10", "delta1", "delta2", "delta3", "pixels")
 
 
-def _report_row(name, report) -> list:
-    values = (report.rel, report.rms, report.log10, report.delta1, report.delta2, report.delta3)
-    return [name, *(repr(v) for v in values), str(report.pixel_count)]
-
-
 def cmd_eval(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
+    samples = _load_samples(args.dataset)
+    _check_superpixels(ckpt.config.target_superpixels, [s.image for s in samples])
+    truths = [s.depth for s in samples]
+    if args.c1_cap is not None and not any(np.any(gt < args.c1_cap) for gt in truths):
+        raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
     predictor = _predictor(ckpt)
-    root = Path(args.dataset)
-    pairs_by_mask: dict[str, list] = {}
-    for img_rel, dep_rel, _seed in read_manifest(root / "manifest.txt"):
-        image = read_ppm(root / img_rel)
-        gt = read_depth_raster(root / dep_rel)
-        pred = metrics.predict_image(SceneSample(image=image), predictor)
-        if args.c1_cap is not None:
-            c1, c2 = metrics.capped_masks(gt, args.c1_cap)
-            pairs_by_mask.setdefault("C1", []).append(metrics.DepthPair(pred, gt, c1))
-            pairs_by_mask.setdefault("C2", []).append(metrics.DepthPair(pred, gt, c2))
-        else:
-            everything = np.ones_like(gt, dtype=bool)
-            pairs_by_mask.setdefault("all", []).append(
-                metrics.DepthPair(pred, gt, everything)
-            )
-    reports = {}
-    for name, pairs in pairs_by_mask.items():
-        try:
-            reports[name] = metrics.metrics(pairs)
-        except ValueError as exc:
-            raise ConfigError(f"{name} selection is empty: {exc}")
+    predictions = [metrics.predict_image(s, predictor) for s in samples]
+    reports = metrics.evaluate(predictions, truths, args.c1_cap)
     if args.out is not None:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_EVAL_COLUMNS)
-            for name, report in reports.items():
-                writer.writerow(_report_row(name, report))
+            writer.writerow(_EVAL_COLUMNS)  # report fields are in column order
+            writer.writerows([name, *map(repr, dataclasses.astuple(r))]
+                             for name, r in reports.items())
     header = "".join(f"{c:>9}" for c in _EVAL_COLUMNS)
     print(header)
     for name, r in reports.items():
@@ -280,8 +249,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"duplicate superpixel counts: {args.counts!r}")
     if any(c < 1 for c in counts):
         raise ConfigError("superpixel counts must be positive")
-    train_samples = _load_samples(args.train_dataset, with_depth=True)
-    test_samples = _load_samples(args.test_dataset, with_depth=True)
+    train_samples = _load_samples(args.train_dataset)
+    test_samples = _load_samples(args.test_dataset)
+    truths = [s.depth for s in test_samples]
+    _check_superpixels(max(counts), [s.image for s in train_samples + test_samples])
     rows = []
     for count in counts:
         swept = dataclasses.replace(config, target_superpixels=count)
@@ -292,12 +263,8 @@ def cmd_sweep(args) -> int:
         state = training.train(scenes, swept.train_config(), swept.layer_dims())
         seconds = time.perf_counter() - started
         predictor = _predictor(_checkpoint_of(swept, state, input_mean, input_std))
-        pairs = []
-        for sample in test_samples:
-            pred = metrics.predict_image(sample, predictor)
-            mask = np.ones_like(sample.depth, dtype=bool)
-            pairs.append(metrics.DepthPair(pred, sample.depth, mask))
-        rms = metrics.metrics(pairs).rms
+        predictions = [metrics.predict_image(s, predictor) for s in test_samples]
+        rms = metrics.evaluate(predictions, truths)["all"].rms
         rows.append((count, rms, seconds))
         print(f"count {count:>5d}: rms {rms:.4f}, train {seconds:.2f} s")
     with open(args.out, "w", newline="") as fh:
@@ -334,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--unary-only", action="store_true",
                    help="pin all coupling coefficients to zero (regressor-only baseline)")
-    p.add_argument("--freeze-first-layer", action="store_true",
-                   help="keep the first regressor layer fixed during training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict a depth raster for one image")

@@ -143,10 +143,11 @@ def read_manifest(path):
     for line in lines[1:]:
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 3:
+        try:
+            image, depth, seed = line.split()
+            rows.append((image, depth, int(seed)))
+        except ValueError:
             raise FormatError(f"{path}: malformed manifest line: {line!r}")
-        rows.append((parts[0], parts[1], int(parts[2])))
     return rows
 
 

@@ -9,9 +9,10 @@ ground truth, over the T masked-in pixels:
     log10  = (1/T) sum |log10 g - log10 d|
     delta_i = 100 * fraction with max(g/d, d/g) < 1.25^i,  i = 1, 2, 3
 
-Two standard evaluation masks: pixels with ground truth below a depth cap,
-and all pixels.  Prediction paints each superpixel's region with the
-exponential of its most probable log-depth.
+``evaluate`` pools over all pixels, or, given a depth cap, reports pixels
+with ground truth below the cap (``C1``) next to all pixels (``C2``).
+Prediction paints each superpixel's region with the exponential of its most
+probable log-depth.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import crf, unary
 from .crf import CrfInstance, PairwiseWeights
-from .graph import GraphConfig, SceneSample, build_graph
+from .graph import GraphConfig, GraphData, SceneSample, build_graph
 
 THRESHOLD = 1.25
 
@@ -79,10 +80,20 @@ def metrics(pairs) -> MetricsReport:
     )
 
 
-def capped_masks(ground_truth, cap: float):
-    """(below-cap mask, everything mask) for one ground-truth raster."""
-    gt = np.asarray(ground_truth, dtype=float)
-    return gt < cap, np.ones_like(gt, dtype=bool)
+def evaluate(predictions, truths, cap: float | None = None) -> dict[str, MetricsReport]:
+    """Pooled reports over predicted/ground-truth raster pairs, by mask name.
+
+    Without a cap the one mask is ``all``; with one, ``C1`` keeps ground truth
+    below ``cap`` and ``C2`` keeps every pixel.
+    """
+    if cap is None:
+        selections = {"all": lambda gt: np.ones_like(gt, dtype=bool)}
+    else:
+        selections = {"C1": lambda gt: gt < cap, "C2": lambda gt: np.ones_like(gt, dtype=bool)}
+    return {
+        name: metrics([DepthPair(p, g, select(g)) for p, g in zip(predictions, truths)])
+        for name, select in selections.items()
+    }
 
 
 @dataclass
@@ -96,17 +107,15 @@ class Predictor:
     input_std: np.ndarray
 
 
-def predict_logdepth(sample: SceneSample, predictor: Predictor):
-    """Superpixel log-depths and the labeling they live on."""
-    data = build_graph(sample, predictor.graph_cfg)
+def predict_graph(data: GraphData, predictor: Predictor) -> np.ndarray:
+    """Depth raster of a built graph: each superpixel painted with exp(its MAP log-depth)."""
     inputs = (data.features.patch - predictor.input_mean) / predictor.input_std
     z, _ = unary.forward(predictor.model, inputs)
     instance = CrfInstance(z=z, similarities=data.similarities, edges=data.edges)
     star = crf.map_infer(instance, PairwiseWeights(predictor.beta))
-    return star, data.labels
+    return np.exp(star)[data.labels]
 
 
 def predict_image(sample: SceneSample, predictor: Predictor) -> np.ndarray:
-    """Depth raster: each superpixel painted with exp(its MAP log-depth)."""
-    star, labels = predict_logdepth(sample, predictor)
-    return np.exp(star)[labels]
+    """Depth raster of one scene, segmented with the predictor's graph recipe."""
+    return predict_graph(build_graph(sample, predictor.graph_cfg), predictor)

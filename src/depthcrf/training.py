@@ -12,12 +12,12 @@ reshuffled every epoch from the run's own generator, so a (config, dataset)
 pair determines the final state exactly.
 
 The unary-only baseline is the identical loop with beta frozen at zero
-(``unary_only=True``); a regressor-warmup phase can freeze the first layer
-instead.  Regressor inputs are flattened patches standardized per dimension
-with training-set statistics (kept with the model so prediction can
-reproduce them).  Each prepared scene keeps its graph as the canonical edge
-list and per-edge (3, E) similarities, stored read-only so that every step's
-``CrfInstance`` shares them without copying.
+(``unary_only=True``).  Regressor inputs are flattened patches standardized
+per dimension with training-set statistics, kept with the model so that
+prediction and resumed training reproduce them.  Each prepared scene keeps
+its graph as the canonical edge list and per-edge (3, E) similarities,
+stored read-only so that every step's ``CrfInstance`` shares them without
+copying.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
     )
 
 
-def prepare_dataset(samples, graph_cfg: GraphConfig):
-    """Prepared scenes plus the standardization statistics applied to them."""
+def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
+    """Prepared scenes and the (mean, std) that standardized their inputs:
+    ``stats`` when training resumes a model, else computed from these scenes."""
     scenes = [prepare_scene(sample, graph_cfg) for sample in samples]
-    mean, std = input_stats(scenes)
+    mean, std = input_stats(scenes) if stats is None else stats
     for scene in scenes:
         scene.inputs = (scene.inputs - mean) / std
     return scenes, mean, std
@@ -146,8 +147,7 @@ def current_lr(config: TrainConfig, epoch: int) -> float:
     return config.lr0 * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def step(state: TrainState, batch, config: TrainConfig, *,
-         unary_only: bool = False, freeze_first_layer: bool = False) -> float:
+def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = False) -> float:
     """One SGD step over a batch of scenes; returns the pre-update objective."""
     lr = current_lr(config, state.epoch)
     theta = unary.get_params(state.model)
@@ -177,8 +177,6 @@ def step(state: TrainState, batch, config: TrainConfig, *,
     loss += 0.5 * config.lambda1 * float(theta @ theta)
     loss += 0.5 * config.lambda2 * float(beta_now @ beta_now)
     grad_theta += config.lambda1 * theta
-    if freeze_first_layer:
-        grad_theta[unary.first_layer_slice(state.model)] = 0.0
     state.theta_velocity = config.momentum * state.theta_velocity - lr * grad_theta
     unary.set_params(state.model, theta + state.theta_velocity)
     if not unary_only:
@@ -189,7 +187,7 @@ def step(state: TrainState, batch, config: TrainConfig, *,
 
 
 def train(scenes, config: TrainConfig, layer_dims=None, *, state: TrainState | None = None,
-          unary_only: bool = False, freeze_first_layer: bool = False) -> TrainState:
+          unary_only: bool = False) -> TrainState:
     """Run the epoch loop; resumes from ``state`` when given."""
     if not scenes:
         raise ValueError("training needs at least one scene")
@@ -202,11 +200,7 @@ def train(scenes, config: TrainConfig, layer_dims=None, *, state: TrainState | N
     for _ in range(config.epochs):
         lr = current_lr(config, state.epoch)
         order = state.rng.permutation(len(scenes))
-        losses = [
-            step(state, [scenes[i]], config,
-                 unary_only=unary_only, freeze_first_layer=freeze_first_layer)
-            for i in order
-        ]
+        losses = [step(state, [scenes[i]], config, unary_only=unary_only) for i in order]
         state.history.append(
             EpochStats(epoch=state.epoch, lr=lr, mean_nll=float(np.mean(losses)))
         )

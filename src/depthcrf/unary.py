@@ -208,8 +208,3 @@ def set_params(model: UnaryModel, vector) -> None:
         offset += size
     if offset != vector.size:
         raise ValueError("parameter vector has the wrong length")
-
-
-def first_layer_slice(model: UnaryModel) -> slice:
-    """Positions of layer 0's weight and bias inside the flat vector."""
-    return slice(0, model.weights[0].size + model.biases[0].size)

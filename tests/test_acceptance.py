@@ -16,8 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from depthcrf import crf, metrics, oracle, synth, training, unary
-from depthcrf.crf import CrfInstance, PairwiseWeights
+from depthcrf import metrics, oracle, synth, training
 from depthcrf.graph import GraphConfig, build_graph
 from depthcrf.training import TrainConfig
 
@@ -111,18 +110,11 @@ def scene_sets():
     )
 
 
-def _pooled_rms(state, input_mean, input_std, test_samples, test_graphs) -> float:
-    pairs = []
-    for sample, data in zip(test_samples, test_graphs):
-        inputs = (data.features.patch - input_mean) / input_std
-        z, _ = unary.forward(state.model, inputs)
-        instance = CrfInstance(z=z, similarities=data.similarities, edges=data.edges)
-        star = crf.map_infer(instance, PairwiseWeights(state.beta))
-        predicted = np.exp(star)[data.labels]
-        pairs.append(
-            metrics.DepthPair(predicted, sample.depth, np.ones_like(sample.depth, bool))
-        )
-    return metrics.metrics(pairs).rms
+def _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs) -> float:
+    """Pooled test rms of a trained state on graphs already built with ``graph_cfg``."""
+    predictor = metrics.Predictor(state.model, state.beta, graph_cfg, input_mean, input_std)
+    predictions = [metrics.predict_graph(data, predictor) for data in test_graphs]
+    return metrics.evaluate(predictions, [s.depth for s in test_samples])["all"].rms
 
 
 @pytest.fixture(scope="module")
@@ -138,13 +130,11 @@ def baseline_runs(scene_sets):
         config = TrainConfig(seed=seed, **BASELINE_CONFIG)
         full = training.train(scenes, config, LAYER_DIMS)
         unary_only = training.train(scenes, config, LAYER_DIMS, unary_only=True)
-        trials.append(
-            (
-                _pooled_rms(full, input_mean, input_std, test_samples, test_graphs),
-                _pooled_rms(unary_only, input_mean, input_std, test_samples, test_graphs),
-                full.history,
-            )
+        full_rms, unary_rms = (
+            _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs)
+            for state in (full, unary_only)
         )
+        trials.append((full_rms, unary_rms, full.history))
     return SimpleNamespace(trials=trials, elapsed=time.perf_counter() - started)
 
 
@@ -181,7 +171,7 @@ def test_criterion_9_superpixel_sweep_trades_time_for_accuracy(scene_sets):
         state = training.train(scenes, TrainConfig(**SWEEP_CONFIG), LAYER_DIMS)
         seconds = time.perf_counter() - started
         test_graphs = [build_graph(s, graph_cfg) for s in test_samples]
-        rms = _pooled_rms(state, input_mean, input_std, test_samples, test_graphs)
+        rms = _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs)
         results.append((count, rms, seconds))
     by_count = {count: (rms, seconds) for count, rms, seconds in results}
     rms_ok = by_count[700][0] <= by_count[50][0]

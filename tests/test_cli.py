@@ -14,6 +14,8 @@ from depthcrf.formats import (
     read_manifest,
     read_ppm,
     write_checkpoint,
+    write_manifest,
+    write_ppm,
 )
 from depthcrf.graph import SceneSample
 
@@ -116,26 +118,37 @@ def test_train_missing_dataset_exits_3(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
-def test_resume_zero_epochs_reproduces_checkpoint_bytes(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=3)
-    resumed = tmp_path / "resumed"
-    rc = main(["train", "--dataset", str(data), "--out", str(resumed),
-               "--resume", str(run / "checkpoint.txt")])
-    assert rc == 0
-    assert (resumed / "checkpoint.txt").read_bytes() == (run / "checkpoint.txt").read_bytes()
+def test_resume_zero_epochs_reproduces_checkpoint_bytes(tmp_path, trained):
+    data, checkpoint = trained
+    # on another dataset too, where recomputed stats would change input_mean/input_std
+    for dataset in (data, make_dataset(tmp_path, seed=11)):
+        resumed = tmp_path / f"resumed_{dataset.name}"
+        rc = main(["train", "--dataset", str(dataset), "--out", str(resumed),
+                   "--resume", str(checkpoint)])
+        assert rc == 0
+        assert (resumed / "checkpoint.txt").read_bytes() == checkpoint.read_bytes()
 
 
-def test_resume_continues_epoch_numbering(tmp_path):
-    data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=3)
+@pytest.mark.parametrize("change", ["hidden_dims=4", "patch_dim=3"])
+def test_resume_cannot_change_the_regressor_widths(tmp_path, capsys, trained, change):
+    data, checkpoint = trained
+    out = tmp_path / "resumed"
+    rc = main(["train", "--dataset", str(data), "--out", str(out), "--resume", str(checkpoint),
+               "--set", change, "--set", "epochs=1"])
+    assert rc == 2
+    assert "widths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_continues_epoch_numbering(tmp_path, trained):
+    data, checkpoint = trained
     resumed = tmp_path / "resumed"
     rc = main(["train", "--dataset", str(data), "--out", str(resumed),
-               "--resume", str(run / "checkpoint.txt"), "--set", "epochs=2"])
+               "--resume", str(checkpoint), "--set", "epochs=2"])
     assert rc == 0
     history = read_history(resumed / "history.csv")
-    assert [h.epoch for h in history] == [3, 4]
-    assert read_checkpoint(resumed / "checkpoint.txt").config.epochs == 5
+    assert [h.epoch for h in history] == [1, 2]
+    assert read_checkpoint(resumed / "checkpoint.txt").config.epochs == 3
 
 
 def test_periodic_checkpoints_every_ten_epochs(tmp_path):
@@ -222,23 +235,53 @@ def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case
 @pytest.mark.parametrize(
     "bad, message",
     [("nan", "finite and positive"), ("-2.0", "finite and positive"),
-     ("1.5 1.5", "shape mismatch")],
-    ids=["nan", "-2.0", "ragged"],
+     ("1.5 1.5", "shape mismatch"), (None, "47x48 depth raster for the 48x48 image")],
+    ids=["nan", "-2.0", "ragged", "one-row-short"],
 )
-def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, bad, message):
+def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, trained, bad, message):
+    _, checkpoint = trained
     data = make_dataset(tmp_path)
-    run = train_run(tmp_path, data, "run", epochs=1)
     raster = data / "depth_0001.txt"
     lines = raster.read_text().splitlines()
-    lines[5] = " ".join([bad] + lines[5].split()[1:])
+    if bad is None:  # drop the first row: a raster that no longer fits its image
+        del lines[1]
+        lines[0] = "DEPTH 47 48"
+    else:
+        lines[5] = " ".join([bad] + lines[5].split()[1:])
     raster.write_text("\n".join(lines) + "\n")
     rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "again"),
                "--set", "epochs=1", *FAST])
-    assert rc == 3
-    rc = main(["eval", "--checkpoint", str(run / "checkpoint.txt"), "--dataset", str(data)])
+    assert rc == 3 and not (tmp_path / "again").exists()
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count(message) == 2
+
+
+def test_train_and_eval_reject_an_empty_manifest(tmp_path, capsys, trained):
+    _, checkpoint = trained
+    write_manifest(tmp_path / "manifest.txt", [])
+    rc = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "r"), *FAST])
+    assert rc == 3 and not (tmp_path / "r").exists()
+    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("lists no samples") == 2
+
+
+def test_superpixel_count_above_the_pixel_count_exits_2(tmp_path, capsys, trained):
+    data, checkpoint = trained  # 48x48 images, 16 superpixels
+    rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "r"),
+               *FAST, "--set", "target_superpixels=100000"])
+    assert rc == 2 and not (tmp_path / "r").exists()
+    write_ppm(tmp_path / "tiny.ppm", np.zeros((3, 3, 3)))
+    rc = main(["predict", "--checkpoint", str(checkpoint), "--image", str(tmp_path / "tiny.ppm"),
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 2 and not (tmp_path / "p.txt").exists()
+    rc = main(["sweep-superpixels", "--train-dataset", str(data), "--test-dataset", str(data),
+               "--counts", "9,100000", "--out", str(tmp_path / "s.csv"), *FAST])
+    assert rc == 2 and not (tmp_path / "s.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("target_superpixels=100000 exceeds the 2304 pixels of a 48x48 image") == 2
+    assert "target_superpixels=16 exceeds the 9 pixels of a 3x3 image" in err
 
 
 def test_strong_coupling_smooths_the_prediction(tmp_path):
@@ -348,12 +391,11 @@ def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch
     assert "gradcheck FAILED" in out
 
 
-def test_sweep_single_count_writes_one_row(tmp_path):
-    data = make_dataset(tmp_path)
-    out = tmp_path / "sweep.csv"
-    rc = main(["sweep-superpixels", "--train-dataset", str(data),
-               "--test-dataset", str(data), "--counts", "9",
-               "--out", str(out), "--set", "epochs=1", *FAST])
+def test_sweep_single_count_writes_one_row(tmp_path, trained):
+    data, _ = trained
+    test_data, out = make_dataset(tmp_path, seed=12), tmp_path / "sweep.csv"
+    rc = main(["sweep-superpixels", "--train-dataset", str(data), "--test-dataset",
+               str(test_data), "--counts", "9", "--out", str(out), "--set", "epochs=2", *FAST])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "count,rms,train_seconds"
@@ -362,6 +404,12 @@ def test_sweep_single_count_writes_one_row(tmp_path):
     assert count == "9"
     assert float(rms) > 0.0
     assert float(seconds) > 0.0
+    # the same rms as training at that count, then evaluating on the same test set
+    run = train_run(tmp_path, data, "run", epochs=2, extra=["--set", "target_superpixels=9"])
+    evaluated = tmp_path / "eval.csv"
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.txt"), "--dataset",
+                 str(test_data), "--out", str(evaluated)]) == 0
+    assert rms == evaluated.read_text().splitlines()[1].split(",")[2]
 
 
 def test_sweep_rejects_duplicate_counts(tmp_path):

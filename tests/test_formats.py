@@ -125,9 +125,10 @@ def test_manifest_rejects_malformed_files(tmp_path):
     path.write_text("MANIFEST v2\n")
     with pytest.raises(FormatError):
         read_manifest(path)
-    path.write_text("MANIFEST v1\nimg.ppm depth.txt\n")
-    with pytest.raises(FormatError):
-        read_manifest(path)
+    for line in ("img.ppm depth.txt", "img.ppm depth.txt x"):
+        path.write_text(f"MANIFEST v1\n{line}\n")
+        with pytest.raises(FormatError):
+            read_manifest(path)
 
 
 def _sample_checkpoint():

@@ -79,19 +79,22 @@ class TestMetrics:
             pair([1.0], [-2.0])
 
 
-class TestCappedMasks:
+class TestEvaluate:
     def test_cap_splits_pixels(self):
         gt = np.array([[1.0, 80.0], [50.0, 70.0]])
-        below, everything = metrics.capped_masks(gt, 70.0)
-        assert below.tolist() == [[True, False], [True, False]]
-        assert everything.all()
+        pred = np.array([[2.0, 60.0], [40.0, 70.0]])
+        below = np.array([[True, False], [True, False]])
+        capped = metrics.evaluate([pred, gt], [gt, gt], cap=70.0)
+        assert list(capped) == ["C1", "C2"]
+        assert capped["C1"] == metrics.metrics([pair(pred, gt, below), pair(gt, gt, below)])
+        assert capped["C2"] == metrics.metrics([pair(pred, gt), pair(gt, gt)])
+        assert capped["C1"].pixel_count == 4
+        assert metrics.evaluate([pred, gt], [gt, gt]) == {"all": capped["C2"]}
 
     def test_cap_below_everything_gives_empty_mask(self):
         gt = np.full((2, 2), 5.0)
-        below, _ = metrics.capped_masks(gt, 1.0)
-        assert not below.any()
         with pytest.raises(ValueError):
-            metrics.metrics([DepthPair(predicted=gt, ground_truth=gt, mask=below)])
+            metrics.evaluate([gt], [gt], cap=1.0)
 
 
 def make_predictor(beta, seed=0, cfg=None):
@@ -115,6 +118,7 @@ class TestPrediction:
         data = graph.build_graph(sample, predictor.graph_cfg)
         z, _ = unary.forward(predictor.model, data.features.patch)
         assert np.allclose(raster, np.exp(z)[data.labels])
+        assert np.array_equal(metrics.predict_graph(data, predictor), raster)
 
     def test_constant_scene_constant_prediction(self):
         image = np.full((24, 24, 3), 0.5)

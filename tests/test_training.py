@@ -185,17 +185,6 @@ class TestStep:
         assert np.array_equal(unary.get_params(state.model), np.zeros(d + 1))
         assert np.array_equal(state.beta, np.full(3, 0.5))
 
-    def test_freeze_first_layer(self):
-        scenes = tiny_scenes(count=1)
-        config = quiet_config(lr0=1e-3)
-        state = training.init_state(DIMS, config)
-        first = unary.first_layer_slice(state.model)
-        theta0 = unary.get_params(state.model).copy()
-        training.step(state, scenes, config, freeze_first_layer=True)
-        theta1 = unary.get_params(state.model)
-        assert np.array_equal(theta1[first], theta0[first])
-        assert not np.array_equal(theta1, theta0)
-
 
 class TestTrain:
     def test_zero_epochs_is_identity(self):

@@ -237,8 +237,3 @@ class TestParamVector:
         model = small_model()
         with pytest.raises(ValueError):
             unary.set_params(model, np.zeros(3))
-
-    def test_first_layer_slice(self):
-        model = small_model()
-        sl = unary.first_layer_slice(model)
-        assert sl == slice(0, 5 * 4 + 4)

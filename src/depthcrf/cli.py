@@ -14,7 +14,7 @@ Configuration comes from an optional ``--config`` file (``key = value``
 lines) plus repeatable ``--set key=value`` overrides; every key is
 validated before any file is touched.  Exit codes: 0 success, 1 failed
 check (gradcheck/verify), 2 configuration error, 3 I/O or file-format
-error, 4 numerical failure (Cholesky).
+error, 4 numerical failure (Cholesky, or a training run that diverged).
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except FactorizationError as exc:
+    except (FactorizationError, training.DivergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

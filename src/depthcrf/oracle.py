@@ -376,7 +376,8 @@ def check_factorization(rng, trials: int):
         couplings = crf.coupling_matrix(instance, weights)
         try:
             precision = crf.build_precision(instance.n, instance.edges, couplings)
-            failed += int(not np.all(np.isfinite(precision.chol)))
+            factor = (precision.inv_diag, precision.sub)
+            failed += int(not all(np.all(np.isfinite(block)) for block in factor))
         except FactorizationError:
             failed += 1
     try:

@@ -11,6 +11,10 @@ multiplied by ``lr_decay`` every ``lr_decay_every`` epochs.  Scene order is
 reshuffled every epoch from the run's own generator, so a (config, dataset)
 pair determines the final state exactly.
 
+A step that yields a non-finite regressor output, loss or gradient, or a
+precision matrix that no longer factors, raises ``DivergenceError`` before
+any parameter moves: with valid inputs only a runaway step size gets there.
+
 The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
@@ -27,11 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crf, unary
-from .crf import CrfInstance, PairwiseWeights
+from .crf import CrfInstance, FactorizationError, PairwiseWeights
 from .graph import GraphConfig, build_graph
 
 STD_FLOOR = 1e-8
 NUM_CHANNELS = 3
+
+
+class DivergenceError(ArithmeticError):
+    """Training left the finite numbers; the message names the epoch and beta."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,22 @@ def current_lr(config: TrainConfig, epoch: int) -> float:
     return config.lr0 * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
+def _diverged(state: TrainState, what: str) -> DivergenceError:
+    beta = np.array2string(state.beta, precision=4)
+    return DivergenceError(f"training diverged in epoch {state.epoch} (beta = {beta}): {what}")
+
+
+def _require_finite(state: TrainState, what: str, *arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise _diverged(state, f"non-finite {what}")
+
+
 def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = False) -> float:
-    """One SGD step over a batch of scenes; returns the pre-update objective."""
+    """One SGD step over a batch of scenes; returns the pre-update objective.
+
+    Raises DivergenceError, before any parameter moves, when the step leaves
+    the finite numbers.
+    """
     lr = current_lr(config, state.epoch)
     theta = unary.get_params(state.model)
     weights = PairwiseWeights(np.zeros_like(state.beta) if unary_only else state.beta)
@@ -163,13 +185,17 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
             rng=state.rng,
             keep_prob=config.dropout_keep,
         )
+        _require_finite(state, "regressor output", z)
         instance = CrfInstance(
             z=z,
             similarities=scene.similarities,
             edges=scene.edges,
             y=scene.target,
         )
-        value, gz, gb = crf.nll_with_grads(instance, weights)
+        try:
+            value, gz, gb = crf.nll_with_grads(instance, weights)
+        except FactorizationError as exc:
+            raise _diverged(state, str(exc)) from exc
         loss += value
         grad_theta += unary.backward(state.model, tape, gz)
         grad_beta += gb
@@ -177,12 +203,17 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
     loss += 0.5 * config.lambda1 * float(theta @ theta)
     loss += 0.5 * config.lambda2 * float(beta_now @ beta_now)
     grad_theta += config.lambda1 * theta
-    state.theta_velocity = config.momentum * state.theta_velocity - lr * grad_theta
-    unary.set_params(state.model, theta + state.theta_velocity)
+    grad_beta += config.lambda2 * state.beta
+    _require_finite(state, "loss or gradient", loss, grad_theta, grad_beta)
+    theta_velocity = config.momentum * state.theta_velocity - lr * grad_theta
+    beta_velocity = config.momentum * state.beta_velocity - lr * grad_beta
+    theta_next = theta + theta_velocity
+    beta_next = np.maximum(state.beta + beta_velocity, 0.0)
+    _require_finite(state, "parameter update", theta_next, beta_next)
+    state.theta_velocity = theta_velocity
+    unary.set_params(state.model, theta_next)
     if not unary_only:
-        grad_beta += config.lambda2 * state.beta
-        state.beta_velocity = config.momentum * state.beta_velocity - lr * grad_beta
-        state.beta = np.maximum(state.beta + state.beta_velocity, 0.0)
+        state.beta_velocity, state.beta = beta_velocity, beta_next
     return loss
 
 

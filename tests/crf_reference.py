@@ -5,7 +5,8 @@ symmetric and zero off the edge set, and every quantity is computed from
 that stack with the formulas the edge-list path replaced: the einsum
 coupling matrix, ``A = I + D - R`` from its row sums, and the beta gradient
 from ``J_k = diag(S_k 1) - S_k`` with ``tr(A^{-1} J_k)`` over whole
-matrices.
+matrices.  It also holds the dense ``A``, Cholesky factor and ``A^{-1}``
+that the block tridiagonal factorization replaced.
 """
 
 from __future__ import annotations
@@ -61,3 +62,16 @@ def nll_with_grads(instance, weights):
     )
     grad_beta = channel_quadratic(y) - channel_quadratic(u) - 0.5 * traces
     return value, 2.0 * (u - y), grad_beta
+
+
+def block_factor(prec) -> np.ndarray:
+    """The dense lower triangular L with A = L L', assembled from the blocks
+    of a ``crf.Precision`` and stripped of its padding rows."""
+    m, w = prec.inv_diag.shape[:2]
+    factor = np.zeros((m * w, m * w))
+    for i in range(m):
+        rows = slice(i * w, (i + 1) * w)
+        factor[rows, rows] = np.linalg.inv(prec.inv_diag[i])
+        if i + 1 < m:
+            factor[(i + 1) * w:(i + 2) * w, rows] = prec.sub[i]
+    return factor[np.ix_(prec.slots, prec.slots)]

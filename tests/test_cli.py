@@ -112,6 +112,22 @@ def test_train_unary_only_records_zero_beta(tmp_path):
     assert np.array_equal(read_checkpoint(run / "checkpoint.txt").beta, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "mode", [["--unary-only", "--set", "epochs=12"], []], ids=["unary-only", "joint"]
+)
+def test_diverged_training_exits_4_naming_epoch_and_beta(tmp_path, capsys, mode):
+    # the default synth count and seed; lr0=1e3 overflows both runs early
+    data = make_dataset(tmp_path, count=10, seed=0)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--dataset", str(data), "--out", str(out),
+                   "--set", "lr0=1e3", *FAST, *mode])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert re.search(r"training diverged in epoch \d+ \(beta = \[", err), err
+    assert not (out / "checkpoint.txt").exists()
+
+
 def test_train_missing_dataset_exits_3(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "r")])
     assert rc == 3

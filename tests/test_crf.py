@@ -1,8 +1,11 @@
 """Closed-form CRF quantities against hand values, brute-force oracles and the
 dense-stack reference route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from depthcrf import crf, oracle, synth
 from depthcrf.crf import CrfInstance, FactorizationError, PairwiseWeights
@@ -87,7 +90,8 @@ class TestPrecision:
         prec = crf.build_precision(2, inst.edges, crf.coupling_matrix(inst, ONES))
         a = crf_reference.precision(inst, ONES)[0]
         assert np.allclose(a, [[1.5, -0.5], [-0.5, 1.5]])
-        assert np.allclose(prec.chol @ prec.chol.T, a)
+        factor = crf_reference.block_factor(prec)
+        assert np.allclose(factor @ factor.T, a)
         assert abs(prec.logdet - np.log(2.0)) < 1e-12
 
     def test_logdet_matches_generic_slogdet(self):
@@ -247,8 +251,38 @@ class TestGradients:
         assert rel_err(crf.nll_with_grads(inst, ONES)[2], fd) < 1e-5
 
 
+def edge_list_instance(rng, n, edges):
+    """Random z, y and three similarity channels on the given edge set."""
+    edges = np.unique(np.sort(np.asarray(edges, dtype=np.intp).reshape(-1, 2), axis=1), axis=0)
+    return CrfInstance(
+        z=rng.normal(size=n),
+        similarities=rng.uniform(0.05, 1.0, size=(3, len(edges))),
+        edges=edges,
+        y=rng.normal(size=n),
+    ), PairwiseWeights(rng.uniform(0.1, 1.5, size=3))
+
+
+def path_edges(n):
+    return [(p, p + 1) for p in range(n - 1)]
+
+
+def synth_instance(superpixels, seed):
+    """A synth scene's graph at ``superpixels``, z = truth plus noise."""
+    sample = synth.generate(synth.SceneSpec(seed=seed))
+    data = build_graph(sample, GraphConfig(target_superpixels=superpixels))
+    y = data.features.gt_logdepth
+    rng = np.random.default_rng(61)
+    return CrfInstance(
+        z=y + rng.normal(0.0, 0.3, size=y.size),
+        similarities=data.similarities,
+        edges=data.edges,
+        y=y,
+    )
+
+
 class TestDenseReference:
-    """The edge-list path against the dense (K, n, n) route it replaced."""
+    """The block tridiagonal edge-list path against the dense (K, n, n) route
+    and the dense Cholesky factorization it replaced."""
 
     @staticmethod
     def assert_matches(inst, w):
@@ -259,6 +293,14 @@ class TestDenseReference:
         assert rel_err(gb, ref_gb) < 1e-12
         assert rel_err(crf.nll(inst, w), ref_value) < 1e-12
         assert rel_err(crf.map_infer(inst, w), crf_reference.map_infer(inst, w)) < 1e-12
+        prec = crf.build_precision(inst.n, inst.edges, crf.coupling_matrix(inst, w))
+        _, ref_chol, ref_logdet = crf_reference.precision(inst, w)
+        assert rel_err(prec.logdet, ref_logdet) < 1e-12
+        assert rel_err(crf_reference.block_factor(prec), ref_chol) < 1e-12
+        rhs = np.random.default_rng(inst.n).normal(size=(inst.n, 3))
+        ref_solve = scipy.linalg.cho_solve((ref_chol, True), rhs)
+        assert rel_err(prec.solve(rhs), ref_solve) < 1e-12
+        return prec
 
     def test_random_instances(self):
         rng = np.random.default_rng(59)
@@ -266,16 +308,52 @@ class TestDenseReference:
             inst, w = random_instance(rng, n=int(rng.integers(1, 25)))
             self.assert_matches(inst, w)
 
-    def test_synth_graph_at_700_superpixels(self):
-        sample = synth.generate(synth.SceneSpec(seed=5))
-        data = build_graph(sample, GraphConfig(target_superpixels=700))
-        y = data.features.gt_logdepth
-        rng = np.random.default_rng(61)
-        inst = CrfInstance(
-            z=y + rng.normal(0.0, 0.3, size=y.size),
-            similarities=data.similarities,
-            edges=data.edges,
-            y=y,
-        )
-        assert inst.n > 600
-        self.assert_matches(inst, PairwiseWeights(np.array([0.7, 1.3, 0.4])))
+    @pytest.mark.parametrize("min_block", [1, 4, crf.MIN_BLOCK])
+    def test_random_banded_instances(self, monkeypatch, min_block):
+        monkeypatch.setattr(crf, "MIN_BLOCK", min_block)
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            n, bandwidth = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+            pairs = [(p, q) for p in range(n) for q in range(p + 1, min(p + bandwidth, n - 1) + 1)]
+            keep = rng.random(len(pairs)) < 0.6
+            self.assert_matches(*edge_list_instance(rng, n, [e for e, k in zip(pairs, keep) if k]))
+
+    @pytest.mark.parametrize("superpixels", [150, 700, 2000])
+    def test_synth_graphs(self, superpixels):
+        inst = synth_instance(superpixels, seed=5)
+        assert inst.n > 0.9 * superpixels
+        prec = self.assert_matches(inst, PairwiseWeights(np.array([0.7, 1.3, 0.4])))
+        assert len(prec.inv_diag) > 1
+
+    @pytest.mark.parametrize(
+        "n, edges, blocks",
+        [
+            (3 * crf.MIN_BLOCK, path_edges(3 * crf.MIN_BLOCK) + [(0, 3 * crf.MIN_BLOCK - 1)], 1),
+            (2 * crf.MIN_BLOCK + 5, [], 2),
+            (1, [], 1),
+            (3 * crf.MIN_BLOCK + 1, path_edges(3 * crf.MIN_BLOCK + 1), 3),
+        ],
+        ids=["bandwidth-n-1", "edgeless", "one-node", "padded-block"],
+    )
+    def test_block_layouts(self, n, edges, blocks):
+        inst, w = edge_list_instance(np.random.default_rng(71), n, edges)
+        assert len(self.assert_matches(inst, w).inv_diag) == blocks
+
+    def test_selected_inverse_rejects_entries_off_the_pattern(self):
+        n = 3 * crf.MIN_BLOCK
+        inst, w = edge_list_instance(np.random.default_rng(73), n, path_edges(n))
+        prec = crf.build_precision(n, inst.edges, crf.coupling_matrix(inst, w))
+        with pytest.raises(ValueError):
+            prec.selected_inverse(np.array([0]), np.array([n - 1]))
+
+
+def test_nll_with_grads_working_set_stays_small():
+    inst = synth_instance(2000, seed=3)
+    weights = PairwiseWeights(np.array([0.5, 0.7, 0.3]))
+    tracemalloc.start()
+    try:
+        crf.nll_with_grads(inst, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -209,12 +209,12 @@ def read_checkpoint(path) -> Checkpoint:
                 name = parts[1]
                 shape = tuple(int(d) for d in parts[2:])
                 count = int(np.prod(shape)) if shape else 1
-                values = []
+                tokens = []
                 i += 1
-                while len(values) < count:
-                    values.extend(float(t) for t in lines[i].split())
+                while len(tokens) < count:
+                    tokens.extend(lines[i].split())
                     i += 1
-                tensors[name] = np.asarray(values).reshape(shape)
+                tensors[name] = np.array(tokens, dtype=float).reshape(shape)
             elif not line.strip():
                 i += 1
             else:

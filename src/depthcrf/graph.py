@@ -9,15 +9,16 @@ space: seeds on a regular grid, ten assignment/update sweeps, distance
 
 with cell pitch s = sqrt(H W / target) and compactness m.  Each centre
 competes for the pixels within 2s of it.  A sweep evaluates blocks of
-centres at once, so the working set stays at a few MB, and gives every pixel
-to the strictly closest centre, the lowest centre index winning an exact
-tie; a pixel no window covers keeps its seed-grid label.  Afterwards every
+centres at once, reading their windows from a view of the padded image,
+so the working set stays at a few MB, and gives every pixel to the
+strictly closest centre, the lowest centre index winning an exact tie; a
+pixel no window covers keeps its seed-grid label.  Afterwards every
 superpixel is reduced to its largest 4-connected component (the first in
-raster order among equally large ones), found inside the label's bounding
-box, and stray pieces are merged into an adjacent surviving superpixel in
-label order, so labels are connected; beyond that no connectivity
-enforcement happens.  Label ids are compacted to 0..n-1 and both modes are
-deterministic functions of their inputs.
+raster order among equally large ones), all components being found by one
+labelling pass over a doubled grid, and stray pieces are merged into an
+adjacent surviving superpixel in label order, so labels are connected;
+beyond that no connectivity enforcement happens.  Label ids are compacted
+to 0..n-1 and both modes are deterministic functions of their inputs.
 
 Per superpixel the feature extractor computes mean RGB, an L1-normalized
 color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
@@ -149,34 +150,40 @@ def _compact(labels):
 def _enforce_connectivity(labels):
     """Keep each label's largest component; merge strays into neighbors.
 
-    Components are found inside each label's bounding box; raster order in
-    a box is raster order in the image, so the first of equally large
-    components stays and orphans are queued in (label, raster) order.
+    One ``ndimage.label`` on a (2H-1, 2W-1) grid finds every component:
+    pixel cells are on, and the cell between two 4-neighbours is on when
+    they share a label.  A component's first cell is a pixel cell, so ids
+    follow the raster order of first pixels: the lowest id is the first of
+    equally large components, and orphans queue in (label, id) order.  An
+    orphan dilates only inside its bounding box grown by one pixel.
     """
-    final = np.full(labels.shape, -1, dtype=np.intp)
-    orphans = []
-    for i, box in enumerate(scipy.ndimage.find_objects(labels + 1)):
-        if box is None:
-            continue
-        comps, num = scipy.ndimage.label(labels[box] == i, structure=FOUR_CONNECTED)
-        sizes = np.bincount(comps.ravel())[1:]
-        main = int(np.argmax(sizes)) + 1
-        final[box][comps == main] = i
-        for c in range(1, num + 1):
-            if c != main:
-                mask = np.zeros(labels.shape, dtype=bool)
-                mask[box] = comps == c
-                orphans.append(mask)
+    grid = np.ones(2 * np.array(labels.shape) - 1, dtype=bool)
+    grid[1::2, 1::2] = False
+    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
+    grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
+    comps = scipy.ndimage.label(grid, structure=FOUR_CONNECTED)[0][::2, ::2]
+    flat = comps.ravel() - 1
+    sizes = np.bincount(flat)
+    owner = np.empty(sizes.size, dtype=np.intp)
+    owner[flat] = labels.ravel()
+    order = np.lexsort((-sizes, owner))  # stable: the lower id wins a size tie
+    main = np.zeros(sizes.size, dtype=bool)
+    main[order[np.r_[True, np.diff(owner[order]) != 0]]] = True
+    final = np.where(main[flat], labels.ravel(), -1).reshape(labels.shape)
+    boxes = scipy.ndimage.find_objects(comps)
+    orphans = [c for c in np.argsort(owner, kind="stable") if not main[c]]
     while orphans:
         remaining = []
-        for mask in orphans:
+        for c in orphans:
+            box = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in boxes[c])
+            mask = comps[box] == c + 1
             grown = scipy.ndimage.binary_dilation(mask, structure=FOUR_CONNECTED)
-            neighbor_ids = final[grown & ~mask]
+            neighbor_ids = final[box][grown & ~mask]
             neighbor_ids = neighbor_ids[neighbor_ids >= 0]
             if neighbor_ids.size == 0:
-                remaining.append(mask)
+                remaining.append(c)
                 continue
-            final[mask] = np.bincount(neighbor_ids).argmax()
+            final[box][mask] = np.bincount(neighbor_ids).argmax()
         if len(remaining) == len(orphans):
             raise RuntimeError("orphan components have no assigned neighbor")
         orphans = remaining
@@ -187,55 +194,51 @@ def _assign(image, centers, colors, spatial_scale, reach, fallback):
     """Label every pixel with the nearest centre whose window covers it.
 
     A centre's window spans ``reach`` pixels on each side of its truncated
-    position.  Blocks of about ``BLOCK_CELLS`` window cells are evaluated at
-    once; within a block ``np.minimum.at`` finds each pixel's best distance
-    and the lowest centre index reaching it, and a block replaces the running
-    result only where it is strictly closer.  Ties therefore go to the lowest
-    centre index, and pixels no window covers take their ``fallback`` label.
+    position and is read from a ``sliding_window_view`` of the image padded
+    by ``reach``; cells off the image compete only for padding slots, which
+    are cropped away.  Blocks of about ``BLOCK_CELLS`` window cells are
+    evaluated at once; within a block ``np.minimum.at`` finds each slot's
+    best distance and the lowest centre index reaching it, and a block
+    replaces the running result only where it is strictly closer.  Ties
+    therefore go to the lowest centre index, and pixels no window covers
+    take their ``fallback`` label.
     """
     height, width = fallback.shape
-    sink = height * width  # slot for window cells outside the image
-    offsets = np.arange(-reach, reach + 1)
-    cells_per_center = offsets.size**2
-    pixels = image.reshape(sink, 3)
+    side = 2 * reach + 1
+    padded = np.zeros((3, height + 2 * reach, width + 2 * reach))
+    padded[:, reach : reach + height, reach : reach + width] = np.moveaxis(image, 2, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (side, side), axis=(1, 2))
+    offsets = np.arange(side)
     anchors = centers.astype(np.intp)
-    best = np.full(sink + 1, np.inf)
-    labels = np.full(sink + 1, -1, dtype=np.intp)
-    step = max(1, BLOCK_CELLS // cells_per_center)
+    best = np.full(padded[0].size, np.inf)
+    labels = np.full(padded[0].size, -1, dtype=np.intp)
+    step = max(1, BLOCK_CELLS // side**2)
     for start in range(0, len(centers), step):
         ids = np.arange(start, min(start + step, len(centers)))
-        rows = anchors[ids, :1] + offsets
+        cells = windows[:, anchors[ids, 0], anchors[ids, 1]]  # (3, ids, side, side)
+        rows = anchors[ids, :1] + offsets  # padded coordinates
         cols = anchors[ids, 1:] + offsets
         d_space = (
-            ((rows - centers[ids, :1]) ** 2)[:, :, None]
-            + ((cols - centers[ids, 1:]) ** 2)[:, None, :]
-        )
-        inside = ((rows >= 0) & (rows < height))[:, :, None] & (
-            (cols >= 0) & (cols < width)
-        )[:, None, :]
-        cells = (
-            np.clip(rows, 0, height - 1)[:, :, None] * width
-            + np.clip(cols, 0, width - 1)[:, None, :]
+            ((rows - reach - centers[ids, :1]) ** 2)[:, :, None]
+            + ((cols - reach - centers[ids, 1:]) ** 2)[:, None, :]
         )
         # channel by channel is the (a0 + a1) + a2 of a 3-channel sum
-        d_color = (pixels[cells, 0] - colors[ids, 0, None, None]) ** 2
+        d_color = (cells[0] - colors[ids, 0, None, None]) ** 2
         for ch in (1, 2):
-            d_color += (pixels[cells, ch] - colors[ids, ch, None, None]) ** 2
+            d_color += (cells[ch] - colors[ids, ch, None, None]) ** 2
         dist = (d_color + spatial_scale * d_space).ravel()
-        slots = np.where(inside, cells, sink).ravel()
-        block_best = np.full(sink + 1, np.inf)
+        slots = (rows[:, :, None] * padded.shape[2] + cols[:, None, :]).ravel()
+        block_best = np.full(best.size, np.inf)
         np.minimum.at(block_best, slots, dist)
         hit = dist == block_best[slots]
-        winner = np.full(sink + 1, len(centers), dtype=np.intp)
-        np.minimum.at(winner, slots[hit], np.repeat(ids, cells_per_center)[hit])
+        winner = np.full(best.size, len(centers), dtype=np.intp)
+        np.minimum.at(winner, slots[hit], np.repeat(ids, side**2)[hit])
         closer = block_best < best
         best[closer] = block_best[closer]
         labels[closer] = winner[closer]
-    labels = labels[:sink].reshape(height, width)
+    labels = labels.reshape(padded.shape[1:])[reach : reach + height, reach : reach + width]
     # a drifted center can leave a pixel outside every window
-    uncovered = labels < 0
-    labels[uncovered] = fallback[uncovered]
-    return labels
+    return np.where(labels < 0, fallback, labels)
 
 
 def _update_centers(image, labels, centers, colors):
@@ -287,19 +290,16 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
 def adjacency(labels) -> np.ndarray:
     """Edges between 4-connected superpixels, as an (E, 2) array.
 
-    Rows are (p, q) with p < q in increasing order, the canonical order
-    ``crf.CrfInstance`` requires.
+    ``labels`` holds superpixel ids >= 0.  Rows are (p, q) with p < q in
+    increasing order, the canonical order ``crf.CrfInstance`` requires.
     """
-    labels = np.asarray(labels)
-    pairs = [
-        np.stack([labels[:-1, :].ravel(), labels[1:, :].ravel()], axis=1),
-        np.stack([labels[:, :-1].ravel(), labels[:, 1:].ravel()], axis=1),
-    ]
-    stacked = np.concatenate(pairs)
-    stacked = stacked[stacked[:, 0] != stacked[:, 1]]
-    if stacked.size == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    return np.unique(np.sort(stacked, axis=1), axis=0).astype(np.intp)
+    labels = np.asarray(labels, dtype=np.intp)
+    count = int(labels.max(initial=0)) + 1
+    first = np.concatenate([labels[:-1, :].ravel(), labels[:, :-1].ravel()])
+    second = np.concatenate([labels[1:, :].ravel(), labels[:, 1:].ravel()])
+    differ = first != second
+    low, high = np.minimum(first, second)[differ], np.maximum(first, second)[differ]
+    return np.stack(divmod(np.unique(low * count + high), count), axis=1)
 
 
 def lbp_codes(image) -> np.ndarray:
@@ -379,8 +379,8 @@ def extract_features(sample: SceneSample, box_size: int, patch_dim: int,
     for start in range(0, count, step):
         block = slice(start, start + step)
         crops = image[rows[block, :, None], cols[block, None, :]]
-        reduced = np.einsum("ir,nrcd->nicd", shrink, crops)
-        patches[block] = np.einsum("nicd,jc->nijd", reduced, shrink)
+        reduced = shrink @ crops.reshape(len(crops), box_size, box_size * 3)
+        patches[block] = shrink @ reduced.reshape(len(crops), patch_dim, box_size, 3)
     patch = patches.reshape(count, -1)
 
     gt_logdepth = None

@@ -165,11 +165,12 @@ def _require_finite(state: TrainState, what: str, *arrays) -> None:
         raise _diverged(state, f"non-finite {what}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = False) -> float:
     """One SGD step over a batch of scenes; returns the pre-update objective.
 
     Raises DivergenceError, before any parameter moves, when the step leaves
-    the finite numbers.
+    the finite numbers; the overflow on the way there raises no warning.
     """
     lr = current_lr(config, state.epoch)
     theta = unary.get_params(state.model)

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through ``cli.main``."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +120,8 @@ def test_diverged_training_exits_4_naming_epoch_and_beta(tmp_path, capsys, mode)
     # the default synth count and seed; lr0=1e3 overflows both runs early
     data = make_dataset(tmp_path, count=10, seed=0)
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the exit-4 line is all a diverging run prints
         rc = main(["train", "--dataset", str(data), "--out", str(out),
                    "--set", "lr0=1e3", *FAST, *mode])
     assert rc == 4
@@ -230,6 +232,7 @@ INCONSISTENT_CHECKPOINTS = {
     "negative-beta": (r"TENSOR beta 3\n\S+", "TENSOR beta 3\n-0.5"),
     "widths-differ-from-config": (r"CONFIG hidden_dims 8", "CONFIG hidden_dims 9"),
     "bad-config-value": (r"CONFIG momentum .*", "CONFIG momentum lots"),
+    "non-numeric-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1lots"),
 }
 
 

@@ -162,6 +162,16 @@ def test_checkpoint_round_trip_is_lossless(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(ckpt, name))
 
 
+def test_checkpoint_round_trip_keeps_extreme_values_bit_for_bit(tmp_path):
+    ckpt = _sample_checkpoint()
+    extremes = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    ckpt.model.weights[0].flat[: extremes.size] = extremes
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, ckpt)
+    loaded = read_checkpoint(path).model.weights[0].flat[: extremes.size]
+    assert loaded.tobytes() == extremes.tobytes()
+
+
 def test_checkpoint_rewrite_is_byte_identical(tmp_path):
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"

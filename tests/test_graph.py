@@ -124,6 +124,15 @@ class TestAdjacency:
         labels = np.zeros((6, 6), dtype=int)
         assert graph.adjacency(labels).shape == (0, 2)
 
+    def test_one_pixel_raster_has_no_edges(self):
+        edges = graph.adjacency(np.zeros((1, 1), dtype=int))
+        assert edges.shape == (0, 2) and edges.dtype == np.intp
+
+    def test_single_row(self):
+        labels = np.array([[0, 0, 2, 1, 1, 2, 3]])
+        assert graph.adjacency(labels).tolist() == [[0, 2], [1, 2], [2, 3]]
+        assert graph.adjacency(labels.T).tolist() == [[0, 2], [1, 2], [2, 3]]
+
 
 class TestLbp:
     def test_uniform_image_single_code(self):
@@ -354,14 +363,49 @@ class TestAgainstReferenceLoops:
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
 
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    def test_assignment_with_windows_overhanging_every_border(self, monkeypatch, block_cells):
+        rng = np.random.default_rng(8)
+        image = rng.random((3, 4, 3))
+        centers = rng.uniform(0, [2, 3], (5, 2))
+        colors = rng.random((5, 3))
+        # reach 4: every 9x9 window sticks out past all four borders
+        args = (image, centers, colors, 0.3, 4, graph._grid_labels(3, 4, 5))
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
+
     def test_connectivity_repair_on_fragmented_labels(self):
         rng = np.random.default_rng(5)
-        for size, count in ((12, 3), (20, 12), (17, 40)):
-            labels = rng.integers(0, count, (size, size + 3))
+        shapes = [(1, 1), (1, 13), (13, 1)]
+        shapes += [tuple(rng.integers(1, 25, 2)) for _ in range(187)]
+        rasters = [rng.integers(0, rng.integers(1, 40), shape) for shape in shapes]
+        for shape in shapes[3:8]:  # blocks with speckle: large components and orphans
+            blocks = np.kron(rng.integers(0, 6, (9, 9)), np.ones((3, 3), dtype=int))
+            blocks = blocks[: shape[0], : shape[1]]
+            rasters.append(np.where(rng.random(shape) < 0.2, rng.integers(0, 6, shape), blocks))
+        # every pixel its own component, so orphans merge over several rounds
+        rasters.append(np.indices((8, 9)).sum(axis=0) % 2)
+        rasters += [5 * labels + 3 for labels in rasters[3:8]]  # ids with gaps
+        for labels in rasters:
             fast, fast_count = graph._enforce_connectivity(labels)
-            slow, slow_count = graph_reference.enforce_connectivity(labels, count)
+            slow, slow_count = graph_reference.enforce_connectivity(labels, labels.max() + 1)
             assert fast_count == slow_count
             assert np.array_equal(fast, slow)
+
+    def test_connectivity_repair_labels_components_once(self, monkeypatch):
+        calls = []
+        label = scipy.ndimage.label
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.ndimage, "label", counted)
+        rng = np.random.default_rng(6)
+        for count in (1, 40, 700):
+            calls.clear()
+            graph._enforce_connectivity(rng.integers(0, count, (30, 40)))
+            assert len(calls) == 1, count
 
 
 class TestAssignmentSemantics:

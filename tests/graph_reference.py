@@ -1,11 +1,12 @@
 """Loop-per-item versions of the graph front end, kept as test references.
 
 ``depthcrf.graph`` evaluates the SLIC assignment in blocks of centres,
+skipping window cells that cannot win and stopping at a fixed point,
 repairs connectivity from one labelling pass over a doubled grid and
 contracts patches in batches.  The functions here are the straightforward
-loops those replace: one pass per centre, one full-image ``ndimage.label``
-and full-image dilations per label, and one three-operand ``einsum`` per
-superpixel.  Tests require labels and every
+loops those replace: a full pass per centre in each of ``iters`` sweeps,
+one full-image ``ndimage.label`` and full-image dilations per label, and
+one three-operand ``einsum`` per superpixel.  Tests require labels and every
 feature except ``patch`` to match them bit for bit, and ``patch`` to match
 within 1e-12 (its contraction order differs).
 """

@@ -335,7 +335,7 @@ class TestAgainstReferenceLoops:
     """The blocked front end against the loop-per-item versions it replaced."""
 
     @pytest.mark.parametrize("mode", ["slic", "grid"])
-    @pytest.mark.parametrize("target", [150, 700])
+    @pytest.mark.parametrize("target", [150, 700, 2000])
     def test_graph_matches_reference(self, target, mode):
         cfg = GraphConfig(target_superpixels=target, seg_mode=mode)
         for spec in REFERENCE_CORPUS:
@@ -374,6 +374,35 @@ class TestAgainstReferenceLoops:
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
 
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    def test_assignment_matches_reference_for_any_hint(self, monkeypatch, block_cells):
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(12)
+        for case in range(150):
+            height, width = rng.integers(1, 14, 2)
+            count = int(rng.integers(1, 12))
+            # few colour levels and half-pixel centres force exact ties
+            levels = int(rng.integers(2, 5))
+            image = rng.integers(0, levels, (height, width, 3)) / (levels - 1)
+            colors = rng.integers(0, levels, (count, 3)) / (levels - 1)
+            centers = np.round(rng.uniform(0, [height - 1, width - 1], (count, 2)) * 2) / 2
+            if case % 2:
+                centers += rng.uniform(0, 0.5, centers.shape)
+            spatial_scale = float(rng.choice([0.0, 0.02, 0.3, 1.0]))
+            reach = int(rng.integers(0, 15))  # up to windows past every border
+            fallback = rng.integers(0, count, (height, width))
+            args = (image, centers, colors, spatial_scale, reach, fallback)
+            expected = graph_reference.assign(*args)
+            # ids without a centre, the exact answer and a sweep-like hint
+            hints = [
+                rng.integers(-2, count + 3, (height, width)),
+                expected,
+                np.where(rng.random((height, width)) < 0.3, fallback, expected),
+            ]
+            for hint in hints:
+                labels = graph._assign(*args, hint)
+                assert np.array_equal(labels, expected), case
+
     def test_connectivity_repair_on_fragmented_labels(self):
         rng = np.random.default_rng(5)
         shapes = [(1, 1), (1, 13), (13, 1)]
@@ -391,6 +420,28 @@ class TestAgainstReferenceLoops:
             slow, slow_count = graph_reference.enforce_connectivity(labels, labels.max() + 1)
             assert fast_count == slow_count
             assert np.array_equal(fast, slow)
+
+    def test_slic_stops_at_a_fixed_point(self, monkeypatch):
+        calls = []
+        assign = graph._assign
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assign(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_assign", counted)
+        # test_graph_matches_reference[2000-slic] checks this scene's labels
+        graph.segment(synth.generate(REFERENCE_CORPUS[0]).image, 2000)
+        assert len(calls) < 10
+
+    def test_fixed_point_needs_unchanged_colours_too(self):
+        # the first update leaves both centres in place but moves their
+        # colours from one sampled pixel to the cell mean, and the sweep
+        # after it regroups the pixels by grey level
+        grey = np.array([[0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 1]])
+        image = np.repeat(grey[:, :, None], 3, axis=2).astype(float)
+        labels, _ = graph.segment(image, 2)
+        assert np.array_equal(labels, graph_reference.segment(image, 2)[0])
 
     def test_connectivity_repair_labels_components_once(self, monkeypatch):
         calls = []
@@ -464,14 +515,24 @@ class TestAssignmentSemantics:
         assert np.array_equal(final, slow)
 
 
-def test_front_end_working_set_stays_small():
+def front_end_peak(target):
+    """tracemalloc peak of segmenting and describing the seed-3 synth scene."""
     sample = synth.generate(synth.SceneSpec(seed=3))
     tracemalloc.start()
     try:
-        labels, centroids = graph.segment(sample.image, 700)
+        labels, centroids = graph.segment(sample.image, target)
         sample.labels, sample.centroids = labels, centroids
         graph.extract_features(sample, box_size=24, patch_dim=8)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_front_end_working_set_stays_small():
+    assert front_end_peak(700) < 8 * 2**20
+
+
+def test_front_end_working_set_stays_small_at_150_superpixels():
+    # reach 21 here, so windows overhang the 128x128 image far more than at
+    # 700; sweeps over the fully padded image peaked at 4.29 MB
+    assert front_end_peak(150) < 3.5 * 2**20

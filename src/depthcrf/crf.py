@@ -23,16 +23,17 @@ diagonally dominant with positive diagonal, hence symmetric positive
 definite, so a Cholesky factorization carries the solves and the
 log-determinant.
 
-``A`` is factored in blocks, in the natural node order.  SLIC and grid
-labels are numbered in row-major seed order, so an edge joins nodes whose
-labels differ by about one row of superpixels at most: the bandwidth
-``max(q - p)`` is small (13, 27 and about 90 on synthetic scenes of 150,
-700 and 2000 superpixels).  Cutting the nodes into consecutive blocks no
-smaller than the bandwidth puts every edge inside a diagonal block or the
-block just below it, so ``A`` is block tridiagonal.  Its block Cholesky
-factor is block bidiagonal, and the blocks of ``A^{-1}`` on that pattern
-follow from the factor alone by selected inversion (Takahashi, Fagan & Chin
-1973; Rue & Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A
+``A`` is factored in blocks, in the natural node order: node ``v`` is row
+``v`` of the factor.  SLIC and grid labels are numbered in row-major seed
+order, so an edge joins nodes whose labels differ by about one row of
+superpixels at most: the bandwidth ``max(q - p)`` is small (13, 27 and
+about 90 on synthetic scenes of 150, 700 and 2000 superpixels).  Cutting
+the nodes into consecutive blocks no narrower than the bandwidth puts every
+edge inside a diagonal block or the block just below it, so ``A`` is block
+tridiagonal; only the last block is padded.  Its block Cholesky factor is
+block bidiagonal, and the blocks of ``A^{-1}`` on that pattern follow from
+the factor alone by selected inversion (Takahashi, Fagan & Chin 1973; Rue
+& Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A
 graph whose bandwidth is near ``n``, such as a random dense one, is a
 single block, which is the plain dense Cholesky factorization.  The trace
 term of the beta gradient reads ``A^{-1}`` only on the diagonal and the
@@ -169,14 +170,14 @@ class CrfInstance:
 class Precision:
     """Block Cholesky factor and log|A| of the block tridiagonal precision A.
 
-    A = L L' with L block lower bidiagonal.  Node ``v`` sits at row
-    ``slots[v]`` of a padded matrix of ``m`` blocks of ``w`` rows each;
-    padding rows are decoupled with a unit diagonal.  ``inv_diag[i]`` is the
-    inverse of the lower triangular diagonal block L_ii, so that every solve
-    below is a matrix product, and ``sub[i]`` is the block L_{i+1,i}.
+    A = L L' with L block lower bidiagonal, over ``m`` blocks of ``w`` rows.
+    Node ``v`` is row ``v``; the ``m * w - n`` padding rows all sit at the
+    tail of the last block, decoupled with a unit diagonal.  ``inv_diag[i]``
+    is the inverse of the lower triangular diagonal block L_ii, so that every
+    solve below is a matrix product, and ``sub[i]`` is the block L_{i+1,i}.
     """
 
-    slots: np.ndarray
+    n: int
     inv_diag: np.ndarray
     sub: np.ndarray
     logdet: float
@@ -186,7 +187,7 @@ class Precision:
         rhs = np.asarray(rhs, dtype=float)
         m, w = self.inv_diag.shape[:2]
         x = np.zeros((m * w,) + rhs.shape[1:])
-        x[self.slots] = rhs
+        x[: self.n] = rhs
         x = x.reshape((m, w) + rhs.shape[1:])
         for i in range(m):
             if i:
@@ -196,7 +197,7 @@ class Precision:
             if i + 1 < m:
                 x[i] -= self.sub[i].T @ x[i + 1]
             x[i] = self.inv_diag[i].T @ x[i]
-        return x.reshape((m * w,) + rhs.shape[1:])[self.slots]
+        return x.reshape((m * w,) + rhs.shape[1:])[: self.n]
 
     def selected_inverse(self, rows, cols):
         """Entries (A^{-1})[rows, cols], each on the diagonal or an edge of A.
@@ -215,9 +216,8 @@ class Precision:
                 h = self.sub[i] @ inv_l
                 blocks[m + i] = -(blocks[i + 1] @ h)
                 blocks[i] -= blocks[m + i].T @ h
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        lo_block, lo_at = np.divmod(self.slots[lo], w)
-        hi_block, hi_at = np.divmod(self.slots[hi], w)
+        lo_block, lo_at = np.divmod(np.minimum(rows, cols), w)
+        hi_block, hi_at = np.divmod(np.maximum(rows, cols), w)
         if np.any(hi_block - lo_block > 1):
             raise ValueError("entries outside the block tridiagonal pattern")
         return blocks[np.where(hi_block == lo_block, lo_block, m + lo_block), hi_at, lo_at]
@@ -232,21 +232,6 @@ def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarr
     return weights.beta @ instance.similarities
 
 
-def _block_slots(n, bandwidth):
-    """Padded row of each node and the block width.
-
-    ``n // size`` blocks of sizes differing by at most one, each at least
-    ``size = max(bandwidth, MIN_BLOCK)`` nodes (or all ``n``), so an edge
-    never skips a block; padding each block up to the largest adds fewer
-    rows than there are blocks.
-    """
-    size = min(max(bandwidth, MIN_BLOCK), n)
-    count = n // size
-    sizes = n // count + (np.arange(count) < n % count)
-    width = int(sizes[0])
-    return np.flatnonzero(np.arange(width) < sizes[:, None]), count, width
-
-
 def build_precision(n: int, edges, couplings) -> Precision:
     """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``edges[e]``.
 
@@ -258,12 +243,17 @@ def build_precision(n: int, edges, couplings) -> Precision:
     if edges.ndim != 2 or edges.shape[1] != 2 or couplings.shape != (len(edges),):
         raise ValueError("need an (E, 2) edge array and one coupling per edge")
     lo, hi = edges.min(axis=1), edges.max(axis=1)
-    slots, m, w = _block_slots(n, int(np.max(hi - lo, initial=0)))
-    lo_block, lo_at = np.divmod(slots[lo], w)
-    hi_block, hi_at = np.divmod(slots[hi], w)
+    # blocks of w = ceil(n / (n // size)) >= size = max(bandwidth, MIN_BLOCK)
+    # rows (or one of all n), so an edge never skips a block; the last of the
+    # m = ceil(n / w) blocks holds the remainder and fewer than w padding rows
+    size = min(max(int(np.max(hi - lo, initial=0)), MIN_BLOCK), n)
+    w = -(-n // (n // size))
+    m = -(-n // w)
+    lo_block, lo_at = np.divmod(lo, w)
+    hi_block, hi_at = np.divmod(hi, w)
     inside = lo_block == hi_block
     diagonal = np.ones(m * w)
-    diagonal[slots] += np.bincount(lo, couplings, minlength=n) + np.bincount(
+    diagonal[:n] += np.bincount(lo, couplings, minlength=n) + np.bincount(
         hi, couplings, minlength=n
     )
     # lower triangles of the diagonal blocks of A, and the blocks A_{i+1,i}
@@ -288,7 +278,7 @@ def build_precision(n: int, edges, couplings) -> Precision:
         if i + 1 < m:
             # L_{i+1,i} = A_{i+1,i} L_ii^{-T}
             sub[i] = sub[i] @ inv_diag[i].T
-    return Precision(slots=slots, inv_diag=inv_diag, sub=sub, logdet=logdet)
+    return Precision(n=n, inv_diag=inv_diag, sub=sub, logdet=logdet)
 
 
 def _precision_for(instance, weights):

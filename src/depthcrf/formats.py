@@ -87,6 +87,8 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: malformed PPM header")
     if maxval != 255:
         raise FormatError(f"{path}: expected 8-bit PPM, maxval {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: a {width}x{height} PPM has no pixels")
     expected = width * height * 3
     data = blob[pos : pos + expected]
     if len(data) != expected:

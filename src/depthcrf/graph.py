@@ -56,12 +56,11 @@ BLOCK_CELLS = 32768
 
 @dataclass
 class SceneSample:
-    """One scene: image in [0, 1], positive depth in meters, optional labeling."""
+    """One scene as its files hold it: image in [0, 1], optional positive
+    depth in meters.  Segmentation output travels beside it, not in it."""
 
     image: np.ndarray
     depth: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    centroids: np.ndarray | None = None
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=float)
@@ -77,14 +76,6 @@ class SceneSample:
             if not np.all(np.isfinite(depth)) or np.any(depth <= 0.0):
                 raise ValueError("depth values must be finite and positive")
             self.depth = depth
-        if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != img.shape[:2]:
-                raise ValueError("label raster must match the image size")
-            ids = np.unique(labels)
-            if not np.array_equal(ids, np.arange(ids.size)):
-                raise ValueError("labels must cover 0..n-1 with no gaps")
-            self.labels = labels.astype(np.intp)
 
     @property
     def shape(self):
@@ -102,6 +93,14 @@ class GraphConfig:
     patch_dim: int = 8
     gammas: tuple[float, float, float] = (2.0, 2.0, 2.0)
     use_centroid_depth: bool = False
+
+    def __post_init__(self):
+        if min(self.target_superpixels, self.box_size, self.patch_dim) < 1:
+            raise ValueError("target_superpixels, box_size and patch_dim must be positive")
+        if self.seg_mode not in ("grid", "slic"):
+            raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
+        if len(self.gammas) != 3 or not all(0.0 < g < np.inf for g in self.gammas):
+            raise ValueError("gammas must be three positive finite reals")
 
 
 @dataclass
@@ -383,14 +382,14 @@ def _area_average_weights(src: int, dst: int) -> np.ndarray:
     return weights
 
 
-def extract_features(sample: SceneSample, box_size: int, patch_dim: int,
+def extract_features(sample: SceneSample, labels, centroids, box_size: int, patch_dim: int,
                      use_centroid_depth: bool = False) -> SuperpixelFeatures:
-    """Per-superpixel descriptors; the sample must carry labels and centroids."""
-    if sample.labels is None or sample.centroids is None:
-        raise ValueError("sample must be segmented first")
+    """Per-superpixel descriptors of a scene segmented into ``labels`` (ids
+    0..n-1, row v of every output describing id v) and their ``centroids``,
+    as ``segment`` returns them."""
     if box_size < 1 or patch_dim < 1:
         raise ValueError("box size and patch resolution must be positive")
-    image, labels, centroids = sample.image, sample.labels, sample.centroids
+    image = sample.image
     height, width = sample.shape
     count = int(labels.max()) + 1
     sizes = np.bincount(labels.ravel(), minlength=count).astype(float)
@@ -470,11 +469,8 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     labels, centroids = segment(
         sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
     )
-    segmented = SceneSample(
-        image=sample.image, depth=sample.depth, labels=labels, centroids=centroids
-    )
     features = extract_features(
-        segmented, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
+        sample, labels, centroids, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
     )
     edges = adjacency(labels)
     sims = similarities(features, cfg.gammas, edges)

@@ -19,14 +19,14 @@ The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
 prediction and resumed training reproduce them.  Each prepared scene keeps
-its graph as the canonical edge list and per-edge (3, E) similarities,
-stored read-only so that every step's ``CrfInstance`` shares them without
-copying.
+its graph and ground truth as one read-only ``CrfInstance``, built once;
+a step replaces only its ``z``, and the new instance shares the edge list,
+the per-edge (3, E) similarities and the targets without copying them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,19 +72,16 @@ class TrainConfig:
 
 @dataclass
 class PreparedScene:
-    """One image, ready for the loss: standardized inputs, graph, targets.
-
-    ``similarities`` has shape (3, E), column e belonging to ``edges[e]``.
-    """
+    """One image, ready for the loss: regressor inputs (standardized by
+    ``prepare_dataset``) and the read-only CRF instance of its graph and
+    ground truth, whose ``z`` each step replaces."""
 
     inputs: np.ndarray
-    similarities: np.ndarray
-    edges: np.ndarray
-    target: np.ndarray
+    instance: CrfInstance
 
     @property
     def n(self):
-        return self.target.size
+        return self.instance.n
 
 
 @dataclass
@@ -116,18 +113,13 @@ def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
     data = build_graph(sample, graph_cfg)
     if data.features.gt_logdepth is None:
         raise ValueError("training scenes need ground-truth depth")
-    template = CrfInstance(
+    instance = CrfInstance(
         z=np.zeros(data.features.gt_logdepth.size),
         similarities=data.similarities,
         edges=data.edges,
         y=data.features.gt_logdepth,
     )
-    return PreparedScene(
-        inputs=data.features.patch,
-        similarities=template.similarities,
-        edges=template.edges,
-        target=template.y,
-    )
+    return PreparedScene(inputs=data.features.patch, instance=instance)
 
 
 def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
@@ -187,14 +179,8 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
             keep_prob=config.dropout_keep,
         )
         _require_finite(state, "regressor output", z)
-        instance = CrfInstance(
-            z=z,
-            similarities=scene.similarities,
-            edges=scene.edges,
-            y=scene.target,
-        )
         try:
-            value, gz, gb = crf.nll_with_grads(instance, weights)
+            value, gz, gb = crf.nll_with_grads(replace(scene.instance, z=z), weights)
         except FactorizationError as exc:
             raise _diverged(state, str(exc)) from exc
         loss += value

@@ -66,7 +66,8 @@ def nll_with_grads(instance, weights):
 
 def block_factor(prec) -> np.ndarray:
     """The dense lower triangular L with A = L L', assembled from the blocks
-    of a ``crf.Precision`` and stripped of its padding rows."""
+    of a ``crf.Precision``; node v is row v, so the leading [:n, :n] corner
+    drops the padding rows at the tail."""
     m, w = prec.inv_diag.shape[:2]
     factor = np.zeros((m * w, m * w))
     for i in range(m):
@@ -74,4 +75,4 @@ def block_factor(prec) -> np.ndarray:
         factor[rows, rows] = np.linalg.inv(prec.inv_diag[i])
         if i + 1 < m:
             factor[(i + 1) * w:(i + 2) * w, rows] = prec.sub[i]
-    return factor[np.ix_(prec.slots, prec.slots)]
+    return factor[: prec.n, : prec.n]

@@ -130,11 +130,8 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     labels, centroids = segment(
         sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
     )
-    segmented = SceneSample(
-        image=sample.image, depth=sample.depth, labels=labels, centroids=centroids
-    )
     features = graph.extract_features(
-        segmented, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
+        sample, labels, centroids, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
     )
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)

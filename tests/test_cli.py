@@ -232,6 +232,7 @@ INCONSISTENT_CHECKPOINTS = {
     "negative-beta": (r"TENSOR beta 3\n\S+", "TENSOR beta 3\n-0.5"),
     "widths-differ-from-config": (r"CONFIG hidden_dims 8", "CONFIG hidden_dims 9"),
     "bad-config-value": (r"CONFIG momentum .*", "CONFIG momentum lots"),
+    "zero-box-size": (r"CONFIG box_size .*", "CONFIG box_size 0"),
     "non-numeric-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1lots"),
 }
 
@@ -301,6 +302,28 @@ def test_superpixel_count_above_the_pixel_count_exits_2(tmp_path, capsys, traine
     err = capsys.readouterr().err
     assert err.count("target_superpixels=100000 exceeds the 2304 pixels of a 48x48 image") == 2
     assert "target_superpixels=16 exceeds the 9 pixels of a 3x3 image" in err
+
+
+@pytest.mark.parametrize("bad", ["box_size=0", "patch_dim=0", "target_superpixels=0",
+                                 "gamma_color=0", "seg_mode=watershed"])
+def test_bad_graph_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
+    data, _ = trained
+    bad_set = [*FAST, "--set", bad]
+    assert main(["synth", "--out", str(tmp_path / "d"), *bad_set]) == 2
+    assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "r"), *bad_set]) == 2
+    rc = main(["sweep-superpixels", "--train-dataset", str(data), "--test-dataset", str(data),
+               "--counts", "9", "--out", str(tmp_path / "s.csv"), *bad_set])
+    assert rc == 2 and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.count("configuration error") == 3
+
+
+def test_predict_rejects_an_image_without_pixels(tmp_path, capsys, trained):
+    _, checkpoint = trained
+    (tmp_path / "empty.ppm").write_bytes(b"P6\n0 5\n255\n")
+    rc = main(["predict", "--checkpoint", str(checkpoint), "--image", str(tmp_path / "empty.ppm"),
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 3 and not (tmp_path / "p.txt").exists()
+    assert "has no pixels" in capsys.readouterr().err
 
 
 def test_strong_coupling_smooths_the_prediction(tmp_path):

@@ -294,6 +294,8 @@ class TestDenseReference:
         assert rel_err(crf.nll(inst, w), ref_value) < 1e-12
         assert rel_err(crf.map_infer(inst, w), crf_reference.map_infer(inst, w)) < 1e-12
         prec = crf.build_precision(inst.n, inst.edges, crf.coupling_matrix(inst, w))
+        m, w_rows = prec.inv_diag.shape[:2]
+        assert (m - 1) * w_rows < inst.n <= m * w_rows  # padding only in the last block
         _, ref_chol, ref_logdet = crf_reference.precision(inst, w)
         assert rel_err(prec.logdet, ref_logdet) < 1e-12
         assert rel_err(crf_reference.block_factor(prec), ref_chol) < 1e-12

@@ -66,6 +66,11 @@ def test_ppm_rejects_bad_inputs(tmp_path):
     short.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
     with pytest.raises(FormatError):
         read_ppm(short)
+    for header in (b"P6\n0 5\n255\n", b"P6\n5 0\n255\n", b"P6\n0 0\n255\n"):
+        empty = tmp_path / "empty.ppm"
+        empty.write_bytes(header)
+        with pytest.raises(FormatError, match="has no pixels"):
+            read_ppm(empty)
 
 
 def test_depth_raster_round_trip_is_lossless(tmp_path):

@@ -38,12 +38,6 @@ class TestSceneSample:
         with pytest.raises(ValueError):
             SceneSample(image=np.zeros((4, 4, 3)), depth=np.zeros((4, 4)))
 
-    def test_rejects_gappy_labels(self):
-        labels = np.zeros((4, 4), dtype=int)
-        labels[2:, :] = 2
-        with pytest.raises(ValueError):
-            SceneSample(image=np.zeros((4, 4, 3)), labels=labels)
-
 
 class TestGridSegmentation:
     def test_four_blocks_on_ten_by_ten(self):
@@ -154,15 +148,10 @@ class TestLbp:
 
 
 class TestFeatures:
-    def test_requires_segmentation(self):
-        with pytest.raises(ValueError):
-            graph.extract_features(flat_scene(), box_size=4, patch_dim=2)
-
     def test_constant_scene_features(self):
         sample = flat_scene(depth=3.0)
         labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        sample.labels, sample.centroids = labels, centroids
-        feats = graph.extract_features(sample, box_size=4, patch_dim=2)
+        feats = graph.extract_features(sample, labels, centroids, box_size=4, patch_dim=2)
         assert np.allclose(feats.mean_color, [0.4, 0.6, 0.2])
         assert np.allclose(feats.color_hist.sum(axis=1), 1.0)
         assert np.allclose(feats.lbp_hist.sum(axis=1), 1.0)
@@ -175,12 +164,10 @@ class TestFeatures:
         image = np.zeros((2, 2, 3))
         image[..., 0] = [[0.0, 0.05], [0.95, 1.0]]
         image[..., 1] = 0.55
-        sample = SceneSample(
-            image=image,
-            labels=np.zeros((2, 2), dtype=int),
-            centroids=np.array([[0.5, 0.5]]),
+        feats = graph.extract_features(
+            SceneSample(image=image), np.zeros((2, 2), dtype=int), np.array([[0.5, 0.5]]),
+            box_size=2, patch_dim=1,
         )
-        feats = graph.extract_features(sample, box_size=2, patch_dim=1)
         hist = feats.color_hist[0]
         red, green, blue = hist[:10], hist[10:20], hist[20:30]
         assert np.allclose(red, np.r_[2, 0, 0, 0, 0, 0, 0, 0, 0, 2] / 12)
@@ -196,12 +183,10 @@ class TestFeatures:
     def test_patch_block_average(self):
         image = np.zeros((4, 4, 3))
         image[..., 0] = np.arange(16).reshape(4, 4) / 16.0
-        sample = SceneSample(
-            image=image,
-            labels=np.zeros((4, 4), dtype=int),
-            centroids=np.array([[1.5, 1.5]]),
+        feats = graph.extract_features(
+            SceneSample(image=image), np.zeros((4, 4), dtype=int), np.array([[1.5, 1.5]]),
+            box_size=4, patch_dim=2,
         )
-        feats = graph.extract_features(sample, box_size=4, patch_dim=2)
         patch = feats.patch[0].reshape(2, 2, 3)
         blocks = image[..., 0].reshape(2, 2, 2, 2).mean(axis=(1, 3))
         assert np.allclose(patch[..., 0], blocks)
@@ -209,12 +194,10 @@ class TestFeatures:
     def test_patch_replicates_at_borders(self):
         image = np.zeros((6, 6, 3))
         image[..., 2] = np.linspace(0, 1, 36).reshape(6, 6)
-        sample = SceneSample(
-            image=image,
-            labels=np.zeros((6, 6), dtype=int),
-            centroids=np.array([[0.0, 0.0]]),
+        feats = graph.extract_features(
+            SceneSample(image=image), np.zeros((6, 6), dtype=int), np.array([[0.0, 0.0]]),
+            box_size=4, patch_dim=4,
         )
-        feats = graph.extract_features(sample, box_size=4, patch_dim=4)
         patch = feats.patch[0].reshape(4, 4, 3)
         rows = np.clip(np.arange(-2, 2), 0, 5)
         expected = image[np.ix_(rows, rows)][..., 2]
@@ -224,9 +207,10 @@ class TestFeatures:
         sample = flat_scene(height=8, width=8)
         sample.depth = np.linspace(1.0, 3.0, 64).reshape(8, 8)
         labels, centroids = graph.segment(sample.image, 1, mode="grid")
-        sample.labels, sample.centroids = labels, centroids
-        mean_route = graph.extract_features(sample, 4, 2)
-        center_route = graph.extract_features(sample, 4, 2, use_centroid_depth=True)
+        mean_route = graph.extract_features(sample, labels, centroids, 4, 2)
+        center_route = graph.extract_features(
+            sample, labels, centroids, 4, 2, use_centroid_depth=True
+        )
         assert np.allclose(mean_route.gt_logdepth, np.log(sample.depth.mean()))
         center = sample.depth[4, 4]  # centroid (3.5, 3.5) rounds to pixel (4, 4)
         assert np.allclose(center_route.gt_logdepth, np.log(center))
@@ -235,8 +219,7 @@ class TestFeatures:
         sample = flat_scene()
         sample.depth = None
         labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        sample.labels, sample.centroids = labels, centroids
-        feats = graph.extract_features(sample, 4, 2)
+        feats = graph.extract_features(sample, labels, centroids, 4, 2)
         assert feats.gt_logdepth is None
 
 
@@ -246,8 +229,7 @@ class TestSimilarities:
         image = np.clip(rng.normal(0.5, 0.2, (24, 24, 3)), 0, 1)
         sample = SceneSample(image=image, depth=np.full((24, 24), 2.0))
         labels, centroids = graph.segment(image, 9, mode="grid")
-        sample.labels, sample.centroids = labels, centroids
-        feats = graph.extract_features(sample, 6, 3)
+        feats = graph.extract_features(sample, labels, centroids, 6, 3)
         edges = graph.adjacency(labels)
         return feats, edges
 
@@ -262,8 +244,7 @@ class TestSimilarities:
     def test_identical_features_give_unit_similarity(self):
         sample = flat_scene()
         labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        sample.labels, sample.centroids = labels, centroids
-        feats = graph.extract_features(sample, 4, 2)
+        feats = graph.extract_features(sample, labels, centroids, 4, 2)
         edges = graph.adjacency(labels)
         sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges)
         assert np.allclose(sims, 1.0)
@@ -280,6 +261,17 @@ class TestSimilarities:
         feats, edges = self.build()
         with pytest.raises(ValueError):
             graph.similarities(feats, (1.0, -1.0, 1.0), edges)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(seg_mode="watershed"),
+     dict(gammas=(2.0, 0.0, 2.0)), dict(gammas=(2.0, np.inf, 2.0)),
+     dict(gammas=(np.nan, 2.0, 2.0)), dict(gammas=(2.0, 2.0))],
+)
+def test_graph_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        GraphConfig(**bad)
 
 
 class TestBuildGraph:
@@ -308,8 +300,7 @@ class TestBuildGraph:
         def features_of(img, dep):
             sample = SceneSample(image=img, depth=dep)
             labels, centroids = graph.segment(img, 25, mode="grid")
-            sample.labels, sample.centroids = labels, centroids
-            return graph.extract_features(sample, box_size=3, patch_dim=3)
+            return graph.extract_features(sample, labels, centroids, box_size=3, patch_dim=3)
 
         base = features_of(image, depth)
         moved = features_of(rolled_img, rolled_depth)
@@ -521,8 +512,7 @@ def front_end_peak(target):
     tracemalloc.start()
     try:
         labels, centroids = graph.segment(sample.image, target)
-        sample.labels, sample.centroids = labels, centroids
-        graph.extract_features(sample, box_size=24, patch_dim=8)
+        graph.extract_features(sample, labels, centroids, box_size=24, patch_dim=8)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

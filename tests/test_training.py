@@ -1,5 +1,7 @@
 """The SGD loop: objective accounting, updates, schedules, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,9 +39,7 @@ def objective(state, scenes, config, beta=None):
     total = 0.0
     for scene in scenes:
         z, _ = unary.forward(state.model, scene.inputs)
-        inst = CrfInstance(z=z, similarities=scene.similarities,
-                           edges=scene.edges, y=scene.target)
-        total += crf.nll(inst, weights)
+        total += crf.nll(replace(scene.instance, z=z), weights)
     theta = unary.get_params(state.model)
     total += 0.5 * config.lambda1 * float(theta @ theta)
     total += 0.5 * config.lambda2 * float(beta @ beta)
@@ -58,8 +58,8 @@ class TestPreparation:
         for scene in tiny_scenes():
             n = scene.n
             assert scene.inputs.shape == (n, 27)
-            assert scene.similarities.shape == (3, len(scene.edges))
-            assert scene.target.shape == (n,)
+            assert scene.instance.similarities.shape == (3, len(scene.instance.edges))
+            assert scene.instance.y.shape == (n,)
 
     def test_requires_depth(self):
         sample = synth.generate(SceneSpec(height=24, width=24))
@@ -135,15 +135,34 @@ class TestStep:
         assert rel_err(unary.get_params(state.model) - theta0, -config.lr0 * fd_theta) < 1e-4
         assert rel_err(state.beta - beta0, -config.lr0 * fd_beta) < 1e-4
 
+    def test_step_shares_the_scene_arrays(self, monkeypatch):
+        # each step's instance differs from the prepared one in z alone:
+        # graph and targets are the scene's own read-only arrays, not copies
+        scenes = tiny_scenes(count=2)
+        seen = []
+        nll_with_grads = crf.nll_with_grads
+
+        def spy(instance, weights):
+            seen.append(instance)
+            return nll_with_grads(instance, weights)
+
+        monkeypatch.setattr(crf, "nll_with_grads", spy)
+        config = quiet_config()
+        training.step(training.init_state(DIMS, config), scenes, config)
+        assert len(seen) == len(scenes)
+        for scene, instance in zip(scenes, seen):
+            for name in ("similarities", "edges", "y"):
+                assert np.shares_memory(getattr(instance, name), getattr(scene.instance, name))
+            assert not np.shares_memory(instance.z, scene.instance.z)
+
     def test_beta_projection_clamps_at_zero(self):
         # a violent depth jump across one edge makes every beta gradient
         # positive, so a huge learning rate drives beta through zero
         n = 2
         scene = training.PreparedScene(
             inputs=np.zeros((n, 3)),
-            similarities=np.ones((3, 1)),
-            edges=np.array([[0, 1]]),
-            target=np.array([10.0, -10.0]),
+            instance=CrfInstance(z=np.zeros(n), similarities=np.ones((3, 1)),
+                                 edges=np.array([[0, 1]]), y=np.array([10.0, -10.0])),
         )
         config = quiet_config(lr0=1e9)
         state = training.init_state((3, 1), config)
@@ -174,9 +193,8 @@ class TestStep:
         n, d = 4, 3
         scene = training.PreparedScene(
             inputs=np.zeros((n, d)),
-            similarities=np.zeros((3, 0)),
-            edges=np.empty((0, 2), dtype=np.intp),
-            target=np.zeros(n),
+            instance=CrfInstance(z=np.zeros(n), similarities=np.zeros((3, 0)),
+                                 edges=np.empty((0, 2), dtype=np.intp), y=np.zeros(n)),
         )
         config = quiet_config(lr0=0.5)
         state = training.init_state((d, 1), config)
@@ -243,6 +261,6 @@ class TestUnaryOnly:
         state = training.init_state(DIMS, config)
         loss = training.step(state, scenes, config, unary_only=True)
         z, _ = unary.forward(state.model, scenes[0].inputs)
-        expected = float(np.sum((scenes[0].target - z) ** 2))
+        expected = float(np.sum((scenes[0].instance.y - z) ** 2))
         expected += 0.5 * scenes[0].n * np.log(np.pi)
         assert rel_err(loss, expected) < 1e-9

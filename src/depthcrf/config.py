@@ -13,6 +13,7 @@ and ``#`` comments ignored.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .graph import GraphConfig
@@ -31,6 +32,13 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_int_tuple(text: str):
@@ -151,7 +159,7 @@ class RunConfig:
 
 
 # keyed by annotation text: under __future__ annotations a field's type is a string
-_PARSERS = {"bool": _parse_bool, "tuple": _parse_int_tuple, "int": int, "float": float,
+_PARSERS = {"bool": _parse_bool, "tuple": _parse_int_tuple, "int": int, "float": _parse_float,
             "str": str.strip}
 
 

@@ -17,7 +17,10 @@ is a Gaussian integral and everything downstream is closed form:
 The graph is an edge list: ``edges[e] = (p, q)`` with ``p < q``, and a
 (K, E) similarity array whose column ``e`` holds edge ``e``'s K channel
 similarities.  The coupling of edge ``e`` is ``r_e = sum_k beta_k s_ke``;
-``R`` holds it at (p, q) and (q, p) and is zero elsewhere.  With
+``R`` holds it at (p, q) and (q, p) and is zero elsewhere.  The graph
+and its similarities come from the image, so they stay fixed for a scene:
+a ``CrfInstance`` holds them, checked once.  Only ``z`` and ``beta``
+change between training steps, and every function takes both.  With
 ``beta >= 0`` and similarities in ``[0, 1]`` the matrix ``A`` is strictly
 diagonally dominant with positive diagonal, hence symmetric positive
 definite, so a Cholesky factorization carries the solves and the
@@ -30,7 +33,8 @@ superpixels at most: the bandwidth ``max(q - p)`` is small (13, 27 and
 about 90 on synthetic scenes of 150, 700 and 2000 superpixels).  Cutting
 the nodes into consecutive blocks no narrower than the bandwidth puts every
 edge inside a diagonal block or the block just below it, so ``A`` is block
-tridiagonal; only the last block is padded.  Its block Cholesky factor is
+tridiagonal; only the last block is padded.  The edges alone fix this
+layout, so the instance stores it.  The block Cholesky factor of ``A`` is
 block bidiagonal, and the blocks of ``A^{-1}`` on that pattern follow from
 the factor alone by selected inversion (Takahashi, Fagan & Chin 1973; Rue
 & Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A
@@ -55,7 +59,7 @@ produced ``z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf
@@ -108,58 +112,66 @@ class PairwiseWeights:
 
 @dataclass(frozen=True)
 class CrfInstance:
-    """One image's graph: regressed values, per-edge similarities, edge set.
+    """One image's graph: node count, per-edge similarities, edge set.
 
     ``edges`` has shape (E, 2) and is canonical: every row ``(p, q)`` has
     ``p < q`` and the rows strictly increase, as ``graph.adjacency`` emits
     them.  ``similarities`` has shape (K, E); column ``e`` holds the K
     channel similarities of ``edges[e]``, each in [0, 1].  ``y`` holds
-    ground-truth log-depths and may be omitted at prediction time.  Every
-    array is stored read-only, so instances rebuilt from another instance's
-    arrays share them without copying.
+    ground-truth log-depths and may be omitted at prediction time.  The
+    regressed values ``z`` change at every training step, so they are an
+    argument of each function below rather than part of the instance.
+
+    The arrays are checked and stored read-only once, when the instance is
+    built, along with the block layout of the precision matrix:
+    ``num_blocks`` blocks of ``block_width`` rows, and ``edge_slots[e]``, the
+    position of edge ``e``'s entry (q, p) in the flattened stack of the
+    diagonal blocks followed by the blocks just below them.
     """
 
-    z: np.ndarray
+    n: int
     similarities: np.ndarray
     edges: np.ndarray
     y: np.ndarray | None = None
+    block_width: int = field(init=False, repr=False, compare=False)
+    num_blocks: int = field(init=False, repr=False, compare=False)
+    edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _frozen(self.z))
-        object.__setattr__(self, "similarities", _frozen(self.similarities))
-        object.__setattr__(self, "edges", _frozen(self.edges, dtype=np.intp))
-        if self.y is not None:
-            object.__setattr__(self, "y", _frozen(self.y))
-        self._check()
-
-    def _check(self):
-        z, sims, edges = self.z, self.similarities, self.edges
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("z must be a vector with at least one node")
-        n = z.size
+        n = int(self.n)
+        if n != self.n or n < 1:
+            raise ValueError("n must be a positive node count")
+        sims, edges = _frozen(self.similarities), _frozen(self.edges, dtype=np.intp)
+        y = None if self.y is None else _frozen(self.y)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must have shape (E, 2)")
         if sims.ndim != 2 or sims.shape[0] < 1 or sims.shape[1] != len(edges):
             raise ValueError(f"similarities must have shape (K, {len(edges)})")
-        if self.y is not None and self.y.shape != (n,):
-            raise ValueError("y must match z in length")
-        for arr in (z, sims) + (() if self.y is None else (self.y,)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("instance arrays must be finite")
-        if np.any(sims < 0) or np.any(sims > 1):
+        if y is not None and (y.shape != (n,) or not np.all(np.isfinite(y))):
+            raise ValueError(f"y must be {n} finite values")
+        if not np.all(np.isfinite(sims)) or np.any(sims < 0) or np.any(sims > 1):
             raise ValueError("similarities must lie in [0, 1]")
+        p, q = edges[:, 0], edges[:, 1]
         if edges.size:
-            p, q = edges[:, 0], edges[:, 1]
             if p.min() < 0 or q.max() >= n:
                 raise ValueError("edge indices out of range")
             if np.any(p >= q):
                 raise ValueError("each edge must be listed as (p, q) with p < q")
             if np.any((p[1:] < p[:-1]) | ((p[1:] == p[:-1]) & (q[1:] <= q[:-1]))):
                 raise ValueError("edges must be sorted and unique")
-
-    @property
-    def n(self):
-        return self.z.size
+        # blocks of w = ceil(n / (n // size)) >= size = max(bandwidth, MIN_BLOCK)
+        # rows (or one of all n), so an edge never skips a block; the last of the
+        # m = ceil(n / w) blocks holds the remainder and fewer than w padding rows
+        size = min(max(int(np.max(q - p, initial=0)), MIN_BLOCK), n)
+        w = -(-n // (n // size))
+        m = -(-n // w)
+        (p_block, p_at), (q_block, q_at) = np.divmod(p, w), np.divmod(q, w)
+        slots = (np.where(q_block == p_block, p_block, m + p_block) * w + q_at) * w + p_at
+        slots.setflags(write=False)
+        checked = dict(n=n, similarities=sims, edges=edges, y=y, block_width=w, num_blocks=m,
+                       edge_slots=slots)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_channels(self):
@@ -175,12 +187,14 @@ class Precision:
     tail of the last block, decoupled with a unit diagonal.  ``inv_diag[i]``
     is the inverse of the lower triangular diagonal block L_ii, so that every
     solve below is a matrix product, and ``sub[i]`` is the block L_{i+1,i}.
+    ``edge_slots`` is the instance's block layout of its edges.
     """
 
     n: int
     inv_diag: np.ndarray
     sub: np.ndarray
     logdet: float
+    edge_slots: np.ndarray
 
     def solve(self, rhs):
         """A^{-1} rhs for a vector or an (n, k) matrix, by block substitution."""
@@ -199,15 +213,15 @@ class Precision:
             x[i] = self.inv_diag[i].T @ x[i]
         return x.reshape((m * w,) + rhs.shape[1:])[: self.n]
 
-    def selected_inverse(self, rows, cols):
-        """Entries (A^{-1})[rows, cols], each on the diagonal or an edge of A.
+    def selected_inverse(self):
+        """A^{-1} on the diagonal, shape (n,), and on the edges, shape (E,).
 
         Selected inversion, walking the blocks upward with
         H_i = L_{i+1,i} L_ii^{-1}:  S_{i+1,i} = -S_{i+1,i+1} H_i  and
         S_ii = L_ii^{-T} L_ii^{-1} - S_{i+1,i}' H_i.
         """
         m, w = self.inv_diag.shape[:2]
-        # blocks[i] = S_ii and blocks[m + i] = S_{i+1,i}
+        # blocks[i] = S_ii and blocks[m + i] = S_{i+1,i}, the layout of edge_slots
         blocks = np.empty((2 * m - 1, w, w))
         for i in reversed(range(m)):
             inv_l = self.inv_diag[i]
@@ -216,52 +230,36 @@ class Precision:
                 h = self.sub[i] @ inv_l
                 blocks[m + i] = -(blocks[i + 1] @ h)
                 blocks[i] -= blocks[m + i].T @ h
-        lo_block, lo_at = np.divmod(np.minimum(rows, cols), w)
-        hi_block, hi_at = np.divmod(np.maximum(rows, cols), w)
-        if np.any(hi_block - lo_block > 1):
-            raise ValueError("entries outside the block tridiagonal pattern")
-        return blocks[np.where(hi_block == lo_block, lo_block, m + lo_block), hi_at, lo_at]
+        diagonal = np.diagonal(blocks[:m], axis1=1, axis2=2).reshape(-1)[: self.n]
+        return diagonal, blocks.reshape(-1)[self.edge_slots]
 
 
 def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
     """The coupling matrix R in edge-list form: r_e = sum_k beta_k s_ke, shape (E,)."""
     if len(weights) != instance.num_channels:
-        raise ValueError(
-            f"expected {instance.num_channels} weights, got {len(weights)}"
-        )
+        raise ValueError(f"expected {instance.num_channels} weights, got {len(weights)}")
     return weights.beta @ instance.similarities
 
 
-def build_precision(n: int, edges, couplings) -> Precision:
-    """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``edges[e]``.
+def build_precision(instance: CrfInstance, couplings) -> Precision:
+    """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``instance.edges[e]``.
 
     Raises FactorizationError when A is not positive definite, which under
     valid inputs (couplings nonnegative) cannot happen.
     """
-    edges = np.asarray(edges, dtype=np.intp)
     couplings = np.asarray(couplings, dtype=float)
-    if edges.ndim != 2 or edges.shape[1] != 2 or couplings.shape != (len(edges),):
-        raise ValueError("need an (E, 2) edge array and one coupling per edge")
-    lo, hi = edges.min(axis=1), edges.max(axis=1)
-    # blocks of w = ceil(n / (n // size)) >= size = max(bandwidth, MIN_BLOCK)
-    # rows (or one of all n), so an edge never skips a block; the last of the
-    # m = ceil(n / w) blocks holds the remainder and fewer than w padding rows
-    size = min(max(int(np.max(hi - lo, initial=0)), MIN_BLOCK), n)
-    w = -(-n // (n // size))
-    m = -(-n // w)
-    lo_block, lo_at = np.divmod(lo, w)
-    hi_block, hi_at = np.divmod(hi, w)
-    inside = lo_block == hi_block
+    if couplings.shape != (len(instance.edges),):
+        raise ValueError("need one coupling per edge")
+    n, w, m = instance.n, instance.block_width, instance.num_blocks
     diagonal = np.ones(m * w)
-    diagonal[:n] += np.bincount(lo, couplings, minlength=n) + np.bincount(
-        hi, couplings, minlength=n
+    diagonal[:n] += np.bincount(instance.edges[:, 0], couplings, minlength=n) + np.bincount(
+        instance.edges[:, 1], couplings, minlength=n
     )
-    # lower triangles of the diagonal blocks of A, and the blocks A_{i+1,i}
-    a_diag = np.zeros((m, w, w))
-    a_diag[:, np.arange(w), np.arange(w)] = diagonal.reshape(m, w)
-    a_diag[lo_block[inside], hi_at[inside], lo_at[inside]] = -couplings[inside]
-    sub = np.zeros((m - 1, w, w))
-    sub[lo_block[~inside], hi_at[~inside], lo_at[~inside]] = -couplings[~inside]
+    # lower triangles of the diagonal blocks of A, then the blocks A_{i+1,i}
+    blocks = np.zeros((2 * m - 1, w, w))
+    blocks[:m, np.arange(w), np.arange(w)] = diagonal.reshape(m, w)
+    blocks.reshape(-1)[instance.edge_slots] = -couplings
+    a_diag, sub = blocks[:m], blocks[m:]
     inv_diag = np.empty_like(a_diag)
     logdet = 0.0
     for i in range(m):
@@ -278,12 +276,15 @@ def build_precision(n: int, edges, couplings) -> Precision:
         if i + 1 < m:
             # L_{i+1,i} = A_{i+1,i} L_ii^{-T}
             sub[i] = sub[i] @ inv_diag[i].T
-    return Precision(n=n, inv_diag=inv_diag, sub=sub, logdet=logdet)
+    return Precision(n, inv_diag, sub, logdet, instance.edge_slots)
 
 
-def _precision_for(instance, weights):
-    couplings = coupling_matrix(instance, weights)
-    return couplings, build_precision(instance.n, instance.edges, couplings)
+def _checked(instance, z):
+    """``z`` as a float vector, after checking it holds n finite values."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (instance.n,) or not np.all(np.isfinite(z)):
+        raise ValueError(f"z must be {instance.n} finite values")
+    return z
 
 
 def _edge_quadratic(edges, weights, v):
@@ -292,78 +293,71 @@ def _edge_quadratic(edges, weights, v):
     return weights @ (diffs * diffs)
 
 
-def _energy(instance, couplings, y):
-    return float(np.sum((y - instance.z) ** 2)) + float(
-        _edge_quadratic(instance.edges, couplings, y)
-    )
+def _energy(instance, z, couplings, y):
+    return float(np.sum((y - z) ** 2)) + float(_edge_quadratic(instance.edges, couplings, y))
 
 
-def energy(instance: CrfInstance, weights: PairwiseWeights, depths) -> float:
+def energy(instance: CrfInstance, z, weights: PairwiseWeights, depths) -> float:
     """Energy of a depth assignment, evaluated term by term.
 
     Equals the quadratic form y'Ay - 2z'y + z'z; the direct sum is kept so
     tests can cross-check the two routes.
     """
+    z = _checked(instance, z)
     y = np.asarray(depths, dtype=float)
     if y.shape != (instance.n,):
         raise ValueError("depth assignment must match the node count")
-    return _energy(instance, coupling_matrix(instance, weights), y)
+    return _energy(instance, z, coupling_matrix(instance, weights), y)
 
 
-def _log_partition(instance, prec, u):
-    z = instance.z
-    return (
-        0.5 * instance.n * np.log(np.pi)
-        - 0.5 * prec.logdet
-        + float(z @ u)
-        - float(z @ z)
-    )
+def _solved(instance, z, weights):
+    """The checked z, the couplings, the factor of A and u = A^{-1} z."""
+    z = _checked(instance, z)
+    couplings = coupling_matrix(instance, weights)
+    prec = build_precision(instance, couplings)
+    return z, couplings, prec, prec.solve(z)
 
 
-def log_partition(instance: CrfInstance, weights: PairwiseWeights) -> float:
+def _log_partition(z, prec, u):
+    return 0.5 * prec.n * np.log(np.pi) - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
+
+
+def log_partition(instance: CrfInstance, z, weights: PairwiseWeights) -> float:
     """log integral of exp(-E) over all depth assignments."""
-    _, prec = _precision_for(instance, weights)
-    return _log_partition(instance, prec, prec.solve(instance.z))
+    z, _, prec, u = _solved(instance, z, weights)
+    return _log_partition(z, prec, u)
 
 
-def _nll(instance, weights):
+def _nll(instance, z, weights):
     """NLL of the ground truth, with the factorization and u = A^{-1} z behind it."""
     if instance.y is None:
         raise ValueError("instance has no ground-truth depths")
-    couplings, prec = _precision_for(instance, weights)
-    u = prec.solve(instance.z)
-    value = _energy(instance, couplings, instance.y) + _log_partition(instance, prec, u)
+    z, couplings, prec, u = _solved(instance, z, weights)
+    value = _energy(instance, z, couplings, instance.y) + _log_partition(z, prec, u)
     return value, prec, u
 
 
-def nll(instance: CrfInstance, weights: PairwiseWeights) -> float:
+def nll(instance: CrfInstance, z, weights: PairwiseWeights) -> float:
     """Negative log-likelihood of the instance's ground-truth depths."""
-    return _nll(instance, weights)[0]
+    return _nll(instance, z, weights)[0]
 
 
-def map_infer(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
+def map_infer(instance: CrfInstance, z, weights: PairwiseWeights) -> np.ndarray:
     """Most probable depth assignment, the solution of A y = z."""
-    _, prec = _precision_for(instance, weights)
-    return prec.solve(instance.z)
+    return _solved(instance, z, weights)[3]
 
 
-def nll_with_grads(instance: CrfInstance, weights: PairwiseWeights):
+def nll_with_grads(instance: CrfInstance, z, weights: PairwiseWeights):
     """NLL plus both gradient blocks from a single factorization.
 
     Returns (nll, grad wrt z, grad wrt beta); what a training step needs.
     Chaining the z gradient with dz/dtheta of the regressor gives the full
     parameter gradient.
     """
-    value, prec, u = _nll(instance, weights)
+    value, prec, u = _nll(instance, z, weights)
     sims, edges = instance.similarities, instance.edges
-    p, q = edges[:, 0], edges[:, 1]
-    inv_pp, inv_qq, inv_pq = prec.selected_inverse(
-        np.concatenate([p, q, p]), np.concatenate([p, q, q])
-    ).reshape(3, -1)
-    traces = sims @ (inv_pp + inv_qq - 2.0 * inv_pq)
-    grad_beta = (
-        _edge_quadratic(edges, sims, instance.y)
-        - _edge_quadratic(edges, sims, u)
-        - 0.5 * traces
-    )
+    inv_diag, inv_pq = prec.selected_inverse()
+    traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)
+    grad_beta = (_edge_quadratic(edges, sims, instance.y) - _edge_quadratic(edges, sims, u)
+                 - 0.5 * traces)
     return value, 2.0 * (u - instance.y), grad_beta

@@ -6,7 +6,8 @@ exactly:
 * images are 8-bit binary PPM (P6), values mapped linearly to [0, 1];
 * depth rasters are text: a ``DEPTH rows cols`` header, then one line per
   row of decimal meters (shortest representation that parses back to the
-  identical float); the reader accepts only finite, positive depths;
+  identical float); the reader accepts only finite, positive depths, in
+  exactly the header's rows and columns, and blank lines after them;
 * dataset manifests are text: a ``MANIFEST v1`` header, then one line per
   sample with the image path, the depth path and the sample's seed, paths
   relative to the manifest;
@@ -117,12 +118,19 @@ def read_depth_raster(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(DEPTH_MAGIC + " "):
         raise FormatError(f"{path}: not a depth raster file")
+    body = []
     try:
         rows, cols = (int(t) for t in lines[0].split()[1:3])
-        body = [line.split() for line in lines[1 : rows + 1]]
-        arr = np.array(body, dtype=float) if all(len(t) == cols for t in body) else None
+        body = lines[1 : rows + 1]
+        # only blank lines may follow the rows; loadtxt skips one among them,
+        # which leaves too few rows
+        fits = min(rows, cols) > 0 and not any(line.strip() for line in lines[rows + 1 :])
+        arr = np.loadtxt(body, comments=None, ndmin=2) if fits else None
     except ValueError:
-        raise FormatError(f"{path}: malformed depth raster")
+        # loadtxt also rejects rows of unequal width, which is a shape mismatch
+        if len({len(line.split()) for line in body}) < 2:
+            raise FormatError(f"{path}: malformed depth raster")
+        arr = None
     if arr is None or arr.shape != (rows, cols):
         raise FormatError(f"{path}: depth raster shape mismatch")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):

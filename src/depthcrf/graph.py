@@ -97,6 +97,8 @@ class GraphConfig:
     def __post_init__(self):
         if min(self.target_superpixels, self.box_size, self.patch_dim) < 1:
             raise ValueError("target_superpixels, box_size and patch_dim must be positive")
+        if not self.compactness >= 0.0:
+            raise ValueError("compactness must be nonnegative")
         if self.seg_mode not in ("grid", "slic"):
             raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
         if len(self.gammas) != 3 or not all(0.0 < g < np.inf for g in self.gammas):

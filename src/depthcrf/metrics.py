@@ -111,8 +111,8 @@ def predict_graph(data: GraphData, predictor: Predictor) -> np.ndarray:
     """Depth raster of a built graph: each superpixel painted with exp(its MAP log-depth)."""
     inputs = (data.features.patch - predictor.input_mean) / predictor.input_std
     z, _ = unary.forward(predictor.model, inputs)
-    instance = CrfInstance(z=z, similarities=data.similarities, edges=data.edges)
-    star = crf.map_infer(instance, PairwiseWeights(predictor.beta))
+    instance = CrfInstance(n=z.size, similarities=data.similarities, edges=data.edges)
+    star = crf.map_infer(instance, z, PairwiseWeights(predictor.beta))
     return np.exp(star)[data.labels]
 
 

@@ -13,7 +13,7 @@ worst error it found.  Acceptance criteria 1-6 and the ``gradcheck`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -43,19 +43,16 @@ def random_edges(rng, n, edge_prob: float = 0.6) -> np.ndarray:
 
 
 def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=None):
-    """A valid random instance plus weights, for randomized cross-checks."""
+    """A valid random (instance, z, weights), for randomized cross-checks."""
     edges = random_edges(rng, n, edge_prob)
     # one row of channel similarities per edge, drawn in edge order
     sims = rng.uniform(0.05, 1.0, size=(len(edges), num_channels)).T
-    instance = CrfInstance(
-        z=rng.normal(0.0, 1.0, size=n),
-        similarities=sims,
-        edges=edges,
-        y=rng.normal(0.0, 1.0, size=n) if with_y else None,
-    )
+    z = rng.normal(0.0, 1.0, size=n)
+    y = rng.normal(0.0, 1.0, size=n) if with_y else None
+    instance = CrfInstance(n=n, similarities=sims, edges=edges, y=y)
     if beta is None:
         beta = rng.uniform(0.1, 1.5, size=num_channels)
-    return instance, PairwiseWeights(beta)
+    return instance, z, PairwiseWeights(beta)
 
 
 def rel_err(actual, expected, floor: float = 1e-12) -> float:
@@ -105,21 +102,21 @@ def direct_coupling(instance, weights) -> np.ndarray:
     return out
 
 
-def direct_energy(instance, weights, points) -> np.ndarray:
+def direct_energy(instance, z, weights, points) -> np.ndarray:
     """Energy by direct summation, vectorized over a trailing batch of points.
 
     ``points`` has shape (..., n); the result drops the last axis.
     """
     pts = np.asarray(points, dtype=float)
     coupling = direct_coupling(instance, weights)
-    total = ((pts - instance.z) ** 2).sum(axis=-1)
+    total = ((pts - z) ** 2).sum(axis=-1)
     for (p, q), r in zip(instance.edges, coupling):
         diff = pts[..., p] - pts[..., q]
         total = total + r * diff * diff
     return total
 
 
-def gaussian_params(instance, weights):
+def gaussian_params(instance, z, weights):
     """Posterior mean and covariance, via generic LU-based linear algebra."""
     a = np.eye(instance.n)
     for (p, q), r in zip(instance.edges, direct_coupling(instance, weights)):
@@ -127,12 +124,10 @@ def gaussian_params(instance, weights):
         a[q, p] -= r
         a[p, p] += r
         a[q, q] += r
-    mean = np.linalg.solve(a, instance.z)
-    cov = 0.5 * np.linalg.inv(a)
-    return mean, cov
+    return np.linalg.solve(a, z), 0.5 * np.linalg.inv(a)
 
 
-def quad_log_partition(instance, weights, spec: QuadratureSpec = QuadratureSpec()):
+def quad_log_partition(instance, z, weights, spec: QuadratureSpec = QuadratureSpec()):
     """log integral of exp(-E) over a box, by the composite trapezoid rule.
 
     Gaussian integrands decay to numerically zero at the box ends, where the
@@ -145,7 +140,7 @@ def quad_log_partition(instance, weights, spec: QuadratureSpec = QuadratureSpec(
         raise ValueError("quadrature oracle handles at most 3 nodes")
     if spec.points < 3:
         raise ValueError("need at least 3 quadrature points per axis")
-    mean, cov = gaussian_params(instance, weights)
+    mean, cov = gaussian_params(instance, z, weights)
     half = spec.half_width
     if half is None:
         half = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
@@ -162,7 +157,7 @@ def quad_log_partition(instance, weights, spec: QuadratureSpec = QuadratureSpec(
     logw = logweights[0]
     for lw in logweights[1:]:
         logw = logw[..., None] + lw
-    return float(logsumexp(-direct_energy(instance, weights, pts) + logw))
+    return float(logsumexp(-direct_energy(instance, z, weights, pts) + logw))
 
 
 def fd_gradient(func, x, h: float = 1e-5) -> np.ndarray:
@@ -179,7 +174,7 @@ def fd_gradient(func, x, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def grid_map(instance, weights, spec: GridSpec) -> np.ndarray:
+def grid_map(instance, z, weights, spec: GridSpec) -> np.ndarray:
     """Lowest-energy point of a uniform grid; dimension capped at 2."""
     n = instance.n
     if n > 2:
@@ -187,12 +182,12 @@ def grid_map(instance, weights, spec: GridSpec) -> np.ndarray:
     axes = [np.linspace(spec.lo, spec.hi, spec.points) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
-    values = direct_energy(instance, weights, pts)
+    values = direct_energy(instance, z, weights, pts)
     best = np.unravel_index(np.argmin(values), values.shape)
     return pts[best]
 
 
-def mc_moments(instance, weights, draws: int, seed: int):
+def mc_moments(instance, z, weights, draws: int, seed: int):
     """Sample mean and covariance of the posterior Gaussian.
 
     Draws y = mean + L e with L the Cholesky factor of the covariance and
@@ -201,7 +196,7 @@ def mc_moments(instance, weights, draws: int, seed: int):
     """
     if draws < 10_000:
         raise ValueError("need at least 10000 draws")
-    mean, cov = gaussian_params(instance, weights)
+    mean, cov = gaussian_params(instance, z, weights)
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((draws, instance.n)) @ chol.T + mean
@@ -229,9 +224,9 @@ def check_log_partition(rng, trials: int) -> Check:
     """log Z of alternately 1- and 2-node instances against quadrature."""
     worst = 0.0
     for i in range(trials):
-        instance, weights = random_instance(rng, 1 + i % 2, with_y=False)
-        analytic = crf.log_partition(instance, weights)
-        worst = np.maximum(worst, rel_err(quad_log_partition(instance, weights), analytic))
+        instance, z, weights = random_instance(rng, 1 + i % 2, with_y=False)
+        analytic = crf.log_partition(instance, z, weights)
+        worst = np.maximum(worst, rel_err(quad_log_partition(instance, z, weights), analytic))
     return Check("log-partition vs quadrature", float(worst), LOG_PARTITION_TOL, "rel err")
 
 
@@ -260,14 +255,14 @@ def _gradient_errors(instance, weights, model, features, z, tape):
     """Relative errors of the z, theta and beta gradients against central differences."""
 
     def nll_at(z, beta=weights.beta):
-        return crf.nll(replace(instance, z=z), PairwiseWeights(beta))
+        return crf.nll(instance, z, PairwiseWeights(beta))
 
     def nll_of_theta(theta):
         probe = unary.UnaryModel(list(model.weights), list(model.biases))
         unary.set_params(probe, theta)
         return nll_at(unary.forward(probe, features)[0])
 
-    _, grad_z, grad_beta = crf.nll_with_grads(replace(instance, z=z), weights)
+    _, grad_z, grad_beta = crf.nll_with_grads(instance, z, weights)
     grad_theta = unary.backward(model, tape, grad_z)
     return (
         rel_err(grad_z, fd_gradient(nll_at, z)),
@@ -285,7 +280,8 @@ def check_gradients(rng, trials: int, nodes: int | None = None, channels: int = 
     worst = np.zeros(3)
     for _ in range(trials):
         n = nodes if nodes is not None else int(rng.integers(2, 21))
-        instance, weights = random_instance(rng, n, num_channels=channels)
+        # the regressor produces z, so the drawn one goes unused
+        instance, _, weights = random_instance(rng, n, num_channels=channels)
         network = _kinkless_network(rng, n)
         worst = np.maximum(worst, _gradient_errors(instance, weights, *network))
     groups = ("regressor outputs (dNLL/dz)", "unary parameters (dNLL/dtheta)",
@@ -301,23 +297,23 @@ def check_map(rng, trials: int):
     """
     worst_cells = 0.0
     for _ in range(trials):
-        instance, weights = random_instance(rng, 2, with_y=False)
-        star = crf.map_infer(instance, weights)
+        instance, z, weights = random_instance(rng, 2, with_y=False)
+        star = crf.map_infer(instance, z, weights)
         # A^-1 has unit row sums over nonnegative entries, so the MAP is a
         # convex combination of z and this box always contains it
-        lo, hi = float(instance.z.min()) - 0.5, float(instance.z.max()) + 0.5
+        lo, hi = float(z.min()) - 0.5, float(z.max()) + 0.5
         spec = GridSpec(lo=lo, hi=hi, points=400)
-        found = grid_map(instance, weights, spec)
+        found = grid_map(instance, z, weights, spec)
         worst_cells = np.maximum(worst_cells, np.max(np.abs(found - star)) / spec.cell)
     margin = -np.inf
     for _ in range(trials):
         n = int(rng.integers(2, 51))
-        instance, weights = random_instance(rng, n, with_y=False)
-        star = crf.map_infer(instance, weights)
+        instance, z, weights = random_instance(rng, n, with_y=False)
+        star = crf.map_infer(instance, z, weights)
         scales = 10.0 ** rng.uniform(-2.0, 1.0, size=PERTURBATIONS)
         offsets = rng.normal(size=(PERTURBATIONS, n)) * scales[:, None]
-        lowest = float(np.min(direct_energy(instance, weights, star + offsets)))
-        margin = np.maximum(margin, crf.energy(instance, weights, star) - lowest)
+        lowest = float(np.min(direct_energy(instance, z, weights, star + offsets)))
+        margin = np.maximum(margin, crf.energy(instance, z, weights, star) - lowest)
     return (
         Check("MAP vs 400x400 grid search", float(worst_cells), GRID_CELL_TOL, "grid cells"),
         Check("MAP energy minus lowest perturbed energy", float(margin), MODE_TOL, "energy"),
@@ -329,20 +325,20 @@ def check_zero_coupling(rng, trials: int) -> Check:
     zero = PairwiseWeights(np.zeros(3))
     worst = 0.0
     for _ in range(trials):
-        instance, _ = random_instance(rng, int(rng.integers(1, 40)), with_y=False)
-        worst = np.maximum(worst, rel_err(crf.map_infer(instance, zero), instance.z))
+        instance, z, _ = random_instance(rng, int(rng.integers(1, 40)), with_y=False)
+        worst = np.maximum(worst, rel_err(crf.map_infer(instance, z, zero), z))
     return Check("beta = 0 MAP vs z", float(worst), ZERO_COUPLING_TOL, "rel err")
 
 
-def moment_error(instance, weights, mean, cov, draws: int, seed: int) -> float:
+def moment_error(instance, z, weights, mean, cov, draws: int, seed: int) -> float:
     """Largest deviation of a claimed posterior ``mean`` or ``cov`` entry from
     Monte Carlo moments, in standard errors of the Monte Carlo estimate.
 
     The standard errors come from the exact covariance, so an inflated
     ``cov`` cannot widen its own tolerance.
     """
-    mean_mc, cov_mc = mc_moments(instance, weights, draws, seed)
-    exact = gaussian_params(instance, weights)[1]
+    mean_mc, cov_mc = mc_moments(instance, z, weights, draws, seed)
+    exact = gaussian_params(instance, z, weights)[1]
     var = np.diag(exact)
     se_mean = np.sqrt(var / draws)
     se_cov = np.sqrt((np.outer(var, var) + exact**2) / draws)
@@ -355,11 +351,10 @@ def check_moments(rng, trials: int) -> Check:
     MC_DRAWS Monte Carlo draws."""
     worst = 0.0
     for trial in range(trials):
-        instance, weights = random_instance(rng, int(rng.integers(1, 6)), with_y=False)
-        couplings = crf.coupling_matrix(instance, weights)
-        precision = crf.build_precision(instance.n, instance.edges, couplings)
+        instance, z, weights = random_instance(rng, int(rng.integers(1, 6)), with_y=False)
+        precision = crf.build_precision(instance, crf.coupling_matrix(instance, weights))
         cov = 0.5 * precision.solve(np.eye(instance.n))
-        error = moment_error(instance, weights, crf.map_infer(instance, weights), cov,
+        error = moment_error(instance, z, weights, crf.map_infer(instance, z, weights), cov,
                              MC_DRAWS, seed=trial)
         worst = np.maximum(worst, error)
     return Check("posterior mean/covariance vs Monte Carlo", float(worst), MONTE_CARLO_TOL,
@@ -372,17 +367,17 @@ def check_factorization(rng, trials: int):
     failed = 0
     for _ in range(trials):
         n = int(rng.integers(1, 30))
-        instance, weights = random_instance(rng, n, beta=rng.uniform(0.0, 1.5, size=3))
+        instance, _, weights = random_instance(rng, n, beta=rng.uniform(0.0, 1.5, size=3))
         couplings = crf.coupling_matrix(instance, weights)
         try:
-            precision = crf.build_precision(instance.n, instance.edges, couplings)
+            precision = crf.build_precision(instance, couplings)
             factor = (precision.inv_diag, precision.sub)
             failed += int(not all(np.all(np.isfinite(block)) for block in factor))
         except FactorizationError:
             failed += 1
     try:
         # one edge whose coupling of -5 puts A = [[-4, 5], [5, -4]]
-        crf.build_precision(2, np.array([[0, 1]]), np.array([-5.0]))
+        crf.build_precision(CrfInstance(2, np.ones((1, 1)), [[0, 1]]), np.array([-5.0]))
         unraised = 1
     except FactorizationError:
         unraised = 0

@@ -19,14 +19,14 @@ The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
 prediction and resumed training reproduce them.  Each prepared scene keeps
-its graph and ground truth as one read-only ``CrfInstance``, built once;
-a step replaces only its ``z``, and the new instance shares the edge list,
-the per-edge (3, E) similarities and the targets without copying them.
+its graph, per-edge (3, E) similarities and ground truth as one read-only
+``CrfInstance``, built and checked once; each step passes the regressor's
+``z`` to the CRF alongside it, so training builds no further instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,14 +74,10 @@ class TrainConfig:
 class PreparedScene:
     """One image, ready for the loss: regressor inputs (standardized by
     ``prepare_dataset``) and the read-only CRF instance of its graph and
-    ground truth, whose ``z`` each step replaces."""
+    ground truth."""
 
     inputs: np.ndarray
     instance: CrfInstance
-
-    @property
-    def n(self):
-        return self.instance.n
 
 
 @dataclass
@@ -113,12 +109,8 @@ def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
     data = build_graph(sample, graph_cfg)
     if data.features.gt_logdepth is None:
         raise ValueError("training scenes need ground-truth depth")
-    instance = CrfInstance(
-        z=np.zeros(data.features.gt_logdepth.size),
-        similarities=data.similarities,
-        edges=data.edges,
-        y=data.features.gt_logdepth,
-    )
+    y = data.features.gt_logdepth
+    instance = CrfInstance(n=y.size, similarities=data.similarities, edges=data.edges, y=y)
     return PreparedScene(inputs=data.features.patch, instance=instance)
 
 
@@ -180,7 +172,7 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
         )
         _require_finite(state, "regressor output", z)
         try:
-            value, gz, gb = crf.nll_with_grads(replace(scene.instance, z=z), weights)
+            value, gz, gb = crf.nll_with_grads(scene.instance, z, weights)
         except FactorizationError as exc:
             raise _diverged(state, str(exc)) from exc
         loss += value

@@ -33,15 +33,15 @@ def precision(instance, weights):
     return a, chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def map_infer(instance, weights) -> np.ndarray:
+def map_infer(instance, z, weights) -> np.ndarray:
     _, chol, _ = precision(instance, weights)
-    return scipy.linalg.cho_solve((chol, True), instance.z)
+    return scipy.linalg.cho_solve((chol, True), z)
 
 
-def nll_with_grads(instance, weights):
+def nll_with_grads(instance, z, weights):
     """(NLL, gradient in z, gradient in beta), all from dense matrices."""
     a, chol, logdet = precision(instance, weights)
-    z, y, n = instance.z, instance.y, instance.n
+    y, n = instance.y, instance.n
     u = scipy.linalg.cho_solve((chol, True), z)
     value = (
         float(y @ (a @ y))

@@ -233,6 +233,7 @@ INCONSISTENT_CHECKPOINTS = {
     "widths-differ-from-config": (r"CONFIG hidden_dims 8", "CONFIG hidden_dims 9"),
     "bad-config-value": (r"CONFIG momentum .*", "CONFIG momentum lots"),
     "zero-box-size": (r"CONFIG box_size .*", "CONFIG box_size 0"),
+    "nan-compactness": (r"CONFIG compactness .*", "CONFIG compactness nan"),
     "non-numeric-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1lots"),
 }
 
@@ -255,8 +256,9 @@ def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case
 @pytest.mark.parametrize(
     "bad, message",
     [("nan", "finite and positive"), ("-2.0", "finite and positive"),
-     ("1.5 1.5", "shape mismatch"), (None, "47x48 depth raster for the 48x48 image")],
-    ids=["nan", "-2.0", "ragged", "one-row-short"],
+     ("1.5 1.5", "shape mismatch"), (None, "47x48 depth raster for the 48x48 image"),
+     ("surplus", "shape mismatch")],
+    ids=["nan", "-2.0", "ragged", "one-row-short", "surplus-row"],
 )
 def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, trained, bad, message):
     _, checkpoint = trained
@@ -265,6 +267,8 @@ def test_train_and_eval_reject_bad_ground_truth_depth(tmp_path, capsys, trained,
     lines = raster.read_text().splitlines()
     if bad is None:  # drop the first row: a raster that no longer fits its image
         del lines[1]
+        lines[0] = "DEPTH 47 48"
+    elif bad == "surplus":  # all 48 rows under a header that promises 47
         lines[0] = "DEPTH 47 48"
     else:
         lines[5] = " ".join([bad] + lines[5].split()[1:])
@@ -315,6 +319,17 @@ def test_bad_graph_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
                "--counts", "9", "--out", str(tmp_path / "s.csv"), *bad_set])
     assert rc == 2 and list(tmp_path.iterdir()) == []
     assert capsys.readouterr().err.count("configuration error") == 3
+
+
+@pytest.mark.parametrize("bad", ["compactness=nan", "compactness=-0.1", "noise_sigma=nan",
+                                 "beta_init=nan", "beta_init=inf", "lr0=nan", "lambda1=inf"])
+def test_non_finite_or_negative_float_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
+    data, _ = trained
+    bad_set = [*FAST, "--set", bad]
+    assert main(["synth", "--out", str(tmp_path / "d"), *bad_set]) == 2
+    assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "r"), *bad_set]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.count("configuration error") == 2
 
 
 def test_predict_rejects_an_image_without_pixels(tmp_path, capsys, trained):
@@ -399,7 +414,7 @@ def test_verify_passes(capsys):
 
 def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):
     exact = crf.log_partition
-    monkeypatch.setattr(crf, "log_partition", lambda inst, w: exact(inst, w) + 1e-3)
+    monkeypatch.setattr(crf, "log_partition", lambda inst, z, w: exact(inst, z, w) + 1e-3)
     assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL log-partition vs quadrature" in out
@@ -408,7 +423,7 @@ def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):
 
 
 def test_verify_fails_on_a_nan_map(monkeypatch, capsys):
-    monkeypatch.setattr(crf, "map_infer", lambda inst, w: np.full(inst.n, np.nan))
+    monkeypatch.setattr(crf, "map_infer", lambda inst, z, w: np.full(inst.n, np.nan))
     assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
     out = capsys.readouterr().out
     for name in ("MAP vs 400x400 grid search", "MAP energy minus lowest perturbed energy",
@@ -425,7 +440,8 @@ def test_check_commands_reject_empty_counts_with_exit_2(argv, capsys):
 
 def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch, capsys):
     exact = crf.nll  # shifted by a beta-linear term that nll_with_grads does not see
-    monkeypatch.setattr(crf, "nll", lambda inst, w: exact(inst, w) + 0.1 * float(w.beta.sum()))
+    monkeypatch.setattr(crf, "nll",
+                        lambda inst, z, w: exact(inst, z, w) + 0.1 * float(w.beta.sum()))
     assert main(["gradcheck", "--seed", "5", "--nodes", "9"]) == 1
     out = capsys.readouterr().out
     assert "FAIL coupling coefficients (dNLL/dbeta)" in out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depthcrf import unary
-from depthcrf.config import RunConfig, config_from_mapping
+from depthcrf.config import ConfigError, RunConfig, config_from_mapping
 from depthcrf.formats import (
     Checkpoint,
     FormatError,
@@ -104,10 +104,21 @@ def test_depth_raster_rejects_malformed_files(tmp_path):
         "DEPTH 3 2\n1 2\n3 4\n",
         "DEPTH 1 2\n1 oops\n",
         "DEPTH 2 2\n1 2\n3 4 5\n",  # one row longer than the header says
+        "DEPTH 1 2\n1 2\n3 4\n",  # more rows than the header says
+        "DEPTH 2 2\n1 2\n\n3 4\n",  # a blank line among the rows
+        "DEPTH 1 2\n1 2 # 3\n",
+        "DEPTH 0 0\n",
+        "DEPTH 1 0\n\n",
     ):
         path.write_text(text)
         with pytest.raises(FormatError):
             read_depth_raster(path)
+
+
+def test_depth_raster_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "depth.txt"
+    path.write_text("DEPTH 1 2\n1.5 2\n\n  \n")
+    assert np.array_equal(read_depth_raster(path), [[1.5, 2.0]])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0.0", "-0.0", "-1.5"])
@@ -216,6 +227,29 @@ def test_checkpoint_rejects_gammas_differing_from_config(tmp_path, gammas):
     path = tmp_path / "ckpt.txt"
     write_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match="gammas"):
+        read_checkpoint(path)
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: value})
+
+
+def test_config_rejects_negative_compactness():
+    with pytest.raises(ConfigError, match="compactness"):
+        config_from_mapping({"compactness": "-0.1"})
+
+
+def test_checkpoint_rejects_a_non_finite_config_value(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    write_checkpoint(path, _sample_checkpoint())
+    path.write_text(path.read_text().replace("CONFIG compactness 0.2", "CONFIG compactness nan"))
+    with pytest.raises(FormatError, match="compactness"):
         read_checkpoint(path)
 
 

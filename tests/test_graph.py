@@ -239,7 +239,7 @@ class TestSimilarities:
         assert sims.shape == (3, len(edges))
         assert np.all(sims > 0) and np.all(sims <= 1)
         # the (E, 2) list plus its (3, E) columns is a valid CRF graph
-        CrfInstance(z=np.zeros(int(edges.max()) + 1), similarities=sims, edges=edges)
+        CrfInstance(n=int(edges.max()) + 1, similarities=sims, edges=edges)
 
     def test_identical_features_give_unit_similarity(self):
         sample = flat_scene()

@@ -1,7 +1,5 @@
 """The SGD loop: objective accounting, updates, schedules, baselines."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -39,7 +37,7 @@ def objective(state, scenes, config, beta=None):
     total = 0.0
     for scene in scenes:
         z, _ = unary.forward(state.model, scene.inputs)
-        total += crf.nll(replace(scene.instance, z=z), weights)
+        total += crf.nll(scene.instance, z, weights)
     theta = unary.get_params(state.model)
     total += 0.5 * config.lambda1 * float(theta @ theta)
     total += 0.5 * config.lambda2 * float(beta @ beta)
@@ -56,7 +54,7 @@ class TestPreparation:
 
     def test_scene_shapes(self):
         for scene in tiny_scenes():
-            n = scene.n
+            n = scene.instance.n
             assert scene.inputs.shape == (n, 27)
             assert scene.instance.similarities.shape == (3, len(scene.instance.edges))
             assert scene.instance.y.shape == (n,)
@@ -136,24 +134,38 @@ class TestStep:
         assert rel_err(state.beta - beta0, -config.lr0 * fd_beta) < 1e-4
 
     def test_step_shares_the_scene_arrays(self, monkeypatch):
-        # each step's instance differs from the prepared one in z alone:
-        # graph and targets are the scene's own read-only arrays, not copies
+        # each step hands the CRF the prepared instance itself, whose graph
+        # and targets are read-only, together with the regressor's fresh z
         scenes = tiny_scenes(count=2)
         seen = []
         nll_with_grads = crf.nll_with_grads
 
-        def spy(instance, weights):
-            seen.append(instance)
-            return nll_with_grads(instance, weights)
+        def spy(instance, z, weights):
+            seen.append((instance, z))
+            return nll_with_grads(instance, z, weights)
 
         monkeypatch.setattr(crf, "nll_with_grads", spy)
         config = quiet_config()
         training.step(training.init_state(DIMS, config), scenes, config)
         assert len(seen) == len(scenes)
-        for scene, instance in zip(scenes, seen):
-            for name in ("similarities", "edges", "y"):
-                assert np.shares_memory(getattr(instance, name), getattr(scene.instance, name))
-            assert not np.shares_memory(instance.z, scene.instance.z)
+        for scene, (instance, z) in zip(scenes, seen):
+            assert instance is scene.instance
+            assert z.shape == (scene.instance.n,)
+            assert not np.shares_memory(z, scene.inputs)
+
+    def test_an_epoch_builds_no_instance(self, monkeypatch):
+        # the scenes' instances are built once, by prepare_dataset
+        scenes = tiny_scenes()
+        built = []
+        post_init = CrfInstance.__post_init__
+
+        def counting(instance):
+            built.append(instance)
+            post_init(instance)
+
+        monkeypatch.setattr(CrfInstance, "__post_init__", counting)
+        training.train(scenes, quiet_config(epochs=2), DIMS)
+        assert built == []
 
     def test_beta_projection_clamps_at_zero(self):
         # a violent depth jump across one edge makes every beta gradient
@@ -161,7 +173,7 @@ class TestStep:
         n = 2
         scene = training.PreparedScene(
             inputs=np.zeros((n, 3)),
-            instance=CrfInstance(z=np.zeros(n), similarities=np.ones((3, 1)),
+            instance=CrfInstance(n=n, similarities=np.ones((3, 1)),
                                  edges=np.array([[0, 1]]), y=np.array([10.0, -10.0])),
         )
         config = quiet_config(lr0=1e9)
@@ -193,7 +205,7 @@ class TestStep:
         n, d = 4, 3
         scene = training.PreparedScene(
             inputs=np.zeros((n, d)),
-            instance=CrfInstance(z=np.zeros(n), similarities=np.zeros((3, 0)),
+            instance=CrfInstance(n=n, similarities=np.zeros((3, 0)),
                                  edges=np.empty((0, 2), dtype=np.intp), y=np.zeros(n)),
         )
         config = quiet_config(lr0=0.5)
@@ -262,5 +274,5 @@ class TestUnaryOnly:
         loss = training.step(state, scenes, config, unary_only=True)
         z, _ = unary.forward(state.model, scenes[0].inputs)
         expected = float(np.sum((scenes[0].instance.y - z) ** 2))
-        expected += 0.5 * scenes[0].n * np.log(np.pi)
+        expected += 0.5 * scenes[0].instance.n * np.log(np.pi)
         assert rel_err(loss, expected) < 1e-9

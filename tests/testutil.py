@@ -8,19 +8,19 @@ from depthcrf.crf import CrfInstance, PairwiseWeights
 from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
 
 
-def single_edge_instance(coupling_value, z, y=None, k=1):
+def single_edge_instance(coupling_value, y=None, k=1):
     """Two nodes, one edge, all channels equal; beta of ones reproduces it."""
     return CrfInstance(
-        z=np.asarray(z, dtype=float),
+        n=2,
         similarities=np.full((k, 1), coupling_value / k),
         edges=np.array([[0, 1]]),
         y=None if y is None else np.asarray(y, dtype=float),
     )
 
 
-def no_edge_instance(z, y=None, k=1):
+def no_edge_instance(n, y=None, k=1):
     return CrfInstance(
-        z=np.atleast_1d(np.asarray(z, dtype=float)),
+        n=n,
         similarities=np.zeros((k, 0)),
         edges=np.empty((0, 2), dtype=np.intp),
         y=None if y is None else np.asarray(y, dtype=float),
@@ -28,7 +28,8 @@ def no_edge_instance(z, y=None, k=1):
 
 
 def permute_instance(instance, perm):
-    """The same graph with nodes relabeled by `perm` (old index -> position).
+    """The same graph with nodes relabeled by `perm` (old index -> position);
+    a z of the original graph is ``z[perm]`` on this one.
 
     Relabeled edges are put back in canonical order, their similarity
     columns moving with them.
@@ -39,7 +40,7 @@ def permute_instance(instance, perm):
     edges = np.sort(inv[instance.edges], axis=1)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return CrfInstance(
-        z=instance.z[perm],
+        n=instance.n,
         similarities=instance.similarities[:, order],
         edges=edges[order],
         y=None if instance.y is None else instance.y[perm],

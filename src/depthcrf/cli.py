@@ -90,16 +90,6 @@ def _check_superpixels(count: int, images) -> None:
                               f"pixels of a {height}x{width} image")
 
 
-def _predictor(ckpt: Checkpoint) -> metrics.Predictor:
-    return metrics.Predictor(
-        model=ckpt.model,
-        beta=np.asarray(ckpt.beta, dtype=float),
-        graph_cfg=ckpt.config.graph_config(),
-        input_mean=ckpt.input_mean,
-        input_std=ckpt.input_std,
-    )
-
-
 def _checkpoint_of(config, state, input_mean, input_std) -> Checkpoint:
     gammas = np.asarray([config.gamma_color, config.gamma_hist, config.gamma_lbp])
     return Checkpoint(config, state.model, state.beta, gammas, input_mean, input_std)
@@ -166,7 +156,7 @@ def cmd_predict(args) -> int:
     ckpt = read_checkpoint(args.checkpoint)
     image = read_ppm(args.image)
     _check_superpixels(ckpt.config.target_superpixels, [image])
-    depth = metrics.predict_image(SceneSample(image=image), _predictor(ckpt))
+    depth = metrics.predict_image(SceneSample(image=image), ckpt)
     write_depth_raster(args.out, depth)
     print(f"wrote depth raster {args.out}")
     return 0
@@ -182,8 +172,7 @@ def cmd_eval(args) -> int:
     truths = [s.depth for s in samples]
     if args.c1_cap is not None and not any(np.any(gt < args.c1_cap) for gt in truths):
         raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
-    predictor = _predictor(ckpt)
-    predictions = [metrics.predict_image(s, predictor) for s in samples]
+    predictions = [metrics.predict_image(s, ckpt) for s in samples]
     reports = metrics.evaluate(predictions, truths, args.c1_cap)
     if args.out is not None:
         with open(args.out, "w", newline="") as fh:
@@ -237,6 +226,22 @@ def cmd_verify(args) -> int:
     return _report_checks(checks, "verify", f"over {args.trials} trials")
 
 
+def sweep_point(config, train_samples, test_samples) -> tuple[float, float]:
+    """Train a fresh model under ``config`` and score it on the test samples.
+
+    Returns the pooled test rms and the seconds that preparing the training
+    scenes and training took.
+    """
+    started = time.perf_counter()
+    scenes, input_mean, input_std = training.prepare_dataset(train_samples, config.graph_config())
+    train_cfg = config.train_config()
+    state = training.train(scenes, train_cfg, training.init_state(config.layer_dims(), train_cfg))
+    seconds = time.perf_counter() - started
+    ckpt = _checkpoint_of(config, state, input_mean, input_std)
+    predictions = [metrics.predict_image(s, ckpt) for s in test_samples]
+    return metrics.evaluate(predictions, [s.depth for s in test_samples])["all"].rms, seconds
+
+
 def cmd_sweep(args) -> int:
     config = config_from_mapping(_collect_overrides(args))
     try:
@@ -251,20 +256,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("superpixel counts must be positive")
     train_samples = _load_samples(args.train_dataset)
     test_samples = _load_samples(args.test_dataset)
-    truths = [s.depth for s in test_samples]
     _check_superpixels(max(counts), [s.image for s in train_samples + test_samples])
     rows = []
     for count in counts:
-        swept = dataclasses.replace(config, target_superpixels=count)
-        started = time.perf_counter()
-        scenes, input_mean, input_std = training.prepare_dataset(
-            train_samples, swept.graph_config()
-        )
-        state = training.train(scenes, swept.train_config(), swept.layer_dims())
-        seconds = time.perf_counter() - started
-        predictor = _predictor(_checkpoint_of(swept, state, input_mean, input_std))
-        predictions = [metrics.predict_image(s, predictor) for s in test_samples]
-        rms = metrics.evaluate(predictions, truths)["all"].rms
+        rms, seconds = sweep_point(dataclasses.replace(config, target_superpixels=count),
+                                   train_samples, test_samples)
         rows.append((count, rms, seconds))
         print(f"count {count:>5d}: rms {rms:.4f}, train {seconds:.2f} s")
     with open(args.out, "w", newline="") as fh:

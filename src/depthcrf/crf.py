@@ -59,6 +59,7 @@ produced ``z``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,8 @@ MIN_BLOCK = 32
 
 
 class FactorizationError(RuntimeError):
-    """Cholesky failed: the precision matrix is not positive definite.
+    """Cholesky failed: the precision matrix is not positive definite, or its
+    couplings or its factor are not finite.
 
     Under the documented preconditions (nonnegative pairwise weights,
     similarities in [0, 1]) this cannot happen in exact arithmetic, so it
@@ -234,6 +236,7 @@ class Precision:
         return diagonal, blocks.reshape(-1)[self.edge_slots]
 
 
+@np.errstate(over="ignore")  # a coupling that overflows to inf fails build_precision
 def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
     """The coupling matrix R in edge-list form: r_e = sum_k beta_k s_ke, shape (E,)."""
     if len(weights) != instance.num_channels:
@@ -241,11 +244,13 @@ def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarr
     return weights.beta @ instance.similarities
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_precision(instance: CrfInstance, couplings) -> Precision:
     """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``instance.edges[e]``.
 
-    Raises FactorizationError when A is not positive definite, which under
-    valid inputs (couplings nonnegative) cannot happen.
+    Raises FactorizationError when A is not positive definite, or when the
+    couplings or the factor are not finite; under valid inputs (finite,
+    nonnegative couplings that rounding does not swamp) neither can happen.
     """
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (len(instance.edges),):
@@ -276,6 +281,12 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
         if i + 1 < m:
             # L_{i+1,i} = A_{i+1,i} L_ii^{-T}
             sub[i] = sub[i] @ inv_diag[i].T
+    # every coupling sits on the diagonal, and every entry of L and of the
+    # inverse blocks but the last reaches a later pivot, so a non-finite
+    # value anywhere leaves logdet or the last inverse block non-finite
+    if not (math.isfinite(logdet) and np.isfinite(inv_diag[-1]).all()):
+        raise FactorizationError("the couplings or the factor of the precision matrix "
+                                 "are not finite")
     return Precision(n, inv_diag, sub, logdet, instance.edge_slots)
 
 

@@ -11,8 +11,10 @@ ground truth, over the T masked-in pixels:
 
 ``evaluate`` pools over all pixels, or, given a depth cap, reports pixels
 with ground truth below the cap (``C1``) next to all pixels (``C2``).
-Prediction paints each superpixel's region with the exponential of its most
-probable log-depth.
+Prediction runs a trained model as the ``formats.Checkpoint`` that holds it:
+the regressor, beta, the input standardization, and the run configuration
+whose graph recipe segments the image.  It paints each superpixel's region
+with the exponential of its most probable log-depth.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import crf, unary
 from .crf import CrfInstance, PairwiseWeights
-from .graph import GraphConfig, GraphData, SceneSample, build_graph
+from .formats import Checkpoint
+from .graph import GraphData, SceneSample, build_graph
 
 THRESHOLD = 1.25
 
@@ -96,26 +99,15 @@ def evaluate(predictions, truths, cap: float | None = None) -> dict[str, Metrics
     }
 
 
-@dataclass
-class Predictor:
-    """A trained pipeline: regressor, couplings, graph recipe, input scaling."""
-
-    model: unary.UnaryModel
-    beta: np.ndarray
-    graph_cfg: GraphConfig
-    input_mean: np.ndarray
-    input_std: np.ndarray
-
-
-def predict_graph(data: GraphData, predictor: Predictor) -> np.ndarray:
+def predict_graph(data: GraphData, ckpt: Checkpoint) -> np.ndarray:
     """Depth raster of a built graph: each superpixel painted with exp(its MAP log-depth)."""
-    inputs = (data.features.patch - predictor.input_mean) / predictor.input_std
-    z, _ = unary.forward(predictor.model, inputs)
+    inputs = (data.features.patch - ckpt.input_mean) / ckpt.input_std
+    z, _ = unary.forward(ckpt.model, inputs)
     instance = CrfInstance(n=z.size, similarities=data.similarities, edges=data.edges)
-    star = crf.map_infer(instance, z, PairwiseWeights(predictor.beta))
+    star = crf.map_infer(instance, z, PairwiseWeights(ckpt.beta))
     return np.exp(star)[data.labels]
 
 
-def predict_image(sample: SceneSample, predictor: Predictor) -> np.ndarray:
-    """Depth raster of one scene, segmented with the predictor's graph recipe."""
-    return predict_graph(build_graph(sample, predictor.graph_cfg), predictor)
+def predict_image(sample: SceneSample, ckpt: Checkpoint) -> np.ndarray:
+    """Depth raster of one scene, segmented with the checkpoint's graph recipe."""
+    return predict_graph(build_graph(sample, ckpt.config.graph_config()), ckpt)

@@ -241,7 +241,7 @@ def _kinkless_network(rng, n):
         dims = (4, int(rng.integers(3, 7)), int(rng.integers(2, 5)), 1)
         model = unary.build_model(dims, seed=int(rng.integers(1 << 31)))
         features = rng.normal(size=(n, dims[0]))
-        z, tape = unary.forward(model, features)  # eval mode: dropout off
+        z, tape = unary.forward(model, features)  # no keep_prob: dropout off
         margins = [
             float(np.min(np.abs(pre)))
             for pre, act in zip(tape.pres, model.activations)

@@ -15,6 +15,9 @@ A step that yields a non-finite regressor output, loss or gradient, or a
 precision matrix that no longer factors, raises ``DivergenceError`` before
 any parameter moves: with valid inputs only a runaway step size gets there.
 
+Every run starts from ``init_state`` (seeded weights, beta at ``beta_init``,
+zero velocities), and ``train`` continues whatever state it is given for
+``config.epochs`` epochs, so a fresh run and a resumed one take one path.
 The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
@@ -124,13 +127,14 @@ def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
     return scenes, mean, std
 
 
-def init_state(layer_dims, config: TrainConfig, num_channels: int = NUM_CHANNELS) -> TrainState:
+def init_state(layer_dims, config: TrainConfig) -> TrainState:
+    """A fresh run: seeded weights, beta at ``beta_init``, zero velocities."""
     model = unary.build_model(layer_dims, seed=config.seed)
     return TrainState(
         model=model,
-        beta=np.full(num_channels, float(config.beta_init)),
+        beta=np.full(NUM_CHANNELS, float(config.beta_init)),
         theta_velocity=np.zeros(unary.parameter_count(layer_dims)),
-        beta_velocity=np.zeros(num_channels),
+        beta_velocity=np.zeros(NUM_CHANNELS),
         rng=np.random.default_rng(config.seed + 1),
     )
 
@@ -163,13 +167,7 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
     grad_theta = np.zeros_like(theta)
     grad_beta = np.zeros_like(state.beta)
     for scene in batch:
-        z, tape = unary.forward(
-            state.model,
-            scene.inputs,
-            mode="train",
-            rng=state.rng,
-            keep_prob=config.dropout_keep,
-        )
+        z, tape = unary.forward(state.model, scene.inputs, state.rng, config.dropout_keep)
         _require_finite(state, "regressor output", z)
         try:
             value, gz, gb = crf.nll_with_grads(scene.instance, z, weights)
@@ -196,15 +194,10 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
     return loss
 
 
-def train(scenes, config: TrainConfig, layer_dims=None, *, state: TrainState | None = None,
-          unary_only: bool = False) -> TrainState:
-    """Run the epoch loop; resumes from ``state`` when given."""
+def train(scenes, config: TrainConfig, state: TrainState, *, unary_only=False) -> TrainState:
+    """Run ``config.epochs`` more epochs from ``state``, in place; returns it."""
     if not scenes:
         raise ValueError("training needs at least one scene")
-    if state is None:
-        if layer_dims is None:
-            raise ValueError("need layer_dims to initialize a fresh state")
-        state = init_state(layer_dims, config)
     if unary_only:
         state.beta = np.zeros_like(state.beta)
     for _ in range(config.epochs):

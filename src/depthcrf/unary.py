@@ -8,7 +8,8 @@ layer.  A network with a single layer is plain affine regression, kept for
 tests.
 
 Dropout (inverted scaling, so evaluation needs no correction) is applied to
-the outputs of at most the first two rectified layers, only in training mode.
+the outputs of at most the first two rectified layers, only when the forward
+pass is given a keep probability below 1.
 The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
 one call.  Parameters travel as a single flat vector where convenient, which
@@ -121,25 +122,20 @@ class ForwardTape:
     keep_prob: float
 
 
-def forward(model: UnaryModel, features, mode: str = "eval", rng=None, keep_prob: float = 1.0):
-    """Run the network over one feature vector or a (count, dim) batch.
+def forward(model: UnaryModel, features, rng=None, keep_prob: float = 1.0):
+    """Run the network over a (count, dim) batch of feature rows.
 
-    Returns (values, tape); values is a scalar for a single vector, else a
-    1-D array.  Training mode draws an independent dropout mask per row.
+    Returns (values, tape) with one value per row.  With ``keep_prob < 1``
+    each row draws its own dropout masks from ``rng``; at 1 nothing drops.
     """
-    if mode not in ("eval", "train"):
-        raise ValueError("mode must be 'eval' or 'train'")
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError("keep_prob must be in (0, 1]")
     x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"expected feature dimension {model.input_dim}")
-    dropping = mode == "train" and keep_prob < 1.0
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(f"expected a (count, {model.input_dim}) batch of features")
+    dropping = keep_prob < 1.0
     if dropping and rng is None:
-        raise ValueError("training mode with dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     pres, posts, masks = [], [], []
     out = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -154,8 +150,7 @@ def forward(model: UnaryModel, features, mode: str = "eval", rng=None, keep_prob
         masks.append(mask)
         out = post
     tape = ForwardTape(inputs=x, pres=pres, posts=posts, masks=masks, keep_prob=keep_prob)
-    values = out[:, 0]
-    return (float(values[0]) if single else values), tape
+    return out[:, 0], tape
 
 
 def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
@@ -164,7 +159,7 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
     Contributions of the batch rows accumulate additively, which is exactly
     the per-image chain rule when ``residual`` is the loss gradient wrt z.
     """
-    res = np.atleast_1d(np.asarray(residual, dtype=float))
+    res = np.asarray(residual, dtype=float)
     if res.shape != (tape.inputs.shape[0],):
         raise ValueError("residual must have one entry per batch row")
     grads_w = [None] * model.num_layers

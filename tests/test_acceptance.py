@@ -6,30 +6,37 @@ a scaled experiment on synthetic scenes (30 train / 10 test, 128x128, about
 150 superpixels): the jointly trained model must beat the coupling-free
 baseline on pooled test rms (median over 3 seeds), training NLL must fall,
 and a superpixel-count sweep must trade accuracy against training time in
-the expected direction.
+the expected direction.  The experiment is one run configuration written in
+the keys ``depthcrf --set`` takes, and it goes through the CLI's own code:
+criteria 7-8 train from ``init_state`` and predict from the checkpoint that
+``train`` would write, and criterion 9 runs each count through the routine
+behind ``sweep-superpixels``.
 """
 
-import dataclasses
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depthcrf import metrics, oracle, synth, training
-from depthcrf.graph import GraphConfig, build_graph
-from depthcrf.training import TrainConfig
+from depthcrf import cli, metrics, oracle, synth, training
+from depthcrf.config import config_from_mapping
+from depthcrf.graph import build_graph
 
 from testutil import rel_err
 
-# experiment configuration shared by criteria 7-9
-LAYER_DIMS = (192, 32, 16, 1)
-GAMMAS = (40.0, 40.0, 40.0)
-NOISE_SIGMA = 0.06
+# experiment configuration shared by criteria 7-9, as --set key=value pairs
+EXPERIMENT_KEYS = dict(noise_sigma="0.06", gamma_color="40", gamma_hist="40", gamma_lbp="40",
+                       target_superpixels="150", dropout_keep="1.0")
 TRAIN_SEEDS = (0, 1, 2)
-BASELINE_CONFIG = dict(lr0=5e-4, epochs=150, dropout_keep=1.0)
-SWEEP_CONFIG = dict(lr0=1e-4, epochs=20, dropout_keep=1.0, seed=0)
+BASELINE_KEYS = dict(lr0="5e-4", epochs="150")
+SWEEP_KEYS = dict(lr0="1e-4", epochs="20", train_seed="0")
 SWEEP_COUNTS = (50, 200, 700)
+
+
+def experiment(**keys):
+    """The experiment's RunConfig with further ``--set``-style overrides."""
+    return config_from_mapping({**EXPERIMENT_KEYS, **keys})
 
 
 # conftest.py replays these in the terminal summary, past pytest's capture
@@ -103,35 +110,40 @@ def test_criterion_6_precision_is_positive_definite_and_corruption_raises():
 
 @pytest.fixture(scope="module")
 def scene_sets():
-    spec = dataclasses.replace(synth.SceneSpec(), noise_sigma=NOISE_SIGMA)
-    return (
-        synth.generate_dataset(spec, 30, seed=100),
-        synth.generate_dataset(spec, 10, seed=200),
+    """The training and test scenes, drawn as ``depthcrf synth`` draws them."""
+    return tuple(
+        synth.generate_dataset(config.scene_spec(), config.count, config.seed)
+        for config in (experiment(count="30", seed="100"), experiment(count="10", seed="200"))
     )
 
 
-def _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs) -> float:
-    """Pooled test rms of a trained state on graphs already built with ``graph_cfg``."""
-    predictor = metrics.Predictor(state.model, state.beta, graph_cfg, input_mean, input_std)
-    predictions = [metrics.predict_graph(data, predictor) for data in test_graphs]
-    return metrics.evaluate(predictions, [s.depth for s in test_samples])["all"].rms
+def _pooled_rms(ckpt, test_graphs, truths) -> float:
+    """Pooled test rms of a checkpoint on graphs already built with its graph recipe."""
+    predictions = [metrics.predict_graph(data, ckpt) for data in test_graphs]
+    return metrics.evaluate(predictions, truths)["all"].rms
 
 
 @pytest.fixture(scope="module")
 def baseline_runs(scene_sets):
     """Three seed trials of full vs unary-only training on shared scenes."""
     train_samples, test_samples = scene_sets
-    graph_cfg = GraphConfig(target_superpixels=150, gammas=GAMMAS)
+    graph_cfg = experiment(**BASELINE_KEYS).graph_config()
     started = time.perf_counter()
     scenes, input_mean, input_std = training.prepare_dataset(train_samples, graph_cfg)
     test_graphs = [build_graph(s, graph_cfg) for s in test_samples]
+    truths = [s.depth for s in test_samples]
     trials = []
     for seed in TRAIN_SEEDS:
-        config = TrainConfig(seed=seed, **BASELINE_CONFIG)
-        full = training.train(scenes, config, LAYER_DIMS)
-        unary_only = training.train(scenes, config, LAYER_DIMS, unary_only=True)
+        config = experiment(train_seed=str(seed), **BASELINE_KEYS)
+        train_cfg = config.train_config()
+        full, unary_only = (
+            training.train(scenes, train_cfg, training.init_state(config.layer_dims(), train_cfg),
+                           unary_only=flag)
+            for flag in (False, True)
+        )
         full_rms, unary_rms = (
-            _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs)
+            _pooled_rms(cli._checkpoint_of(config, state, input_mean, input_std), test_graphs,
+                        truths)
             for state in (full, unary_only)
         )
         trials.append((full_rms, unary_rms, full.history))
@@ -161,18 +173,11 @@ def test_criterion_8_training_nll_decreases(baseline_runs):
 
 def test_criterion_9_superpixel_sweep_trades_time_for_accuracy(scene_sets):
     train_samples, test_samples = scene_sets
-    results = []
-    for count in SWEEP_COUNTS:
-        graph_cfg = GraphConfig(target_superpixels=count, gammas=GAMMAS)
-        started = time.perf_counter()
-        scenes, input_mean, input_std = training.prepare_dataset(
-            train_samples, graph_cfg
-        )
-        state = training.train(scenes, TrainConfig(**SWEEP_CONFIG), LAYER_DIMS)
-        seconds = time.perf_counter() - started
-        test_graphs = [build_graph(s, graph_cfg) for s in test_samples]
-        rms = _pooled_rms(state, input_mean, input_std, graph_cfg, test_samples, test_graphs)
-        results.append((count, rms, seconds))
+    results = [
+        (count, *cli.sweep_point(experiment(target_superpixels=str(count), **SWEEP_KEYS),
+                                 train_samples, test_samples))
+        for count in SWEEP_COUNTS
+    ]
     by_count = {count: (rms, seconds) for count, rms, seconds in results}
     rms_ok = by_count[700][0] <= by_count[50][0]
     times = [seconds for _, _, seconds in results]

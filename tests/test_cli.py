@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from depthcrf import crf, metrics
-from depthcrf.cli import _predictor, main
+from depthcrf.cli import main
 from depthcrf.formats import (
     read_checkpoint,
     read_depth_raster,
@@ -253,6 +253,24 @@ def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case
     assert not (tmp_path / "p.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_huge_finite_beta_exits_4_writing_nothing(tmp_path, capsys, trained, command):
+    # beta passes the reader's finite check, but the couplings it makes overflow;
+    # the suite turns a RuntimeWarning on the way into an error
+    data, checkpoint = trained
+    ckpt = read_checkpoint(checkpoint)
+    ckpt.beta = np.full(3, 1e308)
+    huge = tmp_path / "huge_beta.txt"
+    write_checkpoint(huge, ckpt)
+    source = {"predict": ["--image", str(data / "img_0000.ppm")], "eval": ["--dataset", str(data)]}
+    out = tmp_path / "out.txt"
+    rc = main([command, "--checkpoint", str(huge), *source[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4 and not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [("nan", "finite and positive"), ("-2.0", "finite and positive"),
@@ -350,7 +368,7 @@ def test_strong_coupling_smooths_the_prediction(tmp_path):
     write_checkpoint(smooth_path, ckpt)
     image = read_ppm(data / "img_0000.ppm")
     raw, smooth = (
-        metrics.predict_image(SceneSample(image=image), _predictor(read_checkpoint(path)))
+        metrics.predict_image(SceneSample(image=image), read_checkpoint(path))
         for path in (run / "checkpoint.txt", smooth_path)
     )
     assert np.var(np.log(smooth)) < np.var(np.log(raw))

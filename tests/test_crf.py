@@ -144,6 +144,30 @@ class TestPrecision:
         with pytest.raises(FactorizationError):
             crf.build_precision(single_edge_instance(1.0), np.array([-5.0]))
 
+    @pytest.mark.parametrize("coupling", [np.inf, np.nan])
+    def test_non_finite_coupling_raises_factorization_error(self, coupling):
+        with pytest.raises(FactorizationError, match="not finite"):
+            crf.build_precision(single_edge_instance(1.0), np.array([coupling]))
+
+    def test_overflowing_factor_raises_factorization_error(self):
+        # finite couplings whose degree sum overflows the middle node's diagonal
+        inst = CrfInstance(n=3, similarities=np.ones((1, 2)), edges=[[0, 1], [1, 2]])
+        with pytest.raises(FactorizationError, match="not finite"):
+            crf.build_precision(inst, np.full(2, 1e308))
+
+    def test_non_finite_last_inverse_block_raises_factorization_error(self, monkeypatch):
+        # no later pivot reads the last block's inverse, so it is checked on its
+        # own; a stand-in trtri makes it non-finite on a one-block instance
+        monkeypatch.setattr(crf, "_trtri", lambda c, **kwargs: (np.full_like(c, np.inf), 0))
+        with pytest.raises(FactorizationError, match="not finite"):
+            crf.build_precision(single_edge_instance(1.0), np.array([0.5]))
+
+    def test_overflowing_beta_raises_factorization_error_without_warning(self):
+        # beta @ similarities overflows to inf; the suite turns a warning into an error
+        inst = CrfInstance(n=3, similarities=np.ones((3, 2)), edges=[[0, 1], [1, 2]])
+        with pytest.raises(FactorizationError, match="not finite"):
+            crf.map_infer(inst, np.zeros(3), PairwiseWeights(np.full(3, 1e308)))
+
     def test_one_coupling_per_edge_required(self):
         with pytest.raises(ValueError):
             inst = CrfInstance(n=3, similarities=np.ones((1, 2)), edges=[[0, 1], [1, 2]])

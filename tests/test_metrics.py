@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from depthcrf import graph, metrics, synth, unary
-from depthcrf.graph import GraphConfig
-from depthcrf.metrics import DepthPair, Predictor
+from depthcrf.config import RunConfig
+from depthcrf.formats import Checkpoint
+from depthcrf.metrics import DepthPair
 from depthcrf.synth import SceneSpec
 
 
@@ -97,14 +98,16 @@ class TestEvaluate:
             metrics.evaluate([gt], [gt], cap=1.0)
 
 
-def make_predictor(beta, seed=0, cfg=None):
-    cfg = cfg or GraphConfig(target_superpixels=9, seg_mode="grid", box_size=6, patch_dim=3)
-    dim = 3 * cfg.patch_dim**2
-    model = unary.build_model((dim, 1), seed=seed)
-    return Predictor(
-        model=model,
+def make_checkpoint(beta, seed=0, **keys):
+    """An affine regressor (no hidden layers) with identity input scaling."""
+    keys = dict(target_superpixels=9, seg_mode="grid", box_size=6, patch_dim=3) | keys
+    config = RunConfig(hidden_dims=(), **keys)
+    dim = config.layer_dims()[0]
+    return Checkpoint(
+        config=config,
+        model=unary.build_model(config.layer_dims(), seed=seed),
         beta=np.asarray(beta, dtype=float),
-        graph_cfg=cfg,
+        gammas=np.asarray(config.graph_config().gammas),
         input_mean=np.zeros(dim),
         input_std=np.ones(dim),
     )
@@ -113,18 +116,17 @@ def make_predictor(beta, seed=0, cfg=None):
 class TestPrediction:
     def test_zero_beta_paints_unary_regression(self):
         sample = synth.generate(SceneSpec(height=24, width=24, seed=4))
-        predictor = make_predictor(np.zeros(3), seed=3)
-        raster = metrics.predict_image(sample, predictor)
-        data = graph.build_graph(sample, predictor.graph_cfg)
-        z, _ = unary.forward(predictor.model, data.features.patch)
+        ckpt = make_checkpoint(np.zeros(3), seed=3)
+        raster = metrics.predict_image(sample, ckpt)
+        data = graph.build_graph(sample, ckpt.config.graph_config())
+        z, _ = unary.forward(ckpt.model, data.features.patch)
         assert np.allclose(raster, np.exp(z)[data.labels])
-        assert np.array_equal(metrics.predict_graph(data, predictor), raster)
+        assert np.array_equal(metrics.predict_graph(data, ckpt), raster)
 
     def test_constant_scene_constant_prediction(self):
         image = np.full((24, 24, 3), 0.5)
         sample = graph.SceneSample(image=image)
-        predictor = make_predictor(np.full(3, 2.0), seed=5)
-        raster = metrics.predict_image(sample, predictor)
+        raster = metrics.predict_image(sample, make_checkpoint(np.full(3, 2.0), seed=5))
         assert raster.shape == (24, 24)
         assert np.allclose(raster, raster[0, 0])
         assert np.all(raster > 0.0)
@@ -132,9 +134,9 @@ class TestPrediction:
     def test_strong_coupling_reduces_within_region_variance(self):
         spec = SceneSpec(height=48, width=48, num_planes=2, seed=6)
         sample, regions = synth.generate_with_regions(spec)
-        cfg = GraphConfig(target_superpixels=36, box_size=8, patch_dim=4)
-        rough = make_predictor(np.zeros(3), seed=7, cfg=cfg)
-        smooth = make_predictor(np.full(3, 50.0), seed=7, cfg=cfg)
+        keys = dict(target_superpixels=36, seg_mode="slic", box_size=8, patch_dim=4)
+        rough = make_checkpoint(np.zeros(3), seed=7, **keys)
+        smooth = make_checkpoint(np.full(3, 50.0), seed=7, **keys)
         rough_raster = metrics.predict_image(sample, rough)
         smooth_raster = metrics.predict_image(sample, smooth)
         for rid in range(regions.max() + 1):

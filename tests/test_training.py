@@ -30,6 +30,11 @@ def quiet_config(**overrides):
     return TrainConfig(**base)
 
 
+def fresh_train(scenes, config, **kwargs):
+    """``training.train`` from a new ``init_state`` of the DIMS regressor."""
+    return training.train(scenes, config, training.init_state(DIMS, config), **kwargs)
+
+
 def objective(state, scenes, config, beta=None):
     """The training objective recomputed from scratch (no dropout)."""
     beta = state.beta if beta is None else beta
@@ -164,7 +169,7 @@ class TestStep:
             post_init(instance)
 
         monkeypatch.setattr(CrfInstance, "__post_init__", counting)
-        training.train(scenes, quiet_config(epochs=2), DIMS)
+        fresh_train(scenes, quiet_config(epochs=2))
         assert built == []
 
     def test_beta_projection_clamps_at_zero(self):
@@ -230,8 +235,8 @@ class TestTrain:
     def test_deterministic(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=3, dropout_keep=0.8, momentum=0.9, lr0=1e-3, seed=7)
-        a = training.train(scenes, config, DIMS)
-        b = training.train(scenes, config, DIMS)
+        a = fresh_train(scenes, config)
+        b = fresh_train(scenes, config)
         assert np.array_equal(unary.get_params(a.model), unary.get_params(b.model))
         assert np.array_equal(a.beta, b.beta)
         assert [s.mean_nll for s in a.history] == [s.mean_nll for s in b.history]
@@ -240,20 +245,20 @@ class TestTrain:
         scenes = tiny_scenes()
         config = quiet_config(epochs=5, lr0=1e-3, seed=1)
         config = TrainConfig(**{**config.__dict__, "lr_decay": 0.5, "lr_decay_every": 2})
-        state = training.train(scenes, config, DIMS)
+        state = fresh_train(scenes, config)
         assert [s.epoch for s in state.history] == [0, 1, 2, 3, 4]
         assert [s.lr for s in state.history] == [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4]
 
     def test_loss_decreases_on_small_run(self):
         scenes = tiny_scenes(count=4, seed=9)
         config = quiet_config(epochs=12, lr0=3e-3, momentum=0.9, seed=2)
-        state = training.train(scenes, config, DIMS)
+        state = fresh_train(scenes, config)
         assert state.history[-1].mean_nll < state.history[0].mean_nll
 
     def test_resume_continues_epoch_count(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=2, seed=3)
-        state = training.train(scenes, config, DIMS)
+        state = fresh_train(scenes, config)
         training.train(scenes, config, state=state)
         assert [s.epoch for s in state.history] == [0, 1, 2, 3]
 
@@ -262,7 +267,7 @@ class TestUnaryOnly:
     def test_beta_stays_zero(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=2, lr0=1e-3, momentum=0.9)
-        state = training.train(scenes, config, DIMS, unary_only=True)
+        state = fresh_train(scenes, config, unary_only=True)
         assert np.array_equal(state.beta, np.zeros(3))
 
     def test_loss_is_squared_error_plus_constant(self):

@@ -73,14 +73,14 @@ class TestForward:
         model = unary.build_model((3, 1), seed=0)
         model.weights[0] = np.array([[0.5], [-1.0], [2.0]])
         model.biases[0] = np.array([0.25])
-        x = np.array([1.0, 2.0, 3.0])
-        value, _ = unary.forward(model, x)
+        x = np.array([[1.0, 2.0, 3.0]])
+        (value,), _ = unary.forward(model, x)
         assert abs(value - (0.5 - 2.0 + 6.0 + 0.25)) < 1e-12
 
     def test_two_layer_scalar_loop(self):
         model = unary.build_model((3, 2, 1), seed=7)
         x = np.array([0.3, -0.6, 1.1])
-        value, _ = unary.forward(model, x)
+        (value,), _ = unary.forward(model, x[None, :])
         acc = 0.0
         for j in range(2):
             pre = model.biases[0][j]
@@ -103,7 +103,7 @@ class TestForward:
         batch = rng.normal(size=(7, 5))
         values, _ = unary.forward(model, batch)
         for row, expected in zip(batch, values):
-            got, _ = unary.forward(model, row)
+            (got,), _ = unary.forward(model, row[None, :])
             assert abs(got - expected) < 1e-12
 
     def test_row_permutation_permutes_outputs(self):
@@ -117,35 +117,36 @@ class TestForward:
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            unary.forward(small_model(), np.zeros(4))
+            unary.forward(small_model(), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="batch"):  # a bare feature vector is not a batch
+            unary.forward(small_model(), np.zeros(5))
 
 
 class TestDropout:
-    def test_eval_mode_has_no_masks(self):
+    def test_default_keep_prob_has_no_masks(self):
         model = small_model()
-        _, tape = unary.forward(model, np.ones(5))
+        _, tape = unary.forward(model, np.ones((1, 5)))
         assert all(m is None for m in tape.masks)
 
-    def test_train_mode_needs_rng(self):
+    def test_dropout_needs_rng(self):
         with pytest.raises(ValueError):
-            unary.forward(small_model(), np.ones(5), mode="train", keep_prob=0.5)
+            unary.forward(small_model(), np.ones((1, 5)), keep_prob=0.5)
 
     def test_keep_prob_one_equals_eval(self):
         model = small_model(seed=4)
         x = np.random.default_rng(5).normal(size=(6, 5))
         eval_values, _ = unary.forward(model, x)
-        train_values, tape = unary.forward(
-            model, x, mode="train", rng=np.random.default_rng(0), keep_prob=1.0
-        )
+        rng = np.random.default_rng(0)
+        drawn_from = rng.bit_generator.state
+        train_values, tape = unary.forward(model, x, rng=rng, keep_prob=1.0)
         assert np.array_equal(eval_values, train_values)
         assert all(m is None for m in tape.masks)
+        assert rng.bit_generator.state == drawn_from  # nothing drawn
 
     def test_masks_scale_surviving_units(self):
         model = unary.build_model((4, 8, 8, 6, 1), seed=6)
         x = np.abs(np.random.default_rng(7).normal(size=(5, 4))) + 0.5
-        _, tape = unary.forward(
-            model, x, mode="train", rng=np.random.default_rng(8), keep_prob=0.5
-        )
+        _, tape = unary.forward(model, x, rng=np.random.default_rng(8), keep_prob=0.5)
         for i in model.dropout_layers:
             kept = np.maximum(tape.pres[i], 0.0) * tape.masks[i] / 0.5
             assert np.allclose(tape.posts[i], kept)
@@ -154,27 +155,25 @@ class TestDropout:
     def test_replay_reproduces_forward(self):
         model = unary.build_model((4, 8, 8, 6, 1), seed=1)
         x = np.random.default_rng(2).normal(size=(10, 4))
-        values, tape = unary.forward(
-            model, x, mode="train", rng=np.random.default_rng(3), keep_prob=0.5
-        )
+        values, tape = unary.forward(model, x, rng=np.random.default_rng(3), keep_prob=0.5)
         assert np.array_equal(replay(model, tape), values)
 
 
 class TestBackward:
     def test_matches_finite_differences(self):
         model = small_model(seed=12)
-        x = np.random.default_rng(13).normal(size=5)
+        x = np.random.default_rng(13).normal(size=(1, 5))
         theta = unary.get_params(model)
 
         def f(vec):
             unary.set_params(model, vec)
-            value, _ = unary.forward(model, x)
+            (value,), _ = unary.forward(model, x)
             return value
 
         fd = oracle.fd_gradient(f, theta)
         unary.set_params(model, theta)
         _, tape = unary.forward(model, x)
-        grad = unary.backward(model, tape, 1.0)
+        grad = unary.backward(model, tape, np.ones(1))
         assert rel_err(grad, fd) < 1e-5
 
     def test_batch_gradient_is_sum_of_rows(self):
@@ -186,8 +185,8 @@ class TestBackward:
         total = unary.backward(model, tape, residual)
         acc = np.zeros_like(total)
         for row, res in zip(batch, residual):
-            _, row_tape = unary.forward(model, row)
-            acc += unary.backward(model, row_tape, res)
+            _, row_tape = unary.forward(model, row[None, :])
+            acc += unary.backward(model, row_tape, [res])
         assert rel_err(total, acc) < 1e-12
 
     def test_row_order_does_not_change_accumulated_gradient(self):
@@ -205,9 +204,7 @@ class TestBackward:
     def test_gradient_respects_dropout_masks(self):
         model = unary.build_model((4, 8, 8, 6, 1), seed=18)
         x = np.random.default_rng(19).normal(size=(3, 4))
-        _, tape = unary.forward(
-            model, x, mode="train", rng=np.random.default_rng(20), keep_prob=0.5
-        )
+        _, tape = unary.forward(model, x, rng=np.random.default_rng(20), keep_prob=0.5)
         theta = unary.get_params(model)
 
         def f(vec):

@@ -91,7 +91,7 @@ def _check_superpixels(count: int, images) -> None:
 
 
 def _checkpoint_of(config, state, input_mean, input_std) -> Checkpoint:
-    gammas = np.asarray([config.gamma_color, config.gamma_hist, config.gamma_lbp])
+    gammas = np.asarray(config.graph_config().gammas)
     return Checkpoint(config, state.model, state.beta, gammas, input_mean, input_std)
 
 
@@ -358,3 +358,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,10 +1,11 @@
 """Run configuration: one flat key-value namespace for the whole pipeline.
 
 A run is described by a small set of typed keys covering scene synthesis,
-graph construction, the regressor architecture and the training loop.
-Values arrive as strings (from a config file or ``--set key=value``
-overrides) and are coerced by key type; unknown keys are rejected so a
-typo cannot silently fall back to a default.
+graph construction, the regressor architecture and the training loop; a
+stage's record (``SceneSpec``, ``GraphConfig``, ``TrainConfig``) names the
+keys it reads and states their defaults.  Values arrive as strings (from a
+config file or ``--set key=value`` overrides) and are coerced by key type;
+unknown keys are rejected so a typo cannot silently fall back to a default.
 
 Config files are plain text: one ``key = value`` per line, blank lines
 and ``#`` comments ignored.
@@ -25,15 +26,6 @@ class ConfigError(ValueError):
     """A configuration key, value or combination is invalid."""
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -41,88 +33,59 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int_tuple(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.replace(",", " ").split())
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of the pipeline, with working defaults."""
+    """Every key in checkpoint order; all but ``count``, ``hidden_dims`` and
+    ``out_dir`` take their defaults from the record of the stage reading them."""
 
     # scene synthesis
-    height: int = 128
-    width: int = 128
-    num_planes: int = 4
-    depth_min: float = 1.0
-    depth_max: float = 10.0
-    texture: str = "noise"
-    noise_sigma: float = 0.02
+    height: int = SceneSpec.height
+    width: int = SceneSpec.width
+    num_planes: int = SceneSpec.num_planes
+    depth_min: float = SceneSpec.depth_min
+    depth_max: float = SceneSpec.depth_max
+    texture: str = SceneSpec.texture
+    noise_sigma: float = SceneSpec.noise_sigma
     count: int = 10
-    seed: int = 0
+    seed: int = SceneSpec.seed
     # superpixel graph
-    target_superpixels: int = 150
-    compactness: float = 0.2
-    seg_mode: str = "slic"
-    box_size: int = 24
-    patch_dim: int = 8
-    gamma_color: float = 2.0
-    gamma_hist: float = 2.0
-    gamma_lbp: float = 2.0
-    use_centroid_depth: bool = False
+    target_superpixels: int = GraphConfig.target_superpixels
+    compactness: float = GraphConfig.compactness
+    seg_mode: str = GraphConfig.seg_mode
+    box_size: int = GraphConfig.box_size
+    patch_dim: int = GraphConfig.patch_dim
+    gamma_color: float = GraphConfig.gamma_color
+    gamma_hist: float = GraphConfig.gamma_hist
+    gamma_lbp: float = GraphConfig.gamma_lbp
+    use_centroid_depth: bool = GraphConfig.use_centroid_depth
     # regressor architecture (hidden layer widths; input/output are implied)
     hidden_dims: tuple = (32, 16)
     # training
-    momentum: float = 0.9
-    lambda1: float = 5e-4
-    lambda2: float = 5e-4
-    lr0: float = 1e-4
-    lr_decay: float = 0.6
-    lr_decay_every: int = 20
-    epochs: int = 60
-    dropout_keep: float = 0.5
-    train_seed: int = 0
-    beta_init: float = 0.5
+    momentum: float = TrainConfig.momentum
+    lambda1: float = TrainConfig.lambda1
+    lambda2: float = TrainConfig.lambda2
+    lr0: float = TrainConfig.lr0
+    lr_decay: float = TrainConfig.lr_decay
+    lr_decay_every: int = TrainConfig.lr_decay_every
+    epochs: int = TrainConfig.epochs
+    dropout_keep: float = TrainConfig.dropout_keep
+    train_seed: int = TrainConfig.train_seed
+    beta_init: float = TrainConfig.beta_init
     # default output directory (commands may override via --out)
     out_dir: str = "out"
 
+    def _record(self, record):
+        """``record`` built from the keys named like its fields."""
+        return record(**{f.name: getattr(self, f.name) for f in dataclasses.fields(record)})
+
     def scene_spec(self) -> SceneSpec:
-        return SceneSpec(
-            height=self.height,
-            width=self.width,
-            num_planes=self.num_planes,
-            depth_range=(self.depth_min, self.depth_max),
-            texture=self.texture,
-            noise_sigma=self.noise_sigma,
-            seed=self.seed,
-        )
+        return self._record(SceneSpec)
 
     def graph_config(self) -> GraphConfig:
-        return GraphConfig(
-            target_superpixels=self.target_superpixels,
-            compactness=self.compactness,
-            seg_mode=self.seg_mode,
-            box_size=self.box_size,
-            patch_dim=self.patch_dim,
-            gammas=(self.gamma_color, self.gamma_hist, self.gamma_lbp),
-            use_centroid_depth=self.use_centroid_depth,
-        )
+        return self._record(GraphConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            momentum=self.momentum,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            lr0=self.lr0,
-            lr_decay=self.lr_decay,
-            lr_decay_every=self.lr_decay_every,
-            epochs=self.epochs,
-            dropout_keep=self.dropout_keep,
-            seed=self.train_seed,
-            beta_init=self.beta_init,
-        )
+        return self._record(TrainConfig)
 
     def layer_dims(self) -> tuple:
         input_dim = 3 * self.patch_dim * self.patch_dim
@@ -148,19 +111,19 @@ class RunConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if isinstance(value, bool):
-                out[field.name] = "true" if value else "false"
+                value = "true" if value else "false"
             elif isinstance(value, tuple):
-                out[field.name] = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                out[field.name] = repr(value)
-            else:
-                out[field.name] = str(value)
+                value = ",".join(str(v) for v in value)
+            out[field.name] = repr(value) if isinstance(value, float) else str(value)
         return out
 
 
-# keyed by annotation text: under __future__ annotations a field's type is a string
-_PARSERS = {"bool": _parse_bool, "tuple": _parse_int_tuple, "int": int, "float": _parse_float,
-            "str": str.strip}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# keyed by annotation text (under __future__ annotations a field's type is a
+# string); a parser raises ValueError or KeyError on a bad value
+_PARSERS = {"bool": lambda text: _BOOLS[text.strip().lower()],
+            "tuple": lambda text: tuple(int(t) for t in text.replace(",", " ").split()),
+            "int": int, "float": _parse_float, "str": str.strip}
 
 
 def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:

@@ -74,8 +74,9 @@ MIN_BLOCK = 32
 
 
 class FactorizationError(RuntimeError):
-    """Cholesky failed: the precision matrix is not positive definite, or its
-    couplings or its factor are not finite.
+    """Cholesky failed: the precision matrix is not positive definite, its
+    couplings or its factor are not finite, or its condition bound reaches
+    1/eps.
 
     Under the documented preconditions (nonnegative pairwise weights,
     similarities in [0, 1]) this cannot happen in exact arithmetic, so it
@@ -248,9 +249,10 @@ def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarr
 def build_precision(instance: CrfInstance, couplings) -> Precision:
     """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``instance.edges[e]``.
 
-    Raises FactorizationError when A is not positive definite, or when the
-    couplings or the factor are not finite; under valid inputs (finite,
-    nonnegative couplings that rounding does not swamp) neither can happen.
+    Raises FactorizationError when A is not positive definite, when the
+    couplings or the factor are not finite, or when the condition bound
+    2 max_i A_ii - 1 reaches 1/eps; under valid inputs (finite, nonnegative
+    couplings that rounding does not swamp) none of these can happen.
     """
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (len(instance.edges),):
@@ -287,6 +289,13 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     if not (math.isfinite(logdet) and np.isfinite(inv_diag[-1]).all()):
         raise FactorizationError("the couplings or the factor of the precision matrix "
                                  "are not finite")
+    # Gershgorin: with couplings >= 0 every eigenvalue of A lies in
+    # [1, 2 max_i A_ii - 1]; once that bound on cond(A) reaches 1/eps the unit
+    # diagonal is lost to rounding
+    bound = 2.0 * float(diagonal.max()) - 1.0
+    if bound * np.finfo(float).eps >= 1.0:
+        raise FactorizationError(f"the precision matrix's condition bound 2 max A_ii - 1 = "
+                                 f"{bound:.3g} reaches 1/eps: the couplings swamp its diagonal")
     return Precision(n, inv_diag, sub, logdet, instance.edge_slots)
 
 

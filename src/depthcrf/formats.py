@@ -13,16 +13,19 @@ exactly:
   relative to the manifest;
 * checkpoints are text: a ``NFCKPT v1`` header, the run configuration as
   key-value lines, the activation tags, then ``TENSOR name dims...``
-  sections in row-major order covering the regressor, the coupling
-  coefficients, the similarity bandwidths (which must equal the configured
-  gammas) and the input standardization statistics; the reader rejects
-  tensors that disagree with the configuration or with each other;
+  sections covering the regressor, the coupling coefficients, the
+  similarity bandwidths (which must equal the configured gammas) and the
+  input standardization statistics; a section holds one line per row of
+  its last axis, in row-major order, read like the rows of a depth raster;
+  the reader rejects tensors that disagree with the configuration or with
+  each other;
 * training history is CSV with columns epoch, lr, mean_nll.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,24 +117,33 @@ def write_depth_raster(path, depth) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _decimal_rows(body, rows: int, cols: int) -> np.ndarray | None:
+    """``body`` as a (rows, cols) array, None if its lines (a blank one holds no
+    values) do not fit that shape; ValueError on a token that is no decimal."""
+    if min(rows, cols) < 1 or len(body) != rows or not all(line.strip() for line in body):
+        return None
+    try:
+        arr = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        # loadtxt also rejects rows of unequal width, which is a shape mismatch
+        if len({len(line.split()) for line in body}) > 1:
+            return None
+        raise
+    return arr if arr.shape == (rows, cols) else None
+
+
 def read_depth_raster(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(DEPTH_MAGIC + " "):
         raise FormatError(f"{path}: not a depth raster file")
-    body = []
     try:
         rows, cols = (int(t) for t in lines[0].split()[1:3])
-        body = lines[1 : rows + 1]
-        # only blank lines may follow the rows; loadtxt skips one among them,
-        # which leaves too few rows
-        fits = min(rows, cols) > 0 and not any(line.strip() for line in lines[rows + 1 :])
-        arr = np.loadtxt(body, comments=None, ndmin=2) if fits else None
+        # only blank lines may follow the rows
+        fits = not any(line.strip() for line in lines[rows + 1 :])
+        arr = _decimal_rows(lines[1 : rows + 1], rows, cols) if fits else None
     except ValueError:
-        # loadtxt also rejects rows of unequal width, which is a shape mismatch
-        if len({len(line.split()) for line in body}) < 2:
-            raise FormatError(f"{path}: malformed depth raster")
-        arr = None
-    if arr is None or arr.shape != (rows, cols):
+        raise FormatError(f"{path}: malformed depth raster")
+    if arr is None:
         raise FormatError(f"{path}: depth raster shape mismatch")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise FormatError(f"{path}: depth values must be finite and positive")
@@ -205,30 +217,24 @@ def read_checkpoint(path) -> Checkpoint:
     i = 1
     try:
         while i < len(lines):
-            line = lines[i]
+            line, i = lines[i], i + 1
             if line.startswith("CONFIG "):
                 _, key, value = line.split(" ", 2)
                 if key != "c1_cap":  # a retired key that older checkpoints carry
                     mapping[key] = value
-                i += 1
             elif line.startswith("ACTIVATIONS "):
                 activations = tuple(line.split()[1:])
-                i += 1
             elif line.startswith("TENSOR "):
-                parts = line.split()
-                name = parts[1]
-                shape = tuple(int(d) for d in parts[2:])
-                count = int(np.prod(shape)) if shape else 1
-                tokens = []
-                i += 1
-                while len(tokens) < count:
-                    tokens.extend(lines[i].split())
-                    i += 1
-                tensors[name] = np.array(tokens, dtype=float).reshape(shape)
-            elif not line.strip():
-                i += 1
-            else:
-                raise FormatError(f"{path}: unexpected line {i + 1}: {line!r}")
+                _, name, *dims = line.split()
+                shape = tuple(int(d) for d in dims)
+                rows = math.prod(shape[:-1])  # as written: one line per row of the last axis
+                arr = _decimal_rows(lines[i : i + rows], rows, shape[-1])
+                if arr is None:
+                    raise ValueError(f"tensor {name} is not {rows} lines of {shape[-1]} values")
+                tensors[name] = arr.reshape(shape)
+                i += rows
+            elif line.strip():
+                raise FormatError(f"{path}: unexpected line {i}: {line!r}")
     except (IndexError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
@@ -261,7 +267,7 @@ def read_checkpoint(path) -> Checkpoint:
     ):
         raise FormatError(f"{path}: input_mean/input_std are not {dim} finite, std > 0")
     # prediction takes its gammas from the configuration, so the tensor must agree
-    configured = (config.gamma_color, config.gamma_hist, config.gamma_lbp)
+    configured = config.graph_config().gammas
     if gammas.shape != (3,) or not np.array_equal(gammas, configured):
         raise FormatError(
             f"{path}: gammas tensor {gammas.tolist()} differs from "

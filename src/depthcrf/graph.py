@@ -84,14 +84,17 @@ class SceneSample:
 
 @dataclass(frozen=True)
 class GraphConfig:
-    """Everything needed to turn a scene into a CRF-ready graph."""
+    """Everything needed to turn a scene into a CRF-ready graph; each field is
+    the run key of its name, with its default."""
 
     target_superpixels: int = 150
     compactness: float = 0.2
     seg_mode: str = "slic"
     box_size: int = 24
     patch_dim: int = 8
-    gammas: tuple[float, float, float] = (2.0, 2.0, 2.0)
+    gamma_color: float = 2.0
+    gamma_hist: float = 2.0
+    gamma_lbp: float = 2.0
     use_centroid_depth: bool = False
 
     def __post_init__(self):
@@ -101,8 +104,12 @@ class GraphConfig:
             raise ValueError("compactness must be nonnegative")
         if self.seg_mode not in ("grid", "slic"):
             raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
-        if len(self.gammas) != 3 or not all(0.0 < g < np.inf for g in self.gammas):
+        if not all(0.0 < g < np.inf for g in self.gammas):
             raise ValueError("gammas must be three positive finite reals")
+
+    @property
+    def gammas(self) -> tuple[float, float, float]:  # in ``similarities``' channel order
+        return (self.gamma_color, self.gamma_hist, self.gamma_lbp)
 
 
 @dataclass
@@ -299,7 +306,8 @@ def _update_centers(image, labels, centers, colors):
         colors[occupied, ch] = acc[occupied] / sizes[occupied]
 
 
-def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
+def segment(image, target_n, compactness=GraphConfig.compactness,
+            mode=GraphConfig.seg_mode, iters=10):
     """Partition an image into superpixels; returns (labels, centroids)."""
     image = np.asarray(image, dtype=float)
     height, width = image.shape[:2]

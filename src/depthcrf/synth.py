@@ -7,11 +7,11 @@ region, until the requested region count is reached.  Each region is convex
 
     depth(r, c) = base + gx * range * (c - c0) / W + gy * range * (r - r0) / H
 
-with the base drawn away from the ends of ``depth_range`` and the slopes
-small enough that the plane provably stays inside the range; depth jumps
-therefore occur only across region boundaries.  Color is keyed to the
-region's base depth through a fixed ramp plus a small per-region jitter, so
-appearance distance predicts depth distance.  Texture modes add nothing
+with range = depth_max - depth_min, the base drawn away from both ends and
+the slopes small enough that the plane provably stays in [depth_min,
+depth_max]; depth jumps therefore occur only across region boundaries.
+Color is keyed to the region's base depth through a fixed ramp plus a small
+per-region jitter, so appearance distance predicts depth distance.  Texture modes add nothing
 (``flat``), a gentle in-region shading ramp (``gradient``) or per-pixel
 speckle (``noise``); independent Gaussian pixel noise of scale
 ``noise_sigma`` is added on top and the result is clipped to [0, 1].
@@ -36,10 +36,13 @@ JITTER = 0.05  # per-region color jitter
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """One scene's recipe; each field is the run key of its name, with its default."""
+
     height: int = 128
     width: int = 128
     num_planes: int = 4
-    depth_range: tuple[float, float] = (1.0, 10.0)
+    depth_min: float = 1.0
+    depth_max: float = 10.0
     texture: str = "noise"
     noise_sigma: float = 0.02
     seed: int = 0
@@ -49,8 +52,7 @@ class SceneSpec:
             raise ValueError("scene must be at least 8x8")
         if self.num_planes < 1:
             raise ValueError("need at least one region")
-        lo, hi = self.depth_range
-        if not (0.0 < lo < hi):
+        if not (0.0 < self.depth_min < self.depth_max):
             raise ValueError("depth range must satisfy 0 < min < max")
         if self.texture not in TEXTURES:
             raise ValueError(f"texture must be one of {TEXTURES}")
@@ -104,7 +106,7 @@ def generate_with_regions(spec: SceneSpec):
     rng = np.random.default_rng(spec.seed)
     regions = _split_regions(spec, rng)
     rows, cols = np.indices((spec.height, spec.width), dtype=float)
-    lo, hi = spec.depth_range
+    lo, hi = spec.depth_min, spec.depth_max
     span = hi - lo
 
     depth = np.empty((spec.height, spec.width))

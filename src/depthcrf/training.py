@@ -47,6 +47,8 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The SGD schedule; each field is the run key of its name, with its default."""
+
     momentum: float = 0.9
     lambda1: float = 5e-4
     lambda2: float = 5e-4
@@ -55,7 +57,7 @@ class TrainConfig:
     lr_decay_every: int = 20
     epochs: int = 60
     dropout_keep: float = 0.5
-    seed: int = 0
+    train_seed: int = 0
     beta_init: float = 0.5
 
     def __post_init__(self):
@@ -129,13 +131,13 @@ def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
 
 def init_state(layer_dims, config: TrainConfig) -> TrainState:
     """A fresh run: seeded weights, beta at ``beta_init``, zero velocities."""
-    model = unary.build_model(layer_dims, seed=config.seed)
+    model = unary.build_model(layer_dims, seed=config.train_seed)
     return TrainState(
         model=model,
         beta=np.full(NUM_CHANNELS, float(config.beta_init)),
         theta_velocity=np.zeros(unary.parameter_count(layer_dims)),
         beta_velocity=np.zeros(NUM_CHANNELS),
-        rng=np.random.default_rng(config.seed + 1),
+        rng=np.random.default_rng(config.train_seed + 1),
     )
 
 

@@ -1,11 +1,16 @@
 """End-to-end command tests, run in process through ``cli.main``."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depthcrf
 from depthcrf import crf, metrics
 from depthcrf.cli import main
 from depthcrf.formats import (
@@ -255,20 +260,23 @@ def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_huge_finite_beta_exits_4_writing_nothing(tmp_path, capsys, trained, command):
-    # beta passes the reader's finite check, but the couplings it makes overflow;
-    # the suite turns a RuntimeWarning on the way into an error
+    # beta passes the reader's finite check; at 1e308 the couplings it makes
+    # overflow (the suite turns a RuntimeWarning on the way into an error),
+    # below it they stay finite but swamp the unit diagonal of the precision,
+    # whose factor then fails or not by rounding alone (at 1e100 it does not)
     data, checkpoint = trained
     ckpt = read_checkpoint(checkpoint)
-    ckpt.beta = np.full(3, 1e308)
-    huge = tmp_path / "huge_beta.txt"
-    write_checkpoint(huge, ckpt)
     source = {"predict": ["--image", str(data / "img_0000.ppm")], "eval": ["--dataset", str(data)]}
     out = tmp_path / "out.txt"
-    rc = main([command, "--checkpoint", str(huge), *source[command], "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 4 and not out.exists()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    for beta in (1e308, 1e200, 1e100):
+        ckpt.beta = np.full(3, beta)
+        huge = tmp_path / f"huge_beta_{beta:g}.txt"
+        write_checkpoint(huge, ckpt)
+        rc = main([command, "--checkpoint", str(huge), *source[command], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and not out.exists()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -428,6 +436,21 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
     assert out.count("PASS") == 7
     assert "verify passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_line",
+    [(["verify", "--trials", "1"], 0, "verify passed over 1 trials"), (["unknown"], 2, None)],
+    ids=["verify", "unknown-command"],
+)
+def test_python_m_runs_the_command(argv, code, stdout_line):
+    # the module run as a script, in a fresh interpreter that imports this package
+    env = dict(os.environ, PYTHONPATH=str(Path(depthcrf.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "depthcrf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    if stdout_line is not None:
+        assert stdout_line in done.stdout.splitlines()
 
 
 def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):

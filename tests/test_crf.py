@@ -168,6 +168,14 @@ class TestPrecision:
         with pytest.raises(FactorizationError, match="not finite"):
             crf.map_infer(inst, np.zeros(3), PairwiseWeights(np.full(3, 1e308)))
 
+    def test_condition_bound_reaching_one_over_eps_raises_factorization_error(self):
+        # Gershgorin bounds cond(A) by 2 max A_ii - 1: about 2e15 factors
+        # (times eps it is 0.44), 6e15 does not (1.33)
+        inst = single_edge_instance(1.0)
+        crf.build_precision(inst, np.array([1e15]))
+        with pytest.raises(FactorizationError, match="condition bound"):
+            crf.build_precision(inst, np.array([3e15]))
+
     def test_one_coupling_per_edge_required(self):
         with pytest.raises(ValueError):
             inst = CrfInstance(n=3, similarities=np.ones((1, 2)), edges=[[0, 1], [1, 2]])

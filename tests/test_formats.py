@@ -109,6 +109,7 @@ def test_depth_raster_rejects_malformed_files(tmp_path):
         "DEPTH 1 2\n1 2 # 3\n",
         "DEPTH 0 0\n",
         "DEPTH 1 0\n\n",
+        "DEPTH 1 2\n\n",  # the one row is blank
     ):
         path.write_text(text)
         with pytest.raises(FormatError):
@@ -206,6 +207,24 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     start = lines.index("TENSOR beta 3")
     path.write_text("\n".join(lines[:start] + lines[start + 2 :]) + "\n")
     with pytest.raises(FormatError):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "body", ["1_0 1.0 1.0", "\u0661 1.0 1.0", "1.0 1.0\n1.0", "\n1.0 1.0 1.0"],
+    ids=["underscore", "arabic-indic-digit", "reflowed", "blank-line"],
+)
+def test_checkpoint_tensor_rows_take_the_depth_raster_grammar(tmp_path, body):
+    # float() reads 1_0 as 10 and an Arabic-Indic one as 1; a raster row never did
+    path = tmp_path / "depth.txt"
+    path.write_text(f"DEPTH 1 3\n{body}\n")
+    with pytest.raises(FormatError):
+        read_depth_raster(path)
+    write_checkpoint(path, _sample_checkpoint())
+    lines = path.read_text().splitlines()
+    start = lines.index("TENSOR beta 3")
+    path.write_text("\n".join([*lines[: start + 1], body, *lines[start + 2 :]]) + "\n")
+    with pytest.raises(FormatError, match="malformed checkpoint"):
         read_checkpoint(path)
 
 

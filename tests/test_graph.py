@@ -266,8 +266,8 @@ class TestSimilarities:
 @pytest.mark.parametrize(
     "bad",
     [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(seg_mode="watershed"),
-     dict(gammas=(2.0, 0.0, 2.0)), dict(gammas=(2.0, np.inf, 2.0)),
-     dict(gammas=(np.nan, 2.0, 2.0)), dict(gammas=(2.0, 2.0))],
+     dict(gamma_hist=0.0), dict(gamma_hist=np.inf), dict(gamma_color=np.nan),
+     dict(gamma_lbp=-1.0)],
 )
 def test_graph_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):

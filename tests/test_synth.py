@@ -11,9 +11,9 @@ from depthcrf.synth import SceneSpec
 class TestSpecValidation:
     def test_rejects_bad_depth_range(self):
         with pytest.raises(ValueError):
-            SceneSpec(depth_range=(5.0, 1.0))
+            SceneSpec(depth_min=5.0, depth_max=1.0)
         with pytest.raises(ValueError):
-            SceneSpec(depth_range=(0.0, 2.0))
+            SceneSpec(depth_min=0.0, depth_max=2.0)
 
     def test_rejects_unknown_texture(self):
         with pytest.raises(ValueError):
@@ -41,8 +41,8 @@ class TestGenerate:
         for seed in range(5):
             spec = SceneSpec(height=40, width=48, num_planes=6, seed=seed)
             sample = synth.generate(spec)
-            assert sample.depth.min() >= spec.depth_range[0]
-            assert sample.depth.max() <= spec.depth_range[1]
+            assert sample.depth.min() >= spec.depth_min
+            assert sample.depth.max() <= spec.depth_max
 
     def test_region_count(self):
         for planes in (1, 3, 7):
@@ -64,7 +64,7 @@ class TestGenerate:
     def test_depth_jumps_only_on_region_boundaries(self):
         spec = SceneSpec(height=48, width=48, num_planes=5, seed=7)
         sample, regions = synth.generate_with_regions(spec)
-        span = spec.depth_range[1] - spec.depth_range[0]
+        span = spec.depth_max - spec.depth_min
         tol = 1e-9
         col_bound = synth.SLOPE_BUDGET * span / spec.width + tol
         row_bound = synth.SLOPE_BUDGET * span / spec.height + tol

@@ -25,7 +25,7 @@ def tiny_scenes(count=3, seed=0):
 
 def quiet_config(**overrides):
     base = dict(momentum=0.0, lambda1=0.0, lambda2=0.0, lr0=1e-3,
-                epochs=1, dropout_keep=1.0, seed=0)
+                epochs=1, dropout_keep=1.0, train_seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -234,7 +234,7 @@ class TestTrain:
 
     def test_deterministic(self):
         scenes = tiny_scenes()
-        config = quiet_config(epochs=3, dropout_keep=0.8, momentum=0.9, lr0=1e-3, seed=7)
+        config = quiet_config(epochs=3, dropout_keep=0.8, momentum=0.9, lr0=1e-3, train_seed=7)
         a = fresh_train(scenes, config)
         b = fresh_train(scenes, config)
         assert np.array_equal(unary.get_params(a.model), unary.get_params(b.model))
@@ -243,7 +243,7 @@ class TestTrain:
 
     def test_history_records_schedule(self):
         scenes = tiny_scenes()
-        config = quiet_config(epochs=5, lr0=1e-3, seed=1)
+        config = quiet_config(epochs=5, lr0=1e-3, train_seed=1)
         config = TrainConfig(**{**config.__dict__, "lr_decay": 0.5, "lr_decay_every": 2})
         state = fresh_train(scenes, config)
         assert [s.epoch for s in state.history] == [0, 1, 2, 3, 4]
@@ -251,13 +251,13 @@ class TestTrain:
 
     def test_loss_decreases_on_small_run(self):
         scenes = tiny_scenes(count=4, seed=9)
-        config = quiet_config(epochs=12, lr0=3e-3, momentum=0.9, seed=2)
+        config = quiet_config(epochs=12, lr0=3e-3, momentum=0.9, train_seed=2)
         state = fresh_train(scenes, config)
         assert state.history[-1].mean_nll < state.history[0].mean_nll
 
     def test_resume_continues_epoch_count(self):
         scenes = tiny_scenes()
-        config = quiet_config(epochs=2, seed=3)
+        config = quiet_config(epochs=2, train_seed=3)
         state = fresh_train(scenes, config)
         training.train(scenes, config, state=state)
         assert [s.epoch for s in state.history] == [0, 1, 2, 3]

@@ -14,7 +14,8 @@ Configuration comes from an optional ``--config`` file (``key = value``
 lines) plus repeatable ``--set key=value`` overrides; every key is
 validated before any file is touched.  Exit codes: 0 success, 1 failed
 check (gradcheck/verify), 2 configuration error, 3 I/O or file-format
-error, 4 numerical failure (Cholesky, or a training run that diverged).
+error, 4 numerical failure (Cholesky, a diverged training run, or a regressor
+output or depth that overflows).  Numeric flags use ``config``'s number grammar.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, oracle, synth, training
-from .config import ConfigError, config_from_mapping, parse_config_file
+from .config import ConfigError, config_from_mapping, parse_config_file, parse_float, parse_int
 from .crf import FactorizationError
 from .formats import (
     Checkpoint,
@@ -207,6 +208,8 @@ def _report_checks(checks, command: str, scope: str) -> int:
 def cmd_gradcheck(args) -> int:
     if args.nodes < 1 or args.channels < 1:
         raise ConfigError("--nodes and --channels must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     checks = oracle.check_gradients(rng, 1, nodes=args.nodes, channels=args.channels)
     return _report_checks(checks, "gradcheck", f"on n={args.nodes}, channels={args.channels}")
@@ -215,6 +218,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     checks = [
         oracle.check_log_partition(rng, args.trials),
@@ -245,7 +250,7 @@ def sweep_point(config, train_samples, test_samples) -> tuple[float, float]:
 def cmd_sweep(args) -> int:
     config = config_from_mapping(_collect_overrides(args))
     try:
-        counts = [int(t) for t in args.counts.replace(",", " ").split()]
+        counts = [parse_int(t) for t in args.counts.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"--counts expects integers, got {args.counts!r}")
     if not counts:
@@ -309,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", help="metrics CSV path (table always printed)")
-    p.add_argument("--c1-cap", type=float, default=None,
+    p.add_argument("--c1-cap", type=parse_float, default=None,
                    help="also report metrics restricted to ground truth below this depth")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=12, help="graph size of the test instance")
-    p.add_argument("--channels", type=int, default=3, help="similarity channels")
+    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--nodes", type=parse_int, default=12, help="graph size of the test instance")
+    p.add_argument("--channels", type=parse_int, default=3, help="similarity channels")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("verify", help="randomized cross-checks against the oracles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--trials", type=parse_int, default=10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -351,7 +356,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FactorizationError, training.DivergenceError) as exc:
+    except (FactorizationError, ArithmeticError) as exc:  # DivergenceError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

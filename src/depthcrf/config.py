@@ -8,13 +8,18 @@ config file or ``--set key=value`` overrides) and are coerced by key type;
 unknown keys are rejected so a typo cannot silently fall back to a default.
 
 Config files are plain text: one ``key = value`` per line, blank lines
-and ``#`` comments ignored.
+and ``#`` comments ignored; a file that is not text is a ``ConfigError``.
+
+Numbers (run keys, file headers and seeds, numeric flags) are read by
+``parse_int`` and ``parse_float``: ASCII digits, sign, point and exponent, as
+``np.loadtxt`` reads file rows, never ``1_0`` or non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 from .graph import GraphConfig
@@ -26,10 +31,18 @@ class ConfigError(ValueError):
     """A configuration key, value or combination is invalid."""
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+def parse_int(text: str) -> int:
+    """An optionally signed run of ASCII digits; ValueError otherwise."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A finite ASCII decimal, exponent allowed; ValueError otherwise."""
+    decimal = re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text)
+    if not decimal or not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite decimal number: {text!r}")
     return value
 
 
@@ -122,8 +135,8 @@ _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 # keyed by annotation text (under __future__ annotations a field's type is a
 # string); a parser raises ValueError or KeyError on a bad value
 _PARSERS = {"bool": lambda text: _BOOLS[text.strip().lower()],
-            "tuple": lambda text: tuple(int(t) for t in text.replace(",", " ").split()),
-            "int": int, "float": _parse_float, "str": str.strip}
+            "tuple": lambda text: tuple(parse_int(t) for t in text.replace(",", " ").split()),
+            "int": parse_int, "float": parse_float, "str": str.strip}
 
 
 def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
@@ -143,14 +156,18 @@ def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into an (unvalidated) override mapping."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
     mapping = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping

@@ -3,7 +3,8 @@
 Everything is deliberately plain so files diff cleanly and round-trip
 exactly:
 
-* images are 8-bit binary PPM (P6), values mapped linearly to [0, 1];
+* images are 8-bit binary PPM (P6), values mapped linearly to [0, 1], with
+  ``#`` comments allowed before any header number;
 * depth rasters are text: a ``DEPTH rows cols`` header, then one line per
   row of decimal meters (shortest representation that parses back to the
   identical float); the reader accepts only finite, positive depths, in
@@ -16,26 +17,33 @@ exactly:
   sections covering the regressor, the coupling coefficients, the
   similarity bandwidths (which must equal the configured gammas) and the
   input standardization statistics; a section holds one line per row of
-  its last axis, in row-major order, read like the rows of a depth raster;
-  the reader rejects tensors that disagree with the configuration or with
-  each other;
+  its last axis, in row-major order, written and read like the rows of a
+  depth raster; the reader rejects tensors that are not finite or that
+  disagree with the configuration or with each other;
 * training history is CSV with columns epoch, lr, mean_nll.
+
+Header numbers and seeds are read by ``config.parse_int``/``parse_float``,
+section rows by ``np.loadtxt``: the same ASCII decimals.  Text that does not
+decode is a ``FormatError``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import unary
-from .config import ConfigError, RunConfig, config_from_mapping
+from .config import ConfigError, RunConfig, config_from_mapping, parse_float, parse_int
 from .training import EpochStats
 
-PPM_MAGIC = b"P6"
+# magic, then width, height and maxval, each after whitespace or '#' comments
+# running to the end of their line; one whitespace byte ends the header
+PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+([0-9]+)" * 3 + rb"\s")
 DEPTH_MAGIC = "DEPTH"
 MANIFEST_MAGIC = "MANIFEST v1"
 CHECKPOINT_MAGIC = "NFCKPT v1"
@@ -47,6 +55,25 @@ class FormatError(ValueError):
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _section(header: str, arr) -> list[str]:
+    """``header`` and the shape of ``arr`` on one line, then one line per row
+    of its last axis, in row-major order."""
+    arr = np.ascontiguousarray(arr, dtype=float)
+    # a predicted raster repeats one value per superpixel, so format each
+    # distinct bit pattern once; bits, not values, keep -0.0 apart from 0.0
+    bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(float)], dtype=object)
+    rows = text[inverse].reshape(-1, arr.shape[-1]).tolist()
+    return [" ".join([header, *map(str, arr.shape)]), *map(" ".join, rows)]
+
+
+def _text_lines(path) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
 
 
 def write_ppm(path, image) -> None:
@@ -64,37 +91,19 @@ def write_ppm(path, image) -> None:
 
 def read_ppm(path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    if not blob.startswith(PPM_MAGIC):
-        raise FormatError(f"{path}: not a binary PPM file")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed; pixel data starts after the maxval token's
-    # single trailing whitespace byte
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise FormatError(f"{path}: truncated PPM header")
-        ch = blob[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
-    pos += 1
+    header = PPM_HEADER.match(blob)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PPM file with a well-formed header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError(f"{path}: malformed PPM header")
+        width, height, maxval = (int(t) for t in header.groups())
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"{path}: a PPM header number is too long")
     if maxval != 255:
         raise FormatError(f"{path}: expected 8-bit PPM, maxval {maxval}")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: a {width}x{height} PPM has no pixels")
     expected = width * height * 3
-    data = blob[pos : pos + expected]
+    data = blob[header.end() : header.end() + expected]
     if len(data) != expected:
         raise FormatError(f"{path}: truncated PPM pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
@@ -105,16 +114,7 @@ def write_depth_raster(path, depth) -> None:
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise ValueError("depth raster must be 2-D")
-    rows, cols = depth.shape
-    # a predicted raster repeats one value per superpixel, so format each
-    # distinct bit pattern once; bits, not values, keep -0.0 apart from 0.0
-    bits, inverse = np.unique(
-        np.ascontiguousarray(depth).view(np.uint64), return_inverse=True
-    )
-    text = np.array([_fmt(v) for v in bits.view(float)], dtype=object)
-    lines = [f"{DEPTH_MAGIC} {rows} {cols}"]
-    lines.extend(" ".join(row) for row in text[inverse].reshape(rows, cols).tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(_section(DEPTH_MAGIC, depth)) + "\n")
 
 
 def _decimal_rows(body, rows: int, cols: int) -> np.ndarray | None:
@@ -133,11 +133,11 @@ def _decimal_rows(body, rows: int, cols: int) -> np.ndarray | None:
 
 
 def read_depth_raster(path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or not lines[0].startswith(DEPTH_MAGIC + " "):
         raise FormatError(f"{path}: not a depth raster file")
     try:
-        rows, cols = (int(t) for t in lines[0].split()[1:3])
+        rows, cols = (parse_int(t) for t in lines[0].split()[1:3])
         # only blank lines may follow the rows
         fits = not any(line.strip() for line in lines[rows + 1 :])
         arr = _decimal_rows(lines[1 : rows + 1], rows, cols) if fits else None
@@ -158,7 +158,7 @@ def write_manifest(path, rows) -> None:
 
 
 def read_manifest(path):
-    lines = Path(path).read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0] != MANIFEST_MAGIC:
         raise FormatError(f"{path}: not a dataset manifest")
     rows = []
@@ -167,7 +167,7 @@ def read_manifest(path):
             continue
         try:
             image, depth, seed = line.split()
-            rows.append((image, depth, int(seed)))
+            rows.append((image, depth, parse_int(seed)))
         except ValueError:
             raise FormatError(f"{path}: malformed manifest line: {line!r}")
     return rows
@@ -185,32 +185,23 @@ class Checkpoint:
     input_std: np.ndarray
 
 
-def _tensor_lines(name, arr):
-    arr = np.asarray(arr, dtype=float)
-    dims = " ".join(str(d) for d in arr.shape)
-    yield f"TENSOR {name} {dims}"
-    rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr[None, :]
-    for row in rows:
-        yield " ".join(_fmt(v) for v in row)
-
-
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
     lines = [CHECKPOINT_MAGIC]
     for key, value in ckpt.config.to_mapping().items():
         lines.append(f"CONFIG {key} {value}")
     lines.append("ACTIVATIONS " + " ".join(ckpt.model.activations))
     for i, (w, b) in enumerate(zip(ckpt.model.weights, ckpt.model.biases)):
-        lines.extend(_tensor_lines(f"weight{i}", w))
-        lines.extend(_tensor_lines(f"bias{i}", b))
-    lines.extend(_tensor_lines("beta", ckpt.beta))
-    lines.extend(_tensor_lines("gammas", ckpt.gammas))
-    lines.extend(_tensor_lines("input_mean", ckpt.input_mean))
-    lines.extend(_tensor_lines("input_std", ckpt.input_std))
+        lines.extend(_section(f"TENSOR weight{i}", w))
+        lines.extend(_section(f"TENSOR bias{i}", b))
+    lines.extend(_section("TENSOR beta", ckpt.beta))
+    lines.extend(_section("TENSOR gammas", ckpt.gammas))
+    lines.extend(_section("TENSOR input_mean", ckpt.input_mean))
+    lines.extend(_section("TENSOR input_std", ckpt.input_std))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_checkpoint(path) -> Checkpoint:
-    lines = Path(path).read_text().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     mapping, tensors, activations = {}, {}, None
@@ -226,11 +217,12 @@ def read_checkpoint(path) -> Checkpoint:
                 activations = tuple(line.split()[1:])
             elif line.startswith("TENSOR "):
                 _, name, *dims = line.split()
-                shape = tuple(int(d) for d in dims)
+                shape = tuple(parse_int(d) for d in dims)
                 rows = math.prod(shape[:-1])  # as written: one line per row of the last axis
                 arr = _decimal_rows(lines[i : i + rows], rows, shape[-1])
-                if arr is None:
-                    raise ValueError(f"tensor {name} is not {rows} lines of {shape[-1]} values")
+                if arr is None or not np.all(np.isfinite(arr)):
+                    raise ValueError(
+                        f"tensor {name} is not {rows} lines of {shape[-1]} finite values")
                 tensors[name] = arr.reshape(shape)
                 i += rows
             elif line.strip():
@@ -259,13 +251,11 @@ def read_checkpoint(path) -> Checkpoint:
             f"{path}: regressor widths {model.layer_dims} with activations {activations} "
             f"differ from {config.layer_dims()} with {model.activations}"
         )
-    if beta.shape != (3,) or not np.all(np.isfinite(beta) & (beta >= 0.0)):
-        raise FormatError(f"{path}: beta {beta.tolist()} is not 3 finite values >= 0")
+    if beta.shape != (3,) or np.any(beta < 0.0):
+        raise FormatError(f"{path}: beta {beta.tolist()} is not 3 values >= 0")
     dim = (model.input_dim,)
-    if mean.shape != dim or std.shape != dim or not np.all(
-        np.isfinite(mean) & np.isfinite(std) & (std > 0.0)
-    ):
-        raise FormatError(f"{path}: input_mean/input_std are not {dim} finite, std > 0")
+    if mean.shape != dim or std.shape != dim or np.any(std <= 0.0):
+        raise FormatError(f"{path}: input_mean/input_std are not {dim} values, std > 0")
     # prediction takes its gammas from the configuration, so the tensor must agree
     configured = config.graph_config().gammas
     if gammas.shape != (3,) or not np.array_equal(gammas, configured):
@@ -285,13 +275,11 @@ def write_history(path, history) -> None:
 
 
 def read_history(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "lr", "mean_nll"]:
-            raise FormatError(f"{path}: not a training history file")
-        return [
-            EpochStats(epoch=int(row[0]), lr=float(row[1]), mean_nll=float(row[2]))
-            for row in reader
-            if row
-        ]
+    reader = csv.reader(_text_lines(path))
+    if next(reader, None) != ["epoch", "lr", "mean_nll"]:
+        raise FormatError(f"{path}: not a training history file")
+    try:
+        return [EpochStats(epoch=parse_int(epoch), lr=parse_float(lr), mean_nll=parse_float(nll))
+                for epoch, lr, nll in filter(None, reader)]
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed history row: {exc}")

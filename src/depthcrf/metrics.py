@@ -99,13 +99,21 @@ def evaluate(predictions, truths, cap: float | None = None) -> dict[str, Metrics
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_graph(data: GraphData, ckpt: Checkpoint) -> np.ndarray:
-    """Depth raster of a built graph: each superpixel painted with exp(its MAP log-depth)."""
+    """Depth raster of a built graph: each superpixel painted with exp(its MAP log-depth).
+
+    FloatingPointError, and no warning, if the regressor's output or a depth overflows.
+    """
     inputs = (data.features.patch - ckpt.input_mean) / ckpt.input_std
     z, _ = unary.forward(ckpt.model, inputs)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("the regressor's output is not finite")
     instance = CrfInstance(n=z.size, similarities=data.similarities, edges=data.edges)
-    star = crf.map_infer(instance, z, PairwiseWeights(ckpt.beta))
-    return np.exp(star)[data.labels]
+    depth = np.exp(crf.map_infer(instance, z, PairwiseWeights(ckpt.beta)))
+    if not np.all((depth > 0.0) & (depth < np.inf)):
+        raise FloatingPointError("a predicted depth is not finite and positive")
+    return depth[data.labels]
 
 
 def predict_image(sample: SceneSample, ckpt: Checkpoint) -> np.ndarray:

@@ -58,6 +58,8 @@ class SceneSpec:
             raise ValueError(f"texture must be one of {TEXTURES}")
         if self.noise_sigma < 0.0:
             raise ValueError("noise level cannot be negative")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
 
 
 def _split_regions(spec: SceneSpec, rng) -> np.ndarray:

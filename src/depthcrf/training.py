@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("epochs cannot be negative")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout keep probability must be in (0, 1]")
+        if self.train_seed < 0:
+            raise ValueError("train_seed cannot be negative")
         if self.beta_init < 0:
             raise ValueError("beta must start nonnegative")
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from depthcrf.formats import (
     write_ppm,
 )
 from depthcrf.graph import SceneSample
+from testutil import corruptions
 
 # small scenes and graphs keep each command fast enough for the suite
 FAST = [
@@ -89,9 +91,13 @@ def test_synth_bad_config_key_exits_2_without_writing(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
-def test_synth_bad_config_value_exits_2(tmp_path):
-    rc = main(["synth", "--out", str(tmp_path / "d"), "--set", "epochs=ten"])
-    assert rc == 2
+def test_synth_bad_config_value_exits_2(tmp_path, capsys):
+    # int() would read 1_2 as 12 and the Arabic-Indic digits as 150
+    for bad in ("epochs=ten", "epochs=1_2", "target_superpixels=\u0661\u0665\u0660",
+                "seed=-1", "train_seed=-2"):
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--set", bad])
+        assert rc == 2 and not (tmp_path / "d").exists()
+        assert bad.split("=")[0] in capsys.readouterr().err
 
 
 def test_config_file_and_set_overrides(tmp_path):
@@ -101,6 +107,8 @@ def test_config_file_and_set_overrides(tmp_path):
     rc = main(["synth", "--out", str(out), "--config", str(cfg), "--set", "count=2"])
     assert rc == 0
     assert len(read_manifest(out / "manifest.txt")) == 2
+    cfg.write_bytes(b"count = 3\xff\n")  # not text: a configuration error, not a traceback
+    assert main(["synth", "--out", str(tmp_path / "again"), "--config", str(cfg)]) == 2
 
 
 def test_train_writes_checkpoint_and_history(trained):
@@ -240,6 +248,10 @@ INCONSISTENT_CHECKPOINTS = {
     "zero-box-size": (r"CONFIG box_size .*", "CONFIG box_size 0"),
     "nan-compactness": (r"CONFIG compactness .*", "CONFIG compactness nan"),
     "non-numeric-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1lots"),
+    "nan-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1nan"),
+    "inf-bias": (r"(TENSOR bias0 .*\n)\S+", r"\1inf"),
+    "underscore-config-int": (r"CONFIG epochs .*", "CONFIG epochs 1_2"),
+    "arabic-indic-tensor-dim": (r"TENSOR beta 3", "TENSOR beta \u0663"),
 }
 
 
@@ -258,6 +270,18 @@ def test_predict_rejects_inconsistent_checkpoint(tmp_path, capsys, trained, case
     assert not (tmp_path / "p.txt").exists()
 
 
+def _assert_numerical_failure(capsys, data, ckpt, command, path):
+    """``command`` with ``ckpt`` saved at ``path`` exits 4 printing one line, writing nothing."""
+    write_checkpoint(path, ckpt)
+    source = {"predict": ["--image", str(data / "img_0000.ppm")], "eval": ["--dataset", str(data)]}
+    out = path.with_suffix(".out")
+    rc = main([command, "--checkpoint", str(path), *source[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4 and not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_huge_finite_beta_exits_4_writing_nothing(tmp_path, capsys, trained, command):
     # beta passes the reader's finite check; at 1e308 the couplings it makes
@@ -266,17 +290,63 @@ def test_huge_finite_beta_exits_4_writing_nothing(tmp_path, capsys, trained, com
     # whose factor then fails or not by rounding alone (at 1e100 it does not)
     data, checkpoint = trained
     ckpt = read_checkpoint(checkpoint)
-    source = {"predict": ["--image", str(data / "img_0000.ppm")], "eval": ["--dataset", str(data)]}
-    out = tmp_path / "out.txt"
     for beta in (1e308, 1e200, 1e100):
         ckpt.beta = np.full(3, beta)
-        huge = tmp_path / f"huge_beta_{beta:g}.txt"
-        write_checkpoint(huge, ckpt)
-        rc = main([command, "--checkpoint", str(huge), *source[command], "--out", str(out)])
-        captured = capsys.readouterr()
-        assert rc == 4 and not out.exists()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+        _assert_numerical_failure(capsys, data, ckpt, command, tmp_path / f"huge_beta_{beta:g}.txt")
+
+
+# finite regressor weights whose output, or the depth painted from it, leaves
+# the finite positive numbers: the output layer sums eight logistic units
+OVERFLOWING_REGRESSORS = {"output-overflows": ("weights", 1e308),
+                          "depth-overflows": ("biases", 1e3), "depth-underflows": ("biases", -1e3)}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_REGRESSORS))
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_overflowing_regressor_exits_4_writing_nothing(tmp_path, capsys, trained, command, case):
+    data, checkpoint = trained
+    ckpt = read_checkpoint(checkpoint)
+    field, value = OVERFLOWING_REGRESSORS[case]
+    getattr(ckpt.model, field)[-1][:] = value
+    _assert_numerical_failure(capsys, data, ckpt, command, tmp_path / "overflowing.txt")
+
+
+def test_corrupted_checkpoints_exit_0_3_or_4(tmp_path, trained):
+    # any exception, or a warning (the suite makes it an error), fails the test
+    data, checkpoint = trained
+    blob, bad = checkpoint.read_bytes(), tmp_path / "bad.txt"
+    rng = np.random.default_rng(6)
+    for i, edited in enumerate([blob[:30] + b"\xff" + blob[31:], *corruptions(blob, rng, 120)]):
+        bad.write_bytes(edited)
+        out = tmp_path / f"p{i}.txt"
+        rc = main(["predict", "--checkpoint", str(bad), "--image", str(data / "img_0000.ppm"),
+                   "--out", str(out)])
+        assert rc in (0, 3, 4) and out.exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("file", ["image", "raster", "tensor"])
+def test_huge_header_dimensions_exit_3_without_allocating(tmp_path, capsys, trained, file):
+    data, checkpoint = trained
+    huge, ckpt, dataset = 1_000_000_000, tmp_path / "ckpt.txt", tmp_path / "data"
+    ckpt.write_text(checkpoint.read_text())
+    dataset.mkdir()
+    (dataset / "img.ppm").write_bytes((data / "img_0000.ppm").read_bytes())
+    (dataset / "depth.txt").write_text((data / "depth_0000.txt").read_text())
+    write_manifest(dataset / "manifest.txt", [("img.ppm", "depth.txt", 0)])
+    if file == "image":
+        (dataset / "img.ppm").write_bytes(b"P6 %d %d 255\n\x00\x00\x00" % (huge, huge))
+    elif file == "raster":
+        (dataset / "depth.txt").write_text(f"DEPTH {huge} {huge}\n1.0\n")
+    else:
+        ckpt.write_text(re.sub(r"TENSOR beta 3\n", f"TENSOR beta {huge} {huge}\n", ckpt.read_text()))
+    tracemalloc.start()
+    try:
+        rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and peak < 1_000_000
+    assert "i/o error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -474,9 +544,14 @@ def test_verify_fails_on_a_nan_map(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--trials", "0"], ["gradcheck", "--nodes", "0"],
-                                  ["gradcheck", "--channels", "-1"]])
+                                  ["gradcheck", "--channels", "-1"], ["gradcheck", "--seed", "-1"],
+                                  ["verify", "--seed", "-1"], ["verify", "--seed", "1_0"],
+                                  ["gradcheck", "--nodes", "\u0661\u0662"]])
 def test_check_commands_reject_empty_counts_with_exit_2(argv, capsys):
-    assert main(argv) == 2 and "must be positive" in capsys.readouterr().err
+    # negative seeds and digits that int() alone would take are rejected as well
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert argv[1] in err and ("must be" in err or "invalid" in err)
 
 
 def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch, capsys):
@@ -509,6 +584,12 @@ def test_sweep_single_count_writes_one_row(tmp_path, trained):
     assert main(["eval", "--checkpoint", str(run / "checkpoint.txt"), "--dataset",
                  str(test_data), "--out", str(evaluated)]) == 0
     assert rms == evaluated.read_text().splitlines()[1].split(",")[2]
+
+
+def test_sweep_rejects_counts_that_are_not_decimal_integers(tmp_path, capsys):
+    rc = main(["sweep-superpixels", "--train-dataset", str(tmp_path), "--test-dataset",
+               str(tmp_path), "--counts", "5_0", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2 and "--counts expects integers" in capsys.readouterr().err
 
 
 def test_sweep_rejects_duplicate_counts(tmp_path):

@@ -22,6 +22,7 @@ from depthcrf.formats import (
     write_ppm,
 )
 from depthcrf.training import EpochStats
+from testutil import corruptions
 
 
 def test_ppm_round_trip_is_exact_on_the_8bit_grid(tmp_path):
@@ -43,10 +44,12 @@ def test_ppm_write_is_deterministic(tmp_path):
 def test_ppm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "img.ppm"
     pixels = bytes(range(2 * 1 * 3))
-    path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + pixels)
-    image = read_ppm(path)
-    assert image.shape == (1, 2, 3)
-    assert np.allclose(image * 255.0, np.frombuffer(pixels, np.uint8).reshape(1, 2, 3))
+    # a comment may also follow a number directly, as netpbm allows
+    for header in (b"P6\n# a comment\n2 1\n# another\n255\n", b"P6 2#after a number\n 1\t255 "):
+        path.write_bytes(header + pixels)
+        image = read_ppm(path)
+        assert image.shape == (1, 2, 3)
+        assert np.allclose(image * 255.0, np.frombuffer(pixels, np.uint8).reshape(1, 2, 3))
 
 
 def test_ppm_rejects_bad_inputs(tmp_path):
@@ -66,6 +69,13 @@ def test_ppm_rejects_bad_inputs(tmp_path):
     short.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
     with pytest.raises(FormatError):
         read_ppm(short)
+    # int() reads 0_1 as 1, +1 as 1 and b"1" * 5000 not at all; a header number is ASCII digits
+    for header in (b"P6\n0_1 1\n255\n", b"P6\n+1 1\n255\n", b"P6\n1 1\n255#\n",
+                   b"P6\n" + b"1" * 5000 + b" 1\n255\n"):
+        odd = tmp_path / "odd.ppm"
+        odd.write_bytes(header + b"\x00\x00\x00")
+        with pytest.raises(FormatError):
+            read_ppm(odd)
     for header in (b"P6\n0 5\n255\n", b"P6\n5 0\n255\n", b"P6\n0 0\n255\n"):
         empty = tmp_path / "empty.ppm"
         empty.write_bytes(header)
@@ -110,6 +120,8 @@ def test_depth_raster_rejects_malformed_files(tmp_path):
         "DEPTH 0 0\n",
         "DEPTH 1 0\n\n",
         "DEPTH 1 2\n\n",  # the one row is blank
+        "DEPTH 0_1 2\n1 2\n",  # int() reads 0_1 as 1
+        "DEPTH \u0661 2\n1 2\n",  # and an Arabic-Indic one as 1
     ):
         path.write_text(text)
         with pytest.raises(FormatError):
@@ -142,7 +154,8 @@ def test_manifest_rejects_malformed_files(tmp_path):
     path.write_text("MANIFEST v2\n")
     with pytest.raises(FormatError):
         read_manifest(path)
-    for line in ("img.ppm depth.txt", "img.ppm depth.txt x"):
+    for line in ("img.ppm depth.txt", "img.ppm depth.txt x", "img.ppm depth.txt 1_0",
+                 "img.ppm depth.txt \u0661"):
         path.write_text(f"MANIFEST v1\n{line}\n")
         with pytest.raises(FormatError):
             read_manifest(path)
@@ -293,6 +306,31 @@ def test_history_round_trip(tmp_path):
 
 def test_history_rejects_other_csv(tmp_path):
     path = tmp_path / "other.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(FormatError):
-        read_history(path)
+    for text in ("a,b\n1,2\n", "epoch,lr,mean_nll\n1_0,0.1,2.0\n", "epoch,lr,mean_nll\n1,nan,2.0\n",
+                 "epoch,lr,mean_nll\n1,0.1\n"):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_history(path)
+
+
+def _small_files(root):
+    """A PPM, a depth raster and a manifest, each small enough that edits often hit its header."""
+    rng = np.random.default_rng(4)
+    write_ppm(root / "img.ppm", rng.integers(0, 256, size=(3, 4, 3)) / 255.0)
+    write_depth_raster(root / "depth.txt", np.exp(rng.normal(size=(3, 4))))
+    write_manifest(root / "manifest.txt", [(f"img_{i}.ppm", f"depth_{i}.txt", i) for i in range(3)])
+    return {read_ppm: root / "img.ppm", read_depth_raster: root / "depth.txt",
+            read_manifest: root / "manifest.txt"}
+
+
+def test_corrupted_files_load_or_raise_format_error(tmp_path):
+    # any other exception, or a warning (the suite makes it an error), fails the test
+    rng = np.random.default_rng(8)
+    for reader, path in _small_files(tmp_path).items():
+        blob = path.read_bytes()
+        for edited in [blob[:9] + b"\xff" + blob[10:], *corruptions(blob, rng, 400)]:
+            path.write_bytes(edited)
+            try:
+                reader(path)
+            except FormatError as exc:
+                assert str(path) in str(exc)

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: instance factories and error measures."""
+"""Shared helpers for the test suite: instance factories, error measures and
+seeded file corruptions."""
 
 from __future__ import annotations
 
@@ -45,3 +46,20 @@ def permute_instance(instance, perm):
         edges=edges[order],
         y=None if instance.y is None else instance.y[perm],
     )
+
+
+def corruptions(blob: bytes, rng, count: int):
+    """``count`` seeded edits of a file's bytes, one edit each: a truncation, a
+    byte replaced by any of the 256 (so also by bytes >= 0x80, which no
+    ASCII file holds), or a line dropped or duplicated."""
+    lines = blob.splitlines(keepends=True)
+    for _ in range(count):
+        kind, pos, line = rng.integers(4), rng.integers(len(blob)), rng.integers(len(lines))
+        if kind == 0:
+            yield blob[:pos]
+        elif kind == 1:
+            yield blob[:pos] + bytes([rng.integers(256)]) + blob[pos + 1 :]
+        elif kind == 2:
+            yield b"".join(lines[:line] + lines[line + 1 :])
+        else:
+            yield b"".join(lines[: line + 1] + lines[line:])

@@ -6,6 +6,8 @@ stage's record (``SceneSpec``, ``GraphConfig``, ``TrainConfig``) names the
 keys it reads and states their defaults.  Values arrive as strings (from a
 config file or ``--set key=value`` overrides) and are coerced by key type;
 unknown keys are rejected so a typo cannot silently fall back to a default.
+A text value holding a line break is rejected too: every key is written
+back as one checkpoint line.
 
 Config files are plain text: one ``key = value`` per line, blank lines
 and ``#`` comments ignored; a file that is not text is a ``ConfigError``.
@@ -131,12 +133,20 @@ class RunConfig:
         return out
 
 
+def _parse_str(text: str) -> str:
+    """Free text on one line: a checkpoint writes each key as one line."""
+    text = text.strip()
+    if len(text.splitlines()) > 1:
+        raise ValueError(f"a line break inside {text!r}")
+    return text
+
+
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 # keyed by annotation text (under __future__ annotations a field's type is a
 # string); a parser raises ValueError or KeyError on a bad value
 _PARSERS = {"bool": lambda text: _BOOLS[text.strip().lower()],
             "tuple": lambda text: tuple(parse_int(t) for t in text.replace(",", " ").split()),
-            "int": parse_int, "float": parse_float, "str": str.strip}
+            "int": parse_int, "float": parse_float, "str": _parse_str}
 
 
 def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:

@@ -1,14 +1,15 @@
 """Loop-per-item versions of the graph front end, kept as test references.
 
 ``depthcrf.graph`` evaluates the SLIC assignment in blocks of centres,
-skipping window cells that cannot win and stopping at a fixed point,
-repairs connectivity from one labelling pass over a doubled grid and
-contracts patches in batches.  The functions here are the straightforward
-loops those replace: a full pass per centre in each of ``iters`` sweeps,
-one full-image ``ndimage.label`` and full-image dilations per label, and
-one three-operand ``einsum`` per superpixel.  Tests require labels and every
-feature except ``patch`` to match them bit for bit, and ``patch`` to match
-within 1e-12 (its contraction order differs).
+skipping window cells that cannot win, seeding each pixel with its hinted
+centre and stopping at a fixed point, repairs connectivity from one
+labelling pass over a doubled grid, reads patch crops in batches from a
+window view of a padded image and takes similarities in blocks of edges.
+The functions here are the straightforward loops those replace: a full pass
+per centre in each of ``iters`` sweeps, one full-image ``ndimage.label`` and
+full-image dilations per label, one clipped-index crop per superpixel and
+one distance per edge.  Tests require labels, every feature and the
+similarities to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
 
 
 def patches(image, centroids, box_size, patch_dim):
-    """Area-averaged patches, one three-operand ``einsum`` per superpixel."""
+    """Area-averaged patches of clipped crops, one superpixel at a time.
+
+    The crop is gathered by clipped row and column indices, and contracted
+    as ``graph`` contracts a block: rows first, then columns.
+    """
     height, width = image.shape[:2]
     count = len(centroids)
     shrink = graph._area_average_weights(box_size, patch_dim)
@@ -116,16 +121,27 @@ def patches(image, centroids, box_size, patch_dim):
         c0 = int(np.floor(centroids[i, 1] + 0.5)) - box_size // 2
         rows = np.clip(np.arange(r0, r0 + box_size), 0, height - 1)
         cols = np.clip(np.arange(c0, c0 + box_size), 0, width - 1)
-        crop = image[np.ix_(rows, cols)]
-        out[i] = np.einsum("ir,rcd,jc->ijd", shrink, crop, shrink)
+        crop = image[np.ix_(rows, cols)].reshape(box_size, 3 * box_size)
+        out[i] = shrink @ (shrink @ crop).reshape(patch_dim, box_size, 3)
     return out.reshape(count, -1)
 
 
-def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
-    """``graph.build_graph`` on the reference segmentation and patches.
+def similarities(features, gammas, edges):
+    """exp(-gamma_k ||f_p - f_q||) per channel, one edge at a time."""
+    channels = (features.mean_color, features.color_hist, features.lbp_hist)
+    dist = np.empty((3, len(edges)))
+    for ch, feats in enumerate(channels):
+        for e, (p, q) in enumerate(edges):
+            dist[ch, e] = np.sqrt(np.sum((feats[p] - feats[q]) ** 2))
+    return np.exp(-np.asarray(gammas, dtype=float)[:, None] * dist)
 
-    Mean colour, histograms, LBP, edges and similarities come from the
-    unchanged ``graph`` functions applied to the reference labels.
+
+def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
+    """``graph.build_graph`` on the reference segmentation, patches and
+    similarities.
+
+    Mean colour, histograms, LBP and edges come from the unchanged ``graph``
+    functions applied to the reference labels.
     """
     labels, centroids = segment(
         sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
@@ -135,7 +151,7 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     )
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)
-    sims = graph.similarities(features, cfg.gammas, edges)
+    sims = similarities(features, cfg.gammas, edges)
     return GraphData(
         labels=labels, centroids=centroids, features=features, edges=edges,
         similarities=sims,

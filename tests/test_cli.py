@@ -100,6 +100,17 @@ def test_synth_bad_config_value_exits_2(tmp_path, capsys):
         assert bad.split("=")[0] in capsys.readouterr().err
 
 
+def test_line_break_in_a_text_key_exits_2_without_writing(tmp_path, capsys, trained):
+    # each would end the key's checkpoint line early, so predict could not read it back
+    data, _ = trained
+    for brk in ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"):
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", str(data), "--out", str(out), *FAST,
+                   "--set", "epochs=1", "--set", f"out_dir=a{brk}b"])
+        assert rc == 2 and not out.exists(), repr(brk)
+        assert "out_dir" in capsys.readouterr().err
+
+
 def test_config_file_and_set_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("count = 3  # comment\nheight = 48\nwidth = 48\nseed = 9\n")

@@ -203,6 +203,13 @@ class TestFeatures:
         expected = image[np.ix_(rows, rows)][..., 2]
         assert np.allclose(patch[..., 2], expected)
 
+    @pytest.mark.parametrize("centroid", [[-0.51, 2.0], [2.0, -0.6], [4.5, 2.0], [2.0, 6.5],
+                                          [np.nan, 2.0]])
+    def test_patches_reject_centroids_off_the_image(self, centroid):
+        with pytest.raises(ValueError, match="centroids"):
+            graph.extract_features(flat_scene(5, 7), np.zeros((5, 7), dtype=int),
+                                   np.array([centroid]), 24, 8)
+
     def test_centroid_depth_option(self):
         sample = flat_scene(height=8, width=8)
         sample.depth = np.linspace(1.0, 3.0, 64).reshape(8, 8)
@@ -335,11 +342,10 @@ class TestAgainstReferenceLoops:
             slow = graph_reference.build_graph(sample, cfg)
             for name in ("labels", "centroids", "edges", "similarities"):
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-            for name in ("mean_color", "color_hist", "lbp_hist", "gt_logdepth"):
+            for name in ("mean_color", "color_hist", "lbp_hist", "patch", "gt_logdepth"):
                 assert np.array_equal(
                     getattr(fast.features, name), getattr(slow.features, name)
                 ), name
-            assert np.max(np.abs(fast.features.patch - slow.features.patch)) <= 1e-12
 
     @pytest.mark.parametrize("block_cells", [1, 50, 10**6])
     def test_assignment_independent_of_block_size(self, monkeypatch, block_cells):
@@ -393,6 +399,46 @@ class TestAgainstReferenceLoops:
             for hint in hints:
                 labels = graph._assign(*args, hint)
                 assert np.array_equal(labels, expected), case
+
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    @pytest.mark.parametrize("height, width, box_size, patch_dim",
+                             [(5, 7, 24, 8), (5, 7, 7, 3), (16, 13, 6, 4), (30, 40, 9, 9)])
+    def test_patches_match_reference_at_every_border(self, monkeypatch, block_cells,
+                                                     height, width, box_size, patch_dim):
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(height * width + box_size)
+        image = rng.random((height, width, 3))
+        last_r, last_c = height - 1, width - 1
+        # corners, every edge, centroids rounding onto a border, the interior
+        centroids = np.array([
+            [0, 0], [0, last_c], [last_r, 0], [last_r, last_c],
+            [0, width / 2], [last_r, width / 3], [height / 2, 0], [height / 3, last_c],
+            [-0.5, -0.5], [last_r + 0.49, last_c + 0.49], [height / 2, width / 2],
+        ])
+        centroids = np.vstack([centroids, rng.uniform(-0.5, [last_r + 0.49, last_c + 0.49],
+                                                      (9, 2))])
+        labels = np.arange(height * width).reshape(height, width) % len(centroids)
+        feats = graph.extract_features(SceneSample(image=image), labels, centroids,
+                                       box_size, patch_dim)
+        expected = graph_reference.patches(image, centroids, box_size, patch_dim)
+        assert np.array_equal(feats.patch, expected)
+
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    def test_similarities_match_reference(self, monkeypatch, block_cells):
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(14)
+        count = 40
+        feats = graph.SuperpixelFeatures(
+            mean_color=rng.random((count, 3)),
+            color_hist=rng.dirichlet(np.ones(3 * graph.COLOR_BINS), count),
+            lbp_hist=rng.dirichlet(np.ones(graph.LBP_BINS), count),
+            patch=np.zeros((count, 0)), gt_logdepth=None,
+        )
+        edges = np.array(sorted({tuple(sorted(pair)) for pair in rng.integers(0, count, (300, 2))
+                                 if pair[0] != pair[1]}))
+        gammas = (0.7, 2.0, 3.5)
+        assert np.array_equal(graph.similarities(feats, gammas, edges),
+                              graph_reference.similarities(feats, gammas, edges))
 
     def test_connectivity_repair_on_fragmented_labels(self):
         rng = np.random.default_rng(5)
@@ -526,3 +572,16 @@ def test_front_end_working_set_stays_small_at_150_superpixels():
     # reach 21 here, so windows overhang the 128x128 image far more than at
     # 700; sweeps over the fully padded image peaked at 4.29 MB
     assert front_end_peak(150) < 3.5 * 2**20
+
+
+def test_graph_working_set_stays_small_at_2000_superpixels():
+    # the LBP channel's (E, 256) differences, taken over all edges at once,
+    # peaked at 27.3 MiB here
+    sample = synth.generate(synth.SceneSpec(seed=3))
+    tracemalloc.start()
+    try:
+        graph.build_graph(sample, GraphConfig(target_superpixels=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -21,7 +21,6 @@ output or depth that overflows).  Numeric flags use ``config``'s number grammar.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 import time
@@ -44,6 +43,7 @@ from .formats import (
     write_history,
     write_manifest,
     write_ppm,
+    write_table,
 )
 from .graph import SceneSample
 
@@ -175,12 +175,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
     predictions = [metrics.predict_image(s, ckpt) for s in samples]
     reports = metrics.evaluate(predictions, truths, args.c1_cap)
-    if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_EVAL_COLUMNS)  # report fields are in column order
-            writer.writerows([name, *map(repr, dataclasses.astuple(r))]
-                             for name, r in reports.items())
+    if args.out is not None:  # report fields are in column order
+        write_table(args.out, _EVAL_COLUMNS,
+                    ([name, *dataclasses.astuple(r)] for name, r in reports.items()))
     header = "".join(f"{c:>9}" for c in _EVAL_COLUMNS)
     print(header)
     for name, r in reports.items():
@@ -268,11 +265,7 @@ def cmd_sweep(args) -> int:
                                    train_samples, test_samples)
         rows.append((count, rms, seconds))
         print(f"count {count:>5d}: rms {rms:.4f}, train {seconds:.2f} s")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["count", "rms", "train_seconds"])
-        for count, rms, seconds in rows:
-            writer.writerow([count, repr(rms), repr(seconds)])
+    write_table(args.out, ["count", "rms", "train_seconds"], rows)
     print(f"wrote sweep results to {args.out}")
     return 0
 

@@ -20,7 +20,8 @@ exactly:
   its last axis, in row-major order, written and read like the rows of a
   depth raster; the reader rejects tensors that are not finite or that
   disagree with the configuration or with each other;
-* training history is CSV with columns epoch, lr, mean_nll.
+* training history is CSV with columns epoch, lr, mean_nll, written by
+  ``write_table`` like the ``eval --out`` and ``sweep-superpixels`` CSVs.
 
 Header numbers and seeds are read by ``config.parse_int``/``parse_float``,
 section rows by ``np.loadtxt``: the same ASCII decimals.  Text that does not
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -266,12 +267,16 @@ def read_checkpoint(path) -> Checkpoint:
     return Checkpoint(config, model, beta, gammas, input_mean=mean, input_std=std)
 
 
-def write_history(path, history) -> None:
+def write_table(path, header, rows) -> None:
+    """A CSV file: the header, then one line per row, floats as ``_fmt`` writes them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "mean_nll"])
-        for stats in history:
-            writer.writerow([stats.epoch, _fmt(stats.lr), _fmt(stats.mean_nll)])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_history(path, history) -> None:  # EpochStats fields are in column order
+    write_table(path, ["epoch", "lr", "mean_nll"], map(astuple, history))
 
 
 def read_history(path):

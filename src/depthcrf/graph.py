@@ -139,26 +139,22 @@ class GraphData:
     similarities: np.ndarray
 
 
-def _grid_counts(height, width, target_n):
+def _grid_labels(height, width, target_n):
     pitch = np.sqrt(height * width / target_n)
     rows = max(1, round(height / pitch))
     cols = max(1, round(width / pitch))
-    return rows, cols
-
-
-def _grid_labels(height, width, target_n):
-    rows, cols = _grid_counts(height, width, target_n)
     row_ids = np.minimum(np.arange(height) * rows // height, rows - 1)
     col_ids = np.minimum(np.arange(width) * cols // width, cols - 1)
     return row_ids[:, None] * cols + col_ids[None, :]
 
 
-def _centroids(labels, count):
-    rows, cols = np.indices(labels.shape)
-    sums_r = np.bincount(labels.ravel(), weights=rows.ravel(), minlength=count)
-    sums_c = np.bincount(labels.ravel(), weights=cols.ravel(), minlength=count)
-    sizes = np.maximum(np.bincount(labels.ravel(), minlength=count), 1)
-    return np.stack([sums_r / sizes, sums_c / sizes], axis=1)
+def _label_means(labels, values, count):
+    """Mean of each column of ``values`` (one row per pixel, in raster order)
+    over the pixels of each label 0..count-1; 0 for a label with none."""
+    flat = labels.ravel()
+    sizes = np.maximum(np.bincount(flat, minlength=count), 1)
+    sums = [np.bincount(flat, weights=column, minlength=count) for column in values.T]
+    return np.stack(sums, axis=1) / sizes[:, None]
 
 
 def _compact(labels):
@@ -211,33 +207,34 @@ def _enforce_connectivity(labels):
 
 def _distance(pixel_colors, center_colors, s_space):
     """SLIC distance from (k, 3) pixel and centre colours and the scaled
-    spatial term, summed (c0 + c1) + c2 + s so that every caller rounds alike."""
-    diff = (pixel_colors - center_colors) ** 2
-    return diff[:, 0] + diff[:, 1] + diff[:, 2] + s_space
+    spatial term, summed (c0 + c1) + c2 + s so that every caller rounds alike;
+    taken channel by channel, which reads the column-major pixel table fastest."""
+    d0, d1, d2 = ((pixel_colors[:, ch] - center_colors[:, ch]) ** 2 for ch in range(3))
+    return d0 + d1 + d2 + s_space
 
 
-def _hint_bound(pixels, c_rows, c_cols, colors, spatial_scale, reach, hint):
+def _hint_bound(table, c_rows, c_cols, colors, spatial_scale, reach, hint):
     """Distance of each pixel to its hinted centre, +inf where that centre
-    has no window over the pixel or the id names no centre; flat, in raster
-    order."""
-    height, width = hint.shape
+    has no window over the pixel or the id names no centre; flat, in the
+    raster order of the (row, col, r, g, b) pixel ``table``."""
     known = ((hint >= 0) & (hint < len(c_rows))).ravel()
     ref = np.where(known, hint.ravel(), 0)
-    rows, cols = np.divmod(np.arange(height * width), width)
+    rows, cols = table[:, 0], table[:, 1]
     ref_rows, ref_cols = c_rows[ref], c_cols[ref]
     covered = known & (np.abs(rows - ref_rows.astype(np.intp)) <= reach)
     covered &= np.abs(cols - ref_cols.astype(np.intp)) <= reach
     s_space = spatial_scale * ((rows - ref_rows) ** 2 + (cols - ref_cols) ** 2)
-    dist = _distance(pixels, colors[ref], s_space)
+    dist = _distance(table[:, 2:], colors[ref], s_space)
     return np.where(covered, dist, np.inf)
 
 
-def _assign(image, centers, colors, spatial_scale, reach, fallback, hint=None):
+def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
     """Label every pixel with the nearest centre whose window covers it.
 
-    A centre's window spans ``reach`` pixels on each side of its truncated
-    position.  Ties go to the lowest centre index, and pixels no window
-    covers take their ``fallback`` label.
+    ``table`` is the image's (row, col, r, g, b) pixel table, built once per
+    ``segment``.  A centre's window spans ``reach`` pixels on each side of
+    its truncated position.  Ties go to the lowest centre index, and pixels
+    no window covers take their ``fallback`` label.
 
     Most window cells cannot win, and are skipped exactly.  ``hint`` (the
     previous sweep's labels; ``fallback`` if omitted) names one centre per
@@ -262,9 +259,9 @@ def _assign(image, centers, colors, spatial_scale, reach, fallback, hint=None):
     count = len(centers)
     side = 2 * reach + 1
     hint = fallback if hint is None else hint
-    pixels = image.reshape(-1, 3)
+    pixels = table[:, 2:]
     c_rows, c_cols = np.ascontiguousarray(centers.T)
-    seeded = _hint_bound(pixels, c_rows, c_cols, colors, spatial_scale, reach, hint)
+    seeded = _hint_bound(table, c_rows, c_cols, colors, spatial_scale, reach, hint)
     hint = hint.ravel()
     bound = np.full((height + 2 * reach, width + 2 * reach), -np.inf)
     bound[reach : reach + height, reach : reach + width] = seeded.reshape(height, width)
@@ -300,39 +297,40 @@ def _assign(image, centers, colors, spatial_scale, reach, fallback, hint=None):
     return np.where(labels == count, fallback, labels)
 
 
-def _update_centers(image, labels, centers, colors):
-    """Move centres to their pixels' centroid and mean colour, in place.
+def _update_centers(table, labels, centers, colors):
+    """Move centres to their pixels' centroid and mean colour in ``table``, in place.
 
     A centre that won no pixel keeps its previous position and colour.
     """
     count = len(centers)
-    flat = labels.ravel()
-    sizes = np.bincount(flat, minlength=count)
-    occupied = sizes > 0
-    centers[occupied] = _centroids(labels, count)[occupied]
-    for ch in range(3):
-        acc = np.bincount(flat, weights=image[..., ch].ravel(), minlength=count)
-        colors[occupied, ch] = acc[occupied] / sizes[occupied]
+    occupied = np.bincount(labels.ravel(), minlength=count) > 0
+    means = _label_means(labels, table, count)[occupied]
+    centers[occupied], colors[occupied] = means[:, :2], means[:, 2:]
 
 
 def segment(image, target_n, compactness=GraphConfig.compactness,
             mode=GraphConfig.seg_mode, iters=10):
-    """Partition an image into superpixels; returns (labels, centroids)."""
+    """Partition an image into superpixels; returns (labels, centroids).
+
+    One (row, col, r, g, b) pixel table, one row per pixel in raster order,
+    serves the seed grid's centroids, every sweep and the final centroids;
+    grid mode returns the seed grid.
+    """
     image = np.asarray(image, dtype=float)
     height, width = image.shape[:2]
     if not 1 <= target_n <= height * width:
         raise ValueError("target superpixel count must be in [1, pixel count]")
-    if mode == "grid":
-        labels = _grid_labels(height, width, target_n)
-        count = labels.max() + 1
-        return labels, _centroids(labels, count)
-    if mode != "slic":
+    if mode not in ("grid", "slic"):
         raise ValueError("mode must be 'grid' or 'slic'")
+    rows, cols = np.indices((height, width))
+    # column-major, so that each column a sweep reads is one contiguous run
+    table = np.array([rows.ravel(), cols.ravel(), *image.reshape(-1, 3).T]).T
+    seed_labels = _grid_labels(height, width, target_n)
+    centers = _label_means(seed_labels, table[:, :2], seed_labels.max() + 1)
+    if mode == "grid":
+        return seed_labels, centers
 
     pitch = np.sqrt(height * width / target_n)
-    seed_labels = _grid_labels(height, width, target_n)
-    count = seed_labels.max() + 1
-    centers = _centroids(seed_labels, count)
     colors = image[
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
@@ -341,13 +339,13 @@ def segment(image, target_n, compactness=GraphConfig.compactness,
     reach = int(np.ceil(2 * pitch))
     labels = seed_labels
     for _ in range(iters):
-        labels = _assign(image, centers, colors, spatial_scale, reach, seed_labels, labels)
+        labels = _assign(table, centers, colors, spatial_scale, reach, seed_labels, labels)
         before = centers.copy(), colors.copy()
-        _update_centers(image, labels, centers, colors)
+        _update_centers(table, labels, centers, colors)
         if np.array_equal(before[0], centers) and np.array_equal(before[1], colors):
             break  # every later sweep would repeat this one's inputs and labels
     labels, count = _enforce_connectivity(labels)
-    return labels, _centroids(labels, count)
+    return labels, _label_means(labels, table[:, :2], count)
 
 
 def adjacency(labels) -> np.ndarray:
@@ -382,23 +380,17 @@ def lbp_codes(image) -> np.ndarray:
 
 
 def _label_histograms(labels, values, bins, count):
-    hist = np.bincount(
+    return np.bincount(
         labels.ravel() * bins + values.ravel(), minlength=count * bins
     ).reshape(count, bins)
-    return hist
 
 
 def _area_average_weights(src: int, dst: int) -> np.ndarray:
     """(dst, src) matrix averaging equal real-length source spans per cell."""
     ratio = src / dst
-    weights = np.zeros((dst, src))
-    for i in range(dst):
-        lo, hi = i * ratio, (i + 1) * ratio
-        for j in range(int(np.floor(lo)), int(np.ceil(hi))):
-            overlap = min(hi, j + 1) - max(lo, j)
-            if overlap > 0:
-                weights[i, j] = overlap / ratio
-    return weights
+    cells, spans = np.arange(dst)[:, None], np.arange(src)
+    overlap = np.minimum((cells + 1) * ratio, spans + 1) - np.maximum(cells * ratio, spans)
+    return np.where(overlap > 0, overlap / ratio, 0.0)
 
 
 def extract_features(sample: SceneSample, labels, centroids, box_size: int, patch_dim: int,
@@ -419,16 +411,7 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
     image = sample.image
     height, width = sample.shape
     count = int(labels.max()) + 1
-    sizes = np.bincount(labels.ravel(), minlength=count).astype(float)
-
-    mean_color = np.stack(
-        [
-            np.bincount(labels.ravel(), weights=image[..., c].ravel(), minlength=count)
-            / sizes
-            for c in range(3)
-        ],
-        axis=1,
-    )
+    mean_color = _label_means(labels, image.reshape(-1, 3), count)
 
     bin_idx = np.minimum((image * COLOR_BINS).astype(np.intp), COLOR_BINS - 1)
     color_hist = np.concatenate(
@@ -467,11 +450,7 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
             cc = np.clip(np.rint(centroids[:, 1]).astype(int), 0, width - 1)
             gt_logdepth = np.log(sample.depth[rr, cc])
         else:
-            mean_depth = (
-                np.bincount(labels.ravel(), weights=sample.depth.ravel(), minlength=count)
-                / sizes
-            )
-            gt_logdepth = np.log(mean_depth)
+            gt_logdepth = np.log(_label_means(labels, sample.depth.reshape(-1, 1), count)[:, 0])
 
     return SuperpixelFeatures(
         mean_color=mean_color,

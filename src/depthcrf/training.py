@@ -158,8 +158,8 @@ def _require_finite(state: TrainState, what: str, *arrays) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = False) -> float:
-    """One SGD step over a batch of scenes; returns the pre-update objective.
+def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = False) -> float:
+    """One SGD step on one prepared scene; returns the pre-update objective.
 
     Raises DivergenceError, before any parameter moves, when the step leaves
     the finite numbers; the overflow on the way there raises no warning.
@@ -167,24 +167,16 @@ def step(state: TrainState, batch, config: TrainConfig, *, unary_only: bool = Fa
     lr = current_lr(config, state.epoch)
     theta = unary.get_params(state.model)
     weights = PairwiseWeights(np.zeros_like(state.beta) if unary_only else state.beta)
-    loss = 0.0
-    grad_theta = np.zeros_like(theta)
-    grad_beta = np.zeros_like(state.beta)
-    for scene in batch:
-        z, tape = unary.forward(state.model, scene.inputs, state.rng, config.dropout_keep)
-        _require_finite(state, "regressor output", z)
-        try:
-            value, gz, gb = crf.nll_with_grads(scene.instance, z, weights)
-        except FactorizationError as exc:
-            raise _diverged(state, str(exc)) from exc
-        loss += value
-        grad_theta += unary.backward(state.model, tape, gz)
-        grad_beta += gb
-    beta_now = weights.beta
+    z, tape = unary.forward(state.model, scene.inputs, state.rng, config.dropout_keep)
+    _require_finite(state, "regressor output", z)
+    try:
+        loss, gz, grad_beta = crf.nll_with_grads(scene.instance, z, weights)
+    except FactorizationError as exc:
+        raise _diverged(state, str(exc)) from exc
     loss += 0.5 * config.lambda1 * float(theta @ theta)
-    loss += 0.5 * config.lambda2 * float(beta_now @ beta_now)
-    grad_theta += config.lambda1 * theta
-    grad_beta += config.lambda2 * state.beta
+    loss += 0.5 * config.lambda2 * float(weights.beta @ weights.beta)
+    grad_theta = unary.backward(state.model, tape, gz) + config.lambda1 * theta
+    grad_beta = grad_beta + config.lambda2 * state.beta
     _require_finite(state, "loss or gradient", loss, grad_theta, grad_beta)
     theta_velocity = config.momentum * state.theta_velocity - lr * grad_theta
     beta_velocity = config.momentum * state.beta_velocity - lr * grad_beta
@@ -207,7 +199,7 @@ def train(scenes, config: TrainConfig, state: TrainState, *, unary_only=False) -
     for _ in range(config.epochs):
         lr = current_lr(config, state.epoch)
         order = state.rng.permutation(len(scenes))
-        losses = [step(state, [scenes[i]], config, unary_only=unary_only) for i in order]
+        losses = [step(state, scenes[i], config, unary_only=unary_only) for i in order]
         state.history.append(
             EpochStats(epoch=state.epoch, lr=lr, mean_nll=float(np.mean(losses)))
         )

@@ -171,9 +171,8 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
             delta = delta * tape.masks[i] / tape.keep_prob
         if act == RELU:
             delta = delta * (tape.pres[i] > 0.0)
-        elif act == LOGISTIC:
-            sig = _apply(LOGISTIC, tape.pres[i])
-            delta = delta * sig * (1.0 - sig)
+        elif act == LOGISTIC:  # never a dropout layer, so its output is the sigmoid
+            delta = delta * tape.posts[i] * (1.0 - tape.posts[i])
         layer_in = tape.inputs if i == 0 else tape.posts[i - 1]
         grads_w[i] = layer_in.T @ delta
         grads_b[i] = delta.sum(axis=0)

@@ -8,8 +8,10 @@ window view of a padded image and takes similarities in blocks of edges.
 The functions here are the straightforward loops those replace: a full pass
 per centre in each of ``iters`` sweeps, one full-image ``ndimage.label`` and
 full-image dilations per label, one clipped-index crop per superpixel and
-one distance per edge.  Tests require labels, every feature and the
-similarities to match them bit for bit.
+one distance per edge.  Centroids are taken one label at a time and the
+area-average weights by the double loop ``graph`` replaced, so no reference
+result is computed by the code it checks.  Tests require labels, every
+feature and the similarities to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,31 @@ import scipy.ndimage
 
 from depthcrf import graph
 from depthcrf.graph import FOUR_CONNECTED, GraphConfig, GraphData, SceneSample
+
+
+def centroids(labels, count):
+    """Mean row and column of each label's pixels, one label at a time; 0
+    for a label without pixels."""
+    out = np.zeros((count, 2))
+    for i in range(count):
+        rows, cols = np.nonzero(labels == i)
+        if rows.size:
+            out[i] = rows.mean(), cols.mean()
+    return out
+
+
+def area_average_weights(src, dst):
+    """(dst, src) matrix averaging equal real-length source spans per cell."""
+    ratio = src / dst
+    weights = np.zeros((dst, src))
+    for i in range(dst):
+        lo, hi = i * ratio, (i + 1) * ratio
+        # (i + 1) * ratio can round past src, to a sliver of a pixel that is not there
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
+            overlap = min(hi, j + 1) - max(lo, j)
+            if overlap > 0:
+                weights[i, j] = overlap / ratio
+    return weights
 
 
 def assign(image, centers, colors, spatial_scale, reach, fallback):
@@ -84,7 +111,7 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
     pitch = np.sqrt(height * width / target_n)
     seed_labels = graph._grid_labels(height, width, target_n)
     count = seed_labels.max() + 1
-    centers = graph._centroids(seed_labels, count)
+    centers = centroids(seed_labels, count)
     colors = image[
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
@@ -97,13 +124,13 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
         flat = labels.ravel()
         sizes = np.bincount(flat, minlength=count)
         occupied = sizes > 0
-        centers_new = graph._centroids(labels, count)
+        centers_new = centroids(labels, count)
         centers[occupied] = centers_new[occupied]
         for ch in range(3):
             acc = np.bincount(flat, weights=image[..., ch].ravel(), minlength=count)
             colors[occupied, ch] = acc[occupied] / sizes[occupied]
     labels, count = enforce_connectivity(labels, count)
-    return labels, graph._centroids(labels, count)
+    return labels, centroids(labels, count)
 
 
 def patches(image, centroids, box_size, patch_dim):
@@ -114,7 +141,7 @@ def patches(image, centroids, box_size, patch_dim):
     """
     height, width = image.shape[:2]
     count = len(centroids)
-    shrink = graph._area_average_weights(box_size, patch_dim)
+    shrink = area_average_weights(box_size, patch_dim)
     out = np.empty((count, patch_dim, patch_dim, 3))
     for i in range(count):
         r0 = int(np.floor(centroids[i, 0] + 0.5)) - box_size // 2

@@ -74,7 +74,7 @@ def run_session() -> dict:
             code = main(argv)
         stdout = SWEEP_TIMING.sub(b"", out.getvalue().encode())
         commands.append({"argv": " ".join(argv), "exit": code, "stdout": _sha256(stdout)})
-    files = {str(p.as_posix()): _sha256(_timeless(p))
+    files = {p.as_posix(): _sha256(_timeless(p))
              for p in sorted(Path(".").rglob("*")) if p.is_file()}
     return {"commands": commands, "files": files}
 

@@ -17,6 +17,12 @@ def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
     return SceneSample(image=image, depth=np.full((height, width), depth))
 
 
+def pixel_table(image):
+    """The (row, col, r, g, b) table ``graph.segment`` hands its sweeps."""
+    rows, cols = np.indices(image.shape[:2])
+    return np.column_stack([rows.ravel(), cols.ravel(), image.reshape(-1, 3)])
+
+
 def brute_force_adjacency(labels):
     found = set()
     h, w = labels.shape
@@ -179,6 +185,14 @@ class TestFeatures:
         weights = graph._area_average_weights(3, 2)
         assert np.allclose(weights, [[2 / 3, 1 / 3, 0], [0, 1 / 3, 2 / 3]])
         assert np.allclose(weights.sum(axis=1), 1.0)
+
+    def test_area_average_weights_match_the_loop_bit_for_bit(self):
+        for src in range(1, 33):
+            # dst > src too, and pairs such as (25, 11) whose last cell ends a
+            # rounding error past the last pixel
+            for dst in range(1, 33):
+                expected = graph_reference.area_average_weights(src, dst)
+                assert np.array_equal(graph._area_average_weights(src, dst), expected), (src, dst)
 
     def test_patch_block_average(self):
         image = np.zeros((4, 4, 3))
@@ -352,13 +366,14 @@ class TestAgainstReferenceLoops:
         rng = np.random.default_rng(4)
         image = rng.random((23, 31, 3))
         fallback = graph._grid_labels(23, 31, 20)
-        centers = graph._centroids(fallback, fallback.max() + 1)
+        centers = graph_reference.centroids(fallback, fallback.max() + 1)
         centers += rng.uniform(-1.5, 1.5, centers.shape)
         centers = np.clip(centers, 0, [22, 30])
         colors = rng.random((len(centers), 3))
         args = (image, centers, colors, 0.01, 5, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
+        labels = graph._assign(pixel_table(image), *args[1:])
+        assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
     def test_assignment_with_windows_overhanging_every_border(self, monkeypatch, block_cells):
@@ -369,7 +384,8 @@ class TestAgainstReferenceLoops:
         # reach 4: every 9x9 window sticks out past all four borders
         args = (image, centers, colors, 0.3, 4, graph._grid_labels(3, 4, 5))
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        assert np.array_equal(graph._assign(*args), graph_reference.assign(*args))
+        labels = graph._assign(pixel_table(image), *args[1:])
+        assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
     def test_assignment_matches_reference_for_any_hint(self, monkeypatch, block_cells):
@@ -396,8 +412,9 @@ class TestAgainstReferenceLoops:
                 expected,
                 np.where(rng.random((height, width)) < 0.3, fallback, expected),
             ]
+            table = pixel_table(image)
             for hint in hints:
-                labels = graph._assign(*args, hint)
+                labels = graph._assign(table, *args[1:], hint)
                 assert np.array_equal(labels, expected), case
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -504,7 +521,8 @@ class TestAssignmentSemantics:
         # symmetric centres, deliberately not listed in raster order
         centers = np.array([[5.0, 5.0], [1.0, 5.0], [5.0, 1.0], [1.0, 1.0]])
         colors = np.full((4, 3), 0.3)
-        labels = graph._assign(image, centers, colors, 1.0, 6, np.zeros((7, 7), int))
+        labels = graph._assign(pixel_table(image), centers, colors, 1.0, 6,
+                               np.zeros((7, 7), int))
         rows, cols = np.indices((7, 7))
         dists = np.stack(
             [(rows - r) ** 2 + (cols - c) ** 2 for r, c in centers]
@@ -520,7 +538,7 @@ class TestAssignmentSemantics:
         colors = np.full((2, 3), 0.5)
         fallback = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0]])
         args = (image, centers, colors, 1.0, 2, fallback)
-        labels = graph._assign(*args)
+        labels = graph._assign(pixel_table(image), *args[1:])
         assert labels.tolist() == [[0, 0, 0, 1, 1, 0, 1, 1, 1]]
         assert np.array_equal(labels, graph_reference.assign(*args))
 
@@ -530,7 +548,7 @@ class TestAssignmentSemantics:
         labels = np.array([[0, 0, 2, 2], [0, 0, 2, 2]])
         centers = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
         colors = np.array([[0.1, 0.1, 0.1], [0.4, 0.5, 0.6], [0.9, 0.9, 0.9]])
-        graph._update_centers(image, labels, centers, colors)
+        graph._update_centers(pixel_table(image), labels, centers, colors)
         assert np.array_equal(centers, [[0.5, 0.5], [1.0, 1.0], [0.5, 2.5]])
         assert np.allclose(colors, [[0, 0, 0], [0.4, 0.5, 0.6], [0.8, 0.8, 0.8]])
 

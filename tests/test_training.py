@@ -103,7 +103,7 @@ class TestStep:
         state = training.init_state(DIMS, config)
         theta_before = unary.get_params(state.model).copy()
         beta_before = state.beta.copy()
-        loss = training.step(state, scenes[:1], config)
+        loss = training.step(state, scenes[0], config)
         assert loss > 0.0
         assert np.array_equal(unary.get_params(state.model), theta_before)
         assert np.array_equal(state.beta, beta_before)
@@ -112,8 +112,8 @@ class TestStep:
         scenes = tiny_scenes()
         config = quiet_config(lambda1=3e-4, lambda2=2e-4)
         state = training.init_state(DIMS, config)
-        expected = objective(state, scenes[:2], config)
-        loss = training.step(state, scenes[:2], config)
+        expected = objective(state, scenes[:1], config)
+        loss = training.step(state, scenes[0], config)
         assert rel_err(loss, expected) < 1e-9
 
     def test_update_equals_fd_slope(self):
@@ -134,7 +134,7 @@ class TestStep:
 
         fd_theta = oracle.fd_gradient(f_theta, theta0)
         fd_beta = oracle.fd_gradient(f_beta, beta0)
-        training.step(state, scenes, config)
+        training.step(state, scenes[0], config)
         assert rel_err(unary.get_params(state.model) - theta0, -config.lr0 * fd_theta) < 1e-4
         assert rel_err(state.beta - beta0, -config.lr0 * fd_beta) < 1e-4
 
@@ -151,7 +151,9 @@ class TestStep:
 
         monkeypatch.setattr(crf, "nll_with_grads", spy)
         config = quiet_config()
-        training.step(training.init_state(DIMS, config), scenes, config)
+        state = training.init_state(DIMS, config)
+        for scene in scenes:
+            training.step(state, scene, config)
         assert len(seen) == len(scenes)
         for scene, (instance, z) in zip(scenes, seen):
             assert instance is scene.instance
@@ -183,7 +185,7 @@ class TestStep:
         )
         config = quiet_config(lr0=1e9)
         state = training.init_state((3, 1), config)
-        training.step(state, [scene], config)
+        training.step(state, scene, config)
         assert np.array_equal(state.beta, np.zeros(3))
 
     def test_momentum_velocity_recursion(self):
@@ -196,13 +198,13 @@ class TestStep:
         f = lambda vec: (unary.set_params(state.model, vec), objective(state, scenes, config))[1]
         g1 = oracle.fd_gradient(f, theta0)
         unary.set_params(state.model, theta0)
-        training.step(state, scenes, config)
+        training.step(state, scenes[0], config)
         v1 = state.theta_velocity.copy()
         assert rel_err(v1, -config.lr0 * g1) < 1e-4
         theta1 = unary.get_params(state.model).copy()
         g2 = oracle.fd_gradient(f, theta1)
         unary.set_params(state.model, theta1)
-        training.step(state, scenes, config)
+        training.step(state, scenes[0], config)
         assert rel_err(state.theta_velocity, config.momentum * v1 - config.lr0 * g2) < 1e-4
 
     def test_zero_gradient_fixed_point(self):
@@ -216,7 +218,7 @@ class TestStep:
         config = quiet_config(lr0=0.5)
         state = training.init_state((d, 1), config)
         unary.set_params(state.model, np.zeros(d + 1))
-        training.step(state, [scene], config)
+        training.step(state, scene, config)
         assert np.array_equal(unary.get_params(state.model), np.zeros(d + 1))
         assert np.array_equal(state.beta, np.full(3, 0.5))
 
@@ -276,7 +278,7 @@ class TestUnaryOnly:
         scenes = tiny_scenes(count=1)
         config = quiet_config(lr0=0.0)
         state = training.init_state(DIMS, config)
-        loss = training.step(state, scenes, config, unary_only=True)
+        loss = training.step(state, scenes[0], config, unary_only=True)
         z, _ = unary.forward(state.model, scenes[0].inputs)
         expected = float(np.sum((scenes[0].instance.y - z) ** 2))
         expected += 0.5 * scenes[0].instance.n * np.log(np.pi)

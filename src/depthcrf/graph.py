@@ -139,8 +139,7 @@ class GraphData:
     similarities: np.ndarray
 
 
-def _grid_labels(height, width, target_n):
-    pitch = np.sqrt(height * width / target_n)
+def _grid_labels(height, width, pitch):
     rows = max(1, round(height / pitch))
     cols = max(1, round(width / pitch))
     row_ids = np.minimum(np.arange(height) * rows // height, rows - 1)
@@ -148,13 +147,15 @@ def _grid_labels(height, width, target_n):
     return row_ids[:, None] * cols + col_ids[None, :]
 
 
-def _label_means(labels, values, count):
+def _label_means(labels, values, count, sizes=None):
     """Mean of each column of ``values`` (one row per pixel, in raster order)
-    over the pixels of each label 0..count-1; 0 for a label with none."""
+    over the pixels of each label 0..count-1; 0 for a label with none.
+    ``sizes``, each label's pixel count, is counted here unless given."""
     flat = labels.ravel()
-    sizes = np.maximum(np.bincount(flat, minlength=count), 1)
+    if sizes is None:
+        sizes = np.bincount(flat, minlength=count)
     sums = [np.bincount(flat, weights=column, minlength=count) for column in values.T]
-    return np.stack(sums, axis=1) / sizes[:, None]
+    return np.stack(sums, axis=1) / np.maximum(sizes, 1)[:, None]
 
 
 def _compact(labels):
@@ -303,8 +304,9 @@ def _update_centers(table, labels, centers, colors):
     A centre that won no pixel keeps its previous position and colour.
     """
     count = len(centers)
-    occupied = np.bincount(labels.ravel(), minlength=count) > 0
-    means = _label_means(labels, table, count)[occupied]
+    sizes = np.bincount(labels.ravel(), minlength=count)
+    occupied = sizes > 0
+    means = _label_means(labels, table, count, sizes)[occupied]
     centers[occupied], colors[occupied] = means[:, :2], means[:, 2:]
 
 
@@ -325,12 +327,12 @@ def segment(image, target_n, compactness=GraphConfig.compactness,
     rows, cols = np.indices((height, width))
     # column-major, so that each column a sweep reads is one contiguous run
     table = np.array([rows.ravel(), cols.ravel(), *image.reshape(-1, 3).T]).T
-    seed_labels = _grid_labels(height, width, target_n)
+    pitch = np.sqrt(height * width / target_n)
+    seed_labels = _grid_labels(height, width, pitch)
     centers = _label_means(seed_labels, table[:, :2], seed_labels.max() + 1)
     if mode == "grid":
         return seed_labels, centers
 
-    pitch = np.sqrt(height * width / target_n)
     colors = image[
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),

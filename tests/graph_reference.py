@@ -109,7 +109,7 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
         return graph.segment(image, target_n, compactness, mode, iters)
     height, width = image.shape[:2]
     pitch = np.sqrt(height * width / target_n)
-    seed_labels = graph._grid_labels(height, width, target_n)
+    seed_labels = graph._grid_labels(height, width, pitch)
     count = seed_labels.max() + 1
     centers = centroids(seed_labels, count)
     colors = image[

@@ -365,7 +365,7 @@ class TestAgainstReferenceLoops:
     def test_assignment_independent_of_block_size(self, monkeypatch, block_cells):
         rng = np.random.default_rng(4)
         image = rng.random((23, 31, 3))
-        fallback = graph._grid_labels(23, 31, 20)
+        fallback = graph._grid_labels(23, 31, np.sqrt(23 * 31 / 20))
         centers = graph_reference.centroids(fallback, fallback.max() + 1)
         centers += rng.uniform(-1.5, 1.5, centers.shape)
         centers = np.clip(centers, 0, [22, 30])
@@ -382,7 +382,7 @@ class TestAgainstReferenceLoops:
         centers = rng.uniform(0, [2, 3], (5, 2))
         colors = rng.random((5, 3))
         # reach 4: every 9x9 window sticks out past all four borders
-        args = (image, centers, colors, 0.3, 4, graph._grid_labels(3, 4, 5))
+        args = (image, centers, colors, 0.3, 4, graph._grid_labels(3, 4, np.sqrt(3 * 4 / 5)))
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         labels = graph._assign(pixel_table(image), *args[1:])
         assert np.array_equal(labels, graph_reference.assign(*args))

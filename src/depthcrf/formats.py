@@ -21,7 +21,9 @@ exactly:
   depth raster; the reader rejects tensors that are not finite or that
   disagree with the configuration or with each other;
 * training history is CSV with columns epoch, lr, mean_nll, written by
-  ``write_table`` like the ``eval --out`` and ``sweep-superpixels`` CSVs.
+  ``write_table`` like the ``eval --out`` and ``sweep-superpixels`` CSVs,
+  lines ending in ``\\n`` as in every other text file here (``read_history``
+  also reads the ``\\r\\n`` lines of older files).
 
 Header numbers and seeds are read by ``config.parse_int``/``parse_float``,
 section rows by ``np.loadtxt``: the same ASCII decimals.  Text that does not
@@ -270,7 +272,7 @@ def read_checkpoint(path) -> Checkpoint:
 def write_table(path, header, rows) -> None:
     """A CSV file: the header, then one line per row, floats as ``_fmt`` writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 

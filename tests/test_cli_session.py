@@ -62,7 +62,7 @@ def _timeless(path: Path) -> bytes:
     blob = path.read_bytes()
     if path.name != "sweep.csv":
         return blob
-    return b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in blob.splitlines())
+    return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in blob.splitlines())
 
 
 def run_session() -> dict:

@@ -301,7 +301,15 @@ def test_history_round_trip(tmp_path):
     path = tmp_path / "history.csv"
     write_history(path, history)
     assert read_history(path) == history
-    assert path.read_text().splitlines()[0] == "epoch,lr,mean_nll"
+    assert path.read_bytes().split(b"\n")[:2] == [b"epoch,lr,mean_nll", b"0,0.0001,3.25"]
+
+
+def test_history_reads_files_with_crlf_line_ends(tmp_path):
+    # the CSV writer ended lines with \r\n before it switched to \n
+    path = tmp_path / "history.csv"
+    path.write_bytes(b"epoch,lr,mean_nll\r\n0,0.0001,3.25\r\n1,6e-05,2.125\r\n")
+    assert read_history(path) == [EpochStats(epoch=0, lr=1e-4, mean_nll=3.25),
+                                  EpochStats(epoch=1, lr=6e-5, mean_nll=2.125)]
 
 
 def test_history_rejects_other_csv(tmp_path):

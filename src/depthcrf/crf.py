@@ -30,18 +30,26 @@ log-determinant.
 ``v`` of the factor.  SLIC and grid labels are numbered in row-major seed
 order, so an edge joins nodes whose labels differ by about one row of
 superpixels at most: the bandwidth ``max(q - p)`` is small (13, 27 and
-about 90 on synthetic scenes of 150, 700 and 2000 superpixels).  Cutting
-the nodes into consecutive blocks no narrower than the bandwidth puts every
-edge inside a diagonal block or the block just below it, so ``A`` is block
-tridiagonal; only the last block is padded.  The edges alone fix this
+about 90 on synthetic scenes of 150, 700 and 2000 superpixels), and most
+edges span much less (99% of them 46 or less at 2000).  So the blocks have
+ragged widths, cut greedily at each node's reach, the last node its edges
+join.  The first block holds ``MIN_BLOCK`` nodes (all n, if fewer).  Each
+later block ends one past the furthest node that any earlier node reaches,
+or ``MIN_BLOCK`` nodes past its start if that is further, and a tail
+narrower than ``MIN_BLOCK`` joins the block before it.  Every edge then
+lies inside a diagonal block or the block just below it, so ``A`` is block
+tridiagonal, no row is padding, and a block is no wider than the edges
+into it and the ``MIN_BLOCK`` floor require.  The edges alone fix this
 layout, so the instance stores it.  The block Cholesky factor of ``A`` is
 block bidiagonal, and the blocks of ``A^{-1}`` on that pattern follow from
 the factor alone by selected inversion (Takahashi, Fagan & Chin 1973; Rue
-& Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A
-graph whose bandwidth is near ``n``, such as a random dense one, is a
-single block, which is the plain dense Cholesky factorization.  The trace
-term of the beta gradient reads ``A^{-1}`` only on the diagonal and the
-edges, all inside that pattern, so no n x n array is ever formed.
+& Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A graph
+whose first node reaches its last, such as a random dense one, is at most
+two blocks, the first ``MIN_BLOCK`` nodes and the rest; below
+``2 MIN_BLOCK`` nodes it is one block, the plain dense Cholesky
+factorization.  The trace term of the beta gradient reads ``A^{-1}`` only
+on the diagonal and the edges, all inside that pattern, so no n x n array
+is ever formed.
 
 Gradients of the negative log-likelihood:
 
@@ -66,10 +74,11 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf
 from scipy.linalg.lapack import dtrtri as _trtri
 
-# Smallest block of the block Cholesky factorization.  Its cost per block
-# is a few small dense products, so smaller blocks save flops until the
-# fixed cost of each block's calls outweighs them; 32 nodes was the fastest
-# of 16-128 at 144 and 676 nodes.
+# Floor of every block's width in the block Cholesky factorization (a graph
+# of fewer nodes is one block); edge reach widens a block beyond it.  Its
+# cost per block is a few small dense products, so smaller blocks save flops
+# until the fixed cost of each block's calls outweighs them; 32 nodes was
+# the fastest of 16-128 at 144 and 676 nodes.
 MIN_BLOCK = 32
 
 
@@ -126,18 +135,23 @@ class CrfInstance:
     argument of each function below rather than part of the instance.
 
     The arrays are checked and stored read-only once, when the instance is
-    built, along with the block layout of the precision matrix:
-    ``num_blocks`` blocks of ``block_width`` rows, and ``edge_slots[e]``, the
-    position of edge ``e``'s entry (q, p) in the flattened stack of the
-    diagonal blocks followed by the blocks just below them.
+    built, along with the ragged block layout of the precision matrix (see
+    the module docstring).  Block ``i`` holds nodes ``block_starts[i]`` to
+    ``block_starts[i + 1] - 1``.  The blocks live in one flat buffer: piece
+    ``2i`` is diagonal block i, of shape (w_i, w_i), and piece ``2i + 1`` the
+    block just below it, of shape (w_{i+1}, w_i); piece ``k`` spans
+    ``block_offsets[k]`` to ``block_offsets[k + 1]``.  ``node_slots[v]`` is
+    the position of entry (v, v) in that buffer and ``edge_slots[e]`` the
+    position of edge ``e``'s entry (q, p).
     """
 
     n: int
     similarities: np.ndarray
     edges: np.ndarray
     y: np.ndarray | None = None
-    block_width: int = field(init=False, repr=False, compare=False)
-    num_blocks: int = field(init=False, repr=False, compare=False)
+    block_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    block_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    node_slots: np.ndarray = field(init=False, repr=False, compare=False)
     edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,17 +176,21 @@ class CrfInstance:
                 raise ValueError("each edge must be listed as (p, q) with p < q")
             if np.any((p[1:] < p[:-1]) | ((p[1:] == p[:-1]) & (q[1:] <= q[:-1]))):
                 raise ValueError("edges must be sorted and unique")
-        # blocks of w = ceil(n / (n // size)) >= size = max(bandwidth, MIN_BLOCK)
-        # rows (or one of all n), so an edge never skips a block; the last of the
-        # m = ceil(n / w) blocks holds the remainder and fewer than w padding rows
-        size = min(max(int(np.max(q - p, initial=0)), MIN_BLOCK), n)
-        w = -(-n // (n // size))
-        m = -(-n // w)
-        (p_block, p_at), (q_block, q_at) = np.divmod(p, w), np.divmod(q, w)
-        slots = (np.where(q_block == p_block, p_block, m + p_block) * w + q_at) * w + p_at
-        slots.setflags(write=False)
-        checked = dict(n=n, similarities=sims, edges=edges, y=y, block_width=w, num_blocks=m,
-                       edge_slots=slots)
+        starts = _block_starts(n, edges)
+        widths = np.diff(starts)
+        sizes = np.empty(2 * len(widths) - 1, dtype=np.intp)
+        sizes[0::2], sizes[1::2] = widths * widths, widths[1:] * widths[:-1]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        block = np.repeat(np.arange(len(widths)), widths)
+        at = np.arange(n) - starts[block]
+        # an edge's blocks pb <= qb <= pb + 1 pick piece pb + qb; row q, column p
+        pb, qb = block[p], block[q]
+        layout = dict(block_starts=starts, block_offsets=offsets,
+                      node_slots=offsets[2 * block] + at * (widths[block] + 1),
+                      edge_slots=offsets[pb + qb] + at[q] * widths[pb] + at[p])
+        for value in layout.values():
+            value.setflags(write=False)
+        checked = dict(n=n, similarities=sims, edges=edges, y=y, **layout)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -181,40 +199,73 @@ class CrfInstance:
         return self.similarities.shape[0]
 
 
+def _block_starts(n, edges):
+    """Node boundaries of the ragged blocks, shape (m + 1,): the first block
+    holds min(MIN_BLOCK, n) nodes, each later one ends one past the furthest
+    node any earlier node reaches, or MIN_BLOCK past its start if that is
+    further, and a tail narrower than MIN_BLOCK joins the block before it."""
+    reach = np.arange(n)
+    if len(edges):
+        # edges are sorted, so each node's last edge reaches furthest
+        last = np.append(edges[1:, 0] != edges[:-1, 0], True)
+        reach[edges[last, 0]] = edges[last, 1]
+    reach = np.maximum.accumulate(reach)  # the last node reached from 0..v
+    starts, end = [0], min(MIN_BLOCK, n)
+    while end < n:
+        starts.append(end)
+        end = min(max(int(reach[end - 1]) + 1, end + MIN_BLOCK), n)
+    if len(starts) > 1 and n - starts[-1] < MIN_BLOCK:
+        starts.pop()
+    return np.array(starts + [n], dtype=np.intp)
+
+
+def _block_views(instance, buffer):
+    """The diagonal blocks and the blocks just below them, as views of a flat
+    ``buffer`` in the instance's block layout."""
+    starts, offsets = instance.block_starts.tolist(), instance.block_offsets.tolist()
+    widths = [end - start for start, end in zip(starts, starts[1:])]
+    pieces = [buffer[offsets[k]:offsets[k + 1]].reshape(widths[(k + 1) // 2], widths[k // 2])
+              for k in range(len(offsets) - 1)]
+    return pieces[0::2], pieces[1::2]
+
+
 @dataclass(frozen=True)
 class Precision:
     """Block Cholesky factor and log|A| of the block tridiagonal precision A.
 
-    A = L L' with L block lower bidiagonal, over ``m`` blocks of ``w`` rows.
-    Node ``v`` is row ``v``; the ``m * w - n`` padding rows all sit at the
-    tail of the last block, decoupled with a unit diagonal.  ``inv_diag[i]``
-    is the inverse of the lower triangular diagonal block L_ii, so that every
-    solve below is a matrix product, and ``sub[i]`` is the block L_{i+1,i}.
-    ``edge_slots`` is the instance's block layout of its edges.
+    A = L L' with L block lower bidiagonal, over the instance's ragged
+    blocks; node ``v`` is row ``v`` and no row is padding.  ``inv_diag[i]``
+    is the inverse of the lower triangular diagonal block L_ii, of shape
+    (w_i, w_i), so that every solve below is a matrix product, and
+    ``sub[i]`` is the block L_{i+1,i}, of shape (w_{i+1}, w_i).
     """
 
-    n: int
-    inv_diag: np.ndarray
-    sub: np.ndarray
+    instance: CrfInstance
+    inv_diag: tuple
+    sub: tuple
     logdet: float
-    edge_slots: np.ndarray
+
+    @property
+    def n(self):
+        return self.instance.n
 
     def solve(self, rhs):
         """A^{-1} rhs for a vector or an (n, k) matrix, by block substitution."""
-        rhs = np.asarray(rhs, dtype=float)
-        m, w = self.inv_diag.shape[:2]
-        x = np.zeros((m * w,) + rhs.shape[1:])
-        x[: self.n] = rhs
-        x = x.reshape((m, w) + rhs.shape[1:])
-        for i in range(m):
+        x = np.array(rhs, dtype=float)
+        if x.shape[:1] != (self.n,):
+            raise ValueError(f"rhs must have {self.n} rows")
+        starts = self.instance.block_starts.tolist()
+        rows = [slice(start, end) for start, end in zip(starts, starts[1:])]
+        for i, at in enumerate(rows):
             if i:
-                x[i] -= self.sub[i - 1] @ x[i - 1]
-            x[i] = self.inv_diag[i] @ x[i]
-        for i in reversed(range(m)):
-            if i + 1 < m:
-                x[i] -= self.sub[i].T @ x[i + 1]
-            x[i] = self.inv_diag[i].T @ x[i]
-        return x.reshape((m * w,) + rhs.shape[1:])[: self.n]
+                x[at] -= self.sub[i - 1] @ x[rows[i - 1]]
+            x[at] = self.inv_diag[i] @ x[at]
+        for i in reversed(range(len(rows))):
+            at = rows[i]
+            if i + 1 < len(rows):
+                x[at] -= self.sub[i].T @ x[rows[i + 1]]
+            x[at] = self.inv_diag[i].T @ x[at]
+        return x
 
     def selected_inverse(self):
         """A^{-1} on the diagonal, shape (n,), and on the edges, shape (E,).
@@ -223,18 +274,17 @@ class Precision:
         H_i = L_{i+1,i} L_ii^{-1}:  S_{i+1,i} = -S_{i+1,i+1} H_i  and
         S_ii = L_ii^{-T} L_ii^{-1} - S_{i+1,i}' H_i.
         """
-        m, w = self.inv_diag.shape[:2]
-        # blocks[i] = S_ii and blocks[m + i] = S_{i+1,i}, the layout of edge_slots
-        blocks = np.empty((2 * m - 1, w, w))
-        for i in reversed(range(m)):
+        # S_ii and S_{i+1,i} in the layout of node_slots and edge_slots
+        buffer = np.empty(self.instance.block_offsets[-1])
+        diag, below = _block_views(self.instance, buffer)
+        for i in reversed(range(len(diag))):
             inv_l = self.inv_diag[i]
-            blocks[i] = inv_l.T @ inv_l
-            if i + 1 < m:
+            np.matmul(inv_l.T, inv_l, out=diag[i])
+            if i < len(below):
                 h = self.sub[i] @ inv_l
-                blocks[m + i] = -(blocks[i + 1] @ h)
-                blocks[i] -= blocks[m + i].T @ h
-        diagonal = np.diagonal(blocks[:m], axis1=1, axis2=2).reshape(-1)[: self.n]
-        return diagonal, blocks.reshape(-1)[self.edge_slots]
+                below[i][...] = -(diag[i + 1] @ h)
+                diag[i] -= below[i].T @ h
+        return buffer[self.instance.node_slots], buffer[self.instance.edge_slots]
 
 
 @np.errstate(over="ignore")  # a coupling that overflows to inf fails build_precision
@@ -257,32 +307,31 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (len(instance.edges),):
         raise ValueError("need one coupling per edge")
-    n, w, m = instance.n, instance.block_width, instance.num_blocks
-    diagonal = np.ones(m * w)
-    diagonal[:n] += np.bincount(instance.edges[:, 0], couplings, minlength=n) + np.bincount(
+    n = instance.n
+    diagonal = np.bincount(instance.edges[:, 0], couplings, minlength=n) + np.bincount(
         instance.edges[:, 1], couplings, minlength=n
-    )
-    # lower triangles of the diagonal blocks of A, then the blocks A_{i+1,i}
-    blocks = np.zeros((2 * m - 1, w, w))
-    blocks[:m, np.arange(w), np.arange(w)] = diagonal.reshape(m, w)
-    blocks.reshape(-1)[instance.edge_slots] = -couplings
-    a_diag, sub = blocks[:m], blocks[m:]
-    inv_diag = np.empty_like(a_diag)
+    ) + 1.0
+    # lower triangles of the diagonal blocks of A, and the blocks A_{i+1,i}
+    blocks = np.zeros(instance.block_offsets[-1])
+    blocks[instance.node_slots] = diagonal
+    blocks[instance.edge_slots] = -couplings
+    a_diag, a_below = _block_views(instance, blocks)
+    inv_diag, sub = [], []
     logdet = 0.0
-    for i in range(m):
+    for i, a in enumerate(a_diag):
         if i:
-            a_diag[i] -= sub[i - 1] @ sub[i - 1].T
-        chol, info = _potrf(a_diag[i], lower=1)
+            a -= sub[-1] @ sub[-1].T
+        chol, info = _potrf(a, lower=1)
         if info:
             raise FactorizationError(
                 f"precision matrix is not positive definite: leading minor "
-                f"{info} of diagonal block {i} of {m} is not positive"
+                f"{info} of diagonal block {i} of {len(a_diag)} is not positive"
             )
         logdet += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-        inv_diag[i] = _trtri(chol, lower=1, overwrite_c=1)[0]
-        if i + 1 < m:
+        inv_diag.append(_trtri(chol, lower=1, overwrite_c=1)[0])
+        if i < len(a_below):
             # L_{i+1,i} = A_{i+1,i} L_ii^{-T}
-            sub[i] = sub[i] @ inv_diag[i].T
+            sub.append(a_below[i] @ inv_diag[i].T)
     # every coupling sits on the diagonal, and every entry of L and of the
     # inverse blocks but the last reaches a later pivot, so a non-finite
     # value anywhere leaves logdet or the last inverse block non-finite
@@ -296,7 +345,7 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     if bound * np.finfo(float).eps >= 1.0:
         raise FactorizationError(f"the precision matrix's condition bound 2 max A_ii - 1 = "
                                  f"{bound:.3g} reaches 1/eps: the couplings swamp its diagonal")
-    return Precision(n, inv_diag, sub, logdet, instance.edge_slots)
+    return Precision(instance, tuple(inv_diag), tuple(sub), logdet)
 
 
 def _checked(instance, z):

@@ -371,7 +371,7 @@ def check_factorization(rng, trials: int):
         couplings = crf.coupling_matrix(instance, weights)
         try:
             precision = crf.build_precision(instance, couplings)
-            factor = (precision.inv_diag, precision.sub)
+            factor = (*precision.inv_diag, *precision.sub)
             failed += int(not all(np.all(np.isfinite(block)) for block in factor))
         except FactorizationError:
             failed += 1

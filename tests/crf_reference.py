@@ -6,7 +6,9 @@ that stack with the formulas the edge-list path replaced: the einsum
 coupling matrix, ``A = I + D - R`` from its row sums, and the beta gradient
 from ``J_k = diag(S_k 1) - S_k`` with ``tr(A^{-1} J_k)`` over whole
 matrices.  It also holds the dense ``A``, Cholesky factor and ``A^{-1}``
-that the block tridiagonal factorization replaced.
+that the block tridiagonal factorization replaced, the greedy ragged block
+layout written node by node, and the block cost of the uniform layout that
+the ragged one replaced.
 """
 
 from __future__ import annotations
@@ -65,14 +67,42 @@ def nll_with_grads(instance, z, weights):
 
 
 def block_factor(prec) -> np.ndarray:
-    """The dense lower triangular L with A = L L', assembled from the blocks
-    of a ``crf.Precision``; node v is row v, so the leading [:n, :n] corner
-    drops the padding rows at the tail."""
-    m, w = prec.inv_diag.shape[:2]
-    factor = np.zeros((m * w, m * w))
-    for i in range(m):
-        rows = slice(i * w, (i + 1) * w)
-        factor[rows, rows] = np.linalg.inv(prec.inv_diag[i])
-        if i + 1 < m:
-            factor[(i + 1) * w:(i + 2) * w, rows] = prec.sub[i]
-    return factor[: prec.n, : prec.n]
+    """The dense lower triangular L with A = L L', assembled from the ragged
+    blocks of a ``crf.Precision``; node v is row v."""
+    starts = prec.instance.block_starts
+    factor = np.zeros((prec.n, prec.n))
+    for i, inv_l in enumerate(prec.inv_diag):
+        rows = slice(starts[i], starts[i + 1])
+        factor[rows, rows] = np.linalg.inv(inv_l)
+        if i < len(prec.sub):
+            factor[starts[i + 1]:starts[i + 2], rows] = prec.sub[i]
+    return factor
+
+
+def block_starts(n, edges, min_block) -> list:
+    """The greedy ragged layout, node by node: the first block holds
+    min(min_block, n) nodes; each later block ends one past the furthest node
+    any node before it joins, or min_block past its start if that is further;
+    a tail narrower than min_block joins the block before it."""
+    furthest = [v for v in range(n)]
+    for p, q in edges:
+        furthest[p] = max(furthest[p], q)
+    starts, end = [0], min(min_block, n)
+    while end < n:
+        start = end
+        end = min(max(max(furthest[:start]) + 1, start + min_block), n)
+        starts.append(start)
+    if len(starts) > 1 and n - starts[-1] < min_block:
+        del starts[-1]
+    return starts + [n]
+
+
+def uniform_block_cost(instance, min_block) -> int:
+    """Sum of w^3 over the blocks of the uniform layout the ragged one
+    replaced: m = ceil(n / w) blocks of w = ceil(n / (n // size)) rows, with
+    size = min(max(bandwidth, min_block), n), the last block padded."""
+    n = instance.n
+    bandwidth = int(np.max(instance.edges[:, 1] - instance.edges[:, 0], initial=0))
+    size = min(max(bandwidth, min_block), n)
+    width = -(-n // (n // size))
+    return -(-n // width) * width**3

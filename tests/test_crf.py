@@ -80,8 +80,9 @@ class TestValidation:
             inst.edges[0, 0] = 1
         with pytest.raises(ValueError):
             inst.y[0] = 1.0
-        with pytest.raises(ValueError):
-            inst.edge_slots[0] = 0
+        for layout in (inst.block_starts, inst.block_offsets, inst.node_slots, inst.edge_slots):
+            with pytest.raises(ValueError):
+                layout[0] = 0
 
     @pytest.mark.parametrize(
         "call",
@@ -175,6 +176,13 @@ class TestPrecision:
         crf.build_precision(inst, np.array([1e15]))
         with pytest.raises(FactorizationError, match="condition bound"):
             crf.build_precision(inst, np.array([3e15]))
+
+    def test_solve_rejects_a_rhs_of_the_wrong_length(self):
+        inst = single_edge_instance(1.0)
+        prec = crf.build_precision(inst, np.array([0.5]))
+        for rhs in (np.ones(1), np.ones(3), np.ones((3, 2))):
+            with pytest.raises(ValueError, match="rhs must have 2 rows"):
+                prec.solve(rhs)
 
     def test_one_coupling_per_edge_required(self):
         with pytest.raises(ValueError):
@@ -351,9 +359,15 @@ class TestDenseReference:
         assert rel_err(crf.nll(inst, z, w), ref_value) < 1e-12
         assert rel_err(crf.map_infer(inst, z, w), crf_reference.map_infer(inst, z, w)) < 1e-12
         prec = crf.build_precision(inst, crf.coupling_matrix(inst, w))
-        m, w_rows = prec.inv_diag.shape[:2]
-        assert (m, w_rows) == (inst.num_blocks, inst.block_width)
-        assert (m - 1) * w_rows < inst.n <= m * w_rows  # padding only in the last block
+        starts, widths = inst.block_starts, np.diff(inst.block_starts)
+        assert starts[0] == 0 and widths.sum() == inst.n  # no padding rows
+        block = np.searchsorted(starts, np.arange(inst.n), side="right") - 1
+        assert np.isin(block[inst.edges[:, 1]] - block[inst.edges[:, 0]], [0, 1]).all()
+        # a block merged from the tail is only wider than the floor
+        assert widths.min() >= min(crf.MIN_BLOCK, inst.n)
+        assert list(starts) == crf_reference.block_starts(inst.n, inst.edges, crf.MIN_BLOCK)
+        assert [inv_l.shape for inv_l in prec.inv_diag] == [(w, w) for w in widths]
+        assert [sub.shape for sub in prec.sub] == list(zip(widths[1:], widths[:-1]))
         _, ref_chol, ref_logdet = crf_reference.precision(inst, w)
         assert rel_err(prec.logdet, ref_logdet) < 1e-12
         assert rel_err(crf_reference.block_factor(prec), ref_chol) < 1e-12
@@ -388,19 +402,30 @@ class TestDenseReference:
         prec = self.assert_matches(inst, z, PairwiseWeights(np.array([0.7, 1.3, 0.4])))
         assert len(prec.inv_diag) > 1
 
+    def test_ragged_blocks_cut_the_block_cost_at_2000_superpixels(self):
+        inst, _ = synth_instance(2000, seed=5)
+        ragged = int(np.sum(np.diff(inst.block_starts) ** 3))
+        assert 2.5 * ragged <= crf_reference.uniform_block_cost(inst, crf.MIN_BLOCK)
+
     @pytest.mark.parametrize(
-        "n, edges, blocks",
+        "n, edges, widths",
         [
-            (3 * crf.MIN_BLOCK, path_edges(3 * crf.MIN_BLOCK) + [(0, 3 * crf.MIN_BLOCK - 1)], 1),
-            (2 * crf.MIN_BLOCK + 5, [], 2),
-            (1, [], 1),
-            (3 * crf.MIN_BLOCK + 1, path_edges(3 * crf.MIN_BLOCK + 1), 3),
+            (3 * crf.MIN_BLOCK, path_edges(3 * crf.MIN_BLOCK) + [(0, 3 * crf.MIN_BLOCK - 1)],
+             [crf.MIN_BLOCK, 2 * crf.MIN_BLOCK]),
+            (2 * crf.MIN_BLOCK + 5, [], [crf.MIN_BLOCK, crf.MIN_BLOCK + 5]),
+            (1, [], [1]),
+            (3 * crf.MIN_BLOCK + 1, path_edges(3 * crf.MIN_BLOCK + 1),
+             [crf.MIN_BLOCK, crf.MIN_BLOCK, crf.MIN_BLOCK + 1]),
+            # the long edge widens the block it ends in; the tail then merges
+            (4 * crf.MIN_BLOCK, path_edges(4 * crf.MIN_BLOCK) + [(10, 2 * crf.MIN_BLOCK + 6)],
+             [crf.MIN_BLOCK, crf.MIN_BLOCK + 7, 2 * crf.MIN_BLOCK - 7]),
         ],
-        ids=["bandwidth-n-1", "edgeless", "one-node", "padded-block"],
+        ids=["bandwidth-n-1", "edgeless", "one-node", "merged-tail", "one-long-edge"],
     )
-    def test_block_layouts(self, n, edges, blocks):
+    def test_block_layouts(self, n, edges, widths):
         inst, z, w = edge_list_instance(np.random.default_rng(71), n, edges)
-        assert len(self.assert_matches(inst, z, w).inv_diag) == blocks
+        self.assert_matches(inst, z, w)
+        assert np.diff(inst.block_starts).tolist() == widths
 
 
 def test_nll_with_grads_working_set_stays_small():

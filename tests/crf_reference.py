@@ -84,7 +84,7 @@ def block_starts(n, edges, min_block) -> list:
     min(min_block, n) nodes; each later block ends one past the furthest node
     any node before it joins, or min_block past its start if that is further;
     a tail narrower than min_block joins the block before it."""
-    furthest = [v for v in range(n)]
+    furthest = list(range(n))
     for p, q in edges:
         furthest[p] = max(furthest[p], q)
     starts, end = [0], min(min_block, n)

@@ -363,7 +363,7 @@ class TestDenseReference:
         assert starts[0] == 0 and widths.sum() == inst.n  # no padding rows
         block = np.searchsorted(starts, np.arange(inst.n), side="right") - 1
         assert np.isin(block[inst.edges[:, 1]] - block[inst.edges[:, 0]], [0, 1]).all()
-        # a block merged from the tail is only wider than the floor
+        # the floor holds for every block; one that took in the tail is wider
         assert widths.min() >= min(crf.MIN_BLOCK, inst.n)
         assert list(starts) == crf_reference.block_starts(inst.n, inst.edges, crf.MIN_BLOCK)
         assert [inv_l.shape for inv_l in prec.inv_diag] == [(w, w) for w in widths]

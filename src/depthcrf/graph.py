@@ -105,8 +105,9 @@ class GraphConfig:
     def __post_init__(self):
         if min(self.target_superpixels, self.box_size, self.patch_dim) < 1:
             raise ValueError("target_superpixels, box_size and patch_dim must be positive")
-        if not self.compactness >= 0.0:
-            raise ValueError("compactness must be nonnegative")
+        # segment squares compactness / pitch, and the pitch is at least 1
+        if not (self.compactness >= 0.0 and self.compactness * self.compactness < np.inf):
+            raise ValueError("compactness must be nonnegative with a finite square")
         if self.seg_mode not in ("grid", "slic"):
             raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
         if not all(0.0 < g < np.inf for g in self.gammas):
@@ -206,27 +207,47 @@ def _enforce_connectivity(labels):
     return _compact(final)
 
 
-def _distance(pixel_colors, center_colors, s_space):
-    """SLIC distance from (k, 3) pixel and centre colours and the scaled
-    spatial term, summed (c0 + c1) + c2 + s so that every caller rounds alike;
-    taken channel by channel, which reads the column-major pixel table fastest."""
-    d0, d1, d2 = ((pixel_colors[:, ch] - center_colors[:, ch]) ** 2 for ch in range(3))
-    return d0 + d1 + d2 + s_space
+def _distance(table, slot, colors, owner, s_space):
+    """SLIC distance from pixels ``slot`` of the (row, col, r, g, b) pixel
+    ``table`` to centres ``owner`` of the (3, count) ``colors``, plus the
+    scaled spatial term ``s_space``.  Channel c is gathered from column 2 + c
+    of the table and row c of ``colors``, one contiguous column each in the
+    layouts ``segment`` and ``_assign`` use, squared in place and summed
+    (c0 + c1) + c2 + s, so that every caller rounds alike."""
+    d0, d1, d2 = (table[:, 2 + ch][slot] - colors[ch][owner] for ch in range(3))
+    for term in (d0, d1, d2):
+        term *= term
+    d0 += d1
+    d0 += d2
+    d0 += s_space
+    return d0
 
 
-def _hint_bound(table, c_rows, c_cols, colors, spatial_scale, reach, hint):
+def _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint):
     """Distance of each pixel to its hinted centre, +inf where that centre
     has no window over the pixel or the id names no centre; flat, in the
-    raster order of the (row, col, r, g, b) pixel ``table``."""
-    known = ((hint >= 0) & (hint < len(c_rows))).ravel()
-    ref = np.where(known, hint.ravel(), 0)
-    rows, cols = table[:, 0], table[:, 1]
-    ref_rows, ref_cols = c_rows[ref], c_cols[ref]
-    covered = known & (np.abs(rows - ref_rows.astype(np.intp)) <= reach)
-    covered &= np.abs(cols - ref_cols.astype(np.intp)) <= reach
-    s_space = spatial_scale * ((rows - ref_rows) ** 2 + (cols - ref_cols) ** 2)
-    dist = _distance(table[:, 2:], colors[ref], s_space)
-    return np.where(covered, dist, np.inf)
+    raster order of the (row, col, r, g, b) pixel ``table``.
+
+    ``centers``, ``anchors`` (their truncated positions) and ``colors`` hold
+    one row per coordinate or channel, so every read is a contiguous column;
+    the spatial term is built in place over the whole raster, and +inf is
+    written in place over the pixels no hinted window covers.
+    """
+    hint = hint.ravel()
+    far = (hint < 0) | (hint >= centers.shape[1])
+    ref = np.where(far, 0, hint)
+    for axis in range(2):
+        offset = table[:, axis] - anchors[axis][ref]
+        np.abs(offset, out=offset)
+        far |= offset > reach
+    d_rows, d_cols = (table[:, axis] - centers[axis][ref] for axis in range(2))
+    d_rows *= d_rows
+    d_cols *= d_cols
+    d_rows += d_cols
+    d_rows *= spatial_scale
+    dist = _distance(table, slice(None), colors, ref, d_rows)
+    dist[far] = np.inf
+    return dist
 
 
 def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
@@ -234,8 +255,11 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
 
     ``table`` is the image's (row, col, r, g, b) pixel table, built once per
     ``segment``.  A centre's window spans ``reach`` pixels on each side of
-    its truncated position.  Ties go to the lowest centre index, and pixels
-    no window covers take their ``fallback`` label.
+    its truncated position, its anchor, taken once per sweep.  Ties go to
+    the lowest centre index, and pixels no window covers take their
+    ``fallback`` label.  Centres and their colours are read as one row per
+    coordinate or channel and pixels as one table column per channel, and
+    every distance is summed in ``_distance``'s fixed order.
 
     Most window cells cannot win, and are skipped exactly.  ``hint`` (the
     previous sweep's labels; ``fallback`` if omitted) names one centre per
@@ -260,14 +284,14 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
     count = len(centers)
     side = 2 * reach + 1
     hint = fallback if hint is None else hint
-    pixels = table[:, 2:]
-    c_rows, c_cols = np.ascontiguousarray(centers.T)
-    seeded = _hint_bound(table, c_rows, c_cols, colors, spatial_scale, reach, hint)
+    centers, colors = centers.T.copy(), colors.T.copy()
+    anchors = centers.astype(np.intp)
+    seeded = _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint)
     hint = hint.ravel()
     bound = np.full((height + 2 * reach, width + 2 * reach), -np.inf)
     bound[reach : reach + height, reach : reach + width] = seeded.reshape(height, width)
     bounds = np.lib.stride_tricks.sliding_window_view(bound, (side, side))
-    a_rows, a_cols = c_rows.astype(np.intp), c_cols.astype(np.intp)
+    (c_rows, c_cols), (a_rows, a_cols) = centers, anchors
     offsets = np.arange(-reach, reach + 1)
     anchor_slots = a_rows * width + a_cols
     cell_slots = (offsets[:, None] * width + offsets).ravel()  # from the anchor
@@ -275,10 +299,12 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
     step = max(1, BLOCK_CELLS // side**2)
     for start in range(0, count, step):
         block = slice(start, start + step)
-        s_space = spatial_scale * (
-            ((a_rows[block, None] + offsets - c_rows[block, None]) ** 2)[:, :, None]
-            + ((a_cols[block, None] + offsets - c_cols[block, None]) ** 2)[:, None, :]
-        )
+        d_rows = (a_rows[block, None] + offsets) - c_rows[block, None]
+        d_cols = (a_cols[block, None] + offsets) - c_cols[block, None]
+        d_rows *= d_rows
+        d_cols *= d_cols
+        s_space = d_rows[:, :, None] + d_cols[:, None, :]
+        s_space *= spatial_scale
         kept = np.flatnonzero(s_space <= bounds[a_rows[block], a_cols[block]])
         k, cell = np.divmod(kept, side * side)
         slot, owner = anchor_slots[block][k] + cell_slots[cell], start + k
@@ -286,7 +312,7 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
         slot, owner, kept = slot[rival], owner[rival], kept[rival]
         slots.append(slot)
         owners.append(owner)
-        dists.append(_distance(pixels[slot], colors[owner], s_space.ravel()[kept]))
+        dists.append(_distance(table, slot, colors, owner, s_space.ravel()[kept]))
     slots, owners, dists = map(np.concatenate, (slots, owners, dists))
     best = seeded.copy()
     np.minimum.at(best, slots, dists)
@@ -337,7 +363,10 @@ def segment(image, target_n, compactness=GraphConfig.compactness,
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
     ]
-    spatial_scale = (compactness / pitch) ** 2
+    with np.errstate(over="ignore"):
+        spatial_scale = (compactness / pitch) ** 2
+    if not np.isfinite(spatial_scale):
+        raise ValueError("compactness / pitch must have a finite square")
     reach = int(np.ceil(2 * pitch))
     labels = seed_labels
     for _ in range(iters):
@@ -471,8 +500,8 @@ def similarities(features: SuperpixelFeatures, gammas, edges) -> np.ndarray:
     norm is a row-wise reduction, so the blocks do not change its bits.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (3,) or np.any(gammas <= 0):
-        raise ValueError("gammas must be three positive reals")
+    if gammas.shape != (3,) or not np.all((gammas > 0) & (gammas < np.inf)):
+        raise ValueError("gammas must be three positive finite reals")
     channels = (features.mean_color, features.color_hist, features.lbp_hist)
     p, q = edges[:, 0], edges[:, 1]
     dist = np.empty((3, len(edges)))

@@ -258,6 +258,7 @@ INCONSISTENT_CHECKPOINTS = {
     "bad-config-value": (r"CONFIG momentum .*", "CONFIG momentum lots"),
     "zero-box-size": (r"CONFIG box_size .*", "CONFIG box_size 0"),
     "nan-compactness": (r"CONFIG compactness .*", "CONFIG compactness nan"),
+    "overflowing-compactness": (r"CONFIG compactness .*", "CONFIG compactness 1e200"),
     "non-numeric-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1lots"),
     "nan-weight": (r"(TENSOR weight0 .*\n)\S+", r"\1nan"),
     "inf-bias": (r"(TENSOR bias0 .*\n)\S+", r"\1inf"),
@@ -428,7 +429,8 @@ def test_bad_graph_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
     assert capsys.readouterr().err.count("configuration error") == 3
 
 
-@pytest.mark.parametrize("bad", ["compactness=nan", "compactness=-0.1", "noise_sigma=nan",
+@pytest.mark.parametrize("bad", ["compactness=nan", "compactness=-0.1", "compactness=1e200",
+                                 "noise_sigma=nan",
                                  "beta_init=nan", "beta_init=inf", "lr0=nan", "lambda1=inf"])
 def test_non_finite_or_negative_float_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
     data, _ = trained

@@ -96,6 +96,12 @@ class TestSlicSegmentation:
             _, pieces = scipy.ndimage.label(labels == i, structure=graph.FOUR_CONNECTED)
             assert pieces == 1
 
+    @pytest.mark.parametrize("compactness", [1e200, np.inf, np.nan])
+    def test_rejects_compactness_without_a_finite_spatial_scale(self, compactness):
+        # (1e200 / pitch)^2 overflows: every spatial term would be inf or nan
+        with pytest.raises(ValueError):
+            graph.segment(np.full((8, 8, 3), 0.5), 4, compactness)
+
     def test_two_tone_boundary_respected(self):
         image = np.full((60, 60, 3), 0.05)
         image[:, 30:] = 0.95
@@ -280,15 +286,16 @@ class TestSimilarities:
 
     def test_rejects_bad_gammas(self):
         feats, edges = self.build()
-        with pytest.raises(ValueError):
-            graph.similarities(feats, (1.0, -1.0, 1.0), edges)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                graph.similarities(feats, (1.0, bad, 1.0), edges)
 
 
 @pytest.mark.parametrize(
     "bad",
     [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(seg_mode="watershed"),
      dict(gamma_hist=0.0), dict(gamma_hist=np.inf), dict(gamma_color=np.nan),
-     dict(gamma_lbp=-1.0)],
+     dict(gamma_lbp=-1.0), dict(compactness=1e200)],
 )
 def test_graph_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -456,6 +463,58 @@ class TestAgainstReferenceLoops:
         gammas = (0.7, 2.0, 3.5)
         assert np.array_equal(graph.similarities(feats, gammas, edges),
                               graph_reference.similarities(feats, gammas, edges))
+
+    def test_hint_bound_is_the_reference_cell_distance(self):
+        # _assign drops a surviving cell of the hinted centre because its
+        # distance is U(p) to the bit; U(p) must therefore be the reference's
+        # per-cell distance wherever the hinted window covers p, else +inf
+        rng = np.random.default_rng(18)
+        at_reach = beyond_reach = 0
+        for case in range(200):
+            height, width = rng.integers(1, 15, 2)
+            count = int(rng.integers(1, 10))
+            image = rng.random((height, width, 3))
+            colors = rng.random((count, 3))
+            # centres anywhere on the raster, a third of their coordinates
+            # on or within half a pixel of a border
+            last = np.array([height - 1, width - 1], dtype=float)
+            centers = rng.uniform(0, last, (count, 2))
+            near = rng.choice([0.0, 0.4], (count, 2))
+            near = np.clip(np.where(rng.random((count, 2)) < 0.5, last - near, near), 0, None)
+            centers = np.where(rng.random((count, 2)) < 1 / 3, near, centers)
+            spatial_scale = float(rng.choice([0.0, 0.02, 0.3, 1.0, rng.random()]))
+            reach = int(rng.integers(0, 6))
+            hint = rng.integers(-2, count + 3, (height, width))  # ids without a centre too
+
+            known = (hint >= 0) & (hint < count)
+            ref = np.where(known, hint, 0)
+            rows, cols = np.indices((height, width))
+            d_color = ((image - colors[ref]) ** 2).sum(axis=2)
+            d_space = (rows - centers[ref, 0]) ** 2 + (cols - centers[ref, 1]) ** 2
+            offsets = np.maximum(np.abs(rows - centers[ref, 0].astype(int)),
+                                 np.abs(cols - centers[ref, 1].astype(int)))
+            covered = known & (offsets <= reach)
+            expected = np.where(covered, d_color + spatial_scale * d_space, np.inf)
+            at_reach += np.sum(known & (offsets == reach))
+            beyond_reach += np.sum(known & (offsets == reach + 1))
+
+            args = (centers.T.copy(), centers.T.astype(np.intp), colors.T.copy(),
+                    spatial_scale, reach, hint)
+            for table in (pixel_table(image), np.asfortranarray(pixel_table(image))):
+                bound = graph._hint_bound(table, *args)
+                assert np.array_equal(bound, expected.ravel()), case
+        assert at_reach > 100 and beyond_reach > 100
+
+    @pytest.mark.parametrize("height, width, target", [
+        (1, 1, 1), (1, 5, 2), (5, 1, 3), (2, 2, 4), (3, 7, 21), (1, 40, 7), (9, 2, 5),
+    ])
+    def test_degenerate_shapes_match_reference(self, height, width, target):
+        rng = np.random.default_rng(height * 100 + width)
+        for image in (rng.random((height, width, 3)), np.full((height, width, 3), 0.5)):
+            labels, centroids = graph.segment(image, target)
+            slow_labels, slow_centroids = graph_reference.segment(image, target)
+            assert np.array_equal(labels, slow_labels)
+            assert np.array_equal(centroids, slow_centroids)
 
     def test_connectivity_repair_on_fragmented_labels(self):
         rng = np.random.default_rng(5)

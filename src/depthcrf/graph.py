@@ -210,16 +210,16 @@ def _enforce_connectivity(labels):
 def _distance(table, slot, colors, owner, s_space):
     """SLIC distance from pixels ``slot`` of the (row, col, r, g, b) pixel
     ``table`` to centres ``owner`` of the (3, count) ``colors``, plus the
-    scaled spatial term ``s_space``.  Channel c is gathered from column 2 + c
-    of the table and row c of ``colors``, one contiguous column each in the
-    layouts ``segment`` and ``_assign`` use, squared in place and summed
-    (c0 + c1) + c2 + s, so that every caller rounds alike."""
+    scaled spatial term ``s_space``.  Channel c is gathered from column
+    2 + c of the table, one contiguous column of the column-major table
+    ``segment`` builds, and from row c of ``colors``; the differences are
+    squared in place and summed (c0 + c1) + c2 + s, so that every caller
+    rounds alike."""
     d0, d1, d2 = (table[:, 2 + ch][slot] - colors[ch][owner] for ch in range(3))
     for term in (d0, d1, d2):
         term *= term
-    d0 += d1
-    d0 += d2
-    d0 += s_space
+    for term in (d1, d2, s_space):
+        d0 += term
     return d0
 
 
@@ -229,9 +229,11 @@ def _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint):
     raster order of the (row, col, r, g, b) pixel ``table``.
 
     ``centers``, ``anchors`` (their truncated positions) and ``colors`` hold
-    one row per coordinate or channel, so every read is a contiguous column;
-    the spatial term is built in place over the whole raster, and +inf is
-    written in place over the pixels no hinted window covers.
+    one row per coordinate or channel, and the table one column per pixel
+    coordinate or channel, so every read is one contiguous run.  The
+    spatial term is built in place over the whole raster, the distance
+    summed in ``_distance``'s order, and +inf written in place over the
+    pixels no hinted window covers.
     """
     hint = hint.ravel()
     far = (hint < 0) | (hint >= centers.shape[1])

@@ -7,8 +7,8 @@ exactly:
   ``#`` comments allowed before any header number;
 * depth rasters are text: a ``DEPTH rows cols`` header, then one line per
   row of decimal meters (shortest representation that parses back to the
-  identical float); the reader accepts only finite, positive depths, in
-  exactly the header's rows and columns, and blank lines after them;
+  identical float); the reader accepts only those two header numbers,
+  finite positive depths in exactly that shape, and blank lines after them;
 * dataset manifests are text: a ``MANIFEST v1`` header, then one line per
   sample with the image path, the depth path and the sample's seed, paths
   relative to the manifest;
@@ -18,8 +18,9 @@ exactly:
   similarity bandwidths (which must equal the configured gammas) and the
   input standardization statistics; a section holds one line per row of
   its last axis, in row-major order, written and read like the rows of a
-  depth raster; the reader rejects tensors that are not finite or that
-  disagree with the configuration or with each other;
+  depth raster; the reader rejects a repeated key, activation line or
+  tensor, a tensor name it does not know, and tensors that are not finite
+  or that disagree with the configuration or with each other;
 * training history is CSV with columns epoch, lr, mean_nll, written by
   ``write_table`` like the ``eval --out`` and ``sweep-superpixels`` CSVs,
   lines ending in ``\\n`` as in every other text file here (``read_history``
@@ -140,7 +141,7 @@ def read_depth_raster(path) -> np.ndarray:
     if not lines or not lines[0].startswith(DEPTH_MAGIC + " "):
         raise FormatError(f"{path}: not a depth raster file")
     try:
-        rows, cols = (parse_int(t) for t in lines[0].split()[1:3])
+        rows, cols = (parse_int(t) for t in lines[0].split()[1:])
         # only blank lines may follow the rows
         fits = not any(line.strip() for line in lines[rows + 1 :])
         arr = _decimal_rows(lines[1 : rows + 1], rows, cols) if fits else None
@@ -214,12 +215,17 @@ def read_checkpoint(path) -> Checkpoint:
             line, i = lines[i], i + 1
             if line.startswith("CONFIG "):
                 _, key, value = line.split(" ", 2)
-                if key != "c1_cap":  # a retired key that older checkpoints carry
-                    mapping[key] = value
+                if key in mapping:
+                    raise ValueError(f"repeated CONFIG {key}")
+                mapping[key] = value
             elif line.startswith("ACTIVATIONS "):
+                if activations is not None:
+                    raise ValueError("repeated ACTIVATIONS")
                 activations = tuple(line.split()[1:])
             elif line.startswith("TENSOR "):
                 _, name, *dims = line.split()
+                if name in tensors:
+                    raise ValueError(f"repeated TENSOR {name}")
                 shape = tuple(parse_int(d) for d in dims)
                 rows = math.prod(shape[:-1])  # as written: one line per row of the last axis
                 arr = _decimal_rows(lines[i : i + rows], rows, shape[-1])
@@ -234,11 +240,15 @@ def read_checkpoint(path) -> Checkpoint:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{path}: malformed checkpoint: {exc}")
+    mapping.pop("c1_cap", None)  # a retired key that older checkpoints carry
     try:
         config = config_from_mapping(mapping)
     except ConfigError as exc:
         raise FormatError(f"{path}: bad configuration: {exc}")
     num_layers = sum(1 for name in tensors if name.startswith("weight"))
+    layers = {f"{kind}{i}" for i in range(num_layers) for kind in ("weight", "bias")}
+    if unknown := sorted(set(tensors) - layers - {"beta", "gammas", "input_mean", "input_std"}):
+        raise FormatError(f"{path}: unknown tensors {unknown}")
     try:
         model = unary.UnaryModel(
             weights=[tensors[f"weight{i}"] for i in range(num_layers)],

@@ -433,7 +433,8 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
     as ``segment`` returns them: each centroid must round to a pixel.
 
     A patch's crop is the ``box_size`` square around the rounded centroid,
-    rows and columns past the border clipped to it.  The image is
+    floor(c + 0.5), rows and columns past the border clipped to it; with
+    ``use_centroid_depth`` the target is the depth at that pixel.  The image is
     edge-padded once, by what the corner crops need, so each crop is one
     window of a ``sliding_window_view``: a (box_size, 3 box_size) block of
     the padded (H', 3 W') raster, copied in batches of about ``BLOCK_CELLS``
@@ -479,9 +480,7 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
     gt_logdepth = None
     if sample.depth is not None:
         if use_centroid_depth:
-            rr = np.clip(np.rint(centroids[:, 0]).astype(int), 0, height - 1)
-            cc = np.clip(np.rint(centroids[:, 1]).astype(int), 0, width - 1)
-            gt_logdepth = np.log(sample.depth[rr, cc])
+            gt_logdepth = np.log(sample.depth[rows, cols])
         else:
             gt_logdepth = np.log(_label_means(labels, sample.depth.reshape(-1, 1), count)[:, 0])
 

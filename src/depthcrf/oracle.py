@@ -258,15 +258,15 @@ def _gradient_errors(instance, weights, model, features, z, tape):
         return crf.nll(instance, z, PairwiseWeights(beta))
 
     def nll_of_theta(theta):
-        probe = unary.UnaryModel(list(model.weights), list(model.biases))
-        unary.set_params(probe, theta)
+        probe = unary.UnaryModel(model.weights, model.biases)
+        probe.params[...] = theta
         return nll_at(unary.forward(probe, features)[0])
 
     _, grad_z, grad_beta = crf.nll_with_grads(instance, z, weights)
     grad_theta = unary.backward(model, tape, grad_z)
     return (
         rel_err(grad_z, fd_gradient(nll_at, z)),
-        rel_err(grad_theta, fd_gradient(nll_of_theta, unary.get_params(model))),
+        rel_err(grad_theta, fd_gradient(nll_of_theta, model.params)),
         rel_err(grad_beta, fd_gradient(lambda beta: nll_at(z, beta), weights.beta)),
     )
 

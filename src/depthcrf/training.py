@@ -137,7 +137,7 @@ def init_state(layer_dims, config: TrainConfig) -> TrainState:
     return TrainState(
         model=model,
         beta=np.full(NUM_CHANNELS, float(config.beta_init)),
-        theta_velocity=np.zeros(unary.parameter_count(layer_dims)),
+        theta_velocity=np.zeros_like(model.params),
         beta_velocity=np.zeros(NUM_CHANNELS),
         rng=np.random.default_rng(config.train_seed + 1),
     )
@@ -165,7 +165,7 @@ def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = Fa
     the finite numbers; the overflow on the way there raises no warning.
     """
     lr = current_lr(config, state.epoch)
-    theta = unary.get_params(state.model)
+    theta = state.model.params
     weights = PairwiseWeights(np.zeros_like(state.beta) if unary_only else state.beta)
     z, tape = unary.forward(state.model, scene.inputs, state.rng, config.dropout_keep)
     _require_finite(state, "regressor output", z)
@@ -184,7 +184,7 @@ def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = Fa
     beta_next = np.maximum(state.beta + beta_velocity, 0.0)
     _require_finite(state, "parameter update", theta_next, beta_next)
     state.theta_velocity = theta_velocity
-    unary.set_params(state.model, theta_next)
+    state.model.params[...] = theta_next
     if not unary_only:
         state.beta_velocity, state.beta = beta_velocity, beta_next
     return loss

@@ -12,13 +12,13 @@ the outputs of at most the first two rectified layers, only when the forward
 pass is given a keep probability below 1.
 The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
-one call.  Parameters travel as a single flat vector where convenient, which
-keeps the optimizer and finite-difference checks trivial.
+one call.  A model's layers are views of one flat vector, ``params``, and
+``backward`` returns the gradient in its layout: SGD updates that vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -43,11 +43,14 @@ class UnaryModel:
 
     The activation pattern and the dropout layers follow from the depth
     alone (``standard_activations``; at most the first two rectified layers),
-    so a model is just its weights and biases.
+    so a model is just its weights and biases.  They are copied into one
+    vector, ``params`` (layer 0 W, b, layer 1 ...), and read back as tuples
+    of views of it, so no two models share memory.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -59,6 +62,19 @@ class UnaryModel:
                 raise ValueError(f"layer {i}: fan-in does not match previous layer")
         if self.weights[-1].shape[1] != 1:
             raise ValueError("output width must be exactly 1")
+        layers = zip(self.weights, self.biases)
+        self.params = np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=float)
+        self.weights, self.biases = self.layers_of(self.params)
+
+    def layers_of(self, flat):
+        """(weights, biases) as views of a vector laid out like ``params``."""
+        weights, biases, end = [], [], 0
+        for w, b in zip(self.weights, self.biases):
+            start, end = end, end + w.size
+            weights.append(flat[start:end].reshape(w.shape))
+            start, end = end, end + b.size
+            biases.append(flat[start:end])
+        return tuple(weights), tuple(biases)
 
     @property
     def activations(self) -> tuple[str, ...]:
@@ -79,10 +95,6 @@ class UnaryModel:
     @property
     def layer_dims(self):
         return (self.input_dim,) + tuple(w.shape[1] for w in self.weights)
-
-
-def parameter_count(layer_dims) -> int:
-    return sum(a * b + b for a, b in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def build_model(layer_dims, seed: int) -> UnaryModel:
@@ -154,7 +166,7 @@ def forward(model: UnaryModel, features, rng=None, keep_prob: float = 1.0):
 
 
 def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
-    """Parameter gradient of sum_p residual_p * z_p, as one flat vector.
+    """Parameter gradient of sum_p residual_p * z_p, laid out like ``params``.
 
     Contributions of the batch rows accumulate additively, which is exactly
     the per-image chain rule when ``residual`` is the loss gradient wrt z.
@@ -162,8 +174,8 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
     res = np.asarray(residual, dtype=float)
     if res.shape != (tape.inputs.shape[0],):
         raise ValueError("residual must have one entry per batch row")
-    grads_w = [None] * model.num_layers
-    grads_b = [None] * model.num_layers
+    grad = np.empty_like(model.params)
+    grads_w, grads_b = model.layers_of(grad)
     delta = res[:, None]
     for i in range(model.num_layers - 1, -1, -1):
         act = model.activations[i]
@@ -174,31 +186,8 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
         elif act == LOGISTIC:  # never a dropout layer, so its output is the sigmoid
             delta = delta * tape.posts[i] * (1.0 - tape.posts[i])
         layer_in = tape.inputs if i == 0 else tape.posts[i - 1]
-        grads_w[i] = layer_in.T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(layer_in.T, delta, out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
         if i:
             delta = delta @ model.weights[i].T
-    return pack(grads_w, grads_b)
-
-
-def pack(weights, biases) -> np.ndarray:
-    """Flatten per-layer arrays into one vector (layer 0 W, b, layer 1 ...)."""
-    return np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer])
-
-
-def get_params(model: UnaryModel) -> np.ndarray:
-    return pack(model.weights, model.biases)
-
-
-def set_params(model: UnaryModel, vector) -> None:
-    vector = np.asarray(vector, dtype=float)
-    offset = 0
-    for i, w in enumerate(model.weights):
-        size = w.size
-        model.weights[i] = vector[offset : offset + size].reshape(w.shape)
-        offset += size
-        size = model.biases[i].size
-        model.biases[i] = vector[offset : offset + size].copy()
-        offset += size
-    if offset != vector.size:
-        raise ValueError("parameter vector has the wrong length")
+    return grad

@@ -264,6 +264,10 @@ INCONSISTENT_CHECKPOINTS = {
     "inf-bias": (r"(TENSOR bias0 .*\n)\S+", r"\1inf"),
     "underscore-config-int": (r"CONFIG epochs .*", "CONFIG epochs 1_2"),
     "arabic-indic-tensor-dim": (r"TENSOR beta 3", "TENSOR beta \u0663"),
+    "repeated-config-key": (r"(CONFIG seed .*\n)", r"\1\1"),
+    "repeated-activations": (r"(ACTIVATIONS .*\n)", r"\1\1"),
+    "repeated-tensor": (r"(TENSOR beta 3\n.*\n)", r"\1\1"),
+    "unknown-tensor": (r"(TENSOR )beta( 3\n.*\n)", r"\1beta\2\1foo\2"),
 }
 
 

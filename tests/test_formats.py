@@ -117,6 +117,7 @@ def test_depth_raster_rejects_malformed_files(tmp_path):
         "DEPTH 1 2\n1 2\n3 4\n",  # more rows than the header says
         "DEPTH 2 2\n1 2\n\n3 4\n",  # a blank line among the rows
         "DEPTH 1 2\n1 2 # 3\n",
+        "DEPTH 1 2 3\n1 2\n",  # a token after the two header numbers
         "DEPTH 0 0\n",
         "DEPTH 1 0\n\n",
         "DEPTH 1 2\n\n",  # the one row is blank

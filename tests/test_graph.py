@@ -241,6 +241,16 @@ class TestFeatures:
         assert np.allclose(mean_route.gt_logdepth, np.log(sample.depth.mean()))
         center = sample.depth[4, 4]  # centroid (3.5, 3.5) rounds to pixel (4, 4)
         assert np.allclose(center_route.gt_logdepth, np.log(center))
+        # (2.5, 2.5) is a tie: the depth is read where the patch is centred,
+        # at floor(2.5 + 0.5) = 3, not at rint(2.5) = 2
+        sample = flat_scene(height=6, width=6)
+        sample.depth = np.arange(1.0, 37.0).reshape(6, 6)
+        labels, centroids = graph.segment(sample.image, 1, mode="grid")
+        assert np.array_equal(centroids, [[2.5, 2.5]])
+        center_route = graph.extract_features(
+            sample, labels, centroids, 4, 2, use_centroid_depth=True
+        )
+        assert np.array_equal(center_route.gt_logdepth, np.log([sample.depth[3, 3]]))
 
     def test_missing_depth_gives_no_targets(self):
         sample = flat_scene()

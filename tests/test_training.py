@@ -43,7 +43,7 @@ def objective(state, scenes, config, beta=None):
     for scene in scenes:
         z, _ = unary.forward(state.model, scene.inputs)
         total += crf.nll(scene.instance, z, weights)
-    theta = unary.get_params(state.model)
+    theta = state.model.params
     total += 0.5 * config.lambda1 * float(theta @ theta)
     total += 0.5 * config.lambda2 * float(beta @ beta)
     return total
@@ -101,11 +101,11 @@ class TestStep:
         scenes = tiny_scenes()
         config = quiet_config(lr0=0.0)
         state = training.init_state(DIMS, config)
-        theta_before = unary.get_params(state.model).copy()
+        theta_before = state.model.params.copy()
         beta_before = state.beta.copy()
         loss = training.step(state, scenes[0], config)
         assert loss > 0.0
-        assert np.array_equal(unary.get_params(state.model), theta_before)
+        assert np.array_equal(state.model.params, theta_before)
         assert np.array_equal(state.beta, beta_before)
 
     def test_reported_loss_matches_recomputed_objective(self):
@@ -120,13 +120,13 @@ class TestStep:
         scenes = tiny_scenes(count=1, seed=3)
         config = quiet_config(lr0=1e-3)
         state = training.init_state(DIMS, config)
-        theta0 = unary.get_params(state.model).copy()
+        theta0 = state.model.params.copy()
         beta0 = state.beta.copy()
 
         def f_theta(vec):
-            unary.set_params(state.model, vec)
+            np.copyto(state.model.params, vec)
             value = objective(state, scenes, config)
-            unary.set_params(state.model, theta0)
+            np.copyto(state.model.params, theta0)
             return value
 
         def f_beta(vec):
@@ -135,7 +135,7 @@ class TestStep:
         fd_theta = oracle.fd_gradient(f_theta, theta0)
         fd_beta = oracle.fd_gradient(f_beta, beta0)
         training.step(state, scenes[0], config)
-        assert rel_err(unary.get_params(state.model) - theta0, -config.lr0 * fd_theta) < 1e-4
+        assert rel_err(state.model.params - theta0, -config.lr0 * fd_theta) < 1e-4
         assert rel_err(state.beta - beta0, -config.lr0 * fd_beta) < 1e-4
 
     def test_step_shares_the_scene_arrays(self, monkeypatch):
@@ -194,16 +194,16 @@ class TestStep:
         state = training.init_state(DIMS, config)
         g1 = np.zeros(0)
 
-        theta0 = unary.get_params(state.model).copy()
-        f = lambda vec: (unary.set_params(state.model, vec), objective(state, scenes, config))[1]
+        theta0 = state.model.params.copy()
+        f = lambda vec: (np.copyto(state.model.params, vec), objective(state, scenes, config))[1]
         g1 = oracle.fd_gradient(f, theta0)
-        unary.set_params(state.model, theta0)
+        np.copyto(state.model.params, theta0)
         training.step(state, scenes[0], config)
         v1 = state.theta_velocity.copy()
         assert rel_err(v1, -config.lr0 * g1) < 1e-4
-        theta1 = unary.get_params(state.model).copy()
+        theta1 = state.model.params.copy()
         g2 = oracle.fd_gradient(f, theta1)
-        unary.set_params(state.model, theta1)
+        np.copyto(state.model.params, theta1)
         training.step(state, scenes[0], config)
         assert rel_err(state.theta_velocity, config.momentum * v1 - config.lr0 * g2) < 1e-4
 
@@ -217,9 +217,9 @@ class TestStep:
         )
         config = quiet_config(lr0=0.5)
         state = training.init_state((d, 1), config)
-        unary.set_params(state.model, np.zeros(d + 1))
+        np.copyto(state.model.params, np.zeros(d + 1))
         training.step(state, scene, config)
-        assert np.array_equal(unary.get_params(state.model), np.zeros(d + 1))
+        assert np.array_equal(state.model.params, np.zeros(d + 1))
         assert np.array_equal(state.beta, np.full(3, 0.5))
 
 
@@ -228,18 +228,18 @@ class TestTrain:
         scenes = tiny_scenes()
         config = quiet_config(epochs=0)
         state = training.init_state(DIMS, config)
-        theta0 = unary.get_params(state.model).copy()
+        theta0 = state.model.params.copy()
         out = training.train(scenes, config, state=state)
         assert out is state
         assert out.history == []
-        assert np.array_equal(unary.get_params(out.model), theta0)
+        assert np.array_equal(out.model.params, theta0)
 
     def test_deterministic(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=3, dropout_keep=0.8, momentum=0.9, lr0=1e-3, train_seed=7)
         a = fresh_train(scenes, config)
         b = fresh_train(scenes, config)
-        assert np.array_equal(unary.get_params(a.model), unary.get_params(b.model))
+        assert np.array_equal(a.model.params, b.model.params)
         assert np.array_equal(a.beta, b.beta)
         assert [s.mean_nll for s in a.history] == [s.mean_nll for s in b.history]
 

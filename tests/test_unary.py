@@ -29,14 +29,13 @@ class TestActivationsAndInit:
         assert unary.standard_activations(2) == ("logistic", "linear")
         assert unary.standard_activations(4) == ("relu", "relu", "logistic", "linear")
 
-    def test_parameter_count_formula(self):
+    def test_params_size_formula(self):
         dims = (16, 8, 8, 4, 1)
         expected = sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(4))
         assert expected == 249
-        assert unary.parameter_count(dims) == expected
         model = unary.build_model(dims, seed=0)
         assert model.num_layers == 4
-        assert unary.get_params(model).size == expected
+        assert model.params.shape == (expected,)
 
     def test_init_bounds_and_zero_biases(self):
         model = unary.build_model((16, 8, 1), seed=3)
@@ -71,8 +70,8 @@ class TestActivationsAndInit:
 class TestForward:
     def test_single_linear_layer_is_affine(self):
         model = unary.build_model((3, 1), seed=0)
-        model.weights[0] = np.array([[0.5], [-1.0], [2.0]])
-        model.biases[0] = np.array([0.25])
+        model.weights[0][...] = np.array([[0.5], [-1.0], [2.0]])
+        model.biases[0][...] = np.array([0.25])
         x = np.array([[1.0, 2.0, 3.0]])
         (value,), _ = unary.forward(model, x)
         assert abs(value - (0.5 - 2.0 + 6.0 + 0.25)) < 1e-12
@@ -163,15 +162,15 @@ class TestBackward:
     def test_matches_finite_differences(self):
         model = small_model(seed=12)
         x = np.random.default_rng(13).normal(size=(1, 5))
-        theta = unary.get_params(model)
+        theta = model.params.copy()
 
         def f(vec):
-            unary.set_params(model, vec)
+            np.copyto(model.params, vec)
             (value,), _ = unary.forward(model, x)
             return value
 
         fd = oracle.fd_gradient(f, theta)
-        unary.set_params(model, theta)
+        np.copyto(model.params, theta)
         _, tape = unary.forward(model, x)
         grad = unary.backward(model, tape, np.ones(1))
         assert rel_err(grad, fd) < 1e-5
@@ -205,14 +204,14 @@ class TestBackward:
         model = unary.build_model((4, 8, 8, 6, 1), seed=18)
         x = np.random.default_rng(19).normal(size=(3, 4))
         _, tape = unary.forward(model, x, rng=np.random.default_rng(20), keep_prob=0.5)
-        theta = unary.get_params(model)
+        theta = model.params.copy()
 
         def f(vec):
-            unary.set_params(model, vec)
+            np.copyto(model.params, vec)
             return float(np.sum(replay(model, tape)))
 
         fd = oracle.fd_gradient(f, theta)
-        unary.set_params(model, theta)
+        np.copyto(model.params, theta)
         grad = unary.backward(model, tape, np.ones(3))
         assert rel_err(grad, fd) < 1e-5
 
@@ -224,13 +223,22 @@ class TestBackward:
 
 
 class TestParamVector:
-    def test_round_trip(self):
+    def test_layers_are_views_of_params(self):
         model = small_model(seed=21)
-        theta = unary.get_params(model)
-        unary.set_params(model, theta * 2.0)
-        assert np.array_equal(unary.get_params(model), theta * 2.0)
+        layers = [a for layer in zip(model.weights, model.biases) for a in layer]
+        assert np.array_equal(np.concatenate([a.ravel() for a in layers]), model.params)
+        for a in layers:
+            assert np.shares_memory(a, model.params)
+        x = np.random.default_rng(22).normal(size=(4, 5))
+        before, _ = unary.forward(model, x)
+        model.params[-1] += 1.0  # the output bias
+        after, _ = unary.forward(model, x)
+        assert np.allclose(after, before + 1.0)
 
-    def test_wrong_length_rejected(self):
-        model = small_model()
-        with pytest.raises(ValueError):
-            unary.set_params(model, np.zeros(3))
+    def test_model_from_another_models_layers_shares_no_memory(self):
+        model = small_model(seed=23)
+        copy = unary.UnaryModel(model.weights, model.biases)
+        assert np.array_equal(copy.params, model.params)
+        assert not np.shares_memory(copy.params, model.params)
+        copy.params[:] = 0.0
+        assert not np.any(copy.params) and np.any(model.params)

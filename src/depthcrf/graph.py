@@ -1,10 +1,11 @@
 """From rasters to a superpixel graph with appearance features.
 
-Segmentation comes in two modes.  ``grid`` tiles the raster into near-equal
-rectangular blocks and is fully deterministic, which makes downstream tests
-exact.  ``slic`` runs a simplified local k-means in a 5-D color+position
-space: seeds on a regular grid, at most ten assignment/update sweeps,
-distance
+``segment`` reads the ``GraphConfig`` fields ``target_superpixels``,
+``compactness`` and ``seg_mode``, one of two modes.  ``grid`` tiles the
+raster into near-equal rectangular blocks and is fully deterministic, which
+makes downstream tests exact.  ``slic`` runs a simplified local k-means in a
+5-D color+position space: seeds on a regular grid, at most ten
+assignment/update sweeps, distance
 
     d^2 = |rgb_p - rgb_c|^2 + (m / s)^2 |xy_p - xy_c|^2
 
@@ -28,16 +29,18 @@ connected; beyond that no connectivity enforcement happens.  Label ids are
 compacted to 0..n-1 and both modes are deterministic functions of their
 inputs.
 
-Per superpixel the feature extractor computes mean RGB, an L1-normalized
+Per superpixel ``extract_features`` computes mean RGB, an L1-normalized
 color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
 binary pattern histogram over luminance (8 neighbors, radius 1, edge rows
-and columns replicated), a square patch around the centroid (edge-replicated
-at borders, area-averaged down to a fixed resolution) and the log of the
-mean ground-truth depth.  Pairwise similarities between adjacent superpixels
-are exp(-gamma_k * ||f_p - f_q||_2) per feature channel, stored per edge: a
-(3, E) array whose column e belongs to row e of the (E, 2) edge list.
-Patches and similarities are taken in blocks of about ``BLOCK_CELLS`` values,
-so their working set stays in cache whatever the superpixel count.
+and columns replicated), a ``box_size`` square patch around the centroid
+(edge-replicated at borders, area-averaged down to ``patch_dim`` a side) and
+the log of the ground-truth depth: its mean, or with ``use_centroid_depth``
+the depth at the centroid.  Pairwise ``similarities`` between adjacent
+superpixels are exp(-gamma_k * ||f_p - f_q||_2) per feature channel, with
+``gammas``, stored per edge: a (3, E) array whose column e belongs to row e
+of the (E, 2) edge list.  Patches and similarities are taken in blocks of
+about ``BLOCK_CELLS`` values, so their working set stays in cache whatever
+the superpixel count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import scipy.ndimage
 LBP_BINS = 256
 COLOR_BINS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
+SLIC_SWEEPS = 10  # at most: sweeps stop early at a fixed point
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -105,7 +109,7 @@ class GraphConfig:
     def __post_init__(self):
         if min(self.target_superpixels, self.box_size, self.patch_dim) < 1:
             raise ValueError("target_superpixels, box_size and patch_dim must be positive")
-        # segment squares compactness / pitch, and the pitch is at least 1
+        # segment squares compactness / pitch, and its target <= H W keeps the pitch >= 1
         if not (self.compactness >= 0.0 and self.compactness * self.compactness < np.inf):
             raise ValueError("compactness must be nonnegative with a finite square")
         if self.seg_mode not in ("grid", "slic"):
@@ -252,7 +256,7 @@ def _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint):
     return dist
 
 
-def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
+def _assign(table, centers, colors, spatial_scale, reach, fallback, hint):
     """Label every pixel with the nearest centre whose window covers it.
 
     ``table`` is the image's (row, col, r, g, b) pixel table, built once per
@@ -264,14 +268,14 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
     every distance is summed in ``_distance``'s fixed order.
 
     Most window cells cannot win, and are skipped exactly.  ``hint`` (the
-    previous sweep's labels; ``fallback`` if omitted) names one centre per
-    pixel, and U(p) is p's distance to it, computed as a window cell's
-    distance is: +inf where that centre's window misses p or the id names
-    no centre.  Since rounding a sum of non-negative terms never falls below
-    either term, a cell's distance is at least its spatial term
-    ``spatial_scale * d_space``; a cell whose spatial term exceeds U(p)
-    is strictly farther than the hinted centre, so it can neither win nor
-    tie and is dropped before its colour is read.  The bound raster is
+    previous sweep's labels) names one centre per pixel, and U(p) is p's
+    distance to it, computed as a window cell's distance is: +inf where that
+    centre's window misses p or the id names no centre.  Since rounding a
+    sum of non-negative terms never falls below either term, a cell's
+    distance is at least its spatial term ``spatial_scale * d_space``; a
+    cell whose spatial term exceeds U(p) is strictly farther than the hinted
+    centre, so it can neither win nor tie and is dropped before its colour
+    is read.  The bound raster is
     padded with -inf and read through a ``sliding_window_view``, so cells
     off the image never survive.  A surviving cell whose centre is p's hint
     is dropped too: its distance is U(p) to the bit, so each pixel's best
@@ -285,7 +289,6 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint=None):
     height, width = fallback.shape
     count = len(centers)
     side = 2 * reach + 1
-    hint = fallback if hint is None else hint
     centers, colors = centers.T.copy(), colors.T.copy()
     anchors = centers.astype(np.intp)
     seeded = _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint)
@@ -338,9 +341,9 @@ def _update_centers(table, labels, centers, colors):
     centers[occupied], colors[occupied] = means[:, :2], means[:, 2:]
 
 
-def segment(image, target_n, compactness=GraphConfig.compactness,
-            mode=GraphConfig.seg_mode, iters=10):
-    """Partition an image into superpixels; returns (labels, centroids).
+def segment(image, cfg: GraphConfig):
+    """Partition an image into about ``cfg.target_superpixels`` superpixels
+    by ``cfg.seg_mode`` at ``cfg.compactness``; returns (labels, centroids).
 
     One (row, col, r, g, b) pixel table, one row per pixel in raster order,
     serves the seed grid's centroids, every sweep and the final centroids;
@@ -348,30 +351,25 @@ def segment(image, target_n, compactness=GraphConfig.compactness,
     """
     image = np.asarray(image, dtype=float)
     height, width = image.shape[:2]
-    if not 1 <= target_n <= height * width:
-        raise ValueError("target superpixel count must be in [1, pixel count]")
-    if mode not in ("grid", "slic"):
-        raise ValueError("mode must be 'grid' or 'slic'")
+    if cfg.target_superpixels > height * width:
+        raise ValueError("target superpixel count must not exceed the pixel count")
     rows, cols = np.indices((height, width))
     # column-major, so that each column a sweep reads is one contiguous run
     table = np.array([rows.ravel(), cols.ravel(), *image.reshape(-1, 3).T]).T
-    pitch = np.sqrt(height * width / target_n)
+    pitch = np.sqrt(height * width / cfg.target_superpixels)
     seed_labels = _grid_labels(height, width, pitch)
     centers = _label_means(seed_labels, table[:, :2], seed_labels.max() + 1)
-    if mode == "grid":
+    if cfg.seg_mode == "grid":
         return seed_labels, centers
 
     colors = image[
         np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
         np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
     ]
-    with np.errstate(over="ignore"):
-        spatial_scale = (compactness / pitch) ** 2
-    if not np.isfinite(spatial_scale):
-        raise ValueError("compactness / pitch must have a finite square")
+    spatial_scale = (cfg.compactness / pitch) ** 2
     reach = int(np.ceil(2 * pitch))
     labels = seed_labels
-    for _ in range(iters):
+    for _ in range(SLIC_SWEEPS):
         labels = _assign(table, centers, colors, spatial_scale, reach, seed_labels, labels)
         before = centers.copy(), colors.copy()
         _update_centers(table, labels, centers, colors)
@@ -426,22 +424,21 @@ def _area_average_weights(src: int, dst: int) -> np.ndarray:
     return np.where(overlap > 0, overlap / ratio, 0.0)
 
 
-def extract_features(sample: SceneSample, labels, centroids, box_size: int, patch_dim: int,
-                     use_centroid_depth: bool = False) -> SuperpixelFeatures:
+def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelFeatures:
     """Per-superpixel descriptors of a scene segmented into ``labels`` (ids
     0..n-1, row v of every output describing id v) and their ``centroids``,
     as ``segment`` returns them: each centroid must round to a pixel.
 
-    A patch's crop is the ``box_size`` square around the rounded centroid,
-    floor(c + 0.5), rows and columns past the border clipped to it; with
-    ``use_centroid_depth`` the target is the depth at that pixel.  The image is
-    edge-padded once, by what the corner crops need, so each crop is one
-    window of a ``sliding_window_view``: a (box_size, 3 box_size) block of
-    the padded (H', 3 W') raster, copied in batches of about ``BLOCK_CELLS``
-    pixels and contracted by the area-average weights, rows then columns.
+    A patch's crop is the ``cfg.box_size`` square around the rounded
+    centroid, floor(c + 0.5), rows and columns past the border clipped to
+    it; with ``cfg.use_centroid_depth`` the target is the depth at that
+    pixel.  The image is edge-padded once, by what the corner crops need,
+    so each crop is one window of a ``sliding_window_view``: a
+    (box_size, 3 box_size) block of the padded (H', 3 W') raster, copied in
+    batches of about ``BLOCK_CELLS`` pixels and contracted by the
+    area-average weights, rows then columns, down to ``cfg.patch_dim`` a side.
     """
-    if box_size < 1 or patch_dim < 1:
-        raise ValueError("box size and patch resolution must be positive")
+    box_size, patch_dim = cfg.box_size, cfg.patch_dim
     image = sample.image
     height, width = sample.shape
     count = int(labels.max()) + 1
@@ -479,7 +476,7 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
 
     gt_logdepth = None
     if sample.depth is not None:
-        if use_centroid_depth:
+        if cfg.use_centroid_depth:
             gt_logdepth = np.log(sample.depth[rows, cols])
         else:
             gt_logdepth = np.log(_label_means(labels, sample.depth.reshape(-1, 1), count)[:, 0])
@@ -493,16 +490,13 @@ def extract_features(sample: SceneSample, labels, centroids, box_size: int, patc
     )
 
 
-def similarities(features: SuperpixelFeatures, gammas, edges) -> np.ndarray:
-    """exp(-gamma_k ||f_p - f_q||) per channel and edge, shape (3, E).
+def similarities(features: SuperpixelFeatures, cfg: GraphConfig, edges) -> np.ndarray:
+    """exp(-gamma_k ||f_p - f_q||) per channel and edge for ``cfg.gammas``, shape (3, E).
 
     Each channel's differences are taken for about ``BLOCK_CELLS`` feature
     values at a time, 128 edges of the 256-bin LBP histogram; each edge's
     norm is a row-wise reduction, so the blocks do not change its bits.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (3,) or not np.all((gammas > 0) & (gammas < np.inf)):
-        raise ValueError("gammas must be three positive finite reals")
     channels = (features.mean_color, features.color_hist, features.lbp_hist)
     p, q = edges[:, 0], edges[:, 1]
     dist = np.empty((3, len(edges)))
@@ -511,19 +505,15 @@ def similarities(features: SuperpixelFeatures, gammas, edges) -> np.ndarray:
         for start in range(0, len(edges), step):
             block = slice(start, start + step)
             dist[ch, block] = np.linalg.norm(feats[p[block]] - feats[q[block]], axis=1)
-    return np.exp(-gammas[:, None] * dist)
+    return np.exp(-np.asarray(cfg.gammas, dtype=float)[:, None] * dist)
 
 
 def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     """Segment, describe and connect a scene in one call."""
-    labels, centroids = segment(
-        sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
-    )
-    features = extract_features(
-        sample, labels, centroids, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
-    )
+    labels, centroids = segment(sample.image, cfg)
+    features = extract_features(sample, labels, centroids, cfg)
     edges = adjacency(labels)
-    sims = similarities(features, cfg.gammas, edges)
+    sims = similarities(features, cfg, edges)
     return GraphData(
         labels=labels,
         centroids=centroids,

@@ -50,8 +50,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.height < 8 or self.width < 8:
             raise ValueError("scene must be at least 8x8")
-        if self.num_planes < 1:
-            raise ValueError("need at least one region")
+        if not 1 <= self.num_planes <= self.height * self.width:
+            raise ValueError("num_planes must lie in [1, height * width]")
         if not (0.0 < self.depth_min < self.depth_max):
             raise ValueError("depth range must satisfy 0 < min < max")
         if self.texture not in TEXTURES:

@@ -106,7 +106,8 @@ def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
     """``graph.segment`` with the per-centre sweep and per-label repair."""
     image = np.asarray(image, dtype=float)
     if mode != "slic":
-        return graph.segment(image, target_n, compactness, mode, iters)
+        cfg = GraphConfig(target_superpixels=target_n, compactness=compactness, seg_mode=mode)
+        return graph.segment(image, cfg)
     height, width = image.shape[:2]
     pitch = np.sqrt(height * width / target_n)
     seed_labels = graph._grid_labels(height, width, pitch)
@@ -173,9 +174,7 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     labels, centroids = segment(
         sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
     )
-    features = graph.extract_features(
-        sample, labels, centroids, cfg.box_size, cfg.patch_dim, cfg.use_centroid_depth
-    )
+    features = graph.extract_features(sample, labels, centroids, cfg)
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)
     sims = similarities(features, cfg.gammas, edges)

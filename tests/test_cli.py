@@ -84,20 +84,24 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 
 def test_synth_bad_config_key_exits_2_without_writing(tmp_path, capsys):
     out = tmp_path / "data"
-    for key in ("bogus_key", "c1_cap"):  # c1_cap is retired: eval takes --c1-cap
-        rc = main(["synth", "--out", str(out), "--set", f"{key}=3"])
+    # c1_cap is retired: eval takes --c1-cap; "epochs" alone has no value
+    for item, key in (("bogus_key=3", "bogus_key"), ("c1_cap=3", "c1_cap"),
+                      ("epochs", "'epochs'")):
+        rc = main(["synth", "--out", str(out), "--set", item])
         assert rc == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
 
 
 def test_synth_bad_config_value_exits_2(tmp_path, capsys):
-    # int() would read 1_2 as 12 and the Arabic-Indic digits as 150
+    # int() would read 1_2 as 12 and the Arabic-Indic digits as 150; more
+    # planes than pixels could never be placed
     for bad in ("epochs=ten", "epochs=1_2", "target_superpixels=\u0661\u0665\u0660",
-                "seed=-1", "train_seed=-2"):
-        rc = main(["synth", "--out", str(tmp_path / "d"), "--set", bad])
+                "seed=-1", "train_seed=-2", "height=8 width=8 count=1 num_planes=65"):
+        sets = [arg for item in bad.split() for arg in ("--set", item)]
+        rc = main(["synth", "--out", str(tmp_path / "d"), *sets])
         assert rc == 2 and not (tmp_path / "d").exists()
-        assert bad.split("=")[0] in capsys.readouterr().err
+        assert bad.split()[-1].split("=")[0] in capsys.readouterr().err
 
 
 def test_line_break_in_a_text_key_exits_2_without_writing(tmp_path, capsys, trained):
@@ -111,15 +115,19 @@ def test_line_break_in_a_text_key_exits_2_without_writing(tmp_path, capsys, trai
         assert "out_dir" in capsys.readouterr().err
 
 
-def test_config_file_and_set_overrides(tmp_path):
+def test_config_file_and_set_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("count = 3  # comment\nheight = 48\nwidth = 48\nseed = 9\n")
+    cfg.write_text("# a dataset\ncount = 3  # comment\n\nheight = 48\nwidth = 48\nseed = 9\n")
     out = tmp_path / "data"
     rc = main(["synth", "--out", str(out), "--config", str(cfg), "--set", "count=2"])
     assert rc == 0
     assert len(read_manifest(out / "manifest.txt")) == 2
     cfg.write_bytes(b"count = 3\xff\n")  # not text: a configuration error, not a traceback
     assert main(["synth", "--out", str(tmp_path / "again"), "--config", str(cfg)]) == 2
+    cfg.write_text("count = 3\n\nheight 48\n")
+    assert main(["synth", "--out", str(tmp_path / "again"), "--config", str(cfg)]) == 2
+    assert f"{cfg}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 def test_train_writes_checkpoint_and_history(trained):
@@ -604,9 +612,13 @@ def test_sweep_single_count_writes_one_row(tmp_path, trained):
 
 
 def test_sweep_rejects_counts_that_are_not_decimal_integers(tmp_path, capsys):
-    rc = main(["sweep-superpixels", "--train-dataset", str(tmp_path), "--test-dataset",
-               str(tmp_path), "--counts", "5_0", "--out", str(tmp_path / "s.csv")])
-    assert rc == 2 and "--counts expects integers" in capsys.readouterr().err
+    for counts, message in (("5_0", "--counts expects integers"),
+                            (",", "at least one superpixel count"),
+                            ("0,16", "must be positive")):
+        rc = main(["sweep-superpixels", "--train-dataset", str(tmp_path), "--test-dataset",
+                   str(tmp_path), "--counts", counts, "--out", str(tmp_path / "s.csv")])
+        assert rc == 2 and message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_rejects_duplicate_counts(tmp_path):

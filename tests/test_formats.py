@@ -148,6 +148,9 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.txt"
     write_manifest(path, rows)
     assert read_manifest(path) == rows
+    text = path.read_text().splitlines()
+    path.write_text("\n".join([text[0], "", text[1], "  ", text[2], ""]) + "\n")
+    assert read_manifest(path) == rows  # blank lines are skipped
 
 
 def test_manifest_rejects_malformed_files(tmp_path):

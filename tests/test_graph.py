@@ -17,6 +17,11 @@ def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
     return SceneSample(image=image, depth=np.full((height, width), depth))
 
 
+def config(target, mode="slic", **fields):
+    """A ``GraphConfig`` for ``target`` superpixels in ``mode``."""
+    return GraphConfig(target_superpixels=target, seg_mode=mode, **fields)
+
+
 def pixel_table(image):
     """The (row, col, r, g, b) table ``graph.segment`` hands its sweeps."""
     rows, cols = np.indices(image.shape[:2])
@@ -48,7 +53,7 @@ class TestSceneSample:
 class TestGridSegmentation:
     def test_four_blocks_on_ten_by_ten(self):
         image = np.zeros((10, 10, 3))
-        labels, centroids = graph.segment(image, 4, mode="grid")
+        labels, centroids = graph.segment(image, config(4, "grid"))
         expected = np.zeros((10, 10), dtype=int)
         expected[:5, 5:] = 1
         expected[5:, :5] = 2
@@ -57,33 +62,27 @@ class TestGridSegmentation:
         assert np.allclose(centroids, [[2, 2], [2, 7], [7, 2], [7, 7]])
 
     def test_labels_are_contiguous_ids(self):
-        labels, _ = graph.segment(np.zeros((13, 17, 3)), 7, mode="grid")
+        labels, _ = graph.segment(np.zeros((13, 17, 3)), config(7, "grid"))
         ids = np.unique(labels)
         assert np.array_equal(ids, np.arange(ids.size))
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            graph.segment(np.zeros((4, 4, 3)), 17, mode="grid")
-        with pytest.raises(ValueError):
-            graph.segment(np.zeros((4, 4, 3)), 0, mode="grid")
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            graph.segment(np.zeros((4, 4, 3)), 2, mode="watershed")
+            graph.segment(np.zeros((4, 4, 3)), config(17, "grid"))
 
 
 class TestSlicSegmentation:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         image = rng.random((40, 40, 3))
-        first, _ = graph.segment(image, 16)
-        second, _ = graph.segment(image, 16)
+        first, _ = graph.segment(image, config(16))
+        second, _ = graph.segment(image, config(16))
         assert np.array_equal(first, second)
 
     def test_count_near_target(self):
         rng = np.random.default_rng(1)
         image = np.clip(rng.normal(0.5, 0.15, (64, 64, 3)), 0, 1)
-        labels, centroids = graph.segment(image, 36)
+        labels, centroids = graph.segment(image, config(36))
         count = labels.max() + 1
         assert 0.8 * 36 <= count <= 1.2 * 36
         assert centroids.shape == (count, 2)
@@ -91,21 +90,15 @@ class TestSlicSegmentation:
     def test_superpixels_are_connected(self):
         rng = np.random.default_rng(2)
         image = np.clip(rng.normal(0.5, 0.2, (48, 48, 3)), 0, 1)
-        labels, _ = graph.segment(image, 25)
+        labels, _ = graph.segment(image, config(25))
         for i in range(labels.max() + 1):
             _, pieces = scipy.ndimage.label(labels == i, structure=graph.FOUR_CONNECTED)
             assert pieces == 1
 
-    @pytest.mark.parametrize("compactness", [1e200, np.inf, np.nan])
-    def test_rejects_compactness_without_a_finite_spatial_scale(self, compactness):
-        # (1e200 / pitch)^2 overflows: every spatial term would be inf or nan
-        with pytest.raises(ValueError):
-            graph.segment(np.full((8, 8, 3), 0.5), 4, compactness)
-
     def test_two_tone_boundary_respected(self):
         image = np.full((60, 60, 3), 0.05)
         image[:, 30:] = 0.95
-        labels, _ = graph.segment(image, 36, compactness=0.2)
+        labels, _ = graph.segment(image, config(36, compactness=0.2))
         for i in range(labels.max() + 1):
             cols = np.nonzero(labels == i)[1]
             # entirely on one side of the tone edge, up to a 1-px wiggle
@@ -114,14 +107,14 @@ class TestSlicSegmentation:
 
 class TestAdjacency:
     def test_grid_two_by_two(self):
-        labels, _ = graph.segment(np.zeros((10, 10, 3)), 4, mode="grid")
+        labels, _ = graph.segment(np.zeros((10, 10, 3)), config(4, "grid"))
         edges = graph.adjacency(labels)
         assert edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         image = np.clip(rng.normal(0.5, 0.2, (32, 32, 3)), 0, 1)
-        labels, _ = graph.segment(image, 12)
+        labels, _ = graph.segment(image, config(12))
         assert graph.adjacency(labels).tolist() == [
             list(e) for e in brute_force_adjacency(labels)
         ]
@@ -162,8 +155,9 @@ class TestLbp:
 class TestFeatures:
     def test_constant_scene_features(self):
         sample = flat_scene(depth=3.0)
-        labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        feats = graph.extract_features(sample, labels, centroids, box_size=4, patch_dim=2)
+        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        feats = graph.extract_features(sample, labels, centroids,
+                                       GraphConfig(box_size=4, patch_dim=2))
         assert np.allclose(feats.mean_color, [0.4, 0.6, 0.2])
         assert np.allclose(feats.color_hist.sum(axis=1), 1.0)
         assert np.allclose(feats.lbp_hist.sum(axis=1), 1.0)
@@ -178,7 +172,7 @@ class TestFeatures:
         image[..., 1] = 0.55
         feats = graph.extract_features(
             SceneSample(image=image), np.zeros((2, 2), dtype=int), np.array([[0.5, 0.5]]),
-            box_size=2, patch_dim=1,
+            GraphConfig(box_size=2, patch_dim=1),
         )
         hist = feats.color_hist[0]
         red, green, blue = hist[:10], hist[10:20], hist[20:30]
@@ -205,7 +199,7 @@ class TestFeatures:
         image[..., 0] = np.arange(16).reshape(4, 4) / 16.0
         feats = graph.extract_features(
             SceneSample(image=image), np.zeros((4, 4), dtype=int), np.array([[1.5, 1.5]]),
-            box_size=4, patch_dim=2,
+            GraphConfig(box_size=4, patch_dim=2),
         )
         patch = feats.patch[0].reshape(2, 2, 3)
         blocks = image[..., 0].reshape(2, 2, 2, 2).mean(axis=(1, 3))
@@ -216,7 +210,7 @@ class TestFeatures:
         image[..., 2] = np.linspace(0, 1, 36).reshape(6, 6)
         feats = graph.extract_features(
             SceneSample(image=image), np.zeros((6, 6), dtype=int), np.array([[0.0, 0.0]]),
-            box_size=4, patch_dim=4,
+            GraphConfig(box_size=4, patch_dim=4),
         )
         patch = feats.patch[0].reshape(4, 4, 3)
         rows = np.clip(np.arange(-2, 2), 0, 5)
@@ -228,16 +222,16 @@ class TestFeatures:
     def test_patches_reject_centroids_off_the_image(self, centroid):
         with pytest.raises(ValueError, match="centroids"):
             graph.extract_features(flat_scene(5, 7), np.zeros((5, 7), dtype=int),
-                                   np.array([centroid]), 24, 8)
+                                   np.array([centroid]), GraphConfig(box_size=24, patch_dim=8))
 
     def test_centroid_depth_option(self):
         sample = flat_scene(height=8, width=8)
         sample.depth = np.linspace(1.0, 3.0, 64).reshape(8, 8)
-        labels, centroids = graph.segment(sample.image, 1, mode="grid")
-        mean_route = graph.extract_features(sample, labels, centroids, 4, 2)
-        center_route = graph.extract_features(
-            sample, labels, centroids, 4, 2, use_centroid_depth=True
-        )
+        labels, centroids = graph.segment(sample.image, config(1, "grid"))
+        mean_route = graph.extract_features(sample, labels, centroids,
+                                            GraphConfig(box_size=4, patch_dim=2))
+        at_centre = GraphConfig(box_size=4, patch_dim=2, use_centroid_depth=True)
+        center_route = graph.extract_features(sample, labels, centroids, at_centre)
         assert np.allclose(mean_route.gt_logdepth, np.log(sample.depth.mean()))
         center = sample.depth[4, 4]  # centroid (3.5, 3.5) rounds to pixel (4, 4)
         assert np.allclose(center_route.gt_logdepth, np.log(center))
@@ -245,18 +239,17 @@ class TestFeatures:
         # at floor(2.5 + 0.5) = 3, not at rint(2.5) = 2
         sample = flat_scene(height=6, width=6)
         sample.depth = np.arange(1.0, 37.0).reshape(6, 6)
-        labels, centroids = graph.segment(sample.image, 1, mode="grid")
+        labels, centroids = graph.segment(sample.image, config(1, "grid"))
         assert np.array_equal(centroids, [[2.5, 2.5]])
-        center_route = graph.extract_features(
-            sample, labels, centroids, 4, 2, use_centroid_depth=True
-        )
+        center_route = graph.extract_features(sample, labels, centroids, at_centre)
         assert np.array_equal(center_route.gt_logdepth, np.log([sample.depth[3, 3]]))
 
     def test_missing_depth_gives_no_targets(self):
         sample = flat_scene()
         sample.depth = None
-        labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        feats = graph.extract_features(sample, labels, centroids, 4, 2)
+        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        feats = graph.extract_features(sample, labels, centroids,
+                                       GraphConfig(box_size=4, patch_dim=2))
         assert feats.gt_logdepth is None
 
 
@@ -265,14 +258,15 @@ class TestSimilarities:
         rng = np.random.default_rng(seed)
         image = np.clip(rng.normal(0.5, 0.2, (24, 24, 3)), 0, 1)
         sample = SceneSample(image=image, depth=np.full((24, 24), 2.0))
-        labels, centroids = graph.segment(image, 9, mode="grid")
-        feats = graph.extract_features(sample, labels, centroids, 6, 3)
+        labels, centroids = graph.segment(image, config(9, "grid"))
+        feats = graph.extract_features(sample, labels, centroids,
+                                       GraphConfig(box_size=6, patch_dim=3))
         edges = graph.adjacency(labels)
         return feats, edges
 
     def test_structure(self):
         feats, edges = self.build()
-        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges)
+        sims = graph.similarities(feats, GraphConfig(), edges)
         assert sims.shape == (3, len(edges))
         assert np.all(sims > 0) and np.all(sims <= 1)
         # the (E, 2) list plus its (3, E) columns is a valid CRF graph
@@ -280,32 +274,29 @@ class TestSimilarities:
 
     def test_identical_features_give_unit_similarity(self):
         sample = flat_scene()
-        labels, centroids = graph.segment(sample.image, 4, mode="grid")
-        feats = graph.extract_features(sample, labels, centroids, 4, 2)
+        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        feats = graph.extract_features(sample, labels, centroids,
+                                       GraphConfig(box_size=4, patch_dim=2))
         edges = graph.adjacency(labels)
-        sims = graph.similarities(feats, (2.0, 2.0, 2.0), edges)
+        sims = graph.similarities(feats, GraphConfig(), edges)
         assert np.allclose(sims, 1.0)
 
     def test_kernel_value_matches_distance(self):
         feats, edges = self.build(seed=5)
         gamma = 1.7
-        sims = graph.similarities(feats, (gamma, gamma, gamma), edges)
+        cfg = GraphConfig(gamma_color=gamma, gamma_hist=gamma, gamma_lbp=gamma)
+        sims = graph.similarities(feats, cfg, edges)
         p, q = edges[0]
         expected = np.exp(-gamma * np.linalg.norm(feats.mean_color[p] - feats.mean_color[q]))
         assert abs(sims[0, 0] - expected) < 1e-12
-
-    def test_rejects_bad_gammas(self):
-        feats, edges = self.build()
-        for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                graph.similarities(feats, (1.0, bad, 1.0), edges)
 
 
 @pytest.mark.parametrize(
     "bad",
     [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(seg_mode="watershed"),
      dict(gamma_hist=0.0), dict(gamma_hist=np.inf), dict(gamma_color=np.nan),
-     dict(gamma_lbp=-1.0), dict(compactness=1e200)],
+     dict(gamma_lbp=-1.0), dict(compactness=1e200), dict(compactness=np.inf),
+     dict(compactness=np.nan)],
 )
 def test_graph_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -337,8 +328,9 @@ class TestBuildGraph:
 
         def features_of(img, dep):
             sample = SceneSample(image=img, depth=dep)
-            labels, centroids = graph.segment(img, 25, mode="grid")
-            return graph.extract_features(sample, labels, centroids, box_size=3, patch_dim=3)
+            labels, centroids = graph.segment(img, config(25, "grid"))
+            return graph.extract_features(sample, labels, centroids,
+                                          GraphConfig(box_size=3, patch_dim=3))
 
         base = features_of(image, depth)
         moved = features_of(rolled_img, rolled_depth)
@@ -389,7 +381,7 @@ class TestAgainstReferenceLoops:
         colors = rng.random((len(centers), 3))
         args = (image, centers, colors, 0.01, 5, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        labels = graph._assign(pixel_table(image), *args[1:])
+        labels = graph._assign(pixel_table(image), *args[1:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -399,9 +391,10 @@ class TestAgainstReferenceLoops:
         centers = rng.uniform(0, [2, 3], (5, 2))
         colors = rng.random((5, 3))
         # reach 4: every 9x9 window sticks out past all four borders
-        args = (image, centers, colors, 0.3, 4, graph._grid_labels(3, 4, np.sqrt(3 * 4 / 5)))
+        fallback = graph._grid_labels(3, 4, np.sqrt(3 * 4 / 5))
+        args = (image, centers, colors, 0.3, 4, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        labels = graph._assign(pixel_table(image), *args[1:])
+        labels = graph._assign(pixel_table(image), *args[1:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -453,7 +446,7 @@ class TestAgainstReferenceLoops:
                                                       (9, 2))])
         labels = np.arange(height * width).reshape(height, width) % len(centroids)
         feats = graph.extract_features(SceneSample(image=image), labels, centroids,
-                                       box_size, patch_dim)
+                                       GraphConfig(box_size=box_size, patch_dim=patch_dim))
         expected = graph_reference.patches(image, centroids, box_size, patch_dim)
         assert np.array_equal(feats.patch, expected)
 
@@ -470,9 +463,9 @@ class TestAgainstReferenceLoops:
         )
         edges = np.array(sorted({tuple(sorted(pair)) for pair in rng.integers(0, count, (300, 2))
                                  if pair[0] != pair[1]}))
-        gammas = (0.7, 2.0, 3.5)
-        assert np.array_equal(graph.similarities(feats, gammas, edges),
-                              graph_reference.similarities(feats, gammas, edges))
+        cfg = GraphConfig(gamma_color=0.7, gamma_hist=2.0, gamma_lbp=3.5)
+        assert np.array_equal(graph.similarities(feats, cfg, edges),
+                              graph_reference.similarities(feats, cfg.gammas, edges))
 
     def test_hint_bound_is_the_reference_cell_distance(self):
         # _assign drops a surviving cell of the hinted centre because its
@@ -521,7 +514,7 @@ class TestAgainstReferenceLoops:
     def test_degenerate_shapes_match_reference(self, height, width, target):
         rng = np.random.default_rng(height * 100 + width)
         for image in (rng.random((height, width, 3)), np.full((height, width, 3), 0.5)):
-            labels, centroids = graph.segment(image, target)
+            labels, centroids = graph.segment(image, config(target))
             slow_labels, slow_centroids = graph_reference.segment(image, target)
             assert np.array_equal(labels, slow_labels)
             assert np.array_equal(centroids, slow_centroids)
@@ -554,7 +547,7 @@ class TestAgainstReferenceLoops:
 
         monkeypatch.setattr(graph, "_assign", counted)
         # test_graph_matches_reference[2000-slic] checks this scene's labels
-        graph.segment(synth.generate(REFERENCE_CORPUS[0]).image, 2000)
+        graph.segment(synth.generate(REFERENCE_CORPUS[0]).image, config(2000))
         assert len(calls) < 10
 
     def test_fixed_point_needs_unchanged_colours_too(self):
@@ -563,7 +556,7 @@ class TestAgainstReferenceLoops:
         # after it regroups the pixels by grey level
         grey = np.array([[0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 1]])
         image = np.repeat(grey[:, :, None], 3, axis=2).astype(float)
-        labels, _ = graph.segment(image, 2)
+        labels, _ = graph.segment(image, config(2))
         assert np.array_equal(labels, graph_reference.segment(image, 2)[0])
 
     def test_connectivity_repair_labels_components_once(self, monkeypatch):
@@ -590,8 +583,8 @@ class TestAssignmentSemantics:
         # symmetric centres, deliberately not listed in raster order
         centers = np.array([[5.0, 5.0], [1.0, 5.0], [5.0, 1.0], [1.0, 1.0]])
         colors = np.full((4, 3), 0.3)
-        labels = graph._assign(pixel_table(image), centers, colors, 1.0, 6,
-                               np.zeros((7, 7), int))
+        fallback = np.zeros((7, 7), int)
+        labels = graph._assign(pixel_table(image), centers, colors, 1.0, 6, fallback, fallback)
         rows, cols = np.indices((7, 7))
         dists = np.stack(
             [(rows - r) ** 2 + (cols - c) ** 2 for r, c in centers]
@@ -607,7 +600,7 @@ class TestAssignmentSemantics:
         colors = np.full((2, 3), 0.5)
         fallback = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0]])
         args = (image, centers, colors, 1.0, 2, fallback)
-        labels = graph._assign(pixel_table(image), *args[1:])
+        labels = graph._assign(pixel_table(image), *args[1:], fallback)
         assert labels.tolist() == [[0, 0, 0, 1, 1, 0, 1, 1, 1]]
         assert np.array_equal(labels, graph_reference.assign(*args))
 
@@ -644,8 +637,9 @@ def front_end_peak(target):
     sample = synth.generate(synth.SceneSpec(seed=3))
     tracemalloc.start()
     try:
-        labels, centroids = graph.segment(sample.image, target)
-        graph.extract_features(sample, labels, centroids, box_size=24, patch_dim=8)
+        cfg = GraphConfig(target_superpixels=target, box_size=24, patch_dim=8)
+        labels, centroids = graph.segment(sample.image, cfg)
+        graph.extract_features(sample, labels, centroids, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

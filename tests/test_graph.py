@@ -70,6 +70,11 @@ class TestGridSegmentation:
         with pytest.raises(ValueError):
             graph.segment(np.zeros((4, 4, 3)), config(17, "grid"))
 
+    def test_rejects_unknown_mode(self):
+        # the mode is checked where the config is built, before segment runs
+        with pytest.raises(ValueError):
+            graph.segment(np.zeros((4, 4, 3)), config(2, "watershed"))
+
 
 class TestSlicSegmentation:
     def test_deterministic(self):
@@ -94,6 +99,12 @@ class TestSlicSegmentation:
         for i in range(labels.max() + 1):
             _, pieces = scipy.ndimage.label(labels == i, structure=graph.FOUR_CONNECTED)
             assert pieces == 1
+
+    @pytest.mark.parametrize("compactness", [1e200, np.inf, np.nan])
+    def test_rejects_compactness_without_a_finite_spatial_scale(self, compactness):
+        # (1e200 / pitch)^2 overflows: every spatial term would be inf or nan
+        with pytest.raises(ValueError):
+            graph.segment(np.full((8, 8, 3), 0.5), config(4, compactness=compactness))
 
     def test_two_tone_boundary_respected(self):
         image = np.full((60, 60, 3), 0.05)

@@ -20,7 +20,9 @@ similarities.  The coupling of edge ``e`` is ``r_e = sum_k beta_k s_ke``;
 ``R`` holds it at (p, q) and (q, p) and is zero elsewhere.  The graph
 and its similarities come from the image, so they stay fixed for a scene:
 a ``CrfInstance`` holds them, checked once.  Only ``z`` and ``beta``
-change between training steps, and every function takes both.  With
+change between training steps, and every function takes both as 1-D
+arrays: ``beta`` is one finite coefficient >= 0 per channel, checked in
+``coupling_matrix``, which every function passes through.  With
 ``beta >= 0`` and similarities in ``[0, 1]`` the matrix ``A`` is strictly
 diagonally dominant with positive diagonal, hence symmetric positive
 definite, so a Cholesky factorization carries the solves and the
@@ -102,24 +104,6 @@ def _frozen(values, dtype=float):
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class PairwiseWeights:
-    """Nonnegative coupling coefficients, one per similarity channel."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = _frozen(self.beta)
-        if beta.ndim != 1 or beta.size == 0:
-            raise ValueError("beta must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(beta)) or np.any(beta < 0):
-            raise ValueError("pairwise weights must be finite and >= 0")
-        object.__setattr__(self, "beta", beta)
-
-    def __len__(self):
-        return self.beta.size
 
 
 @dataclass(frozen=True)
@@ -288,11 +272,15 @@ class Precision:
 
 
 @np.errstate(over="ignore")  # a coupling that overflows to inf fails build_precision
-def coupling_matrix(instance: CrfInstance, weights: PairwiseWeights) -> np.ndarray:
-    """The coupling matrix R in edge-list form: r_e = sum_k beta_k s_ke, shape (E,)."""
-    if len(weights) != instance.num_channels:
-        raise ValueError(f"expected {instance.num_channels} weights, got {len(weights)}")
-    return weights.beta @ instance.similarities
+def coupling_matrix(instance: CrfInstance, beta) -> np.ndarray:
+    """The coupling matrix R in edge-list form: r_e = sum_k beta_k s_ke, shape (E,);
+    ValueError unless ``beta`` is one finite coefficient >= 0 per channel."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (instance.num_channels,):
+        raise ValueError(f"expected {instance.num_channels} weights, got shape {beta.shape}")
+    if not np.all(np.isfinite(beta)) or np.any(beta < 0):
+        raise ValueError("pairwise weights must be finite and >= 0")
+    return beta @ instance.similarities
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,8 +354,9 @@ def _energy(instance, z, couplings, y):
     return float(np.sum((y - z) ** 2)) + float(_edge_quadratic(instance.edges, couplings, y))
 
 
-def energy(instance: CrfInstance, z, weights: PairwiseWeights, depths) -> float:
-    """Energy of a depth assignment, evaluated term by term.
+def energy(instance: CrfInstance, z, beta, depths) -> float:
+    """Energy of a depth assignment, evaluated term by term; ``beta`` holds one
+    finite coefficient >= 0 per channel, checked in ``coupling_matrix``.
 
     Equals the quadratic form y'Ay - 2z'y + z'z; the direct sum is kept so
     tests can cross-check the two routes.
@@ -376,13 +365,13 @@ def energy(instance: CrfInstance, z, weights: PairwiseWeights, depths) -> float:
     y = np.asarray(depths, dtype=float)
     if y.shape != (instance.n,):
         raise ValueError("depth assignment must match the node count")
-    return _energy(instance, z, coupling_matrix(instance, weights), y)
+    return _energy(instance, z, coupling_matrix(instance, beta), y)
 
 
-def _solved(instance, z, weights):
+def _solved(instance, z, beta):
     """The checked z, the couplings, the factor of A and u = A^{-1} z."""
     z = _checked(instance, z)
-    couplings = coupling_matrix(instance, weights)
+    couplings = coupling_matrix(instance, beta)
     prec = build_precision(instance, couplings)
     return z, couplings, prec, prec.solve(z)
 
@@ -391,39 +380,43 @@ def _log_partition(z, prec, u):
     return 0.5 * prec.n * np.log(np.pi) - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
 
 
-def log_partition(instance: CrfInstance, z, weights: PairwiseWeights) -> float:
-    """log integral of exp(-E) over all depth assignments."""
-    z, _, prec, u = _solved(instance, z, weights)
+def log_partition(instance: CrfInstance, z, beta) -> float:
+    """log integral of exp(-E) over all depth assignments; ``beta`` is checked
+    in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
+    z, _, prec, u = _solved(instance, z, beta)
     return _log_partition(z, prec, u)
 
 
-def _nll(instance, z, weights):
+def _nll(instance, z, beta):
     """NLL of the ground truth, with the factorization and u = A^{-1} z behind it."""
     if instance.y is None:
         raise ValueError("instance has no ground-truth depths")
-    z, couplings, prec, u = _solved(instance, z, weights)
+    z, couplings, prec, u = _solved(instance, z, beta)
     value = _energy(instance, z, couplings, instance.y) + _log_partition(z, prec, u)
     return value, prec, u
 
 
-def nll(instance: CrfInstance, z, weights: PairwiseWeights) -> float:
-    """Negative log-likelihood of the instance's ground-truth depths."""
-    return _nll(instance, z, weights)[0]
+def nll(instance: CrfInstance, z, beta) -> float:
+    """Negative log-likelihood of the instance's ground-truth depths; ``beta``
+    is checked in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
+    return _nll(instance, z, beta)[0]
 
 
-def map_infer(instance: CrfInstance, z, weights: PairwiseWeights) -> np.ndarray:
-    """Most probable depth assignment, the solution of A y = z."""
-    return _solved(instance, z, weights)[3]
+def map_infer(instance: CrfInstance, z, beta) -> np.ndarray:
+    """Most probable depth assignment, the solution of A y = z; ``beta`` is
+    checked in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
+    return _solved(instance, z, beta)[3]
 
 
-def nll_with_grads(instance: CrfInstance, z, weights: PairwiseWeights):
+def nll_with_grads(instance: CrfInstance, z, beta):
     """NLL plus both gradient blocks from a single factorization.
 
     Returns (nll, grad wrt z, grad wrt beta); what a training step needs.
+    ``beta`` is one finite coefficient >= 0 per channel, checked in ``coupling_matrix``.
     Chaining the z gradient with dz/dtheta of the regressor gives the full
     parameter gradient.
     """
-    value, prec, u = _nll(instance, z, weights)
+    value, prec, u = _nll(instance, z, beta)
     sims, edges = instance.similarities, instance.edges
     inv_diag, inv_pq = prec.selected_inverse()
     traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)

@@ -33,7 +33,6 @@ decode is a ``FormatError``.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import astuple, dataclass
@@ -43,6 +42,7 @@ import numpy as np
 
 from . import unary
 from .config import ConfigError, RunConfig, config_from_mapping, parse_float, parse_int
+from .graph import NUM_CHANNELS
 from .training import EpochStats
 
 # magic, then width, height and maxval, each after whitespace or '#' comments
@@ -80,6 +80,11 @@ def _text_lines(path) -> list[str]:
         raise FormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
 
 
+def _write_lines(path, lines) -> None:
+    """A text file of ``lines``, each ending in ``\\n``."""
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_ppm(path, image) -> None:
     image = np.asarray(image, dtype=float)
     if image.ndim != 3 or image.shape[2] != 3:
@@ -88,9 +93,7 @@ def write_ppm(path, image) -> None:
         raise ValueError("image values must lie in [0, 1]")
     height, width = image.shape[:2]
     data = np.rint(image * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(data.tobytes())
+    Path(path).write_bytes(b"P6\n%d %d\n255\n" % (width, height) + data.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -118,7 +121,7 @@ def write_depth_raster(path, depth) -> None:
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise ValueError("depth raster must be 2-D")
-    Path(path).write_text("\n".join(_section(DEPTH_MAGIC, depth)) + "\n")
+    _write_lines(path, _section(DEPTH_MAGIC, depth))
 
 
 def _decimal_rows(body, rows: int, cols: int) -> np.ndarray | None:
@@ -158,7 +161,7 @@ def write_manifest(path, rows) -> None:
     """rows: iterable of (image_path, depth_path, seed), paths relative."""
     lines = [MANIFEST_MAGIC]
     lines.extend(f"{img} {dep} {int(seed)}" for img, dep, seed in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_manifest(path):
@@ -201,7 +204,7 @@ def write_checkpoint(path, ckpt: Checkpoint) -> None:
     lines.extend(_section("TENSOR gammas", ckpt.gammas))
     lines.extend(_section("TENSOR input_mean", ckpt.input_mean))
     lines.extend(_section("TENSOR input_std", ckpt.input_std))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_checkpoint(path) -> Checkpoint:
@@ -264,14 +267,14 @@ def read_checkpoint(path) -> Checkpoint:
             f"{path}: regressor widths {model.layer_dims} with activations {activations} "
             f"differ from {config.layer_dims()} with {model.activations}"
         )
-    if beta.shape != (3,) or np.any(beta < 0.0):
-        raise FormatError(f"{path}: beta {beta.tolist()} is not 3 values >= 0")
+    if beta.shape != (NUM_CHANNELS,) or np.any(beta < 0.0):
+        raise FormatError(f"{path}: beta {beta.tolist()} is not {NUM_CHANNELS} values >= 0")
     dim = (model.input_dim,)
     if mean.shape != dim or std.shape != dim or np.any(std <= 0.0):
         raise FormatError(f"{path}: input_mean/input_std are not {dim} values, std > 0")
     # prediction takes its gammas from the configuration, so the tensor must agree
     configured = config.graph_config().gammas
-    if gammas.shape != (3,) or not np.array_equal(gammas, configured):
+    if gammas.shape != (NUM_CHANNELS,) or not np.array_equal(gammas, configured):
         raise FormatError(
             f"{path}: gammas tensor {gammas.tolist()} differs from "
             f"the configured {list(configured)}"
@@ -280,11 +283,10 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def write_table(path, header, rows) -> None:
-    """A CSV file: the header, then one line per row, floats as ``_fmt`` writes them."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    """A CSV file: the header, then one line per row, floats as ``_fmt`` writes them;
+    no cell (numbers, mask names, fixed headers) holds a comma or a quote."""
+    cells = ([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+    _write_lines(path, map(",".join, [header, *cells]))
 
 
 def write_history(path, history) -> None:  # EpochStats fields are in column order
@@ -292,11 +294,11 @@ def write_history(path, history) -> None:  # EpochStats fields are in column ord
 
 
 def read_history(path):
-    reader = csv.reader(_text_lines(path))
-    if next(reader, None) != ["epoch", "lr", "mean_nll"]:
+    lines = _text_lines(path)
+    if lines[:1] != ["epoch,lr,mean_nll"]:
         raise FormatError(f"{path}: not a training history file")
     try:
         return [EpochStats(epoch=parse_int(epoch), lr=parse_float(lr), mean_nll=parse_float(nll))
-                for epoch, lr, nll in filter(None, reader)]
+                for epoch, lr, nll in (line.split(",") for line in lines[1:] if line)]
     except ValueError as exc:
         raise FormatError(f"{path}: malformed history row: {exc}")

@@ -51,6 +51,7 @@ import numpy as np
 import scipy.ndimage
 
 LBP_BINS = 256
+NUM_CHANNELS = 3  # similarity channels: mean color, color histogram, LBP histogram
 COLOR_BINS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
 SLIC_SWEEPS = 10  # at most: sweeps stop early at a fixed point
@@ -499,7 +500,7 @@ def similarities(features: SuperpixelFeatures, cfg: GraphConfig, edges) -> np.nd
     """
     channels = (features.mean_color, features.color_hist, features.lbp_hist)
     p, q = edges[:, 0], edges[:, 1]
-    dist = np.empty((3, len(edges)))
+    dist = np.empty((NUM_CHANNELS, len(edges)))
     for ch, feats in enumerate(channels):
         step = max(1, BLOCK_CELLS // feats.shape[1])
         for start in range(0, len(edges), step):

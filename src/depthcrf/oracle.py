@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import crf, unary
-from .crf import CrfInstance, FactorizationError, PairwiseWeights
+from .crf import CrfInstance, FactorizationError
 
 # a check passes when its worst error is strictly below its tolerance
 LOG_PARTITION_TOL = 1e-6
@@ -43,7 +43,8 @@ def random_edges(rng, n, edge_prob: float = 0.6) -> np.ndarray:
 
 
 def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=None):
-    """A valid random (instance, z, weights), for randomized cross-checks."""
+    """A valid random (instance, z, beta), for randomized cross-checks; unless
+    given, ``beta`` holds one coefficient drawn from [0.1, 1.5) per channel."""
     edges = random_edges(rng, n, edge_prob)
     # one row of channel similarities per edge, drawn in edge order
     sims = rng.uniform(0.05, 1.0, size=(len(edges), num_channels)).T
@@ -52,7 +53,7 @@ def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=Non
     instance = CrfInstance(n=n, similarities=sims, edges=edges, y=y)
     if beta is None:
         beta = rng.uniform(0.1, 1.5, size=num_channels)
-    return instance, z, PairwiseWeights(beta)
+    return instance, z, beta
 
 
 def rel_err(actual, expected, floor: float = 1e-12) -> float:
@@ -90,25 +91,24 @@ class GridSpec:
         return (self.hi - self.lo) / (self.points - 1)
 
 
-def direct_coupling(instance, weights) -> np.ndarray:
+def direct_coupling(instance, beta) -> np.ndarray:
     """Per-edge couplings, one scalar loop over channels for every edge."""
-    beta = [float(b) for b in weights.beta]
     out = np.zeros(len(instance.edges))
     for e in range(out.size):
         acc = 0.0
-        for k, b in enumerate(beta):
+        for k, b in enumerate(map(float, beta)):
             acc += b * float(instance.similarities[k, e])
         out[e] = acc
     return out
 
 
-def direct_energy(instance, z, weights, points) -> np.ndarray:
+def direct_energy(instance, z, beta, points) -> np.ndarray:
     """Energy by direct summation, vectorized over a trailing batch of points.
 
     ``points`` has shape (..., n); the result drops the last axis.
     """
     pts = np.asarray(points, dtype=float)
-    coupling = direct_coupling(instance, weights)
+    coupling = direct_coupling(instance, beta)
     total = ((pts - z) ** 2).sum(axis=-1)
     for (p, q), r in zip(instance.edges, coupling):
         diff = pts[..., p] - pts[..., q]
@@ -116,10 +116,10 @@ def direct_energy(instance, z, weights, points) -> np.ndarray:
     return total
 
 
-def gaussian_params(instance, z, weights):
+def gaussian_params(instance, z, beta):
     """Posterior mean and covariance, via generic LU-based linear algebra."""
     a = np.eye(instance.n)
-    for (p, q), r in zip(instance.edges, direct_coupling(instance, weights)):
+    for (p, q), r in zip(instance.edges, direct_coupling(instance, beta)):
         a[p, q] -= r
         a[q, p] -= r
         a[p, p] += r
@@ -127,7 +127,7 @@ def gaussian_params(instance, z, weights):
     return np.linalg.solve(a, z), 0.5 * np.linalg.inv(a)
 
 
-def quad_log_partition(instance, z, weights, spec: QuadratureSpec = QuadratureSpec()):
+def quad_log_partition(instance, z, beta, spec: QuadratureSpec = QuadratureSpec()):
     """log integral of exp(-E) over a box, by the composite trapezoid rule.
 
     Gaussian integrands decay to numerically zero at the box ends, where the
@@ -140,7 +140,7 @@ def quad_log_partition(instance, z, weights, spec: QuadratureSpec = QuadratureSp
         raise ValueError("quadrature oracle handles at most 3 nodes")
     if spec.points < 3:
         raise ValueError("need at least 3 quadrature points per axis")
-    mean, cov = gaussian_params(instance, z, weights)
+    mean, cov = gaussian_params(instance, z, beta)
     half = spec.half_width
     if half is None:
         half = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
@@ -157,7 +157,7 @@ def quad_log_partition(instance, z, weights, spec: QuadratureSpec = QuadratureSp
     logw = logweights[0]
     for lw in logweights[1:]:
         logw = logw[..., None] + lw
-    return float(logsumexp(-direct_energy(instance, z, weights, pts) + logw))
+    return float(logsumexp(-direct_energy(instance, z, beta, pts) + logw))
 
 
 def fd_gradient(func, x, h: float = 1e-5) -> np.ndarray:
@@ -174,7 +174,7 @@ def fd_gradient(func, x, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def grid_map(instance, z, weights, spec: GridSpec) -> np.ndarray:
+def grid_map(instance, z, beta, spec: GridSpec) -> np.ndarray:
     """Lowest-energy point of a uniform grid; dimension capped at 2."""
     n = instance.n
     if n > 2:
@@ -182,12 +182,12 @@ def grid_map(instance, z, weights, spec: GridSpec) -> np.ndarray:
     axes = [np.linspace(spec.lo, spec.hi, spec.points) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
-    values = direct_energy(instance, z, weights, pts)
+    values = direct_energy(instance, z, beta, pts)
     best = np.unravel_index(np.argmin(values), values.shape)
     return pts[best]
 
 
-def mc_moments(instance, z, weights, draws: int, seed: int):
+def mc_moments(instance, z, beta, draws: int, seed: int):
     """Sample mean and covariance of the posterior Gaussian.
 
     Draws y = mean + L e with L the Cholesky factor of the covariance and
@@ -196,7 +196,7 @@ def mc_moments(instance, z, weights, draws: int, seed: int):
     """
     if draws < 10_000:
         raise ValueError("need at least 10000 draws")
-    mean, cov = gaussian_params(instance, z, weights)
+    mean, cov = gaussian_params(instance, z, beta)
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((draws, instance.n)) @ chol.T + mean
@@ -224,9 +224,9 @@ def check_log_partition(rng, trials: int) -> Check:
     """log Z of alternately 1- and 2-node instances against quadrature."""
     worst = 0.0
     for i in range(trials):
-        instance, z, weights = random_instance(rng, 1 + i % 2, with_y=False)
-        analytic = crf.log_partition(instance, z, weights)
-        worst = np.maximum(worst, rel_err(quad_log_partition(instance, z, weights), analytic))
+        instance, z, beta = random_instance(rng, 1 + i % 2, with_y=False)
+        analytic = crf.log_partition(instance, z, beta)
+        worst = np.maximum(worst, rel_err(quad_log_partition(instance, z, beta), analytic))
     return Check("log-partition vs quadrature", float(worst), LOG_PARTITION_TOL, "rel err")
 
 
@@ -251,23 +251,23 @@ def _kinkless_network(rng, n):
             return model, features, z, tape
 
 
-def _gradient_errors(instance, weights, model, features, z, tape):
+def _gradient_errors(instance, beta, model, features, z, tape):
     """Relative errors of the z, theta and beta gradients against central differences."""
 
-    def nll_at(z, beta=weights.beta):
-        return crf.nll(instance, z, PairwiseWeights(beta))
+    def nll_at(z, b=beta):
+        return crf.nll(instance, z, b)
 
     def nll_of_theta(theta):
         probe = unary.UnaryModel(model.weights, model.biases)
         probe.params[...] = theta
         return nll_at(unary.forward(probe, features)[0])
 
-    _, grad_z, grad_beta = crf.nll_with_grads(instance, z, weights)
+    _, grad_z, grad_beta = crf.nll_with_grads(instance, z, beta)
     grad_theta = unary.backward(model, tape, grad_z)
     return (
         rel_err(grad_z, fd_gradient(nll_at, z)),
         rel_err(grad_theta, fd_gradient(nll_of_theta, model.params)),
-        rel_err(grad_beta, fd_gradient(lambda beta: nll_at(z, beta), weights.beta)),
+        rel_err(grad_beta, fd_gradient(lambda b: nll_at(z, b), beta)),
     )
 
 
@@ -281,9 +281,9 @@ def check_gradients(rng, trials: int, nodes: int | None = None, channels: int = 
     for _ in range(trials):
         n = nodes if nodes is not None else int(rng.integers(2, 21))
         # the regressor produces z, so the drawn one goes unused
-        instance, _, weights = random_instance(rng, n, num_channels=channels)
+        instance, _, beta = random_instance(rng, n, num_channels=channels)
         network = _kinkless_network(rng, n)
-        worst = np.maximum(worst, _gradient_errors(instance, weights, *network))
+        worst = np.maximum(worst, _gradient_errors(instance, beta, *network))
     groups = ("regressor outputs (dNLL/dz)", "unary parameters (dNLL/dtheta)",
               "coupling coefficients (dNLL/dbeta)")
     return tuple(Check(g, float(e), GRADIENT_TOL, "rel err") for g, e in zip(groups, worst))
@@ -297,23 +297,23 @@ def check_map(rng, trials: int):
     """
     worst_cells = 0.0
     for _ in range(trials):
-        instance, z, weights = random_instance(rng, 2, with_y=False)
-        star = crf.map_infer(instance, z, weights)
+        instance, z, beta = random_instance(rng, 2, with_y=False)
+        star = crf.map_infer(instance, z, beta)
         # A^-1 has unit row sums over nonnegative entries, so the MAP is a
         # convex combination of z and this box always contains it
         lo, hi = float(z.min()) - 0.5, float(z.max()) + 0.5
         spec = GridSpec(lo=lo, hi=hi, points=400)
-        found = grid_map(instance, z, weights, spec)
+        found = grid_map(instance, z, beta, spec)
         worst_cells = np.maximum(worst_cells, np.max(np.abs(found - star)) / spec.cell)
     margin = -np.inf
     for _ in range(trials):
         n = int(rng.integers(2, 51))
-        instance, z, weights = random_instance(rng, n, with_y=False)
-        star = crf.map_infer(instance, z, weights)
+        instance, z, beta = random_instance(rng, n, with_y=False)
+        star = crf.map_infer(instance, z, beta)
         scales = 10.0 ** rng.uniform(-2.0, 1.0, size=PERTURBATIONS)
         offsets = rng.normal(size=(PERTURBATIONS, n)) * scales[:, None]
-        lowest = float(np.min(direct_energy(instance, z, weights, star + offsets)))
-        margin = np.maximum(margin, crf.energy(instance, z, weights, star) - lowest)
+        lowest = float(np.min(direct_energy(instance, z, beta, star + offsets)))
+        margin = np.maximum(margin, crf.energy(instance, z, beta, star) - lowest)
     return (
         Check("MAP vs 400x400 grid search", float(worst_cells), GRID_CELL_TOL, "grid cells"),
         Check("MAP energy minus lowest perturbed energy", float(margin), MODE_TOL, "energy"),
@@ -322,7 +322,7 @@ def check_map(rng, trials: int):
 
 def check_zero_coupling(rng, trials: int) -> Check:
     """With beta = 0 the MAP is the regression z itself."""
-    zero = PairwiseWeights(np.zeros(3))
+    zero = np.zeros(3)
     worst = 0.0
     for _ in range(trials):
         instance, z, _ = random_instance(rng, int(rng.integers(1, 40)), with_y=False)
@@ -330,15 +330,15 @@ def check_zero_coupling(rng, trials: int) -> Check:
     return Check("beta = 0 MAP vs z", float(worst), ZERO_COUPLING_TOL, "rel err")
 
 
-def moment_error(instance, z, weights, mean, cov, draws: int, seed: int) -> float:
+def moment_error(instance, z, beta, mean, cov, draws: int, seed: int) -> float:
     """Largest deviation of a claimed posterior ``mean`` or ``cov`` entry from
     Monte Carlo moments, in standard errors of the Monte Carlo estimate.
 
     The standard errors come from the exact covariance, so an inflated
     ``cov`` cannot widen its own tolerance.
     """
-    mean_mc, cov_mc = mc_moments(instance, z, weights, draws, seed)
-    exact = gaussian_params(instance, z, weights)[1]
+    mean_mc, cov_mc = mc_moments(instance, z, beta, draws, seed)
+    exact = gaussian_params(instance, z, beta)[1]
     var = np.diag(exact)
     se_mean = np.sqrt(var / draws)
     se_cov = np.sqrt((np.outer(var, var) + exact**2) / draws)
@@ -351,10 +351,10 @@ def check_moments(rng, trials: int) -> Check:
     MC_DRAWS Monte Carlo draws."""
     worst = 0.0
     for trial in range(trials):
-        instance, z, weights = random_instance(rng, int(rng.integers(1, 6)), with_y=False)
-        precision = crf.build_precision(instance, crf.coupling_matrix(instance, weights))
+        instance, z, beta = random_instance(rng, int(rng.integers(1, 6)), with_y=False)
+        precision = crf.build_precision(instance, crf.coupling_matrix(instance, beta))
         cov = 0.5 * precision.solve(np.eye(instance.n))
-        error = moment_error(instance, z, weights, crf.map_infer(instance, z, weights), cov,
+        error = moment_error(instance, z, beta, crf.map_infer(instance, z, beta), cov,
                              MC_DRAWS, seed=trial)
         worst = np.maximum(worst, error)
     return Check("posterior mean/covariance vs Monte Carlo", float(worst), MONTE_CARLO_TOL,
@@ -367,8 +367,8 @@ def check_factorization(rng, trials: int):
     failed = 0
     for _ in range(trials):
         n = int(rng.integers(1, 30))
-        instance, _, weights = random_instance(rng, n, beta=rng.uniform(0.0, 1.5, size=3))
-        couplings = crf.coupling_matrix(instance, weights)
+        instance, _, beta = random_instance(rng, n, beta=rng.uniform(0.0, 1.5, size=3))
+        couplings = crf.coupling_matrix(instance, beta)
         try:
             precision = crf.build_precision(instance, couplings)
             factor = (*precision.inv_diag, *precision.sub)

@@ -34,11 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crf, unary
-from .crf import CrfInstance, FactorizationError, PairwiseWeights
-from .graph import GraphConfig, build_graph
+from .crf import CrfInstance, FactorizationError
+from .graph import NUM_CHANNELS, GraphConfig, build_graph
 
 STD_FLOOR = 1e-8
-NUM_CHANNELS = 3
 
 
 class DivergenceError(ArithmeticError):
@@ -166,15 +165,15 @@ def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = Fa
     """
     lr = current_lr(config, state.epoch)
     theta = state.model.params
-    weights = PairwiseWeights(np.zeros_like(state.beta) if unary_only else state.beta)
+    beta = np.zeros_like(state.beta) if unary_only else state.beta
     z, tape = unary.forward(state.model, scene.inputs, state.rng, config.dropout_keep)
     _require_finite(state, "regressor output", z)
     try:
-        loss, gz, grad_beta = crf.nll_with_grads(scene.instance, z, weights)
+        loss, gz, grad_beta = crf.nll_with_grads(scene.instance, z, beta)
     except FactorizationError as exc:
         raise _diverged(state, str(exc)) from exc
     loss += 0.5 * config.lambda1 * float(theta @ theta)
-    loss += 0.5 * config.lambda2 * float(weights.beta @ weights.beta)
+    loss += 0.5 * config.lambda2 * float(beta @ beta)
     grad_theta = unary.backward(state.model, tape, gz) + config.lambda1 * theta
     grad_beta = grad_beta + config.lambda2 * state.beta
     _require_finite(state, "loss or gradient", loss, grad_theta, grad_beta)

@@ -26,23 +26,23 @@ def dense_stack(instance) -> np.ndarray:
     return sims
 
 
-def precision(instance, weights):
+def precision(instance, beta):
     """(A, Cholesky factor, log|A|) from the dense coupling matrix."""
-    coupling = np.einsum("k,kpq->pq", weights.beta, dense_stack(instance))
+    coupling = np.einsum("k,kpq->pq", beta, dense_stack(instance))
     a = -coupling
     a[np.diag_indices(instance.n)] += 1.0 + coupling.sum(axis=1)
     chol = scipy.linalg.cholesky(a, lower=True)
     return a, chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def map_infer(instance, z, weights) -> np.ndarray:
-    _, chol, _ = precision(instance, weights)
+def map_infer(instance, z, beta) -> np.ndarray:
+    _, chol, _ = precision(instance, beta)
     return scipy.linalg.cho_solve((chol, True), z)
 
 
-def nll_with_grads(instance, z, weights):
+def nll_with_grads(instance, z, beta):
     """(NLL, gradient in z, gradient in beta), all from dense matrices."""
-    a, chol, logdet = precision(instance, weights)
+    a, chol, logdet = precision(instance, beta)
     y, n = instance.y, instance.n
     u = scipy.linalg.cho_solve((chol, True), z)
     value = (

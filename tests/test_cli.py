@@ -582,7 +582,7 @@ def test_check_commands_reject_empty_counts_with_exit_2(argv, capsys):
 def test_gradcheck_fails_when_the_nll_and_its_beta_gradient_disagree(monkeypatch, capsys):
     exact = crf.nll  # shifted by a beta-linear term that nll_with_grads does not see
     monkeypatch.setattr(crf, "nll",
-                        lambda inst, z, w: exact(inst, z, w) + 0.1 * float(w.beta.sum()))
+                        lambda inst, z, beta: exact(inst, z, beta) + 0.1 * float(beta.sum()))
     assert main(["gradcheck", "--seed", "5", "--nodes", "9"]) == 1
     out = capsys.readouterr().out
     assert "FAIL coupling coefficients (dNLL/dbeta)" in out

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from depthcrf import crf, oracle, synth
-from depthcrf.crf import CrfInstance, FactorizationError, PairwiseWeights
+from depthcrf.crf import CrfInstance, FactorizationError
 from depthcrf.graph import GraphConfig, build_graph
 
 import crf_reference
@@ -20,18 +20,23 @@ from testutil import (
     single_edge_instance,
 )
 
-ONES = PairwiseWeights(np.array([1.0]))
+ONES = np.ones(1)
+
+# every CRF entry point, called with (instance, z, beta)
+ENTRY_POINTS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, z, beta: crf.energy(inst, z, beta, np.zeros(inst.n)),
+        crf.log_partition,
+        crf.nll,
+        crf.map_infer,
+        crf.nll_with_grads,
+    ],
+    ids=["energy", "log_partition", "nll", "map_infer", "nll_with_grads"],
+)
 
 
 class TestValidation:
-    def test_weights_reject_negative(self):
-        with pytest.raises(ValueError):
-            PairwiseWeights(np.array([0.5, -0.1]))
-
-    def test_weights_reject_nonfinite(self):
-        with pytest.raises(ValueError):
-            PairwiseWeights(np.array([np.inf]))
-
     def test_out_of_range_similarity_rejected(self):
         with pytest.raises(ValueError):
             CrfInstance(n=2, similarities=[[1.5]], edges=[[0, 1]])
@@ -84,17 +89,7 @@ class TestValidation:
             with pytest.raises(ValueError):
                 layout[0] = 0
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda inst, z: crf.energy(inst, z, ONES, np.zeros(inst.n)),
-            lambda inst, z: crf.log_partition(inst, z, ONES),
-            lambda inst, z: crf.nll(inst, z, ONES),
-            lambda inst, z: crf.map_infer(inst, z, ONES),
-            lambda inst, z: crf.nll_with_grads(inst, z, ONES),
-        ],
-        ids=["energy", "log_partition", "nll", "map_infer", "nll_with_grads"],
-    )
+    @ENTRY_POINTS
     @pytest.mark.parametrize(
         "z", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [0.1, np.nan, 0.3], [0.1, 0.2, np.inf]],
         ids=["short", "long", "nan", "inf"],
@@ -102,7 +97,22 @@ class TestValidation:
     def test_every_function_rejects_a_bad_z(self, call, z):
         inst = CrfInstance(n=3, similarities=[[0.5]], edges=[[0, 1]], y=np.zeros(3))
         with pytest.raises(ValueError, match="z must be 3 finite values"):
-            call(inst, z)
+            call(inst, z, ONES)
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize(
+        "beta",
+        [[0.5, -0.1], [0.5, np.nan], [np.inf, 0.5], [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], []],
+        ids=["negative", "nan", "inf", "short", "long", "2-D", "empty"],
+    )
+    def test_every_function_rejects_a_bad_beta(self, call, beta, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("a bad beta reached the factorization")
+
+        monkeypatch.setattr(crf, "build_precision", unreached)
+        inst = CrfInstance(n=3, similarities=[[0.5], [0.25]], edges=[[0, 1]], y=np.zeros(3))
+        with pytest.raises(ValueError, match="weights"):
+            call(inst, np.zeros(3), beta)
 
 
 class TestCoupling:
@@ -167,7 +177,7 @@ class TestPrecision:
         # beta @ similarities overflows to inf; the suite turns a warning into an error
         inst = CrfInstance(n=3, similarities=np.ones((3, 2)), edges=[[0, 1], [1, 2]])
         with pytest.raises(FactorizationError, match="not finite"):
-            crf.map_infer(inst, np.zeros(3), PairwiseWeights(np.full(3, 1e308)))
+            crf.map_infer(inst, np.zeros(3), np.full(3, 1e308))
 
     def test_condition_bound_reaching_one_over_eps_raises_factorization_error(self):
         # Gershgorin bounds cond(A) by 2 max A_ii - 1: about 2e15 factors
@@ -270,7 +280,7 @@ class TestMapInfer:
     def test_strong_coupling_pulls_together(self):
         # similarities cap at 1, so the factor-1000 coupling comes from beta
         inst = single_edge_instance(1.0, k=1)
-        star = crf.map_infer(inst, [1.0, -1.0], PairwiseWeights(np.array([1000.0])))
+        star = crf.map_infer(inst, [1.0, -1.0], np.array([1000.0]))
         assert np.max(np.abs(star)) < 1e-2
 
     def test_zero_weights_return_z_exactly(self):
@@ -309,27 +319,27 @@ class TestGradients:
             inst, z, w = random_instance(rng, n=int(rng.integers(2, 10)))
 
             def f(beta):
-                return crf.nll(inst, z, PairwiseWeights(beta))
+                return crf.nll(inst, z, beta)
 
-            fd = oracle.fd_gradient(f, w.beta)
+            fd = oracle.fd_gradient(f, w)
             assert rel_err(crf.nll_with_grads(inst, z, w)[2], fd) < 1e-5
 
     def test_grad_pairwise_single_edge_against_fd(self):
         inst, z = single_edge_instance(0.8, y=[1.0, 0.3]), [0.4, -0.2]
         fd = oracle.fd_gradient(
-            lambda b: crf.nll(inst, z, PairwiseWeights(b)), np.array([1.0])
+            lambda b: crf.nll(inst, z, b), np.array([1.0])
         )
         assert rel_err(crf.nll_with_grads(inst, z, ONES)[2], fd) < 1e-5
 
 
 def edge_list_instance(rng, n, edges):
-    """(instance, z, weights): random z, y and three similarity channels on
+    """(instance, z, beta): random z, y and three similarity channels on
     the given edge set."""
     edges = np.unique(np.sort(np.asarray(edges, dtype=np.intp).reshape(-1, 2), axis=1), axis=0)
     z = rng.normal(size=n)
     sims = rng.uniform(0.05, 1.0, size=(3, len(edges)))
     inst = CrfInstance(n=n, similarities=sims, edges=edges, y=rng.normal(size=n))
-    return inst, z, PairwiseWeights(rng.uniform(0.1, 1.5, size=3))
+    return inst, z, rng.uniform(0.1, 1.5, size=3)
 
 
 def path_edges(n):
@@ -399,7 +409,7 @@ class TestDenseReference:
     def test_synth_graphs(self, superpixels):
         inst, z = synth_instance(superpixels, seed=5)
         assert inst.n > 0.9 * superpixels
-        prec = self.assert_matches(inst, z, PairwiseWeights(np.array([0.7, 1.3, 0.4])))
+        prec = self.assert_matches(inst, z, np.array([0.7, 1.3, 0.4]))
         assert len(prec.inv_diag) > 1
 
     def test_ragged_blocks_cut_the_block_cost_at_2000_superpixels(self):
@@ -430,10 +440,10 @@ class TestDenseReference:
 
 def test_nll_with_grads_working_set_stays_small():
     inst, z = synth_instance(2000, seed=3)
-    weights = PairwiseWeights(np.array([0.5, 0.7, 0.3]))
+    beta = np.array([0.5, 0.7, 0.3])
     tracemalloc.start()
     try:
-        crf.nll_with_grads(inst, z, weights)
+        crf.nll_with_grads(inst, z, beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

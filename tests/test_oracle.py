@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from depthcrf import crf, oracle
-from depthcrf.crf import PairwiseWeights
 
 from testutil import no_edge_instance, random_instance, rel_err, single_edge_instance
 
-ONES = PairwiseWeights(np.array([1.0]))
+ONES = np.ones(1)
 
 
 class TestQuadrature:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depthcrf import crf, oracle, synth, training, unary
-from depthcrf.crf import CrfInstance, PairwiseWeights
+from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
 from depthcrf.training import TrainConfig
@@ -38,11 +38,10 @@ def fresh_train(scenes, config, **kwargs):
 def objective(state, scenes, config, beta=None):
     """The training objective recomputed from scratch (no dropout)."""
     beta = state.beta if beta is None else beta
-    weights = PairwiseWeights(beta)
     total = 0.0
     for scene in scenes:
         z, _ = unary.forward(state.model, scene.inputs)
-        total += crf.nll(scene.instance, z, weights)
+        total += crf.nll(scene.instance, z, beta)
     theta = state.model.params
     total += 0.5 * config.lambda1 * float(theta @ theta)
     total += 0.5 * config.lambda2 * float(beta @ beta)
@@ -145,9 +144,9 @@ class TestStep:
         seen = []
         nll_with_grads = crf.nll_with_grads
 
-        def spy(instance, z, weights):
+        def spy(instance, z, beta):
             seen.append((instance, z))
-            return nll_with_grads(instance, z, weights)
+            return nll_with_grads(instance, z, beta)
 
         monkeypatch.setattr(crf, "nll_with_grads", spy)
         config = quiet_config()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from depthcrf.crf import CrfInstance, PairwiseWeights
+from depthcrf.crf import CrfInstance
 from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
 
 

@@ -42,14 +42,18 @@ narrower than ``MIN_BLOCK`` joins the block before it.  Every edge then
 lies inside a diagonal block or the block just below it, so ``A`` is block
 tridiagonal, no row is padding, and a block is no wider than the edges
 into it and the ``MIN_BLOCK`` floor require.  The edges alone fix this
-layout, so the instance stores it.  The block Cholesky factor of ``A`` is
-block bidiagonal, and the blocks of ``A^{-1}`` on that pattern follow from
-the factor alone by selected inversion (Takahashi, Fagan & Chin 1973; Rue
-& Held, *Gaussian Markov Random Fields*, 2005, section 2.3).  A graph
-whose first node reaches its last, such as a random dense one, is at most
-two blocks, the first ``MIN_BLOCK`` nodes and the rest; below
-``2 MIN_BLOCK`` nodes it is one block, the plain dense Cholesky
-factorization.  The trace term of the beta gradient reads ``A^{-1}`` only
+layout, so the instance stores it.  Block elimination walks the blocks
+down: with ``B_i = A_{i+1,i}``, the Schur complements are ``C_0 = A_00``
+and ``C_i = A_ii - h_{i-1} B_{i-1}'``, where ``G_i = C_i^{-1}`` and
+``h_i = B_i G_i``.  Each ``C_i`` is factored by Cholesky, whose pivots give
+``log|A| = sum_i log|C_i|``, and inverted through its triangular factor.
+``G`` and ``h`` alone carry the solves, and the blocks of ``A^{-1}`` on the
+tridiagonal pattern follow from them by selected inversion (Takahashi,
+Fagan & Chin 1973; Rue & Held, *Gaussian Markov Random Fields*, 2005,
+section 2.3).  A graph whose first node reaches its last, such as a random
+dense one, is at most two blocks, the first ``MIN_BLOCK`` nodes and the
+rest; below ``2 MIN_BLOCK`` nodes it is one block, whose ``G`` is the
+dense inverse.  The trace term of the beta gradient reads ``A^{-1}`` only
 on the diagonal and the edges, all inside that pattern, so no n x n array
 is ever formed.
 
@@ -124,9 +128,12 @@ class CrfInstance:
     ``block_starts[i + 1] - 1``.  The blocks live in one flat buffer: piece
     ``2i`` is diagonal block i, of shape (w_i, w_i), and piece ``2i + 1`` the
     block just below it, of shape (w_{i+1}, w_i); piece ``k`` spans
-    ``block_offsets[k]`` to ``block_offsets[k + 1]``.  ``node_slots[v]`` is
-    the position of entry (v, v) in that buffer and ``edge_slots[e]`` the
-    position of edge ``e``'s entry (q, p).
+    ``block_offsets[k]`` to ``block_offsets[k + 1]``, and ``block_pieces[k]``
+    holds those bounds and the piece's shape.  ``block_rows[i]`` is block
+    ``i``'s slice of rows.  ``node_slots[v]`` is the position of entry (v, v)
+    in that buffer and ``edge_slots[e]`` the position of edge ``e``'s entry
+    (q, p).  With ``y`` given, ``y_quadratic[k]`` is y' J_k y (see the module
+    docstring), which every training step reads.
     """
 
     n: int
@@ -137,6 +144,9 @@ class CrfInstance:
     block_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     node_slots: np.ndarray = field(init=False, repr=False, compare=False)
     edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
+    block_pieces: tuple = field(init=False, repr=False, compare=False)
+    block_rows: tuple = field(init=False, repr=False, compare=False)
+    y_quadratic: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n)
@@ -172,9 +182,16 @@ class CrfInstance:
         layout = dict(block_starts=starts, block_offsets=offsets,
                       node_slots=offsets[2 * block] + at * (widths[block] + 1),
                       edge_slots=offsets[pb + qb] + at[q] * widths[pb] + at[p])
-        for value in layout.values():
-            value.setflags(write=False)
-        checked = dict(n=n, similarities=sims, edges=edges, y=y, **layout)
+        y_quadratic = None if y is None else _edge_quadratic(edges, sims, y)
+        for value in (*layout.values(), y_quadratic):
+            if value is not None:
+                value.setflags(write=False)
+        bounds, w = offsets.tolist(), widths.tolist()
+        layout["block_pieces"] = tuple((bounds[k], bounds[k + 1], (w[(k + 1) // 2], w[k // 2]))
+                                       for k in range(len(sizes)))
+        layout["block_rows"] = tuple(map(slice, starts[:-1].tolist(), starts[1:].tolist()))
+        checked = dict(n=n, similarities=sims, edges=edges, y=y, y_quadratic=y_quadratic,
+                       **layout)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -206,27 +223,28 @@ def _block_starts(n, edges):
 def _block_views(instance, buffer):
     """The diagonal blocks and the blocks just below them, as views of a flat
     ``buffer`` in the instance's block layout."""
-    starts, offsets = instance.block_starts.tolist(), instance.block_offsets.tolist()
-    widths = [end - start for start, end in zip(starts, starts[1:])]
-    pieces = [buffer[offsets[k]:offsets[k + 1]].reshape(widths[(k + 1) // 2], widths[k // 2])
-              for k in range(len(offsets) - 1)]
+    pieces = [buffer[start:end].reshape(shape) for start, end, shape in instance.block_pieces]
     return pieces[0::2], pieces[1::2]
 
 
 @dataclass(frozen=True)
 class Precision:
-    """Block Cholesky factor and log|A| of the block tridiagonal precision A.
+    """Inverse Schur complements and log|A| of the block tridiagonal precision A.
 
-    A = L L' with L block lower bidiagonal, over the instance's ragged
-    blocks; node ``v`` is row ``v`` and no row is padding.  ``inv_diag[i]``
-    is the inverse of the lower triangular diagonal block L_ii, of shape
-    (w_i, w_i), so that every solve below is a matrix product, and
-    ``sub[i]`` is the block L_{i+1,i}, of shape (w_{i+1}, w_i).
+    Over the instance's ragged blocks, with B_i = A_{i+1,i}, the Schur
+    complements are C_0 = A_00 and C_i = A_ii - h_{i-1} B_{i-1}'.  ``g[i]`` is
+    G_i = C_i^{-1}, of shape (w_i, w_i), computed from the Cholesky factor
+    C_i = L_i L_i' (whose pivots give log|A|) as L_i^{-T} L_i^{-1}, and
+    ``h[i]`` is h_i = B_i G_i, of shape (w_{i+1}, w_i); node ``v`` is row
+    ``v`` and no row is padding.  Then A = M D M' with M unit block lower
+    bidiagonal, M_{i+1,i} = h_i, and D block diagonal, D_ii = C_i, so every
+    solve is a chain of matrix products: three per block for ``solve`` and
+    two for ``selected_inverse``.
     """
 
     instance: CrfInstance
-    inv_diag: tuple
-    sub: tuple
+    g: tuple
+    h: tuple
     logdet: float
 
     @property
@@ -234,40 +252,35 @@ class Precision:
         return self.instance.n
 
     def solve(self, rhs):
-        """A^{-1} rhs for a vector or an (n, k) matrix, by block substitution."""
+        """A^{-1} rhs for a vector or an (n, k) matrix, by block substitution:
+        y_i = rhs_i - h_{i-1} y_{i-1} downward, then x_i = G_i y_i - h_i' x_{i+1}
+        upward."""
         x = np.array(rhs, dtype=float)
         if x.shape[:1] != (self.n,):
             raise ValueError(f"rhs must have {self.n} rows")
-        starts = self.instance.block_starts.tolist()
-        rows = [slice(start, end) for start, end in zip(starts, starts[1:])]
-        for i, at in enumerate(rows):
-            if i:
-                x[at] -= self.sub[i - 1] @ x[rows[i - 1]]
-            x[at] = self.inv_diag[i] @ x[at]
-        for i in reversed(range(len(rows))):
-            at = rows[i]
-            if i + 1 < len(rows):
-                x[at] -= self.sub[i].T @ x[rows[i + 1]]
-            x[at] = self.inv_diag[i].T @ x[at]
+        rows = self.instance.block_rows
+        for i in range(1, len(rows)):
+            x[rows[i]] -= self.h[i - 1] @ x[rows[i - 1]]
+        x[rows[-1]] = self.g[-1] @ x[rows[-1]]
+        for i in reversed(range(len(rows) - 1)):
+            x[rows[i]] = self.g[i] @ x[rows[i]] - self.h[i].T @ x[rows[i + 1]]
         return x
 
     def selected_inverse(self):
         """A^{-1} on the diagonal, shape (n,), and on the edges, shape (E,).
 
-        Selected inversion, walking the blocks upward with
-        H_i = L_{i+1,i} L_ii^{-1}:  S_{i+1,i} = -S_{i+1,i+1} H_i  and
-        S_ii = L_ii^{-T} L_ii^{-1} - S_{i+1,i}' H_i.
+        Selected inversion, walking the blocks upward from S = G_last:
+        S_{i+1,i} = -S_{i+1,i+1} h_i  and  S_ii = G_i - S_{i+1,i}' h_i.
         """
         # S_ii and S_{i+1,i} in the layout of node_slots and edge_slots
         buffer = np.empty(self.instance.block_offsets[-1])
         diag, below = _block_views(self.instance, buffer)
-        for i in reversed(range(len(diag))):
-            inv_l = self.inv_diag[i]
-            np.matmul(inv_l.T, inv_l, out=diag[i])
-            if i < len(below):
-                h = self.sub[i] @ inv_l
-                below[i][...] = -(diag[i + 1] @ h)
-                diag[i] -= below[i].T @ h
+        diag[-1][...] = self.g[-1]
+        for i in reversed(range(len(below))):
+            np.matmul(diag[i + 1], self.h[i], out=below[i])
+            np.negative(below[i], out=below[i])
+            np.matmul(below[i].T, self.h[i], out=diag[i])
+            np.subtract(self.g[i], diag[i], out=diag[i])
         return buffer[self.instance.node_slots], buffer[self.instance.edge_slots]
 
 
@@ -285,7 +298,8 @@ def coupling_matrix(instance: CrfInstance, beta) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def build_precision(instance: CrfInstance, couplings) -> Precision:
-    """Factor A = I + D - R, where R holds ``couplings[e]`` at edge ``instance.edges[e]``.
+    """Eliminate A = I + D - R block by block, where R holds ``couplings[e]`` at
+    edge ``instance.edges[e]``: the inverse Schur complements and log|A|.
 
     Raises FactorizationError when A is not positive definite, when the
     couplings or the factor are not finite, or when the condition bound
@@ -304,26 +318,27 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     blocks[instance.node_slots] = diagonal
     blocks[instance.edge_slots] = -couplings
     a_diag, a_below = _block_views(instance, blocks)
-    inv_diag, sub = [], []
+    g, h = [], []
     logdet = 0.0
     for i, a in enumerate(a_diag):
         if i:
-            a -= sub[-1] @ sub[-1].T
+            a -= h[-1] @ a_below[i - 1].T  # the Schur complement C_i
         chol, info = _potrf(a, lower=1)
         if info:
             raise FactorizationError(
                 f"precision matrix is not positive definite: leading minor "
                 f"{info} of diagonal block {i} of {len(a_diag)} is not positive"
             )
-        logdet += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-        inv_diag.append(_trtri(chol, lower=1, overwrite_c=1)[0])
+        logdet += 2.0 * float(np.log(chol.diagonal()).sum())
+        inv_chol = _trtri(chol, lower=1, overwrite_c=1)[0]
+        g.append(inv_chol.T @ inv_chol)
         if i < len(a_below):
-            # L_{i+1,i} = A_{i+1,i} L_ii^{-T}
-            sub.append(a_below[i] @ inv_diag[i].T)
-    # every coupling sits on the diagonal, and every entry of L and of the
-    # inverse blocks but the last reaches a later pivot, so a non-finite
-    # value anywhere leaves logdet or the last inverse block non-finite
-    if not (math.isfinite(logdet) and np.isfinite(inv_diag[-1]).all()):
+            h.append(a_below[i] @ g[i])
+    # every coupling sits on the diagonal, so a non-finite one reaches a pivot;
+    # every G_i but the last enters the next Schur complement through h_i, so
+    # a non-finite value in it or in h_i reaches a later pivot too.  So a
+    # non-finite value anywhere leaves logdet or the last G non-finite
+    if not (math.isfinite(logdet) and np.isfinite(g[-1]).all()):
         raise FactorizationError("the couplings or the factor of the precision matrix "
                                  "are not finite")
     # Gershgorin: with couplings >= 0 every eigenvalue of A lies in
@@ -333,7 +348,7 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     if bound * np.finfo(float).eps >= 1.0:
         raise FactorizationError(f"the precision matrix's condition bound 2 max A_ii - 1 = "
                                  f"{bound:.3g} reaches 1/eps: the couplings swamp its diagonal")
-    return Precision(instance, tuple(inv_diag), tuple(sub), logdet)
+    return Precision(instance, tuple(g), tuple(h), logdet)
 
 
 def _checked(instance, z):
@@ -420,6 +435,5 @@ def nll_with_grads(instance: CrfInstance, z, beta):
     sims, edges = instance.similarities, instance.edges
     inv_diag, inv_pq = prec.selected_inverse()
     traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)
-    grad_beta = (_edge_quadratic(edges, sims, instance.y) - _edge_quadratic(edges, sims, u)
-                 - 0.5 * traces)
+    grad_beta = instance.y_quadratic - _edge_quadratic(edges, sims, u) - 0.5 * traces
     return value, 2.0 * (u - instance.y), grad_beta

@@ -371,8 +371,8 @@ def check_factorization(rng, trials: int):
         couplings = crf.coupling_matrix(instance, beta)
         try:
             precision = crf.build_precision(instance, couplings)
-            factor = (*precision.inv_diag, *precision.sub)
-            failed += int(not all(np.all(np.isfinite(block)) for block in factor))
+            blocks = (*precision.g, *precision.h)
+            failed += int(not all(np.all(np.isfinite(block)) for block in blocks))
         except FactorizationError:
             failed += 1
     try:

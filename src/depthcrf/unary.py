@@ -5,15 +5,18 @@ runs through it independently and produces a single real value (a log-depth
 estimate).  The activation pattern is fixed: rectified linear units on every
 hidden layer except the last, which is logistic, and a width-1 linear output
 layer.  A network with a single layer is plain affine regression, kept for
-tests.
+tests.  The logistic is 1 / (1 + exp(-x)) in numpy, which saturates to 0
+where exp(-x) overflows; where it is normal it lies within 5e-16 relative
+of ``scipy.special.expit``.
 
 Dropout (inverted scaling, so evaluation needs no correction) is applied to
 the outputs of at most the first two rectified layers, only when the forward
 pass is given a keep probability below 1.
 The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
-one call.  A model's layers are views of one flat vector, ``params``, and
-``backward`` returns the gradient in its layout: SGD updates that vector.
+one call; both passes work in place on the arrays they create.  A model's
+layers are views of one flat vector, ``params``, and ``backward`` returns
+the gradient in its layout: SGD updates that vector.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 RELU = "relu"
 LOGISTIC = "logistic"
@@ -116,10 +118,15 @@ def build_model(layer_dims, seed: int) -> UnaryModel:
 
 
 def _apply(activation, pre):
+    """The activation of ``pre``, as a new array (``pre`` for linear)."""
     if activation == RELU:
         return np.maximum(pre, 0.0)
     if activation == LOGISTIC:
-        return expit(pre)  # saturates cleanly instead of overflowing exp
+        post = np.negative(pre)
+        with np.errstate(over="ignore"):  # exp(-x) -> inf saturates to 0
+            np.exp(post, out=post)
+        post += 1.0
+        return np.divide(1.0, post, out=post)
     return pre
 
 
@@ -151,12 +158,14 @@ def forward(model: UnaryModel, features, rng=None, keep_prob: float = 1.0):
     pres, posts, masks = [], [], []
     out = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        pre = out @ w + b
+        pre = out @ w
+        pre += b
         post = _apply(model.activations[i], pre)
         mask = None
-        if dropping and i in model.dropout_layers:
-            mask = (rng.random(post.shape) < keep_prob).astype(float)
-            post = post * mask / keep_prob
+        if dropping and i in model.dropout_layers:  # a rectified layer: post is new
+            mask = rng.random(post.shape) < keep_prob
+            post *= mask
+            post /= keep_prob
         pres.append(pre)
         posts.append(post)
         masks.append(mask)
@@ -171,7 +180,7 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
     Contributions of the batch rows accumulate additively, which is exactly
     the per-image chain rule when ``residual`` is the loss gradient wrt z.
     """
-    res = np.asarray(residual, dtype=float)
+    res = np.array(residual, dtype=float)  # a copy: delta is updated in place
     if res.shape != (tape.inputs.shape[0],):
         raise ValueError("residual must have one entry per batch row")
     grad = np.empty_like(model.params)
@@ -180,11 +189,13 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
     for i in range(model.num_layers - 1, -1, -1):
         act = model.activations[i]
         if tape.masks[i] is not None:
-            delta = delta * tape.masks[i] / tape.keep_prob
+            delta *= tape.masks[i]
+            delta /= tape.keep_prob
         if act == RELU:
-            delta = delta * (tape.pres[i] > 0.0)
+            delta *= tape.pres[i] > 0.0
         elif act == LOGISTIC:  # never a dropout layer, so its output is the sigmoid
-            delta = delta * tape.posts[i] * (1.0 - tape.posts[i])
+            delta *= tape.posts[i]
+            delta *= 1.0 - tape.posts[i]
         layer_in = tape.inputs if i == 0 else tape.posts[i - 1]
         np.matmul(layer_in.T, delta, out=grads_w[i])
         delta.sum(axis=0, out=grads_b[i])

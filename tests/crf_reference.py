@@ -6,7 +6,8 @@ that stack with the formulas the edge-list path replaced: the einsum
 coupling matrix, ``A = I + D - R`` from its row sums, and the beta gradient
 from ``J_k = diag(S_k 1) - S_k`` with ``tr(A^{-1} J_k)`` over whole
 matrices.  It also holds the dense ``A``, Cholesky factor and ``A^{-1}``
-that the block tridiagonal factorization replaced, the greedy ragged block
+that the block tridiagonal factorization replaced, the inverse Schur
+complements read off the dense factor, the greedy ragged block
 layout written node by node, and the block cost of the uniform layout that
 the ragged one replaced.
 """
@@ -66,17 +67,17 @@ def nll_with_grads(instance, z, beta):
     return value, 2.0 * (u - y), grad_beta
 
 
-def block_factor(prec) -> np.ndarray:
-    """The dense lower triangular L with A = L L', assembled from the ragged
-    blocks of a ``crf.Precision``; node v is row v."""
-    starts = prec.instance.block_starts
-    factor = np.zeros((prec.n, prec.n))
-    for i, inv_l in enumerate(prec.inv_diag):
-        rows = slice(starts[i], starts[i + 1])
-        factor[rows, rows] = np.linalg.inv(inv_l)
-        if i < len(prec.sub):
-            factor[starts[i + 1]:starts[i + 2], rows] = prec.sub[i]
-    return factor
+def schur_blocks(instance, beta):
+    """The blocks a ``crf.Precision`` holds, from the dense route: G_i is the
+    inverse of the Schur complement L_ii L_ii' of block i, with L the dense
+    Cholesky factor, and h_i = A_{i+1,i} G_i; blocks as in the instance's
+    layout."""
+    a, chol, _ = precision(instance, beta)
+    starts = instance.block_starts
+    rows = [slice(start, end) for start, end in zip(starts[:-1], starts[1:])]
+    g = [np.linalg.inv(chol[at, at] @ chol[at, at].T) for at in rows]
+    h = [a[below, at] @ g_i for at, below, g_i in zip(rows, rows[1:], g)]
+    return g, h
 
 
 def block_starts(n, edges, min_block) -> list:

@@ -12,7 +12,9 @@ A change that moves these bits on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_cli_session.py --write
 
-and says which files moved and why.
+and says which files moved and why.  Before it overwrites the table, the
+script prints each command and file whose digest changed, was added or was
+removed.
 """
 
 import contextlib
@@ -79,6 +81,39 @@ def run_session() -> dict:
     return {"commands": commands, "files": files}
 
 
+def digest_changes(old: dict, new: dict) -> list:
+    """One line per command or file whose digest differs between two tables:
+    ``changed``, ``added`` (only in ``new``) or ``removed`` (only in ``old``),
+    in session order, then removals."""
+    lines = []
+    for kind, before, after in (
+        ("command", {c["argv"]: c for c in old["commands"]}, {c["argv"]: c for c in new["commands"]}),
+        ("file", old["files"], new["files"]),
+    ):
+        for name in [*after, *(name for name in before if name not in after)]:
+            if name not in before:
+                lines.append(f"added {kind}: {name}")
+            elif name not in after:
+                lines.append(f"removed {kind}: {name}")
+            elif before[name] != after[name]:
+                lines.append(f"changed {kind}: {name}")
+    return lines
+
+
+def test_digest_changes_names_each_changed_added_and_removed_entry():
+    old = {"commands": [{"argv": "a", "exit": 0, "stdout": "1"}, {"argv": "b", "exit": 0, "stdout": "2"},
+                        {"argv": "c", "exit": 0, "stdout": "3"}],
+           "files": {"x": "1", "y": "2", "z": "3"}}
+    new = {"commands": [{"argv": "a", "exit": 0, "stdout": "1"}, {"argv": "b", "exit": 2, "stdout": "2"},
+                        {"argv": "d", "exit": 0, "stdout": "4"}],
+           "files": {"w": "0", "x": "1", "y": "9"}}
+    assert digest_changes(old, old) == []
+    assert digest_changes(old, new) == [
+        "changed command: b", "added command: d", "removed command: c",
+        "added file: w", "changed file: y", "removed file: z",
+    ]
+
+
 def test_cli_session_matches_committed_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected = json.loads(TABLE.read_text())
@@ -96,6 +131,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         table = run_session()
+    committed = json.loads(TABLE.read_text()) if TABLE.exists() else {"commands": [], "files": {}}
+    changes = digest_changes(committed, table)
+    print("\n".join(changes) if changes else "no digest changed")
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {len(table['commands'])} commands and {len(table['files'])} files "
           f"to {TABLE}")

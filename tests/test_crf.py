@@ -85,7 +85,8 @@ class TestValidation:
             inst.edges[0, 0] = 1
         with pytest.raises(ValueError):
             inst.y[0] = 1.0
-        for layout in (inst.block_starts, inst.block_offsets, inst.node_slots, inst.edge_slots):
+        for layout in (inst.block_starts, inst.block_offsets, inst.node_slots, inst.edge_slots,
+                       inst.y_quadratic):
             with pytest.raises(ValueError):
                 layout[0] = 0
 
@@ -134,8 +135,11 @@ class TestPrecision:
         prec = crf.build_precision(inst, crf.coupling_matrix(inst, ONES))
         a = crf_reference.precision(inst, ONES)[0]
         assert np.allclose(a, [[1.5, -0.5], [-0.5, 1.5]])
-        factor = crf_reference.block_factor(prec)
-        assert np.allclose(factor @ factor.T, a)
+        # one block, so G is A^{-1} = [[3, 1], [1, 3]] / 4 and there is no h
+        (g,), ref_h = crf_reference.schur_blocks(inst, ONES)
+        assert prec.h == () and ref_h == []
+        assert np.allclose(prec.g[0], [[0.75, 0.25], [0.25, 0.75]])
+        assert rel_err(prec.g[0], g) < 1e-12
         assert abs(prec.logdet - np.log(2.0)) < 1e-12
 
     def test_logdet_matches_generic_slogdet(self):
@@ -167,8 +171,8 @@ class TestPrecision:
             crf.build_precision(inst, np.full(2, 1e308))
 
     def test_non_finite_last_inverse_block_raises_factorization_error(self, monkeypatch):
-        # no later pivot reads the last block's inverse, so it is checked on its
-        # own; a stand-in trtri makes it non-finite on a one-block instance
+        # no later pivot reads the last G, so it is checked on its own; a
+        # stand-in trtri makes it non-finite on a one-block instance
         monkeypatch.setattr(crf, "_trtri", lambda c, **kwargs: (np.full_like(c, np.inf), 0))
         with pytest.raises(FactorizationError, match="not finite"):
             crf.build_precision(single_edge_instance(1.0), np.array([0.5]))
@@ -376,11 +380,15 @@ class TestDenseReference:
         # the floor holds for every block; one that took in the tail is wider
         assert widths.min() >= min(crf.MIN_BLOCK, inst.n)
         assert list(starts) == crf_reference.block_starts(inst.n, inst.edges, crf.MIN_BLOCK)
-        assert [inv_l.shape for inv_l in prec.inv_diag] == [(w, w) for w in widths]
-        assert [sub.shape for sub in prec.sub] == list(zip(widths[1:], widths[:-1]))
+        assert [g.shape for g in prec.g] == [(w, w) for w in widths]
+        assert [h.shape for h in prec.h] == list(zip(widths[1:], widths[:-1]))
         _, ref_chol, ref_logdet = crf_reference.precision(inst, w)
         assert rel_err(prec.logdet, ref_logdet) < 1e-12
-        assert rel_err(crf_reference.block_factor(prec), ref_chol) < 1e-12
+        ref_g, ref_h = crf_reference.schur_blocks(inst, w)
+        for g, expected in zip(prec.g, ref_g, strict=True):
+            assert rel_err(g, expected) < 1e-12
+        for h, expected in zip(prec.h, ref_h, strict=True):
+            assert rel_err(h, expected) < 1e-12
         rhs = np.random.default_rng(inst.n).normal(size=(inst.n, 3))
         ref_solve = scipy.linalg.cho_solve((ref_chol, True), rhs)
         assert rel_err(prec.solve(rhs), ref_solve) < 1e-12
@@ -410,7 +418,7 @@ class TestDenseReference:
         inst, z = synth_instance(superpixels, seed=5)
         assert inst.n > 0.9 * superpixels
         prec = self.assert_matches(inst, z, np.array([0.7, 1.3, 0.4]))
-        assert len(prec.inv_diag) > 1
+        assert len(prec.g) > 1
 
     def test_ragged_blocks_cut_the_block_cost_at_2000_superpixels(self):
         inst, _ = synth_instance(2000, seed=5)

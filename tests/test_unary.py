@@ -1,7 +1,10 @@
 """The per-superpixel regressor: forward, tape replay, gradients, init."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 
 from depthcrf import oracle, unary
 
@@ -65,6 +68,24 @@ class TestActivationsAndInit:
         assert unary.build_model((8, 4, 4, 1), seed=0).dropout_layers == (0,)
         assert unary.build_model((8, 4, 4, 4, 1), seed=0).dropout_layers == (0, 1)
         assert unary.build_model((8, 4, 4, 4, 4, 1), seed=0).dropout_layers == (0, 1)
+
+
+class TestLogistic:
+    @pytest.mark.parametrize("x, expected", [(800.0, 1.0), (-800.0, 0.0), (1e308, 1.0),
+                                             (-1e308, 0.0)])
+    def test_saturates_without_a_warning(self, x, expected):
+        pre = np.array([x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unary._apply(unary.LOGISTIC, pre).tolist() == [expected]
+        assert pre.tolist() == [x]
+
+    def test_matches_scipy_expit(self):
+        # below about -709.78 exp(-x) overflows and the result is 0, where
+        # expit returns a subnormal; the grid stops short of that
+        x = np.concatenate([np.linspace(-708.0, 708.0, 400_001), np.linspace(-40.0, 40.0, 400_001)])
+        expected = scipy.special.expit(x)
+        assert np.max(np.abs(unary._apply(unary.LOGISTIC, x) - expected) / expected) <= 5e-16
 
 
 class TestForward:
@@ -150,6 +171,34 @@ class TestDropout:
             kept = np.maximum(tape.pres[i], 0.0) * tape.masks[i] / 0.5
             assert np.allclose(tape.posts[i], kept)
         assert tape.masks[2] is None and tape.masks[3] is None
+
+    def test_draws_one_uniform_array_per_dropout_layer(self):
+        model = unary.build_model((4, 8, 6, 5, 1), seed=24)
+        x = np.random.default_rng(25).normal(size=(7, 4))
+        rng, twin = np.random.default_rng(26), np.random.default_rng(26)
+        _, tape = unary.forward(model, x, rng=rng, keep_prob=0.7)
+        draws = [twin.random((7, width)) for width in (8, 6)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert model.dropout_layers == (0, 1)
+        for i, draw in zip(model.dropout_layers, draws):
+            assert tape.masks[i].dtype == bool
+            assert np.array_equal(tape.masks[i], draw < 0.7)
+
+    def test_forward_and_replay_share_the_activation_routine(self, monkeypatch):
+        calls, apply = [], unary._apply
+
+        def spy(activation, pre):
+            calls.append(activation)
+            return apply(activation, pre)
+
+        monkeypatch.setattr(unary, "_apply", spy)
+        model = unary.build_model((4, 8, 8, 6, 1), seed=27)
+        x = np.random.default_rng(28).normal(size=(5, 4))
+        values, tape = unary.forward(model, x, rng=np.random.default_rng(29), keep_prob=0.5)
+        assert calls == list(model.activations)
+        calls.clear()
+        assert np.array_equal(replay(model, tape), values)
+        assert calls == list(model.activations)
 
     def test_replay_reproduces_forward(self):
         model = unary.build_model((4, 8, 8, 6, 1), seed=1)

@@ -132,8 +132,10 @@ class CrfInstance:
     holds those bounds and the piece's shape.  ``block_rows[i]`` is block
     ``i``'s slice of rows.  ``node_slots[v]`` is the position of entry (v, v)
     in that buffer and ``edge_slots[e]`` the position of edge ``e``'s entry
-    (q, p).  With ``y`` given, ``y_quadratic[k]`` is y' J_k y (see the module
-    docstring), which every training step reads.
+    (q, p).  With ``y`` given, ``y_sq_diffs[e]`` is (y_p - y_q)^2 on edge
+    ``e``; every training step reads the pairwise energy of y as
+    ``couplings @ y_sq_diffs`` and y' J_k y (see the module docstring) as
+    ``similarities @ y_sq_diffs``.
     """
 
     n: int
@@ -146,7 +148,7 @@ class CrfInstance:
     edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
     block_pieces: tuple = field(init=False, repr=False, compare=False)
     block_rows: tuple = field(init=False, repr=False, compare=False)
-    y_quadratic: np.ndarray | None = field(init=False, repr=False, compare=False)
+    y_sq_diffs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n)
@@ -182,16 +184,15 @@ class CrfInstance:
         layout = dict(block_starts=starts, block_offsets=offsets,
                       node_slots=offsets[2 * block] + at * (widths[block] + 1),
                       edge_slots=offsets[pb + qb] + at[q] * widths[pb] + at[p])
-        y_quadratic = None if y is None else _edge_quadratic(edges, sims, y)
-        for value in (*layout.values(), y_quadratic):
+        y_sq_diffs = None if y is None else (y[p] - y[q]) ** 2
+        for value in (*layout.values(), y_sq_diffs):
             if value is not None:
                 value.setflags(write=False)
         bounds, w = offsets.tolist(), widths.tolist()
         layout["block_pieces"] = tuple((bounds[k], bounds[k + 1], (w[(k + 1) // 2], w[k // 2]))
                                        for k in range(len(sizes)))
         layout["block_rows"] = tuple(map(slice, starts[:-1].tolist(), starts[1:].tolist()))
-        checked = dict(n=n, similarities=sims, edges=edges, y=y, y_quadratic=y_quadratic,
-                       **layout)
+        checked = dict(n=n, similarities=sims, edges=edges, y=y, y_sq_diffs=y_sq_diffs, **layout)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -365,10 +366,6 @@ def _edge_quadratic(edges, weights, v):
     return weights @ (diffs * diffs)
 
 
-def _energy(instance, z, couplings, y):
-    return float(np.sum((y - z) ** 2)) + float(_edge_quadratic(instance.edges, couplings, y))
-
-
 def energy(instance: CrfInstance, z, beta, depths) -> float:
     """Energy of a depth assignment, evaluated term by term; ``beta`` holds one
     finite coefficient >= 0 per channel, checked in ``coupling_matrix``.
@@ -380,7 +377,8 @@ def energy(instance: CrfInstance, z, beta, depths) -> float:
     y = np.asarray(depths, dtype=float)
     if y.shape != (instance.n,):
         raise ValueError("depth assignment must match the node count")
-    return _energy(instance, z, coupling_matrix(instance, beta), y)
+    couplings = coupling_matrix(instance, beta)
+    return float(np.sum((y - z) ** 2)) + float(_edge_quadratic(instance.edges, couplings, y))
 
 
 def _solved(instance, z, beta):
@@ -407,8 +405,8 @@ def _nll(instance, z, beta):
     if instance.y is None:
         raise ValueError("instance has no ground-truth depths")
     z, couplings, prec, u = _solved(instance, z, beta)
-    value = _energy(instance, z, couplings, instance.y) + _log_partition(z, prec, u)
-    return value, prec, u
+    value = float(np.sum((instance.y - z) ** 2)) + float(couplings @ instance.y_sq_diffs)
+    return value + _log_partition(z, prec, u), prec, u
 
 
 def nll(instance: CrfInstance, z, beta) -> float:
@@ -435,5 +433,5 @@ def nll_with_grads(instance: CrfInstance, z, beta):
     sims, edges = instance.similarities, instance.edges
     inv_diag, inv_pq = prec.selected_inverse()
     traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)
-    grad_beta = instance.y_quadratic - _edge_quadratic(edges, sims, u) - 0.5 * traces
+    grad_beta = sims @ instance.y_sq_diffs - _edge_quadratic(edges, sims, u) - 0.5 * traces
     return value, 2.0 * (u - instance.y), grad_beta

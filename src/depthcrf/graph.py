@@ -20,7 +20,8 @@ cell is strictly farther than a covering centre and the labels are exactly
 those of a full sweep.  About 8% of the cells survive at 700 superpixels,
 and 72% of those belong to the pixel's previous winner, whose distance the
 bound already holds; only the other 2% of the cells have their colour read.
-Sweeps stop early once an update leaves every centre and colour unchanged.
+Centres are (row, col, r, g, b) rows of one table shaped like the pixel
+table, and sweeps stop early once an update leaves that table unchanged.
 Afterwards every superpixel is reduced to its largest 4-connected component
 (the first in raster order among equally large ones), all components being
 found by one labelling pass over a doubled grid, and stray pieces are merged
@@ -212,15 +213,15 @@ def _enforce_connectivity(labels):
     return _compact(final)
 
 
-def _distance(table, slot, colors, owner, s_space):
+def _distance(table, slot, centres, owner, s_space):
     """SLIC distance from pixels ``slot`` of the (row, col, r, g, b) pixel
-    ``table`` to centres ``owner`` of the (3, count) ``colors``, plus the
-    scaled spatial term ``s_space``.  Channel c is gathered from column
-    2 + c of the table, one contiguous column of the column-major table
-    ``segment`` builds, and from row c of ``colors``; the differences are
-    squared in place and summed (c0 + c1) + c2 + s, so that every caller
-    rounds alike."""
-    d0, d1, d2 = (table[:, 2 + ch][slot] - colors[ch][owner] for ch in range(3))
+    ``table`` to centres ``owner`` of the transposed (5, count) centre table,
+    plus the scaled spatial term ``s_space``.  Colour channel j = 2, 3, 4 is
+    column j of the pixel table, one contiguous column of the column-major
+    table ``segment`` builds, and row j of ``centres``; the differences are
+    squared in place and summed (c0 + c1) + c2 + s, so every caller rounds
+    alike."""
+    d0, d1, d2 = (table[:, ch][slot] - centres[ch][owner] for ch in range(2, 5))
     for term in (d0, d1, d2):
         term *= term
     for term in (d1, d2, s_space):
@@ -228,45 +229,46 @@ def _distance(table, slot, colors, owner, s_space):
     return d0
 
 
-def _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint):
+def _hint_bound(table, centres, anchors, spatial_scale, reach, hint):
     """Distance of each pixel to its hinted centre, +inf where that centre
     has no window over the pixel or the id names no centre; flat, in the
     raster order of the (row, col, r, g, b) pixel ``table``.
 
-    ``centers``, ``anchors`` (their truncated positions) and ``colors`` hold
-    one row per coordinate or channel, and the table one column per pixel
-    coordinate or channel, so every read is one contiguous run.  The
-    spatial term is built in place over the whole raster, the distance
-    summed in ``_distance``'s order, and +inf written in place over the
-    pixels no hinted window covers.
+    ``centres`` is the transposed (5, count) centre table and ``anchors``
+    (2, count) its truncated positions, so coordinate or channel j is row j
+    of ``centres`` and column j of the pixel table, and every read is one
+    contiguous run.  The spatial term is built in place over the whole
+    raster, the distance summed in ``_distance``'s order, and +inf written
+    in place over the pixels no hinted window covers.
     """
     hint = hint.ravel()
-    far = (hint < 0) | (hint >= centers.shape[1])
+    far = (hint < 0) | (hint >= centres.shape[1])
     ref = np.where(far, 0, hint)
     for axis in range(2):
         offset = table[:, axis] - anchors[axis][ref]
         np.abs(offset, out=offset)
         far |= offset > reach
-    d_rows, d_cols = (table[:, axis] - centers[axis][ref] for axis in range(2))
+    d_rows, d_cols = (table[:, axis] - centres[axis][ref] for axis in range(2))
     d_rows *= d_rows
     d_cols *= d_cols
     d_rows += d_cols
     d_rows *= spatial_scale
-    dist = _distance(table, slice(None), colors, ref, d_rows)
+    dist = _distance(table, slice(None), centres, ref, d_rows)
     dist[far] = np.inf
     return dist
 
 
-def _assign(table, centers, colors, spatial_scale, reach, fallback, hint):
+def _assign(table, centres, spatial_scale, reach, fallback, hint):
     """Label every pixel with the nearest centre whose window covers it.
 
     ``table`` is the image's (row, col, r, g, b) pixel table, built once per
-    ``segment``.  A centre's window spans ``reach`` pixels on each side of
-    its truncated position, its anchor, taken once per sweep.  Ties go to
-    the lowest centre index, and pixels no window covers take their
-    ``fallback`` label.  Centres and their colours are read as one row per
-    coordinate or channel and pixels as one table column per channel, and
-    every distance is summed in ``_distance``'s fixed order.
+    ``segment``, and ``centres`` the (count, 5) table of centres in the same
+    columns.  A centre's window spans ``reach`` pixels on each side of its
+    truncated position, its anchor, taken once per sweep.  Ties go to the
+    lowest centre index, and pixels no window covers take their ``fallback``
+    label.  Coordinate or channel j is read as row j of the transposed
+    centre table and column j of the pixel table, and every distance is
+    summed in ``_distance``'s fixed order.
 
     Most window cells cannot win, and are skipped exactly.  ``hint`` (the
     previous sweep's labels) names one centre per pixel, and U(p) is p's
@@ -288,16 +290,16 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint):
     better one only prunes more.
     """
     height, width = fallback.shape
-    count = len(centers)
+    count = len(centres)
     side = 2 * reach + 1
-    centers, colors = centers.T.copy(), colors.T.copy()
-    anchors = centers.astype(np.intp)
-    seeded = _hint_bound(table, centers, anchors, colors, spatial_scale, reach, hint)
+    centres = centres.T.copy()
+    anchors = centres[:2].astype(np.intp)
+    seeded = _hint_bound(table, centres, anchors, spatial_scale, reach, hint)
     hint = hint.ravel()
     bound = np.full((height + 2 * reach, width + 2 * reach), -np.inf)
     bound[reach : reach + height, reach : reach + width] = seeded.reshape(height, width)
     bounds = np.lib.stride_tricks.sliding_window_view(bound, (side, side))
-    (c_rows, c_cols), (a_rows, a_cols) = centers, anchors
+    (c_rows, c_cols), (a_rows, a_cols) = centres[:2], anchors
     offsets = np.arange(-reach, reach + 1)
     anchor_slots = a_rows * width + a_cols
     cell_slots = (offsets[:, None] * width + offsets).ravel()  # from the anchor
@@ -318,7 +320,7 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint):
         slot, owner, kept = slot[rival], owner[rival], kept[rival]
         slots.append(slot)
         owners.append(owner)
-        dists.append(_distance(table, slot, colors, owner, s_space.ravel()[kept]))
+        dists.append(_distance(table, slot, centres, owner, s_space.ravel()[kept]))
     slots, owners, dists = map(np.concatenate, (slots, owners, dists))
     best = seeded.copy()
     np.minimum.at(best, slots, dists)
@@ -330,16 +332,13 @@ def _assign(table, centers, colors, spatial_scale, reach, fallback, hint):
     return np.where(labels == count, fallback, labels)
 
 
-def _update_centers(table, labels, centers, colors):
-    """Move centres to their pixels' centroid and mean colour in ``table``, in place.
-
-    A centre that won no pixel keeps its previous position and colour.
-    """
-    count = len(centers)
+def _update_centers(table, labels, centres):
+    """Move each (row, col, r, g, b) row of ``centres`` to its pixels' mean row
+    of ``table``, in place; a centre that won no pixel keeps its row."""
+    count = len(centres)
     sizes = np.bincount(labels.ravel(), minlength=count)
     occupied = sizes > 0
-    means = _label_means(labels, table, count, sizes)[occupied]
-    centers[occupied], colors[occupied] = means[:, :2], means[:, 2:]
+    centres[occupied] = _label_means(labels, table, count, sizes)[occupied]
 
 
 def segment(image, cfg: GraphConfig):
@@ -363,18 +362,17 @@ def segment(image, cfg: GraphConfig):
     if cfg.seg_mode == "grid":
         return seed_labels, centers
 
-    colors = image[
-        np.clip(np.rint(centers[:, 0]).astype(int), 0, height - 1),
-        np.clip(np.rint(centers[:, 1]).astype(int), 0, width - 1),
-    ]
+    # each seed's colour is sampled at the pixel its centroid rounds to
+    pixels = np.clip(np.rint(centers).astype(int), 0, [height - 1, width - 1])
+    centres = np.hstack([centers, image[pixels[:, 0], pixels[:, 1]]])
     spatial_scale = (cfg.compactness / pitch) ** 2
     reach = int(np.ceil(2 * pitch))
     labels = seed_labels
     for _ in range(SLIC_SWEEPS):
-        labels = _assign(table, centers, colors, spatial_scale, reach, seed_labels, labels)
-        before = centers.copy(), colors.copy()
-        _update_centers(table, labels, centers, colors)
-        if np.array_equal(before[0], centers) and np.array_equal(before[1], colors):
+        labels = _assign(table, centres, spatial_scale, reach, seed_labels, labels)
+        before = centres.copy()
+        _update_centers(table, labels, centres)
+        if np.array_equal(before, centres):
             break  # every later sweep would repeat this one's inputs and labels
     labels, count = _enforce_connectivity(labels)
     return labels, _label_means(labels, table[:, :2], count)
@@ -412,9 +410,8 @@ def lbp_codes(image) -> np.ndarray:
 
 
 def _label_histograms(labels, values, bins, count):
-    return np.bincount(
-        labels.ravel() * bins + values.ravel(), minlength=count * bins
-    ).reshape(count, bins)
+    keys = labels * bins + values  # labels broadcast against values
+    return np.bincount(keys.ravel(), minlength=count * bins).reshape(count, bins)
 
 
 def _area_average_weights(src: int, dst: int) -> np.ndarray:
@@ -443,13 +440,12 @@ def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelF
     image = sample.image
     height, width = sample.shape
     count = int(labels.max()) + 1
-    mean_color = _label_means(labels, image.reshape(-1, 3), count)
+    sizes = np.bincount(labels.ravel(), minlength=count)
+    mean_color = _label_means(labels, image.reshape(-1, 3), count, sizes)
 
     bin_idx = np.minimum((image * COLOR_BINS).astype(np.intp), COLOR_BINS - 1)
-    color_hist = np.concatenate(
-        [_label_histograms(labels, bin_idx[..., c], COLOR_BINS, count) for c in range(3)],
-        axis=1,
-    ).astype(float)
+    bin_idx += np.arange(3) * COLOR_BINS  # channel c's bins are 10 c .. 10 c + 9
+    color_hist = _label_histograms(labels[..., None], bin_idx, 3 * COLOR_BINS, count).astype(float)
     color_hist /= color_hist.sum(axis=1, keepdims=True)
 
     lbp_hist = _label_histograms(labels, lbp_codes(image), LBP_BINS, count).astype(float)
@@ -480,7 +476,8 @@ def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelF
         if cfg.use_centroid_depth:
             gt_logdepth = np.log(sample.depth[rows, cols])
         else:
-            gt_logdepth = np.log(_label_means(labels, sample.depth.reshape(-1, 1), count)[:, 0])
+            depth = _label_means(labels, sample.depth.reshape(-1, 1), count, sizes)
+            gt_logdepth = np.log(depth[:, 0])
 
     return SuperpixelFeatures(
         mean_color=mean_color,

@@ -102,12 +102,8 @@ class UnaryModel:
 def build_model(layer_dims, seed: int) -> UnaryModel:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ValueError("layer_dims needs an input width and an output width")
-    if any(d <= 0 for d in dims):
+    if any(d <= 0 for d in dims):  # UnaryModel checks the rest, not zero widths
         raise ValueError("layer widths must be positive")
-    if dims[-1] != 1:
-        raise ValueError("output width must be exactly 1")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

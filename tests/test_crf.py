@@ -86,7 +86,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             inst.y[0] = 1.0
         for layout in (inst.block_starts, inst.block_offsets, inst.node_slots, inst.edge_slots,
-                       inst.y_quadratic):
+                       inst.y_sq_diffs):
             with pytest.raises(ValueError):
                 layout[0] = 0
 

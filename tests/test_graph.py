@@ -392,7 +392,8 @@ class TestAgainstReferenceLoops:
         colors = rng.random((len(centers), 3))
         args = (image, centers, colors, 0.01, 5, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        labels = graph._assign(pixel_table(image), *args[1:], fallback)
+        centres = np.hstack([centers, colors])
+        labels = graph._assign(pixel_table(image), centres, *args[3:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -405,7 +406,8 @@ class TestAgainstReferenceLoops:
         fallback = graph._grid_labels(3, 4, np.sqrt(3 * 4 / 5))
         args = (image, centers, colors, 0.3, 4, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
-        labels = graph._assign(pixel_table(image), *args[1:], fallback)
+        centres = np.hstack([centers, colors])
+        labels = graph._assign(pixel_table(image), centres, *args[3:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -433,9 +435,9 @@ class TestAgainstReferenceLoops:
                 expected,
                 np.where(rng.random((height, width)) < 0.3, fallback, expected),
             ]
-            table = pixel_table(image)
+            table, centres = pixel_table(image), np.hstack([centers, colors])
             for hint in hints:
-                labels = graph._assign(table, *args[1:], hint)
+                labels = graph._assign(table, centres, *args[3:], hint)
                 assert np.array_equal(labels, expected), case
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -512,7 +514,7 @@ class TestAgainstReferenceLoops:
             at_reach += np.sum(known & (offsets == reach))
             beyond_reach += np.sum(known & (offsets == reach + 1))
 
-            args = (centers.T.copy(), centers.T.astype(np.intp), colors.T.copy(),
+            args = (np.hstack([centers, colors]).T.copy(), centers.T.astype(np.intp),
                     spatial_scale, reach, hint)
             for table in (pixel_table(image), np.asfortranarray(pixel_table(image))):
                 bound = graph._hint_bound(table, *args)
@@ -595,7 +597,8 @@ class TestAssignmentSemantics:
         centers = np.array([[5.0, 5.0], [1.0, 5.0], [5.0, 1.0], [1.0, 1.0]])
         colors = np.full((4, 3), 0.3)
         fallback = np.zeros((7, 7), int)
-        labels = graph._assign(pixel_table(image), centers, colors, 1.0, 6, fallback, fallback)
+        centres = np.hstack([centers, colors])
+        labels = graph._assign(pixel_table(image), centres, 1.0, 6, fallback, fallback)
         rows, cols = np.indices((7, 7))
         dists = np.stack(
             [(rows - r) ** 2 + (cols - c) ** 2 for r, c in centers]
@@ -611,7 +614,8 @@ class TestAssignmentSemantics:
         colors = np.full((2, 3), 0.5)
         fallback = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0]])
         args = (image, centers, colors, 1.0, 2, fallback)
-        labels = graph._assign(pixel_table(image), *args[1:], fallback)
+        labels = graph._assign(pixel_table(image), np.hstack([centers, colors]), *args[3:],
+                               fallback)
         assert labels.tolist() == [[0, 0, 0, 1, 1, 0, 1, 1, 1]]
         assert np.array_equal(labels, graph_reference.assign(*args))
 
@@ -621,9 +625,10 @@ class TestAssignmentSemantics:
         labels = np.array([[0, 0, 2, 2], [0, 0, 2, 2]])
         centers = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
         colors = np.array([[0.1, 0.1, 0.1], [0.4, 0.5, 0.6], [0.9, 0.9, 0.9]])
-        graph._update_centers(pixel_table(image), labels, centers, colors)
-        assert np.array_equal(centers, [[0.5, 0.5], [1.0, 1.0], [0.5, 2.5]])
-        assert np.allclose(colors, [[0, 0, 0], [0.4, 0.5, 0.6], [0.8, 0.8, 0.8]])
+        centres = np.hstack([centers, colors])
+        graph._update_centers(pixel_table(image), labels, centres)
+        assert np.array_equal(centres[:, :2], [[0.5, 0.5], [1.0, 1.0], [0.5, 2.5]])
+        assert np.allclose(centres[:, 2:], [[0, 0, 0], [0.4, 0.5, 0.6], [0.8, 0.8, 0.8]])
 
     def test_size_tie_keeps_first_component_in_raster_order(self):
         labels = np.array([[0, 0, 1, 0, 0], [2, 2, 1, 2, 2]])

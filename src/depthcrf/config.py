@@ -10,7 +10,8 @@ A text value holding a line break is rejected too: every key is written
 back as one checkpoint line.
 
 Config files are plain text: one ``key = value`` per line, blank lines
-and ``#`` comments ignored; a file that is not text is a ``ConfigError``.
+and ``#`` comments ignored; a file that is not text, or that sets a key on
+two lines, is a ``ConfigError`` (repeated ``--set`` overrides: the last wins).
 
 Numbers (run keys, file headers and seeds, numeric flags) are read by
 ``parse_int`` and ``parse_float``: ASCII digits, sign, point and exponent, as
@@ -165,19 +166,22 @@ def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines into an (unvalidated) override mapping."""
+    """Read ``key = value`` lines into an (unvalidated) override mapping; a key
+    set on two lines is a ConfigError naming both."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
-    mapping = {}
+    mapping, seen = {}, {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        mapping[key], seen[key] = value, lineno
     return mapping

@@ -7,7 +7,8 @@ assignment ``y``,
     E(y) = sum_p (y_p - z_p)^2 + sum_{(p,q) in edges} r_pq (y_p - y_q)^2,
 
 is a positive definite quadratic in ``y``, so the normalizer of ``exp(-E)``
-is a Gaussian integral and everything downstream is closed form:
+is a Gaussian integral and everything downstream is closed form (this module
+computes only these; ``oracle.direct_energy`` sums E(y) term by term):
 
     E(y)      = y' A y - 2 z' y + z' z,   with A = I + D - R, D = diag(R 1)
     log Z     = (n/2) log(pi) - (1/2) log|A| + z' A^{-1} z - z' z
@@ -352,38 +353,11 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     return Precision(instance, tuple(g), tuple(h), logdet)
 
 
-def _checked(instance, z):
-    """``z`` as a float vector, after checking it holds n finite values."""
+def _solved(instance, z, beta):
+    """The checked z (n finite values), the couplings, the factor of A and u = A^{-1} z."""
     z = np.asarray(z, dtype=float)
     if z.shape != (instance.n,) or not np.all(np.isfinite(z)):
         raise ValueError(f"z must be {instance.n} finite values")
-    return z
-
-
-def _edge_quadratic(edges, weights, v):
-    """sum_e w_e (v_p - v_q)^2 for weights (E,), or per row for weights (K, E)."""
-    diffs = v[edges[:, 0]] - v[edges[:, 1]]
-    return weights @ (diffs * diffs)
-
-
-def energy(instance: CrfInstance, z, beta, depths) -> float:
-    """Energy of a depth assignment, evaluated term by term; ``beta`` holds one
-    finite coefficient >= 0 per channel, checked in ``coupling_matrix``.
-
-    Equals the quadratic form y'Ay - 2z'y + z'z; the direct sum is kept so
-    tests can cross-check the two routes.
-    """
-    z = _checked(instance, z)
-    y = np.asarray(depths, dtype=float)
-    if y.shape != (instance.n,):
-        raise ValueError("depth assignment must match the node count")
-    couplings = coupling_matrix(instance, beta)
-    return float(np.sum((y - z) ** 2)) + float(_edge_quadratic(instance.edges, couplings, y))
-
-
-def _solved(instance, z, beta):
-    """The checked z, the couplings, the factor of A and u = A^{-1} z."""
-    z = _checked(instance, z)
     couplings = coupling_matrix(instance, beta)
     prec = build_precision(instance, couplings)
     return z, couplings, prec, prec.solve(z)
@@ -433,5 +407,6 @@ def nll_with_grads(instance: CrfInstance, z, beta):
     sims, edges = instance.similarities, instance.edges
     inv_diag, inv_pq = prec.selected_inverse()
     traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)
-    grad_beta = sims @ instance.y_sq_diffs - _edge_quadratic(edges, sims, u) - 0.5 * traces
+    diffs = u[edges[:, 0]] - u[edges[:, 1]]
+    grad_beta = sims @ instance.y_sq_diffs - sims @ (diffs * diffs) - 0.5 * traces
     return value, 2.0 * (u - instance.y), grad_beta

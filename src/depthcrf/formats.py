@@ -34,6 +34,7 @@ decode is a ``FormatError``.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -80,9 +81,22 @@ def _text_lines(path) -> list[str]:
         raise FormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
 
 
+def _write_whole(path, data) -> None:
+    """Write text or bytes to a temporary file beside ``path``, then move it
+    over ``path``, so the target holds its old contents or all of the new."""
+    path = Path(path)
+    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        (temp.write_bytes if isinstance(data, bytes) else temp.write_text)(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_lines(path, lines) -> None:
     """A text file of ``lines``, each ending in ``\\n``."""
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_whole(path, "\n".join(lines) + "\n")
 
 
 def write_ppm(path, image) -> None:
@@ -93,7 +107,7 @@ def write_ppm(path, image) -> None:
         raise ValueError("image values must lie in [0, 1]")
     height, width = image.shape[:2]
     data = np.rint(image * 255.0).astype(np.uint8)
-    Path(path).write_bytes(b"P6\n%d %d\n255\n" % (width, height) + data.tobytes())
+    _write_whole(path, b"P6\n%d %d\n255\n" % (width, height) + data.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:

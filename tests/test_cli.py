@@ -130,6 +130,20 @@ def test_config_file_and_set_overrides(tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+def test_config_file_that_repeats_a_key_exits_2_without_writing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("count = 3\nheight = 48\n\n# again\n count=2\n")
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 2
+    assert not out.exists()
+    assert f"{cfg}:5: key 'count' repeats line 1" in capsys.readouterr().err
+    # repeated --set overrides are not a file: the last one wins
+    cfg.write_text("height = 48\nwidth = 48\n")
+    rc = main(["synth", "--out", str(out), "--config", str(cfg),
+               "--set", "count=3", "--set", "count=2"])
+    assert rc == 0 and len(read_manifest(out / "manifest.txt")) == 2
+
+
 def test_train_writes_checkpoint_and_history(trained):
     _, checkpoint = trained
     history = read_history(checkpoint.parent / "history.csv")
@@ -231,6 +245,22 @@ def test_predict_is_deterministic(tmp_path, trained):
                    "--image", str(data / "img_0001.ppm"), "--out", str(tmp_path / name)])
         assert rc == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def test_predict_exits_3_leaving_the_old_raster_when_the_write_fails(
+        tmp_path, trained, monkeypatch, capsys):
+    data, checkpoint = trained
+    out = tmp_path / "pred.txt"
+    out.write_text("old raster\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc = main(["predict", "--checkpoint", str(checkpoint),
+               "--image", str(data / "img_0000.ppm"), "--out", str(out)])
+    assert rc == 3 and "cannot replace" in capsys.readouterr().err
+    assert out.read_text() == "old raster\n" and os.listdir(tmp_path) == ["pred.txt"]
 
 
 def test_predict_rejects_non_checkpoint_file(tmp_path):
@@ -566,6 +596,20 @@ def test_verify_fails_on_a_nan_map(monkeypatch, capsys):
                  "beta = 0 MAP vs z", "posterior mean/covariance vs Monte Carlo"):
         assert f"FAIL {name}: nan" in out
     assert out.count("PASS") == 3 and "verify FAILED" in out
+
+
+def test_verify_fails_on_a_map_off_by_1e_3_at_one_node(monkeypatch, capsys):
+    exact = crf.map_infer
+
+    def shifted(inst, z, w):
+        star = exact(inst, z, w)
+        star[0] += 1e-3
+        return star
+
+    monkeypatch.setattr(crf, "map_infer", shifted)
+    assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL beta = 0 MAP vs z" in out and "verify FAILED" in out
 
 
 @pytest.mark.parametrize("argv", [["verify", "--trials", "0"], ["gradcheck", "--nodes", "0"],

@@ -26,13 +26,12 @@ ONES = np.ones(1)
 ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
-        lambda inst, z, beta: crf.energy(inst, z, beta, np.zeros(inst.n)),
         crf.log_partition,
         crf.nll,
         crf.map_infer,
         crf.nll_with_grads,
     ],
-    ids=["energy", "log_partition", "nll", "map_infer", "nll_with_grads"],
+    ids=["log_partition", "nll", "map_infer", "nll_with_grads"],
 )
 
 
@@ -204,35 +203,6 @@ class TestPrecision:
             crf.build_precision(inst, np.array([0.5]))
 
 
-class TestEnergy:
-    def test_hand_value(self):
-        # z = 0, y = [1, 0], unit coupling: 1 + 1*(1-0)^2 = 2
-        inst = single_edge_instance(1.0)
-        assert abs(crf.energy(inst, [0.0, 0.0], ONES, [1.0, 0.0]) - 2.0) < 1e-12
-
-    def test_zero_at_z_without_edges(self):
-        z = [0.3, -1.2, 0.8]
-        assert crf.energy(no_edge_instance(3), z, ONES, z) == 0.0
-
-    def test_matches_quadratic_form(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            inst, z, w = random_instance(rng, n=int(rng.integers(1, 15)))
-            y = rng.normal(size=inst.n)
-            a = crf_reference.precision(inst, w)[0]
-            quad = y @ a @ y - 2.0 * z @ y + z @ z
-            assert rel_err(crf.energy(inst, z, w, y), quad, floor=1e-9) < 1e-10
-
-    def test_matches_direct_oracle(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            inst, z, w = random_instance(rng, n=int(rng.integers(1, 10)))
-            y = rng.normal(size=inst.n)
-            assert rel_err(
-                crf.energy(inst, z, w, y), oracle.direct_energy(inst, z, w, y), floor=1e-9
-            ) < 1e-12
-
-
 class TestLogPartition:
     def test_single_node_closed_form(self):
         # no coupling, z = 0: integral of exp(-y^2) = sqrt(pi)
@@ -262,7 +232,7 @@ class TestNll:
         rng = np.random.default_rng(29)
         for _ in range(30):
             inst, z, w = random_instance(rng, n=int(rng.integers(1, 15)))
-            combined = crf.energy(inst, z, w, inst.y) + crf.log_partition(inst, z, w)
+            combined = oracle.direct_energy(inst, z, w, inst.y) + crf.log_partition(inst, z, w)
             assert rel_err(crf.nll(inst, z, w), combined, floor=1e-6) < 1e-9
 
     def test_with_grads_agrees_with_individual_ops(self):

@@ -1,6 +1,7 @@
 """File-format round trips: PPM images, depth rasters, manifests, checkpoints."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from depthcrf.formats import (
     write_history,
     write_manifest,
     write_ppm,
+    write_table,
 )
 from depthcrf.training import EpochStats
 from testutil import corruptions
@@ -212,6 +214,27 @@ def test_checkpoint_rewrite_is_byte_identical(tmp_path):
     write_checkpoint(first, _sample_checkpoint())
     write_checkpoint(second, read_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_ppm(path, np.zeros((2, 3, 3))),
+    lambda path: write_depth_raster(path, np.ones((2, 3))),
+    lambda path: write_manifest(path, [("img.ppm", "depth.txt", 4)]),
+    lambda path: write_checkpoint(path, _sample_checkpoint()),
+    lambda path: write_table(path, ["a", "b"], [[1, 0.5]]),
+], ids=["ppm", "depth-raster", "manifest", "checkpoint", "table"])
+def test_a_write_failing_at_replace_leaves_the_target_whole(tmp_path, monkeypatch, write):
+    target = tmp_path / "target"
+    target.write_bytes(b"old bytes\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="cannot replace"):
+        write(target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["target"]
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

@@ -6,9 +6,30 @@ import pytest
 
 from depthcrf import crf, oracle
 
+import crf_reference
 from testutil import no_edge_instance, random_instance, rel_err, single_edge_instance
 
 ONES = np.ones(1)
+
+
+class TestDirectEnergy:
+    def test_hand_value(self):
+        # z = 0, y = [1, 0], unit coupling: 1 + 1*(1-0)^2 = 2
+        inst = single_edge_instance(1.0)
+        assert abs(oracle.direct_energy(inst, [0.0, 0.0], ONES, [1.0, 0.0]) - 2.0) < 1e-12
+
+    def test_zero_at_z_without_edges(self):
+        z = [0.3, -1.2, 0.8]
+        assert oracle.direct_energy(no_edge_instance(3), z, ONES, z) == 0.0
+
+    def test_matches_quadratic_form(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            inst, z, w = random_instance(rng, n=int(rng.integers(1, 15)))
+            y = rng.normal(size=inst.n)
+            a = crf_reference.precision(inst, w)[0]
+            quad = y @ a @ y - 2.0 * z @ y + z @ z
+            assert rel_err(oracle.direct_energy(inst, z, w, y), quad, floor=1e-9) < 1e-10
 
 
 class TestQuadrature:
@@ -119,3 +140,17 @@ class TestCheckersCatchWrongClosedForms:
         exact = crf.map_infer
         monkeypatch.setattr(crf, "map_infer", lambda inst, z, w: 1.1 * exact(inst, z, w))
         assert not oracle.check_moments(np.random.default_rng(53), 10).ok
+
+    def test_shifted_map_fails_the_mode_check(self, monkeypatch):
+        # the perturbations start at scale 1e-2, so a shift of 0.1 on one node
+        # leaves some perturbed point below the claimed mode
+        exact = crf.map_infer
+
+        def shifted(inst, z, w):
+            star = exact(inst, z, w)
+            star[0] += 0.1
+            return star
+
+        monkeypatch.setattr(crf, "map_infer", shifted)
+        mode = oracle.check_map(np.random.default_rng(0), 4)[1]
+        assert mode.error > 0.0 and not mode.ok

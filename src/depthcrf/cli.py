@@ -224,6 +224,7 @@ def cmd_verify(args) -> int:
         oracle.check_zero_coupling(rng, args.trials),
         oracle.check_moments(rng, args.trials),
         *oracle.check_factorization(rng, args.trials),
+        oracle.check_map_solve(rng, args.trials),  # last: the draws above stay as they were
     ]
     return _report_checks(checks, "verify", f"over {args.trials} trials")
 

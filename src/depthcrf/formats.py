@@ -83,14 +83,18 @@ def _text_lines(path) -> list[str]:
 
 def _write_whole(path, data) -> None:
     """Write text or bytes to a temporary file beside ``path``, then move it
-    over ``path``, so the target holds its old contents or all of the new."""
+    over ``path``, so the target holds its old contents or all of the new.
+    On failure the temporary file is removed, and a failed system call is
+    reported against ``path``, the file the caller asked for."""
     path = Path(path)
     temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         (temp.write_bytes if isinstance(data, bytes) else temp.write_text)(data)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -22,6 +22,12 @@ and 72% of those belong to the pixel's previous winner, whose distance the
 bound already holds; only the other 2% of the cells have their colour read.
 Centres are (row, col, r, g, b) rows of one table shaped like the pixel
 table, and sweeps stop early once an update leaves that table unchanged.
+Once an update moves at most half of the centres, the next sweep re-decides
+only what the moved ones can change, still exactly: a pixel whose centre
+stayed keeps its distance from the sweep before, the moved centres' windows
+are scanned as above, and the unmoved centres are tested only at the pixels
+whose own centre moved away from them.  On a 700-superpixel synth scene
+the updates before sweeps 5-10 moved 41% down to 1.5% of the centres.
 Afterwards every superpixel is reduced to its largest 4-connected component
 (the first in raster order among equally large ones), all components being
 found by one labelling pass over a doubled grid, and stray pieces are merged
@@ -229,37 +235,39 @@ def _distance(table, slot, centres, owner, s_space):
     return d0
 
 
-def _hint_bound(table, centres, anchors, spatial_scale, reach, hint):
-    """Distance of each pixel to its hinted centre, +inf where that centre
-    has no window over the pixel or the id names no centre; flat, in the
-    raster order of the (row, col, r, g, b) pixel ``table``.
+def _hint_bound(table, slot, centres, anchors, spatial_scale, reach, hint):
+    """Distance of pixels ``slot`` of the (row, col, r, g, b) pixel ``table``
+    to their hinted centres ``hint``, +inf where that centre has no window
+    over the pixel or the id names no centre.
 
     ``centres`` is the transposed (5, count) centre table and ``anchors``
     (2, count) its truncated positions, so coordinate or channel j is row j
     of ``centres`` and column j of the pixel table, and every read is one
-    contiguous run.  The spatial term is built in place over the whole
-    raster, the distance summed in ``_distance``'s order, and +inf written
-    in place over the pixels no hinted window covers.
+    contiguous run, or a gather from one.  The spatial term is built in
+    place, the distance summed in ``_distance``'s order, and +inf written in
+    place over the pixels no hinted window covers.
     """
     hint = hint.ravel()
     far = (hint < 0) | (hint >= centres.shape[1])
     ref = np.where(far, 0, hint)
     for axis in range(2):
-        offset = table[:, axis] - anchors[axis][ref]
+        offset = table[:, axis][slot] - anchors[axis][ref]
         np.abs(offset, out=offset)
         far |= offset > reach
-    d_rows, d_cols = (table[:, axis] - centres[axis][ref] for axis in range(2))
+    d_rows, d_cols = (table[:, axis][slot] - centres[axis][ref] for axis in range(2))
     d_rows *= d_rows
     d_cols *= d_cols
     d_rows += d_cols
     d_rows *= spatial_scale
-    dist = _distance(table, slice(None), centres, ref, d_rows)
+    dist = _distance(table, slot, centres, ref, d_rows)
     dist[far] = np.inf
     return dist
 
 
-def _assign(table, centres, spatial_scale, reach, fallback, hint):
-    """Label every pixel with the nearest centre whose window covers it.
+def _assign(table, centres, spatial_scale, reach, fallback, hint, moved=None, last=None):
+    """Label every pixel with the nearest centre whose window covers it;
+    returns the labels and each pixel's distance to its label's centre,
+    flat, +inf where no window covers it.
 
     ``table`` is the image's (row, col, r, g, b) pixel table, built once per
     ``segment``, and ``centres`` the (count, 5) table of centres in the same
@@ -288,39 +296,82 @@ def _assign(table, centres, spatial_scale, reach, fallback, hint):
     survivors lowers each pixel's best distance, a second the label to the
     lowest centre index at it.  Any hint raster gives the same labels; a
     better one only prunes more.
+
+    Given ``moved``, a flag per centre, ``hint`` and ``last`` must be the
+    labels and distances this function returned for the same centres before
+    the flagged ones moved, and only what a moved centre can change is
+    re-decided.  U(p) is ``last`` wherever p's hinted centre did not move,
+    the same cell distance to the bit (+inf where that window still misses
+    p), and is recomputed where it did.  The moved centres' windows are
+    pruned and scanned as above.  The unmoved centres are tested only at the
+    pixels whose hinted centre moved away, U(p) > last(p), through a bound
+    raster that is -inf at every other pixel, and only over the cells that
+    can pass it: a cell i > 0 rows or columns off its anchor is more than
+    i - 1 from the centre, so its spatial term is at least
+    ``spatial_scale * (i - 1)**2`` as rounded, and no cell past the first i
+    where that exceeds the largest such U(p) survives.  A centre whose
+    shrunk window meets no tile of its size holding such a pixel is not
+    scanned at all.  This is exact: where U(p) <= last(p), an unmoved centre
+    is at its old distance, which was at least last(p), and at last(p) it
+    lost to the hint on index; it can neither beat the hint nor tie with a
+    centre that does.
     """
     height, width = fallback.shape
     count = len(centres)
-    side = 2 * reach + 1
     centres = centres.T.copy()
     anchors = centres[:2].astype(np.intp)
-    seeded = _hint_bound(table, centres, anchors, spatial_scale, reach, hint)
     hint = hint.ravel()
-    bound = np.full((height + 2 * reach, width + 2 * reach), -np.inf)
-    bound[reach : reach + height, reach : reach + width] = seeded.reshape(height, width)
-    bounds = np.lib.stride_tricks.sliding_window_view(bound, (side, side))
-    (c_rows, c_cols), (a_rows, a_cols) = centres[:2], anchors
-    offsets = np.arange(-reach, reach + 1)
-    anchor_slots = a_rows * width + a_cols
-    cell_slots = (offsets[:, None] * width + offsets).ravel()  # from the anchor
-    slots, owners, dists = [], [], []
-    step = max(1, BLOCK_CELLS // side**2)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        d_rows = (a_rows[block, None] + offsets) - c_rows[block, None]
-        d_cols = (a_cols[block, None] + offsets) - c_cols[block, None]
-        d_rows *= d_rows
-        d_cols *= d_cols
-        s_space = d_rows[:, :, None] + d_cols[:, None, :]
-        s_space *= spatial_scale
-        kept = np.flatnonzero(s_space <= bounds[a_rows[block], a_cols[block]])
-        k, cell = np.divmod(kept, side * side)
-        slot, owner = anchor_slots[block][k] + cell_slots[cell], start + k
-        rival = hint[slot] != owner
-        slot, owner, kept = slot[rival], owner[rival], kept[rival]
-        slots.append(slot)
-        owners.append(owner)
-        dists.append(_distance(table, slot, centres, owner, s_space.ravel()[kept]))
+    if moved is None:
+        seeded = _hint_bound(table, slice(None), centres, anchors, spatial_scale, reach, hint)
+        passes = [(np.arange(count), seeded, reach)]
+    else:
+        stale = np.flatnonzero(moved[hint])
+        fresh = _hint_bound(table, stale, centres, anchors, spatial_scale, reach, hint[stale])
+        seeded = last.copy()
+        seeded[stale] = fresh
+        away = stale[fresh > last[stale]]
+        rivals = np.full(height * width, -np.inf)
+        rivals[away] = seeded[away]
+        radius = np.count_nonzero(spatial_scale * np.arange(reach) ** 2 <= rivals.max())
+        # tiles of side 2 radius + 1 holding an away pixel; a window meets 2 x 2 at most
+        tile = 2 * radius + 1
+        marked = np.zeros((height // tile + 1, width // tile + 1), dtype=bool)
+        away_rows, away_cols = np.divmod(away, width)
+        marked[away_rows // tile, away_cols // tile] = True
+        edge = [[height - 1], [width - 1]]
+        (r0, c0), (r1, c1) = (np.clip(anchors + d, 0, edge) // tile for d in (-radius, radius))
+        near = marked[r0, c0] | marked[r0, c1] | marked[r1, c0] | marked[r1, c1]
+        passes = [(np.flatnonzero(moved), seeded, reach),
+                  (np.flatnonzero(near & ~moved), rivals, radius)]
+    padded = np.full((height + 2 * reach, width + 2 * reach), -np.inf)
+    slots, owners, dists = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for ids, bound, radius in passes:
+        side = 2 * radius + 1
+        offsets = np.arange(-radius, radius + 1)
+        cell_slots = (offsets[:, None] * width + offsets).ravel()  # from the anchor
+        padded[reach : reach + height, reach : reach + width] = bound.reshape(height, width)
+        bounds = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
+        (c_rows, c_cols), (a_rows, a_cols) = centres[:2, ids], anchors[:, ids]
+        anchor_slots = a_rows * width + a_cols
+        # each window's first row and column in the padded raster
+        first_rows, first_cols = a_rows + (reach - radius), a_cols + (reach - radius)
+        step = max(1, BLOCK_CELLS // side**2)
+        for start in range(0, len(ids), step):
+            block = slice(start, start + step)
+            d_rows = (a_rows[block, None] + offsets) - c_rows[block, None]
+            d_cols = (a_cols[block, None] + offsets) - c_cols[block, None]
+            d_rows *= d_rows
+            d_cols *= d_cols
+            s_space = d_rows[:, :, None] + d_cols[:, None, :]
+            s_space *= spatial_scale
+            kept = np.flatnonzero(s_space <= bounds[first_rows[block], first_cols[block]])
+            k, cell = np.divmod(kept, side * side)
+            slot, owner = anchor_slots[block][k] + cell_slots[cell], ids[start + k]
+            rival = hint[slot] != owner
+            slot, owner, kept = slot[rival], owner[rival], kept[rival]
+            slots.append(slot)
+            owners.append(owner)
+            dists.append(_distance(table, slot, centres, owner, s_space.ravel()[kept]))
     slots, owners, dists = map(np.concatenate, (slots, owners, dists))
     best = seeded.copy()
     np.minimum.at(best, slots, dists)
@@ -329,7 +380,7 @@ def _assign(table, centres, spatial_scale, reach, fallback, hint):
     np.minimum.at(labels, slots[hit], owners[hit])
     labels = labels.reshape(height, width)
     # a drifted center can leave a pixel outside every window
-    return np.where(labels == count, fallback, labels)
+    return np.where(labels == count, fallback, labels), best
 
 
 def _update_centers(table, labels, centres):
@@ -367,13 +418,18 @@ def segment(image, cfg: GraphConfig):
     centres = np.hstack([centers, image[pixels[:, 0], pixels[:, 1]]])
     spatial_scale = (cfg.compactness / pitch) ** 2
     reach = int(np.ceil(2 * pitch))
-    labels = seed_labels
+    labels, best, moved = seed_labels, None, None
     for _ in range(SLIC_SWEEPS):
-        labels = _assign(table, centres, spatial_scale, reach, seed_labels, labels)
+        labels, best = _assign(table, centres, spatial_scale, reach, seed_labels, labels,
+                               moved, best)
         before = centres.copy()
         _update_centers(table, labels, centres)
-        if np.array_equal(before, centres):
+        moved = np.any(centres != before, axis=1)
+        if not moved.any():
             break  # every later sweep would repeat this one's inputs and labels
+        # re-deciding only what the moved centres can change pays once at most
+        # half of them moved; with more, the full sweep is cheaper
+        moved = moved if 2 * np.count_nonzero(moved) <= len(moved) else None
     labels, count = _enforce_connectivity(labels)
     return labels, _label_means(labels, table[:, :2], count)
 

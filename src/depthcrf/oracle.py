@@ -28,6 +28,7 @@ GRADIENT_TOL = 1e-4
 GRID_CELL_TOL = 1.0 + 1e-9
 MODE_TOL = 0.0
 ZERO_COUPLING_TOL = 1e-12
+MAP_SOLVE_TOL = 1e-12
 MONTE_CARLO_TOL = 4.0
 FAILURE_TOL = 1
 MC_DRAWS = 100_000
@@ -322,6 +323,18 @@ def check_map(rng, trials: int):
         Check("MAP vs 400x400 grid search", float(worst_cells), GRID_CELL_TOL, "grid cells"),
         Check("MAP energy minus lowest perturbed energy", float(margin), MODE_TOL, "energy"),
     )
+
+
+def check_map_solve(rng, trials: int) -> Check:
+    """MAP against the dense LU solve of ``gaussian_params`` on instances of
+    2-50 nodes with every beta positive: a MAP off by far less than the grid
+    cell or the smallest perturbation of ``check_map`` still fails here."""
+    worst = 0.0
+    for _ in range(trials):
+        instance, z, beta = random_instance(rng, int(rng.integers(2, 51)), with_y=False)
+        mean = gaussian_params(instance, z, beta)[0]
+        worst = np.maximum(worst, rel_err(crf.map_infer(instance, z, beta), mean))
+    return Check("MAP vs dense solve", float(worst), MAP_SOLVE_TOL, "rel err")
 
 
 def check_zero_coupling(rng, trials: int) -> Check:

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through ``cli.main``."""
 
+import errno
 import os
 import re
 import subprocess
@@ -261,6 +262,17 @@ def test_predict_exits_3_leaving_the_old_raster_when_the_write_fails(
                "--image", str(data / "img_0000.ppm"), "--out", str(out)])
     assert rc == 3 and "cannot replace" in capsys.readouterr().err
     assert out.read_text() == "old raster\n" and os.listdir(tmp_path) == ["pred.txt"]
+
+
+def test_predict_onto_a_directory_exits_3_naming_it(tmp_path, trained, capsys):
+    data, checkpoint = trained
+    out = tmp_path / "run"
+    out.mkdir()
+    rc = main(["predict", "--checkpoint", str(checkpoint),
+               "--image", str(data / "img_0000.ppm"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and f"i/o error: [Errno {errno.EISDIR}] Is a directory: '{out}'" in err
+    assert ".tmp" not in err and os.listdir(tmp_path) == ["run"] and os.listdir(out) == []
 
 
 def test_predict_rejects_non_checkpoint_file(tmp_path):
@@ -559,7 +571,7 @@ def test_verify_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "verify passed" in out
 
 
@@ -584,7 +596,7 @@ def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):
     assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL log-partition vs quadrature" in out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "verify FAILED" in out
 
 
@@ -593,7 +605,8 @@ def test_verify_fails_on_a_nan_map(monkeypatch, capsys):
     assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
     out = capsys.readouterr().out
     for name in ("MAP vs 400x400 grid search", "MAP energy minus lowest perturbed energy",
-                 "beta = 0 MAP vs z", "posterior mean/covariance vs Monte Carlo"):
+                 "beta = 0 MAP vs z", "posterior mean/covariance vs Monte Carlo",
+                 "MAP vs dense solve"):
         assert f"FAIL {name}: nan" in out
     assert out.count("PASS") == 3 and "verify FAILED" in out
 
@@ -610,6 +623,24 @@ def test_verify_fails_on_a_map_off_by_1e_3_at_one_node(monkeypatch, capsys):
     assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL beta = 0 MAP vs z" in out and "verify FAILED" in out
+
+
+def test_verify_fails_on_a_map_off_by_1e_3_only_where_beta_is_positive(monkeypatch, capsys):
+    # below the grid's one-cell tolerance and the smallest perturbation, and
+    # absent at beta = 0: only the comparison with the dense solve sees it
+    exact = crf.map_infer
+
+    def shifted(inst, z, beta):
+        star = exact(inst, z, beta)
+        if np.any(np.asarray(beta) > 0):
+            star[0] += 1e-3
+        return star
+
+    monkeypatch.setattr(crf, "map_infer", shifted)
+    assert main(["verify", "--seed", "2", "--trials", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL MAP vs dense solve" in out and out.count("PASS") == 7
+    assert "verify FAILED" in out
 
 
 @pytest.mark.parametrize("argv", [["verify", "--trials", "0"], ["gradcheck", "--nodes", "0"],

@@ -1,7 +1,9 @@
 """File-format round trips: PPM images, depth rasters, manifests, checkpoints."""
 
 import dataclasses
+import errno
 import os
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +237,18 @@ def test_a_write_failing_at_replace_leaves_the_target_whole(tmp_path, monkeypatc
         write(target)
     assert target.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["target"]
+
+
+def test_a_failed_write_names_the_target_not_the_temporary_file(tmp_path):
+    # os.replace reports both paths, the temporary one first
+    target = tmp_path / "run"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        write_depth_raster(target, np.ones((2, 3)))
+    assert str(caught.value) == f"[Errno {errno.EISDIR}] Is a directory: '{target}'"
+    assert sorted(os.listdir(tmp_path)) == ["run"] and os.listdir(target) == []
+    with pytest.raises(FileNotFoundError, match="'" + re.escape(str(tmp_path / "no" / "x.txt"))):
+        write_depth_raster(tmp_path / "no" / "x.txt", np.ones((2, 3)))
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

@@ -28,6 +28,21 @@ def pixel_table(image):
     return np.column_stack([rows.ravel(), cols.ravel(), image.reshape(-1, 3)])
 
 
+def cell_distances(image, centres, spatial_scale, reach):
+    """(count, H * W) distance of every pixel to every (row, col, r, g, b)
+    centre, summed as ``graph_reference.assign`` sums it; +inf outside the
+    centre's window."""
+    height, width = image.shape[:2]
+    rows, cols = np.indices((height, width))
+    out = np.empty((len(centres), height * width))
+    for k, (row, col, *colour) in enumerate(centres):
+        d_color = ((image - colour) ** 2).sum(axis=2)
+        d_space = (rows - row) ** 2 + (cols - col) ** 2
+        covered = np.maximum(np.abs(rows - int(row)), np.abs(cols - int(col))) <= reach
+        out[k] = np.where(covered, d_color + spatial_scale * d_space, np.inf).ravel()
+    return out
+
+
 def brute_force_adjacency(labels):
     found = set()
     h, w = labels.shape
@@ -393,7 +408,7 @@ class TestAgainstReferenceLoops:
         args = (image, centers, colors, 0.01, 5, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         centres = np.hstack([centers, colors])
-        labels = graph._assign(pixel_table(image), centres, *args[3:], fallback)
+        labels, _ = graph._assign(pixel_table(image), centres, *args[3:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -407,7 +422,7 @@ class TestAgainstReferenceLoops:
         args = (image, centers, colors, 0.3, 4, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         centres = np.hstack([centers, colors])
-        labels = graph._assign(pixel_table(image), centres, *args[3:], fallback)
+        labels, _ = graph._assign(pixel_table(image), centres, *args[3:], fallback)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -437,8 +452,109 @@ class TestAgainstReferenceLoops:
             ]
             table, centres = pixel_table(image), np.hstack([centers, colors])
             for hint in hints:
-                labels = graph._assign(table, centres, *args[3:], hint)
+                labels, _ = graph._assign(table, centres, *args[3:], hint)
                 assert np.array_equal(labels, expected), case
+
+    @pytest.mark.parametrize("block_cells", [1, 10**6])
+    def test_sweep_after_a_move_matches_reference(self, monkeypatch, block_cells):
+        # given the labels and distances of a sweep before some centres
+        # moved, a sweep re-decides only what the moved ones can change; its
+        # labels must be the reference's for the new centres, and its
+        # distances a full sweep's, since the next such sweep starts from them
+        monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(25)
+        seen = dict.fromkeys(["closer", "away", "anchor", "uncovered", "unmoved tie"], 0)
+        for case in range(150):
+            height, width = rng.integers(1, 14, 2)
+            count = int(rng.integers(1, 12))
+            # few colour levels and half-pixel centres force exact ties
+            levels = int(rng.integers(2, 5))
+            image = rng.integers(0, levels, (height, width, 3)) / (levels - 1)
+            last_pixel = [height - 1, width - 1]
+            before = np.hstack([np.round(rng.uniform(0, last_pixel, (count, 2)) * 2) / 2,
+                                rng.integers(0, levels, (count, 3)) / (levels - 1)])
+            spatial_scale = float(rng.choice([0.0, 0.02, 0.3, 1.0]))
+            reach = int(rng.integers(0, 15))  # up to windows past every border
+            fallback = rng.integers(0, count, (height, width))
+            table = pixel_table(image)
+            hint, last = graph._assign(table, before, spatial_scale, reach, fallback, fallback)
+            # centres step by half or whole pixels or jump, some change
+            # colour, and a random share keeps its row
+            after = before.copy()
+            step = rng.choice([0.5, 1.0, 3.0, 20.0], (count, 1)) * rng.integers(-1, 2, (count, 2))
+            after[:, :2] = np.clip(after[:, :2] + step, 0, last_pixel)
+            recolour = rng.random(count) < 0.3
+            after[recolour, 2:] = rng.integers(0, levels, (recolour.sum(), 3)) / (levels - 1)
+            keep = rng.random(count) < rng.choice([0.0, 0.5, 0.8])
+            after[keep] = before[keep]
+            moved = np.any(after != before, axis=1)
+
+            args = (spatial_scale, reach, fallback, hint)
+            labels, best = graph._assign(table, after, *args, moved, last)
+            expected = graph_reference.assign(image, after[:, :2], after[:, 2:], *args[:3])
+            assert np.array_equal(labels, expected), case
+            assert np.array_equal(best, graph._assign(table, after, *args)[1]), case
+
+            dists = cell_distances(image, after, spatial_scale, reach)
+            own = dists[hint.ravel(), np.arange(height * width)]
+            seen["closer"] += np.sum(moved[hint.ravel()] & (own < last))
+            seen["away"] += np.sum(moved[hint.ravel()] & (own > last))
+            seen["anchor"] += np.sum(np.any(after[:, :2].astype(int) != before[:, :2].astype(int),
+                                            axis=1))
+            seen["uncovered"] += np.sum((last < np.inf) & (best == np.inf))
+            # an unmoved centre at a pixel's best distance beside another centre
+            at_best = (dists == best) & (best < np.inf)
+            seen["unmoved tie"] += np.sum(at_best[~moved].any(axis=0) & (at_best.sum(axis=0) > 1))
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("target, compactness, steps", [
+        (700, 0.2, 3), (150, 1.0, None), (50, 5.0, 2),
+    ])
+    def test_segment_matches_reference_after_moves(self, monkeypatch, target, compactness,
+                                                   steps):
+        # tie-heavy scenes quantized to steps + 1 levels, and compactness
+        # values at which the centres settle sooner; each takes at least one
+        # sweep that re-decides only what the moved centres can change
+        image = synth.generate(REFERENCE_CORPUS[0]).image
+        if steps is not None:
+            image = np.round(image * steps) / steps
+        flags = []
+        assign = graph._assign
+
+        def counted(*args):
+            flags.append(args[6])
+            return assign(*args)
+
+        monkeypatch.setattr(graph, "_assign", counted)
+        labels, centroids = graph.segment(image, config(target, compactness=compactness))
+        slow_labels, slow_centroids = graph_reference.segment(image, target, compactness)
+        assert np.array_equal(labels, slow_labels)
+        assert np.array_equal(centroids, slow_centroids)
+        assert flags[0] is None and any(flag is not None for flag in flags)
+
+    def test_late_sweeps_scan_only_some_centres(self, monkeypatch):
+        # one centre per block: each scanned window makes one _distance call,
+        # and each sweep's U(p) one more; a silent fall back to full sweeps
+        # would scan every centre's window in every sweep
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        sweeps = []
+        distance, assign = graph._distance, graph._assign
+
+        def counted_distance(*args):
+            sweeps[-1][1] += 1
+            return distance(*args)
+
+        def counted_assign(*args):
+            sweeps.append([len(args[1]), -1])
+            return assign(*args)
+
+        monkeypatch.setattr(graph, "_distance", counted_distance)
+        monkeypatch.setattr(graph, "_assign", counted_assign)
+        # test_graph_matches_reference[700-slic] checks this scene's labels
+        graph.segment(synth.generate(REFERENCE_CORPUS[0]).image, config(700))
+        (count, first), (_, last) = sweeps[0], sweeps[-1]
+        assert first == count
+        assert last < count // 4, sweeps
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
     @pytest.mark.parametrize("height, width, box_size, patch_dim",
@@ -517,8 +633,12 @@ class TestAgainstReferenceLoops:
             args = (np.hstack([centers, colors]).T.copy(), centers.T.astype(np.intp),
                     spatial_scale, reach, hint)
             for table in (pixel_table(image), np.asfortranarray(pixel_table(image))):
-                bound = graph._hint_bound(table, *args)
+                bound = graph._hint_bound(table, slice(None), *args)
                 assert np.array_equal(bound, expected.ravel()), case
+                # a sweep after a move recomputes U(p) at some pixels only
+                slot = np.arange(case % 3, height * width, 3)
+                part = graph._hint_bound(table, slot, *args[:-1], hint.ravel()[slot])
+                assert np.array_equal(part, expected.ravel()[slot]), case
         assert at_reach > 100 and beyond_reach > 100
 
     @pytest.mark.parametrize("height, width, target", [
@@ -598,7 +718,7 @@ class TestAssignmentSemantics:
         colors = np.full((4, 3), 0.3)
         fallback = np.zeros((7, 7), int)
         centres = np.hstack([centers, colors])
-        labels = graph._assign(pixel_table(image), centres, 1.0, 6, fallback, fallback)
+        labels, _ = graph._assign(pixel_table(image), centres, 1.0, 6, fallback, fallback)
         rows, cols = np.indices((7, 7))
         dists = np.stack(
             [(rows - r) ** 2 + (cols - c) ** 2 for r, c in centers]
@@ -614,7 +734,7 @@ class TestAssignmentSemantics:
         colors = np.full((2, 3), 0.5)
         fallback = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0]])
         args = (image, centers, colors, 1.0, 2, fallback)
-        labels = graph._assign(pixel_table(image), np.hstack([centers, colors]), *args[3:],
+        labels, _ = graph._assign(pixel_table(image), np.hstack([centers, colors]), *args[3:],
                                fallback)
         assert labels.tolist() == [[0, 0, 0, 1, 1, 0, 1, 1, 1]]
         assert np.array_equal(labels, graph_reference.assign(*args))

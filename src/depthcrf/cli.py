@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -277,6 +278,7 @@ def _add_config_flags(parser) -> None:
                         help="override one configuration key (repeatable)")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthcrf",

@@ -126,17 +126,16 @@ class CrfInstance:
     The arrays are checked and stored read-only once, when the instance is
     built, along with the ragged block layout of the precision matrix (see
     the module docstring).  Block ``i`` holds nodes ``block_starts[i]`` to
-    ``block_starts[i + 1] - 1``.  The blocks live in one flat buffer: piece
-    ``2i`` is diagonal block i, of shape (w_i, w_i), and piece ``2i + 1`` the
-    block just below it, of shape (w_{i+1}, w_i); piece ``k`` spans
-    ``block_offsets[k]`` to ``block_offsets[k + 1]``, and ``block_pieces[k]``
-    holds those bounds and the piece's shape.  ``block_rows[i]`` is block
-    ``i``'s slice of rows.  ``node_slots[v]`` is the position of entry (v, v)
-    in that buffer and ``edge_slots[e]`` the position of edge ``e``'s entry
-    (q, p).  With ``y`` given, ``y_sq_diffs[e]`` is (y_p - y_q)^2 on edge
-    ``e``; every training step reads the pairwise energy of y as
-    ``couplings @ y_sq_diffs`` and y' J_k y (see the module docstring) as
-    ``similarities @ y_sq_diffs``.
+    ``block_starts[i + 1] - 1``.  The blocks live in one flat buffer per
+    factorization: piece ``2i`` is diagonal block i, of shape (w_i, w_i), and
+    piece ``2i + 1`` the block just below it, of shape (w_{i+1}, w_i).
+    ``block_pieces[k]`` holds piece ``k``'s start, end and shape; the last end
+    is the buffer's size.  ``block_rows[i]`` is block ``i``'s slice of rows.
+    ``node_slots[v]`` is the position of entry (v, v) in that buffer and
+    ``edge_slots[e]`` the position of edge ``e``'s entry (q, p).  With ``y``
+    given, ``y_sq_diffs[e]`` is (y_p - y_q)^2 on edge ``e``; every training
+    step reads the pairwise energy of y as ``couplings @ y_sq_diffs`` and
+    y' J_k y (see the module docstring) as ``similarities @ y_sq_diffs``.
     """
 
     n: int
@@ -144,7 +143,6 @@ class CrfInstance:
     edges: np.ndarray
     y: np.ndarray | None = None
     block_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    block_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     node_slots: np.ndarray = field(init=False, repr=False, compare=False)
     edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
     block_pieces: tuple = field(init=False, repr=False, compare=False)
@@ -182,7 +180,7 @@ class CrfInstance:
         at = np.arange(n) - starts[block]
         # an edge's blocks pb <= qb <= pb + 1 pick piece pb + qb; row q, column p
         pb, qb = block[p], block[q]
-        layout = dict(block_starts=starts, block_offsets=offsets,
+        layout = dict(block_starts=starts,
                       node_slots=offsets[2 * block] + at * (widths[block] + 1),
                       edge_slots=offsets[pb + qb] + at[q] * widths[pb] + at[p])
         y_sq_diffs = None if y is None else (y[p] - y[q]) ** 2
@@ -222,13 +220,6 @@ def _block_starts(n, edges):
     return np.array(starts + [n], dtype=np.intp)
 
 
-def _block_views(instance, buffer):
-    """The diagonal blocks and the blocks just below them, as views of a flat
-    ``buffer`` in the instance's block layout."""
-    pieces = [buffer[start:end].reshape(shape) for start, end, shape in instance.block_pieces]
-    return pieces[0::2], pieces[1::2]
-
-
 @dataclass(frozen=True)
 class Precision:
     """Inverse Schur complements and log|A| of the block tridiagonal precision A.
@@ -242,12 +233,19 @@ class Precision:
     bidiagonal, M_{i+1,i} = h_i, and D block diagonal, D_ii = C_i, so every
     solve is a chain of matrix products: three per block for ``solve`` and
     two for ``selected_inverse``.
+
+    ``blocks`` is the flat buffer in which ``build_precision`` formed A and
+    each C_i, and ``pieces`` its views in the instance's layout;
+    ``selected_inverse`` overwrites them with S_ii and S_{i+1,i}.  No G_i or
+    h_i is a view of it, so each call of either method gives the same result.
     """
 
     instance: CrfInstance
     g: tuple
     h: tuple
     logdet: float
+    blocks: np.ndarray
+    pieces: list
 
     @property
     def n(self):
@@ -275,15 +273,14 @@ class Precision:
         S_{i+1,i} = -S_{i+1,i+1} h_i  and  S_ii = G_i - S_{i+1,i}' h_i.
         """
         # S_ii and S_{i+1,i} in the layout of node_slots and edge_slots
-        buffer = np.empty(self.instance.block_offsets[-1])
-        diag, below = _block_views(self.instance, buffer)
+        diag, below = self.pieces[0::2], self.pieces[1::2]
         diag[-1][...] = self.g[-1]
         for i in reversed(range(len(below))):
             np.matmul(diag[i + 1], self.h[i], out=below[i])
             np.negative(below[i], out=below[i])
             np.matmul(below[i].T, self.h[i], out=diag[i])
             np.subtract(self.g[i], diag[i], out=diag[i])
-        return buffer[self.instance.node_slots], buffer[self.instance.edge_slots]
+        return self.blocks[self.instance.node_slots], self.blocks[self.instance.edge_slots]
 
 
 @np.errstate(over="ignore")  # a coupling that overflows to inf fails build_precision
@@ -316,10 +313,11 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
         instance.edges[:, 1], couplings, minlength=n
     ) + 1.0
     # lower triangles of the diagonal blocks of A, and the blocks A_{i+1,i}
-    blocks = np.zeros(instance.block_offsets[-1])
+    blocks = np.zeros(instance.block_pieces[-1][1])
     blocks[instance.node_slots] = diagonal
     blocks[instance.edge_slots] = -couplings
-    a_diag, a_below = _block_views(instance, blocks)
+    pieces = [blocks[start:end].reshape(shape) for start, end, shape in instance.block_pieces]
+    a_diag, a_below = pieces[0::2], pieces[1::2]
     g, h = [], []
     logdet = 0.0
     for i, a in enumerate(a_diag):
@@ -350,7 +348,7 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
     if bound * np.finfo(float).eps >= 1.0:
         raise FactorizationError(f"the precision matrix's condition bound 2 max A_ii - 1 = "
                                  f"{bound:.3g} reaches 1/eps: the couplings swamp its diagonal")
-    return Precision(instance, tuple(g), tuple(h), logdet)
+    return Precision(instance, tuple(g), tuple(h), logdet, blocks, pieces)
 
 
 def _solved(instance, z, beta):

@@ -107,7 +107,7 @@ def write_ppm(path, image) -> None:
     image = np.asarray(image, dtype=float)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError("image must have shape (H, W, 3)")
-    if np.any(image < 0.0) or np.any(image > 1.0):
+    if not np.all((image >= 0.0) & (image <= 1.0)):  # false for NaN too
         raise ValueError("image values must lie in [0, 1]")
     height, width = image.shape[:2]
     data = np.rint(image * 255.0).astype(np.uint8)

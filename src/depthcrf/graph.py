@@ -123,7 +123,7 @@ class GraphConfig:
         if self.seg_mode not in ("grid", "slic"):
             raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
         if not all(0.0 < g < np.inf for g in self.gammas):
-            raise ValueError("gammas must be three positive finite reals")
+            raise ValueError("gamma_color, gamma_hist and gamma_lbp must be finite and > 0")
 
     @property
     def gammas(self) -> tuple[float, float, float]:  # in ``similarities``' channel order
@@ -237,8 +237,8 @@ def _distance(table, slot, centres, owner, s_space):
 
 def _hint_bound(table, slot, centres, anchors, spatial_scale, reach, hint):
     """Distance of pixels ``slot`` of the (row, col, r, g, b) pixel ``table``
-    to their hinted centres ``hint``, +inf where that centre has no window
-    over the pixel or the id names no centre.
+    to their hinted centres ``hint``, centre labels 0 to count - 1; +inf
+    where that centre has no window over the pixel.
 
     ``centres`` is the transposed (5, count) centre table and ``anchors``
     (2, count) its truncated positions, so coordinate or channel j is row j
@@ -248,18 +248,14 @@ def _hint_bound(table, slot, centres, anchors, spatial_scale, reach, hint):
     place over the pixels no hinted window covers.
     """
     hint = hint.ravel()
-    far = (hint < 0) | (hint >= centres.shape[1])
-    ref = np.where(far, 0, hint)
-    for axis in range(2):
-        offset = table[:, axis][slot] - anchors[axis][ref]
-        np.abs(offset, out=offset)
-        far |= offset > reach
-    d_rows, d_cols = (table[:, axis][slot] - centres[axis][ref] for axis in range(2))
+    offsets = [np.abs(table[:, axis][slot] - anchors[axis][hint]) for axis in range(2)]
+    far = np.maximum(*offsets) > reach
+    d_rows, d_cols = (table[:, axis][slot] - centres[axis][hint] for axis in range(2))
     d_rows *= d_rows
     d_cols *= d_cols
     d_rows += d_cols
     d_rows *= spatial_scale
-    dist = _distance(table, slot, centres, ref, d_rows)
+    dist = _distance(table, slot, centres, hint, d_rows)
     dist[far] = np.inf
     return dist
 
@@ -279,9 +275,10 @@ def _assign(table, centres, spatial_scale, reach, fallback, hint, moved=None, la
     summed in ``_distance``'s fixed order.
 
     Most window cells cannot win, and are skipped exactly.  ``hint`` (the
-    previous sweep's labels) names one centre per pixel, and U(p) is p's
-    distance to it, computed as a window cell's distance is: +inf where that
-    centre's window misses p or the id names no centre.  Since rounding a
+    seed grid's labels, then the previous sweep's) names one centre per
+    pixel by its label, 0 to count - 1, and U(p) is p's distance to it,
+    computed as a window cell's distance is: +inf where that centre's window
+    misses p.  Since rounding a
     sum of non-negative terms never falls below either term, a cell's
     distance is at least its spatial term ``spatial_scale * d_space``; a
     cell whose spatial term exceeds U(p) is strictly farther than the hinted
@@ -294,8 +291,8 @@ def _assign(table, centres, spatial_scale, reach, fallback, hint, moved=None, la
     finite and nothing beats it.  Blocks of about ``BLOCK_CELLS`` cells are
     pruned at a time, and one ``np.minimum.at`` pass over the other
     survivors lowers each pixel's best distance, a second the label to the
-    lowest centre index at it.  Any hint raster gives the same labels; a
-    better one only prunes more.
+    lowest centre index at it.  Any raster of centre ids gives the same
+    labels; a better one only prunes more.
 
     Given ``moved``, a flag per centre, ``hint`` and ``last`` must be the
     labels and distances this function returned for the same centres before
@@ -385,11 +382,14 @@ def _assign(table, centres, spatial_scale, reach, fallback, hint, moved=None, la
 
 def _update_centers(table, labels, centres):
     """Move each (row, col, r, g, b) row of ``centres`` to its pixels' mean row
-    of ``table``, in place; a centre that won no pixel keeps its row."""
+    of ``table``, in place; a centre that won no pixel keeps its row.  Returns
+    a flag per centre, set where its row changed."""
     count = len(centres)
     sizes = np.bincount(labels.ravel(), minlength=count)
-    occupied = sizes > 0
-    centres[occupied] = _label_means(labels, table, count, sizes)[occupied]
+    means = _label_means(labels, table, count, sizes)
+    moved = (sizes > 0) & np.any(means != centres, axis=1)
+    centres[moved] = means[moved]
+    return moved
 
 
 def segment(image, cfg: GraphConfig):
@@ -422,9 +422,7 @@ def segment(image, cfg: GraphConfig):
     for _ in range(SLIC_SWEEPS):
         labels, best = _assign(table, centres, spatial_scale, reach, seed_labels, labels,
                                moved, best)
-        before = centres.copy()
-        _update_centers(table, labels, centres)
-        moved = np.any(centres != before, axis=1)
+        moved = _update_centers(table, labels, centres)
         if not moved.any():
             break  # every later sweep would repeat this one's inputs and labels
         # re-deciding only what the moved centres can change pays once at most

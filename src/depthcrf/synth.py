@@ -49,15 +49,15 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.height < 8 or self.width < 8:
-            raise ValueError("scene must be at least 8x8")
+            raise ValueError("height and width must be at least 8")
         if not 1 <= self.num_planes <= self.height * self.width:
             raise ValueError("num_planes must lie in [1, height * width]")
         if not (0.0 < self.depth_min < self.depth_max):
-            raise ValueError("depth range must satisfy 0 < min < max")
+            raise ValueError("need 0 < depth_min < depth_max")
         if self.texture not in TEXTURES:
             raise ValueError(f"texture must be one of {TEXTURES}")
         if self.noise_sigma < 0.0:
-            raise ValueError("noise level cannot be negative")
+            raise ValueError("noise_sigma cannot be negative")
         if self.seed < 0:
             raise ValueError("seed cannot be negative")
 

@@ -63,17 +63,17 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("weight decay cannot be negative")
+            raise ValueError("lambda1 and lambda2 cannot be negative")
         if self.lr0 < 0 or not 0.0 < self.lr_decay <= 1.0 or self.lr_decay_every < 1:
-            raise ValueError("bad learning-rate schedule")
+            raise ValueError("need lr0 >= 0, lr_decay in (0, 1] and lr_decay_every >= 1")
         if self.epochs < 0:
             raise ValueError("epochs cannot be negative")
         if not 0.0 < self.dropout_keep <= 1.0:
-            raise ValueError("dropout keep probability must be in (0, 1]")
+            raise ValueError("dropout_keep must lie in (0, 1]")
         if self.train_seed < 0:
             raise ValueError("train_seed cannot be negative")
         if self.beta_init < 0:
-            raise ValueError("beta must start nonnegative")
+            raise ValueError("beta_init cannot be negative")
 
 
 @dataclass

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import depthcrf
-from depthcrf import crf, metrics
+from depthcrf import cli, crf, metrics
+from depthcrf.config import ConfigError
 from depthcrf.cli import main
 from depthcrf.formats import (
     read_checkpoint,
@@ -98,11 +99,31 @@ def test_synth_bad_config_value_exits_2(tmp_path, capsys):
     # int() would read 1_2 as 12 and the Arabic-Indic digits as 150; more
     # planes than pixels could never be placed
     for bad in ("epochs=ten", "epochs=1_2", "target_superpixels=\u0661\u0665\u0660",
-                "seed=-1", "train_seed=-2", "height=8 width=8 count=1 num_planes=65"):
+                "seed=-1", "train_seed=-2", "height=8 width=8 count=1 num_planes=65",
+                "lambda1=-1", "lambda2=-0.5", "lr0=-1", "lr_decay=0", "lr_decay=1.5",
+                "lr_decay_every=0", "epochs=-1", "noise_sigma=-0.1", "hidden_dims=0", "count=0",
+                "dropout_keep=0", "dropout_keep=1.5", "beta_init=-1", "gamma_color=0",
+                "gamma_hist=-1", "gamma_lbp=0", "height=7", "width=7", "depth_min=0",
+                "depth_min=5 depth_max=2"):
         sets = [arg for item in bad.split() for arg in ("--set", item)]
         rc = main(["synth", "--out", str(tmp_path / "d"), *sets])
         assert rc == 2 and not (tmp_path / "d").exists()
         assert bad.split()[-1].split("=")[0] in capsys.readouterr().err
+
+
+def test_main_calls_share_no_parsed_state(monkeypatch):
+    # one parser serves every call in a process, and each call parses afresh
+    seen = []
+
+    def record(args):
+        seen.append(args.set)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "_collect_overrides", record)
+    assert main(["synth", "--set", "count=1", "--set", "seed=2"]) == 2
+    assert main(["synth", "--set", "height=9"]) == 2
+    assert seen == [["count=1", "seed=2"], ["height=9"]]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_line_break_in_a_text_key_exits_2_without_writing(tmp_path, capsys, trained):

@@ -46,8 +46,10 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "edges",
-        [[[1, 0]], [[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 2], [0, 2]], [[0, 3]], [[-1, 1]]],
-        ids=["reversed", "unsorted", "duplicate", "unsorted-first", "too-high", "negative"],
+        [[[1, 0]], [[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 2], [0, 2]], [[0, 3]], [[-1, 1]],
+         [[0, 1, 2]], [0, 1]],
+        ids=["reversed", "unsorted", "duplicate", "unsorted-first", "too-high", "negative",
+             "three-columns", "flat"],
     )
     def test_non_canonical_edges_rejected(self, edges):
         sims = np.full((1, len(edges)), 0.5)
@@ -84,8 +86,7 @@ class TestValidation:
             inst.edges[0, 0] = 1
         with pytest.raises(ValueError):
             inst.y[0] = 1.0
-        for layout in (inst.block_starts, inst.block_offsets, inst.node_slots, inst.edge_slots,
-                       inst.y_sq_diffs):
+        for layout in (inst.block_starts, inst.node_slots, inst.edge_slots, inst.y_sq_diffs):
             with pytest.raises(ValueError):
                 layout[0] = 0
 
@@ -426,3 +427,21 @@ def test_nll_with_grads_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_selected_inverse_leaves_what_solve_reads():
+    # selected_inverse overwrites the factorization's block buffer, so g and
+    # h, which solve and selected_inverse read, must never alias it
+    rng = np.random.default_rng(73)
+    inst, z, beta = edge_list_instance(rng, 5 * crf.MIN_BLOCK, path_edges(5 * crf.MIN_BLOCK))
+    prec = crf.build_precision(inst, crf.coupling_matrix(inst, beta))
+    assert len(prec.g) > 2
+    assert not any(np.shares_memory(a, prec.blocks) for a in (*prec.g, *prec.h))
+    g, h = [a.copy() for a in prec.g], [a.copy() for a in prec.h]
+    rhs = rng.normal(size=(inst.n, 2))
+    first = prec.solve(rhs)
+    inverses = [prec.selected_inverse() for _ in range(2)]
+    assert np.array_equal(prec.solve(rhs), first)
+    for a, b in zip(*inverses, strict=True):
+        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip((*g, *h), (*prec.g, *prec.h), strict=True))

@@ -59,8 +59,10 @@ def test_ppm_header_comments_are_skipped(tmp_path):
 def test_ppm_rejects_bad_inputs(tmp_path):
     with pytest.raises(ValueError):
         write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        write_ppm(tmp_path / "x.ppm", np.full((2, 2, 3), 1.5))
+    for bad in (1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            write_ppm(tmp_path / "x.ppm", np.full((2, 2, 3), bad))
+    assert not (tmp_path / "x.ppm").exists()
     bad_magic = tmp_path / "bad.ppm"
     bad_magic.write_bytes(b"P3\n1 1\n255\n\x00\x00\x00")
     with pytest.raises(FormatError):
@@ -109,6 +111,13 @@ def test_depth_raster_bytes_match_per_pixel_repr(tmp_path, kind):
     rows = [" ".join(repr(float(v)) for v in row) for row in depth]
     expected = "\n".join([f"DEPTH {depth.shape[0]} {depth.shape[1]}", *rows]) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+def test_depth_raster_writer_rejects_other_ranks(tmp_path):
+    for depth in (np.ones(4), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="2-D"):
+            write_depth_raster(tmp_path / "depth.txt", depth)
+    assert not (tmp_path / "depth.txt").exists()
 
 
 def test_depth_raster_rejects_malformed_files(tmp_path):

@@ -64,6 +64,12 @@ class TestSceneSample:
         with pytest.raises(ValueError):
             SceneSample(image=np.zeros((4, 4, 3)), depth=np.zeros((4, 4)))
 
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            SceneSample(image=np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="match the image size"):
+            SceneSample(image=np.zeros((4, 4, 3)), depth=np.ones((4, 5)))
+
 
 class TestGridSegmentation:
     def test_four_blocks_on_ten_by_ten(self):
@@ -422,7 +428,9 @@ class TestAgainstReferenceLoops:
         args = (image, centers, colors, 0.3, 4, fallback)
         monkeypatch.setattr(graph, "BLOCK_CELLS", block_cells)
         centres = np.hstack([centers, colors])
-        labels, _ = graph._assign(pixel_table(image), centres, *args[3:], fallback)
+        # the 2 x 3 grid holds id 5, which names none of the 5 centres
+        hint = np.minimum(fallback, len(centres) - 1)
+        labels, _ = graph._assign(pixel_table(image), centres, *args[3:], hint)
         assert np.array_equal(labels, graph_reference.assign(*args))
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
@@ -444,9 +452,9 @@ class TestAgainstReferenceLoops:
             fallback = rng.integers(0, count, (height, width))
             args = (image, centers, colors, spatial_scale, reach, fallback)
             expected = graph_reference.assign(*args)
-            # ids without a centre, the exact answer and a sweep-like hint
+            # any centre ids, the exact answer and a sweep-like hint
             hints = [
-                rng.integers(-2, count + 3, (height, width)),
+                rng.integers(0, count, (height, width)),
                 expected,
                 np.where(rng.random((height, width)) < 0.3, fallback, expected),
             ]
@@ -616,19 +624,17 @@ class TestAgainstReferenceLoops:
             centers = np.where(rng.random((count, 2)) < 1 / 3, near, centers)
             spatial_scale = float(rng.choice([0.0, 0.02, 0.3, 1.0, rng.random()]))
             reach = int(rng.integers(0, 6))
-            hint = rng.integers(-2, count + 3, (height, width))  # ids without a centre too
+            hint = rng.integers(0, count, (height, width))
 
-            known = (hint >= 0) & (hint < count)
-            ref = np.where(known, hint, 0)
             rows, cols = np.indices((height, width))
-            d_color = ((image - colors[ref]) ** 2).sum(axis=2)
-            d_space = (rows - centers[ref, 0]) ** 2 + (cols - centers[ref, 1]) ** 2
-            offsets = np.maximum(np.abs(rows - centers[ref, 0].astype(int)),
-                                 np.abs(cols - centers[ref, 1].astype(int)))
-            covered = known & (offsets <= reach)
+            d_color = ((image - colors[hint]) ** 2).sum(axis=2)
+            d_space = (rows - centers[hint, 0]) ** 2 + (cols - centers[hint, 1]) ** 2
+            offsets = np.maximum(np.abs(rows - centers[hint, 0].astype(int)),
+                                 np.abs(cols - centers[hint, 1].astype(int)))
+            covered = offsets <= reach
             expected = np.where(covered, d_color + spatial_scale * d_space, np.inf)
-            at_reach += np.sum(known & (offsets == reach))
-            beyond_reach += np.sum(known & (offsets == reach + 1))
+            at_reach += np.sum(offsets == reach)
+            beyond_reach += np.sum(offsets == reach + 1)
 
             args = (np.hstack([centers, colors]).T.copy(), centers.T.astype(np.intp),
                     spatial_scale, reach, hint)
@@ -746,7 +752,8 @@ class TestAssignmentSemantics:
         centers = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
         colors = np.array([[0.1, 0.1, 0.1], [0.4, 0.5, 0.6], [0.9, 0.9, 0.9]])
         centres = np.hstack([centers, colors])
-        graph._update_centers(pixel_table(image), labels, centres)
+        moved = graph._update_centers(pixel_table(image), labels, centres)
+        assert moved.tolist() == [True, False, True]
         assert np.array_equal(centres[:, :2], [[0.5, 0.5], [1.0, 1.0], [0.5, 2.5]])
         assert np.allclose(centres[:, 2:], [[0, 0, 0], [0.4, 0.5, 0.6], [0.8, 0.8, 0.8]])
 

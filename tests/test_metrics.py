@@ -73,6 +73,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics.metrics([pair([1.0], [1.0], np.array([False]))])
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="share a shape"):
+            pair([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="share a shape"):
+            pair([1.0, 2.0], [1.0, 2.0], np.array([True]))
+
     def test_nonpositive_masked_values_rejected(self):
         with pytest.raises(ValueError):
             pair([0.0], [1.0])

@@ -154,3 +154,19 @@ class TestCheckersCatchWrongClosedForms:
         monkeypatch.setattr(crf, "map_infer", shifted)
         mode = oracle.check_map(np.random.default_rng(0), 4)[1]
         assert mode.error > 0.0 and not mode.ok
+
+    def test_refused_factorization_fails_the_cholesky_check(self, monkeypatch):
+        def refuse(instance, couplings):
+            raise crf.FactorizationError("refused")
+
+        monkeypatch.setattr(crf, "build_precision", refuse)
+        valid, negative = oracle.check_factorization(np.random.default_rng(0), 3)
+        assert valid.error == 3 and not valid.ok
+        assert negative.ok
+
+    def test_accepted_negative_coupling_fails_its_check(self, monkeypatch):
+        exact = crf.build_precision
+        monkeypatch.setattr(crf, "build_precision", lambda inst, r: exact(inst, np.abs(r)))
+        valid, negative = oracle.check_factorization(np.random.default_rng(0), 3)
+        assert valid.ok
+        assert negative.error == 1 and not negative.ok

@@ -233,6 +233,11 @@ class TestTrain:
         assert out.history == []
         assert np.array_equal(out.model.params, theta0)
 
+    def test_rejects_no_scenes(self):
+        config = quiet_config()
+        with pytest.raises(ValueError, match="at least one scene"):
+            training.train([], config, state=training.init_state(DIMS, config))
+
     def test_deterministic(self):
         scenes = tiny_scenes()
         config = quiet_config(epochs=3, dropout_keep=0.8, momentum=0.9, lr0=1e-3, train_seed=7)

@@ -61,6 +61,11 @@ class TestActivationsAndInit:
             unary.build_model((4, 3, 2), seed=0)
         with pytest.raises(ValueError):
             unary.build_model((4,), seed=0)
+        with pytest.raises(ValueError, match="at least one layer"):
+            unary.standard_activations(0)
+        with pytest.raises(ValueError, match="fan-in"):
+            unary.UnaryModel(weights=(np.zeros((4, 3)), np.zeros((2, 1))),
+                             biases=(np.zeros(3), np.zeros(1)))
 
     def test_dropout_layer_selection(self):
         # at most the first two rectified layers
@@ -151,6 +156,11 @@ class TestDropout:
     def test_dropout_needs_rng(self):
         with pytest.raises(ValueError):
             unary.forward(small_model(), np.ones((1, 5)), keep_prob=0.5)
+
+    @pytest.mark.parametrize("keep_prob", [0.0, -0.5, 1.5, np.nan])
+    def test_rejects_keep_prob_outside_zero_one(self, keep_prob):
+        with pytest.raises(ValueError, match="keep_prob"):
+            unary.forward(small_model(), np.ones((1, 5)), np.random.default_rng(0), keep_prob)
 
     def test_keep_prob_one_equals_eval(self):
         model = small_model(seed=4)

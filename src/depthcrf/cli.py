@@ -39,6 +39,7 @@ from .formats import (
     read_depth_raster,
     read_manifest,
     read_ppm,
+    utf8_path,
     write_checkpoint,
     write_depth_raster,
     write_history,
@@ -97,10 +98,15 @@ def _checkpoint_of(config, state, input_mean, input_std) -> Checkpoint:
     return Checkpoint(config, state.model, state.beta, gammas, input_mean, input_std)
 
 
+def _out_dir(args, config) -> Path:
+    """``--out``, else the directory the ``out_dir`` key names."""
+    return Path(args.out if args.out is not None else utf8_path(config.out_dir))
+
+
 def cmd_synth(args) -> int:
     config = config_from_mapping(_collect_overrides(args))
     samples = synth.generate_dataset(config.scene_spec(), config.count, config.seed)
-    out = Path(args.out if args.out is not None else config.out_dir)
+    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for idx, sample in enumerate(samples):
@@ -137,7 +143,7 @@ def cmd_train(args) -> int:
     if base_ckpt is not None:
         state.model, state.beta = base_ckpt.model, base_ckpt.beta
         state.epoch = base_ckpt.config.epochs
-    out = Path(args.out if args.out is not None else config.out_dir)
+    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     # one call at least, so that unary-only training pins beta even for 0 epochs
     for start in range(0, max(additional, 1), CHECKPOINT_EVERY):

@@ -9,7 +9,7 @@ unknown keys are rejected so a typo cannot silently fall back to a default.
 A text value holding a line break is rejected too: every key is written
 back as one checkpoint line.
 
-Config files are plain text: one ``key = value`` per line, blank lines
+Config files are UTF-8 text: one ``key = value`` per line, blank lines
 and ``#`` comments ignored; a file that is not text, or that sets a key on
 two lines, is a ``ConfigError`` (repeated ``--set`` overrides: the last wins).
 
@@ -135,8 +135,10 @@ class RunConfig:
 
 
 def _parse_str(text: str) -> str:
-    """Free text on one line: a checkpoint writes each key as one line."""
-    text = text.strip()
+    """Free text on one line: a checkpoint writes each key as one line, in
+    UTF-8.  Under a non-UTF-8 locale Python hands over command-line bytes it
+    could not decode as surrogates; they are read as UTF-8 or rejected."""
+    text = text.strip().encode("utf-8", "surrogateescape").decode("utf-8")
     if len(text.splitlines()) > 1:
         raise ValueError(f"a line break inside {text!r}")
     return text
@@ -169,7 +171,7 @@ def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into an (unvalidated) override mapping; a key
     set on two lines is a ConfigError naming both."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")

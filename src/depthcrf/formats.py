@@ -27,8 +27,9 @@ exactly:
   also reads the ``\\r\\n`` lines of older files).
 
 Header numbers and seeds are read by ``config.parse_int``/``parse_float``,
-section rows by ``np.loadtxt``: the same ASCII decimals.  Text that does not
-decode is a ``FormatError``.
+section rows by ``np.loadtxt``: the same ASCII decimals.  Every text file is
+written and read as UTF-8 whatever the locale; text that does not decode is
+a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -76,9 +77,15 @@ def _section(header: str, arr) -> list[str]:
 
 def _text_lines(path) -> list[str]:
     try:
-        return Path(path).read_text().splitlines()
+        return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc.reason} at byte {exc.start})")
+
+
+def utf8_path(text: str) -> str:
+    """The file name whose bytes are ``text`` in UTF-8, as files record
+    names, whatever the file-system encoding of the locale."""
+    return os.fsdecode(text.encode("utf-8"))
 
 
 def _write_whole(path, data) -> None:
@@ -89,7 +96,7 @@ def _write_whole(path, data) -> None:
     path = Path(path)
     temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        (temp.write_bytes if isinstance(data, bytes) else temp.write_text)(data)
+        temp.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         os.replace(temp, path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)
@@ -192,7 +199,7 @@ def read_manifest(path):
             continue
         try:
             image, depth, seed = line.split()
-            rows.append((image, depth, parse_int(seed)))
+            rows.append((utf8_path(image), utf8_path(depth), parse_int(seed)))
         except ValueError:
             raise FormatError(f"{path}: malformed manifest line: {line!r}")
     return rows

@@ -31,10 +31,10 @@ the updates before sweeps 5-10 moved 41% down to 1.5% of the centres.
 Afterwards every superpixel is reduced to its largest 4-connected component
 (the first in raster order among equally large ones), all components being
 found by one labelling pass over a doubled grid, and stray pieces are merged
-into an adjacent surviving superpixel in label order, so labels are
-connected; beyond that no connectivity enforcement happens.  Label ids are
-compacted to 0..n-1 and both modes are deterministic functions of their
-inputs.
+in label order, each into the most frequent label among its distinct
+adjacent pixels (the lowest on ties), so labels are connected; beyond that
+no connectivity enforcement happens.  Label ids are compacted to 0..n-1 and
+both modes are deterministic functions of their inputs.
 
 Per superpixel ``extract_features`` computes mean RGB, an L1-normalized
 color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
@@ -62,8 +62,6 @@ NUM_CHANNELS = 3  # similarity channels: mean color, color histogram, LBP histog
 COLOR_BINS = 10
 LUMA = np.array([0.299, 0.587, 0.114])
 SLIC_SWEEPS = 10  # at most: sweeps stop early at a fixed point
-
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # window cells (SLIC), crop pixels (patches) or feature values (similarities)
 # evaluated per block; bounds the working set whatever the image size or
@@ -171,11 +169,6 @@ def _label_means(labels, values, count, sizes=None):
     return np.stack(sums, axis=1) / np.maximum(sizes, 1)[:, None]
 
 
-def _compact(labels):
-    ids, compacted = np.unique(labels, return_inverse=True)
-    return compacted.reshape(labels.shape), ids.size
-
-
 def _enforce_connectivity(labels):
     """Keep each label's largest component; merge strays into neighbors.
 
@@ -184,39 +177,45 @@ def _enforce_connectivity(labels):
     they share a label.  A component's first cell is a pixel cell, so ids
     follow the raster order of first pixels: the lowest id is the first of
     equally large components, and orphans queue in (label, id) order.  An
-    orphan dilates only inside its bounding box grown by one pixel.
+    orphan takes the most frequent label among its distinct adjacent pixels,
+    lowest on ties, or waits a round while all of them are unmerged orphans.
     """
     grid = np.ones(2 * np.array(labels.shape) - 1, dtype=bool)
     grid[1::2, 1::2] = False
     grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
     grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
-    comps = scipy.ndimage.label(grid, structure=FOUR_CONNECTED)[0][::2, ::2]
-    flat = comps.ravel() - 1
+    comps = scipy.ndimage.label(grid)[0][::2, ::2]  # default structure: the 4-connected cross
+    flat = np.subtract(comps.ravel(), 1, dtype=np.intp)  # ids * pixels below needs 64 bits
     sizes = np.bincount(flat)
     owner = np.empty(sizes.size, dtype=np.intp)
     owner[flat] = labels.ravel()
     order = np.lexsort((-sizes, owner))  # stable: the lower id wins a size tie
     main = np.zeros(sizes.size, dtype=bool)
     main[order[np.r_[True, np.diff(owner[order]) != 0]]] = True
-    final = np.where(main[flat], labels.ravel(), -1).reshape(labels.shape)
-    boxes = scipy.ndimage.find_objects(comps)
-    orphans = [c for c in np.argsort(owner, kind="stable") if not main[c]]
+    pixel = np.arange(flat.size).reshape(labels.shape)
+    cut_rows, cut_cols = ~grid[::2, 1::2], ~grid[1::2, ::2]
+    first = np.concatenate([pixel[:, :-1][cut_rows], pixel[:-1][cut_cols]])
+    second = np.concatenate([pixel[:, 1:][cut_rows], pixel[1:][cut_cols]])
+    pairs = np.concatenate([flat[first] * flat.size + second, flat[second] * flat.size + first])
+    orphan, adjacent = np.divmod(np.unique(pairs[~main[pairs // flat.size]]), flat.size)
+    near = flat[adjacent]
+    bounds = np.searchsorted(orphan, np.arange(sizes.size + 1)).tolist()
+    current = np.where(main, owner, -1)
+    orphans = [c for c in np.argsort(owner, kind="stable").tolist() if not main[c]]
     while orphans:
         remaining = []
         for c in orphans:
-            box = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in boxes[c])
-            mask = comps[box] == c + 1
-            grown = scipy.ndimage.binary_dilation(mask, structure=FOUR_CONNECTED)
-            neighbor_ids = final[box][grown & ~mask]
+            neighbor_ids = current[near[bounds[c]:bounds[c + 1]]]
             neighbor_ids = neighbor_ids[neighbor_ids >= 0]
             if neighbor_ids.size == 0:
                 remaining.append(c)
                 continue
-            final[box][mask] = np.bincount(neighbor_ids).argmax()
+            current[c] = np.bincount(neighbor_ids).argmax()
         if len(remaining) == len(orphans):
             raise RuntimeError("orphan components have no assigned neighbor")
         orphans = remaining
-    return _compact(final)
+    ids, merged = np.unique(current, return_inverse=True)
+    return merged[flat].reshape(labels.shape), ids.size
 
 
 def _distance(table, slot, centres, owner, s_space):

@@ -67,32 +67,6 @@ def rel_err(actual, expected, floor: float = 1e-12) -> float:
     return float(diff / scale)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Trapezoid-rule box: half-width per dimension and points per axis.
-
-    half_width=None centers the box on the posterior mean and extends it
-    eight posterior standard deviations (of the widest coordinate) each way,
-    which puts the truncated tail mass far below the tolerances used here.
-    """
-
-    half_width: float | None = None
-    points: int = 801
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform search grid, the same [lo, hi] interval on every axis."""
-
-    lo: float
-    hi: float
-    points: int
-
-    @property
-    def cell(self):
-        return (self.hi - self.lo) / (self.points - 1)
-
-
 def direct_coupling(instance, beta) -> np.ndarray:
     """Per-edge couplings, one scalar loop over channels for every edge."""
     out = np.zeros(len(instance.edges))
@@ -129,27 +103,30 @@ def gaussian_params(instance, z, beta):
     return np.linalg.solve(a, z), 0.5 * np.linalg.inv(a)
 
 
-def quad_log_partition(instance, z, beta, spec: QuadratureSpec = QuadratureSpec()):
-    """log integral of exp(-E) over a box, by the composite trapezoid rule.
+def quad_log_partition(instance, z, beta, half_width=None, points=801):
+    """log integral of exp(-E) over a box, by the composite trapezoid rule
+    with ``points`` per axis.
 
-    Gaussian integrands decay to numerically zero at the box ends, where the
-    trapezoid rule converges superalgebraically, so modest point counts reach
-    tolerances far beyond what the tests ask for.  Dimension is capped at 3;
-    the grid would not fit in memory beyond that.
+    The box reaches ``half_width`` each way from the posterior mean; None
+    makes that eight posterior standard deviations (of the widest
+    coordinate), which puts the truncated tail mass far below the tolerances
+    used here.  Gaussian integrands decay to numerically zero at the box
+    ends, where the trapezoid rule converges superalgebraically, so modest
+    point counts reach tolerances far beyond what the tests ask for.
+    Dimension is capped at 3; the grid would not fit in memory beyond that.
     """
     n = instance.n
     if n > 3:
         raise ValueError("quadrature oracle handles at most 3 nodes")
-    if spec.points < 3:
+    if points < 3:
         raise ValueError("need at least 3 quadrature points per axis")
     mean, cov = gaussian_params(instance, z, beta)
-    half = spec.half_width
-    if half is None:
-        half = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
+    if half_width is None:
+        half_width = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
     axes, logweights = [], []
     for i in range(n):
-        grid = np.linspace(mean[i] - half, mean[i] + half, spec.points)
-        w = np.full(spec.points, grid[1] - grid[0])
+        grid = np.linspace(mean[i] - half_width, mean[i] + half_width, points)
+        w = np.full(points, grid[1] - grid[0])
         w[0] *= 0.5
         w[-1] *= 0.5
         axes.append(grid)
@@ -178,12 +155,13 @@ def fd_gradient(func, x, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def grid_map(instance, z, beta, spec: GridSpec) -> np.ndarray:
-    """Lowest-energy point of a uniform grid; dimension capped at 2."""
+def grid_map(instance, z, beta, lo, hi, points) -> np.ndarray:
+    """Lowest-energy point of a uniform grid of ``points`` per axis over the
+    same [lo, hi] interval on every axis; dimension capped at 2."""
     n = instance.n
     if n > 2:
         raise ValueError("grid search handles at most 2 nodes")
-    axes = [np.linspace(spec.lo, spec.hi, spec.points) for _ in range(n)]
+    axes = [np.linspace(lo, hi, points) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
     values = direct_energy(instance, z, beta, pts)
@@ -306,10 +284,10 @@ def check_map(rng, trials: int):
         star = crf.map_infer(instance, z, beta)
         # A^-1 has unit row sums over nonnegative entries, so the MAP is a
         # convex combination of z and this box always contains it
-        lo, hi = float(z.min()) - 0.5, float(z.max()) + 0.5
-        spec = GridSpec(lo=lo, hi=hi, points=400)
-        found = grid_map(instance, z, beta, spec)
-        worst_cells = np.maximum(worst_cells, np.max(np.abs(found - star)) / spec.cell)
+        lo, hi, points = float(z.min()) - 0.5, float(z.max()) + 0.5, 400
+        found = grid_map(instance, z, beta, lo, hi, points)
+        cell = (hi - lo) / (points - 1)
+        worst_cells = np.maximum(worst_cells, np.max(np.abs(found - star)) / cell)
     margin = -np.inf
     for _ in range(trials):
         n = int(rng.integers(2, 51))

@@ -20,7 +20,9 @@ import numpy as np
 import scipy.ndimage
 
 from depthcrf import graph
-from depthcrf.graph import FOUR_CONNECTED, GraphConfig, GraphData, SceneSample
+from depthcrf.graph import GraphConfig, GraphData, SceneSample
+
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def centroids(labels, count):

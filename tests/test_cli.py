@@ -3,6 +3,7 @@
 import errno
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -609,6 +610,36 @@ def test_python_m_runs_the_command(argv, code, stdout_line):
     assert done.returncode == code
     if stdout_line is not None:
         assert stdout_line in done.stdout.splitlines()
+
+
+def test_non_ascii_text_key_round_trips_under_an_ascii_locale(tmp_path, trained):
+    # files are UTF-8 whatever the locale; under this one Python hands the
+    # command line's UTF-8 bytes over undecoded, as surrogates
+    data, _ = trained
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=str(Path(depthcrf.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "depthcrf.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    (tmp_path / "run.cfg").write_text("out_dir = résumé\nepochs = 1\n", encoding="utf-8")
+    run("train", "--dataset", str(data), "--config", "run.cfg", *FAST)
+    run("train", "--dataset", str(data), "--out", "set", "--set", "out_dir=résumé",
+        "--set", "epochs=1", *FAST)
+    checkpoint = tmp_path / "résumé" / "checkpoint.txt"
+    assert checkpoint.read_bytes() == (tmp_path / "set" / "checkpoint.txt").read_bytes()
+    assert b"CONFIG out_dir r\xc3\xa9sum\xc3\xa9\n" in checkpoint.read_bytes()
+    assert read_checkpoint(checkpoint).config.out_dir == "résumé"
+    # eval reads the checkpoint back, and a manifest that names a non-ASCII file
+    shutil.copytree(data, tmp_path / "données")
+    (tmp_path / "données" / "img_0000.ppm").rename(tmp_path / "données" / "imagé_0000.ppm")
+    rows = read_manifest(tmp_path / "données" / "manifest.txt")
+    write_manifest(tmp_path / "données" / "manifest.txt", [("imagé_0000.ppm", *rows[0][1:]),
+                                                           *rows[1:]])
+    run("eval", "--checkpoint", str(checkpoint), "--dataset", "données", "--out", "eval.csv")
+    assert (tmp_path / "eval.csv").read_text().splitlines()[1].startswith("all,")
 
 
 def test_verify_fails_on_a_wrong_log_partition(monkeypatch, capsys):

@@ -327,6 +327,13 @@ def test_config_rejects_negative_compactness():
         config_from_mapping({"compactness": "-0.1"})
 
 
+def test_config_reads_undecoded_command_line_bytes_as_utf8():
+    # what an ASCII locale makes of the arguments b"r\xc3\xa9sum\xc3\xa9" and b"r\xe9sum\xe9"
+    assert config_from_mapping({"out_dir": "r\udcc3\udca9sum\udcc3\udca9"}).out_dir == "résumé"
+    with pytest.raises(ConfigError, match="out_dir"):
+        config_from_mapping({"out_dir": "r\udce9sum\udce9"})
+
+
 def test_checkpoint_rejects_a_non_finite_config_value(tmp_path):
     path = tmp_path / "ckpt.txt"
     write_checkpoint(path, _sample_checkpoint())

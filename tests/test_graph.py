@@ -118,7 +118,7 @@ class TestSlicSegmentation:
         image = np.clip(rng.normal(0.5, 0.2, (48, 48, 3)), 0, 1)
         labels, _ = graph.segment(image, config(25))
         for i in range(labels.max() + 1):
-            _, pieces = scipy.ndimage.label(labels == i, structure=graph.FOUR_CONNECTED)
+            _, pieces = scipy.ndimage.label(labels == i, structure=graph_reference.FOUR_CONNECTED)
             assert pieces == 1
 
     @pytest.mark.parametrize("compactness", [1e200, np.inf, np.nan])
@@ -773,6 +773,34 @@ class TestAssignmentSemantics:
         assert final.tolist() == [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]]
         slow, _ = graph_reference.enforce_connectivity(labels, 3)
         assert np.array_equal(final, slow)
+
+    def test_orphans_count_each_adjacent_pixel_once(self):
+        labels = np.array([[2, 2, 2, 2, 2, 2], [2, 3, 3, 3, 2, 2], [1, 3, 0, 3, 1, 1],
+                           [0, 0, 0, 0, 0, 0], [3, 3, 3, 3, 3, 3]])
+        final, _ = graph._enforce_connectivity(labels)
+        # label 3's orphan touches five 2-pixels and four 0-pixels, one of
+        # them (0's merged orphan) from three sides: counting pixels gives 2,
+        # counting adjacencies would give 0
+        assert final.tolist() == [[2, 2, 2, 2, 2, 2], [2, 2, 2, 2, 2, 2], [0, 2, 0, 2, 1, 1],
+                                  [0, 0, 0, 0, 0, 0], [3, 3, 3, 3, 3, 3]]
+        slow, _ = graph_reference.enforce_connectivity(labels, 4)
+        assert np.array_equal(final, slow)
+
+    def test_strays_merge_where_components_times_pixels_passes_2_pow_31(self):
+        # 128 x 128 blocks of 4 x 4 pixels: 16384 components over 262144
+        # pixels, so a component id times the pixel count needs 64 bits
+        blocks = graph._grid_labels(512, 512, 4)
+        labels = blocks.copy()
+        expected = blocks.copy()
+        # single stray pixels inside late blocks merge into the block around them
+        for row, col in [(505, 501), (509, 17), (501, 510)]:
+            labels[row, col] = blocks[0, 0]
+        # a stray pair across a block border sees 3 pixels of each block: the lower wins
+        labels[509, 491:493] = blocks[0, 8]
+        expected[509, 491:493] = min(blocks[509, 491], blocks[509, 492])
+        final, count = graph._enforce_connectivity(labels)
+        assert count == blocks.max() + 1
+        assert np.array_equal(final, expected)
 
 
 def front_end_peak(target):

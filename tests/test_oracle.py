@@ -61,8 +61,8 @@ class TestQuadrature:
             oracle.quad_log_partition(no_edge_instance(4), np.zeros(4), ONES)
 
     def test_explicit_half_width(self):
-        spec = oracle.QuadratureSpec(half_width=7.0, points=2001)
-        value = oracle.quad_log_partition(no_edge_instance(1), [0.0], ONES, spec)
+        value = oracle.quad_log_partition(no_edge_instance(1), [0.0], ONES, half_width=7.0,
+                                          points=2001)
         assert abs(value - 0.5 * np.log(np.pi)) < 1e-8
 
 
@@ -82,19 +82,16 @@ class TestFiniteDifferences:
 
 class TestGridMap:
     def test_single_node_finds_z(self):
-        spec = oracle.GridSpec(lo=-2.0, hi=2.0, points=1601)
-        found = oracle.grid_map(no_edge_instance(1), [0.25], ONES, spec)
-        assert abs(found[0] - 0.25) <= spec.cell
+        found = oracle.grid_map(no_edge_instance(1), [0.25], ONES, -2.0, 2.0, 1601)
+        assert abs(found[0] - 0.25) <= 4.0 / 1600
 
     def test_two_node_hand_solution(self):
-        spec = oracle.GridSpec(lo=-2.0, hi=2.0, points=401)
-        found = oracle.grid_map(single_edge_instance(0.5), [1.0, -1.0], ONES, spec)
-        assert np.max(np.abs(found - np.array([0.5, -0.5]))) <= spec.cell
+        found = oracle.grid_map(single_edge_instance(0.5), [1.0, -1.0], ONES, -2.0, 2.0, 401)
+        assert np.max(np.abs(found - np.array([0.5, -0.5]))) <= 4.0 / 400
 
     def test_dimension_cap(self):
-        spec = oracle.GridSpec(-1.0, 1.0, 11)
         with pytest.raises(ValueError):
-            oracle.grid_map(no_edge_instance(3), np.zeros(3), ONES, spec)
+            oracle.grid_map(no_edge_instance(3), np.zeros(3), ONES, -1.0, 1.0, 11)
 
 
 class TestMcMoments:

@@ -37,6 +37,7 @@ from .formats import (
     FormatError,
     read_checkpoint,
     read_depth_raster,
+    read_history,
     read_manifest,
     read_ppm,
     utf8_path,
@@ -124,6 +125,9 @@ def cmd_train(args) -> int:
     overrides = _collect_overrides(args)
     base_ckpt = read_checkpoint(args.resume) if args.resume is not None else None
     config = config_from_mapping(overrides, base=base_ckpt.config if base_ckpt else None)
+    train_cfg = config.train_config()
+    state = training.init_state(config.layer_dims(), train_cfg)
+    out = _out_dir(args, config)
     if base_ckpt is None:
         additional, stats = config.epochs, None
     else:
@@ -135,15 +139,14 @@ def cmd_train(args) -> int:
         # standardization stats are part of the model, never recomputed
         additional = config.epochs if "epochs" in overrides else 0
         stats = (base_ckpt.input_mean, base_ckpt.input_std)
+        state.model, state.beta = base_ckpt.model, base_ckpt.beta
+        state.epoch = base_ckpt.config.epochs
+        # resuming in place keeps the history of the epochs the checkpoint holds
+        if Path(args.resume).resolve().parent == out.resolve() and (out / "history.csv").exists():
+            state.history = [h for h in read_history(out / "history.csv") if h.epoch < state.epoch]
     samples = _load_samples(args.dataset)
     _check_superpixels(config.target_superpixels, [s.image for s in samples])
     scenes, input_mean, input_std = training.prepare_dataset(samples, config.graph_config(), stats)
-    train_cfg = config.train_config()
-    state = training.init_state(config.layer_dims(), train_cfg)
-    if base_ckpt is not None:
-        state.model, state.beta = base_ckpt.model, base_ckpt.beta
-        state.epoch = base_ckpt.config.epochs
-    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     # one call at least, so that unary-only training pins beta even for 0 epochs
     for start in range(0, max(additional, 1), CHECKPOINT_EVERY):

@@ -125,24 +125,23 @@ class CrfInstance:
 
     The arrays are checked and stored read-only once, when the instance is
     built, along with the ragged block layout of the precision matrix (see
-    the module docstring).  Block ``i`` holds nodes ``block_starts[i]`` to
-    ``block_starts[i + 1] - 1``.  The blocks live in one flat buffer per
+    the module docstring).  Block ``i`` holds the nodes, and rows, in the
+    slice ``block_rows[i]``.  The blocks live in one flat buffer per
     factorization: piece ``2i`` is diagonal block i, of shape (w_i, w_i), and
     piece ``2i + 1`` the block just below it, of shape (w_{i+1}, w_i).
     ``block_pieces[k]`` holds piece ``k``'s start, end and shape; the last end
-    is the buffer's size.  ``block_rows[i]`` is block ``i``'s slice of rows.
-    ``node_slots[v]`` is the position of entry (v, v) in that buffer and
-    ``edge_slots[e]`` the position of edge ``e``'s entry (q, p).  With ``y``
-    given, ``y_sq_diffs[e]`` is (y_p - y_q)^2 on edge ``e``; every training
-    step reads the pairwise energy of y as ``couplings @ y_sq_diffs`` and
-    y' J_k y (see the module docstring) as ``similarities @ y_sq_diffs``.
+    is the buffer's size.  ``node_slots[v]`` is the position of entry (v, v)
+    in that buffer and ``edge_slots[e]`` the position of edge ``e``'s entry
+    (q, p).  With ``y`` given, ``y_sq_diffs[e]`` is (y_p - y_q)^2 on edge
+    ``e``; every training step reads the pairwise energy of y as
+    ``couplings @ y_sq_diffs`` and y' J_k y (see the module docstring) as
+    ``similarities @ y_sq_diffs``.
     """
 
     n: int
     similarities: np.ndarray
     edges: np.ndarray
     y: np.ndarray | None = None
-    block_starts: np.ndarray = field(init=False, repr=False, compare=False)
     node_slots: np.ndarray = field(init=False, repr=False, compare=False)
     edge_slots: np.ndarray = field(init=False, repr=False, compare=False)
     block_pieces: tuple = field(init=False, repr=False, compare=False)
@@ -180,8 +179,7 @@ class CrfInstance:
         at = np.arange(n) - starts[block]
         # an edge's blocks pb <= qb <= pb + 1 pick piece pb + qb; row q, column p
         pb, qb = block[p], block[q]
-        layout = dict(block_starts=starts,
-                      node_slots=offsets[2 * block] + at * (widths[block] + 1),
+        layout = dict(node_slots=offsets[2 * block] + at * (widths[block] + 1),
                       edge_slots=offsets[pb + qb] + at[q] * widths[pb] + at[p])
         y_sq_diffs = None if y is None else (y[p] - y[q]) ** 2
         for value in (*layout.values(), y_sq_diffs):
@@ -247,17 +245,13 @@ class Precision:
     blocks: np.ndarray
     pieces: list
 
-    @property
-    def n(self):
-        return self.instance.n
-
     def solve(self, rhs):
         """A^{-1} rhs for a vector or an (n, k) matrix, by block substitution:
         y_i = rhs_i - h_{i-1} y_{i-1} downward, then x_i = G_i y_i - h_i' x_{i+1}
         upward."""
         x = np.array(rhs, dtype=float)
-        if x.shape[:1] != (self.n,):
-            raise ValueError(f"rhs must have {self.n} rows")
+        if x.shape[:1] != (self.instance.n,):
+            raise ValueError(f"rhs must have {self.instance.n} rows")
         rows = self.instance.block_rows
         for i in range(1, len(rows)):
             x[rows[i]] -= self.h[i - 1] @ x[rows[i - 1]]
@@ -362,7 +356,7 @@ def _solved(instance, z, beta):
 
 
 def _log_partition(z, prec, u):
-    return 0.5 * prec.n * np.log(np.pi) - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
+    return 0.5 * prec.instance.n * np.log(np.pi) - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
 
 
 def log_partition(instance: CrfInstance, z, beta) -> float:

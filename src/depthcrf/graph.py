@@ -47,7 +47,9 @@ superpixels are exp(-gamma_k * ||f_p - f_q||_2) per feature channel, with
 ``gammas``, stored per edge: a (3, E) array whose column e belongs to row e
 of the (E, 2) edge list.  Patches and similarities are taken in blocks of
 about ``BLOCK_CELLS`` values, so their working set stays in cache whatever
-the superpixel count.
+the superpixel count.  ``build_graph`` runs all of the above and puts the
+edges, the similarities and the ground truth in the scene's one read-only
+``crf.CrfInstance``, which training and prediction use as given.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
+
+from .crf import CrfInstance
 
 LBP_BINS = 256
 NUM_CHANNELS = 3  # similarity channels: mean color, color histogram, LBP histogram
@@ -141,13 +145,17 @@ class SuperpixelFeatures:
 
 @dataclass
 class GraphData:
-    """A segmented scene: edges in canonical order, similarities (3, E) per edge."""
+    """A segmented scene: its labels, its superpixels' features and the
+    read-only CRF instance of its graph (edges in canonical order,
+    similarities (3, E) per edge, and the ground truth when there is one)."""
 
     labels: np.ndarray
-    centroids: np.ndarray
     features: SuperpixelFeatures
-    edges: np.ndarray
-    similarities: np.ndarray
+    instance: CrfInstance
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.instance.edges
 
 
 def _grid_labels(height, width, pitch):
@@ -560,15 +568,11 @@ def similarities(features: SuperpixelFeatures, cfg: GraphConfig, edges) -> np.nd
 
 
 def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
-    """Segment, describe and connect a scene in one call."""
+    """Segment, describe and connect a scene in one call; the instance's
+    ``y`` is ``features.gt_logdepth``, None when the sample has no depth."""
     labels, centroids = segment(sample.image, cfg)
     features = extract_features(sample, labels, centroids, cfg)
     edges = adjacency(labels)
-    sims = similarities(features, cfg, edges)
-    return GraphData(
-        labels=labels,
-        centroids=centroids,
-        features=features,
-        edges=edges,
-        similarities=sims,
-    )
+    instance = CrfInstance(n=len(features.patch), similarities=similarities(features, cfg, edges),
+                           edges=edges, y=features.gt_logdepth)
+    return GraphData(labels=labels, features=features, instance=instance)

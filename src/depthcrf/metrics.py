@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf, unary
-from .crf import CrfInstance
 from .formats import Checkpoint
 from .graph import GraphData, SceneSample, build_graph
 
@@ -109,8 +108,7 @@ def predict_graph(data: GraphData, ckpt: Checkpoint) -> np.ndarray:
     z, _ = unary.forward(ckpt.model, inputs)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("the regressor's output is not finite")
-    instance = CrfInstance(n=z.size, similarities=data.similarities, edges=data.edges)
-    depth = np.exp(crf.map_infer(instance, z, ckpt.beta))
+    depth = np.exp(crf.map_infer(data.instance, z, ckpt.beta))
     if not np.all((depth > 0.0) & (depth < np.inf)):
         raise FloatingPointError("a predicted depth is not finite and positive")
     return depth[data.labels]

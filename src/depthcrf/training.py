@@ -22,9 +22,9 @@ The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
 prediction and resumed training reproduce them.  Each prepared scene keeps
-its graph, per-edge (3, E) similarities and ground truth as one read-only
-``CrfInstance``, built and checked once; each step passes the regressor's
-``z`` to the CRF alongside it, so training builds no further instance.
+its graph, per-edge (3, E) similarities and ground truth as the read-only
+``CrfInstance`` that ``graph.build_graph`` built; each step passes the
+regressor's ``z`` to the CRF alongside it, so training builds no instance.
 """
 
 from __future__ import annotations
@@ -113,11 +113,9 @@ def input_stats(scenes) -> tuple[np.ndarray, np.ndarray]:
 def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
     """Segment and featurize one training sample; inputs stay raw here."""
     data = build_graph(sample, graph_cfg)
-    if data.features.gt_logdepth is None:
+    if data.instance.y is None:
         raise ValueError("training scenes need ground-truth depth")
-    y = data.features.gt_logdepth
-    instance = CrfInstance(n=y.size, similarities=data.similarities, edges=data.edges, y=y)
-    return PreparedScene(inputs=data.features.patch, instance=instance)
+    return PreparedScene(inputs=data.features.patch, instance=data.instance)
 
 
 def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):

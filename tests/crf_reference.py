@@ -73,8 +73,7 @@ def schur_blocks(instance, beta):
     Cholesky factor, and h_i = A_{i+1,i} G_i; blocks as in the instance's
     layout."""
     a, chol, _ = precision(instance, beta)
-    starts = instance.block_starts
-    rows = [slice(start, end) for start, end in zip(starts[:-1], starts[1:])]
+    rows = instance.block_rows
     g = [np.linalg.inv(chol[at, at] @ chol[at, at].T) for at in rows]
     h = [a[below, at] @ g_i for at, below, g_i in zip(rows, rows[1:], g)]
     return g, h

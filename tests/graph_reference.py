@@ -20,6 +20,7 @@ import numpy as np
 import scipy.ndimage
 
 from depthcrf import graph
+from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig, GraphData, SceneSample
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -180,7 +181,6 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)
     sims = similarities(features, cfg.gammas, edges)
-    return GraphData(
-        labels=labels, centroids=centroids, features=features, edges=edges,
-        similarities=sims,
-    )
+    instance = CrfInstance(n=len(centroids), similarities=sims, edges=edges,
+                           y=features.gt_logdepth)
+    return GraphData(labels=labels, features=features, instance=instance)

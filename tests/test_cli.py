@@ -238,6 +238,35 @@ def test_resume_continues_epoch_numbering(tmp_path, trained):
     assert read_checkpoint(resumed / "checkpoint.txt").config.epochs == 3
 
 
+def test_resume_in_place_keeps_the_earlier_history(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    run = train_run(tmp_path, data, "run", epochs=3)
+    history = (run / "history.csv").read_bytes()
+    shutil.copy(run / "checkpoint.txt", run / "epoch_3.txt")
+
+    def resume(checkpoint, *extra):
+        return main(["train", "--dataset", str(data), "--out", str(run),
+                     "--resume", str(run / checkpoint), *extra])
+
+    assert resume("checkpoint.txt") == 0
+    assert (run / "history.csv").read_bytes() == history
+    assert resume("checkpoint.txt", "--set", "epochs=2") == 0
+    assert [h.epoch for h in read_history(run / "history.csv")] == [0, 1, 2, 3, 4]
+    assert (run / "history.csv").read_bytes().startswith(history)
+    # rows past the resumed checkpoint's epochs belong to a run it did not make
+    assert resume("epoch_3.txt", "--set", "epochs=1") == 0
+    rows = (run / "history.csv").read_bytes().splitlines(keepends=True)
+    assert len(rows) == 5 and b"".join(rows[:4]) == history
+    # a malformed history stops the run before anything is written
+    (run / "history.csv").write_text("epoch,lr,mean_nll\n0,x,1\n")
+    checkpoint = (run / "checkpoint.txt").read_bytes()
+    capsys.readouterr()
+    assert resume("checkpoint.txt", "--set", "epochs=1") == 3
+    assert "malformed history row" in capsys.readouterr().err
+    assert (run / "checkpoint.txt").read_bytes() == checkpoint
+    assert (run / "history.csv").read_text() == "epoch,lr,mean_nll\n0,x,1\n"
+
+
 def test_periodic_checkpoints_every_ten_epochs(tmp_path):
     data = make_dataset(tmp_path)
     run = train_run(tmp_path, data, "run", epochs=23)

@@ -86,7 +86,7 @@ class TestValidation:
             inst.edges[0, 0] = 1
         with pytest.raises(ValueError):
             inst.y[0] = 1.0
-        for layout in (inst.block_starts, inst.node_slots, inst.edge_slots, inst.y_sq_diffs):
+        for layout in (inst.node_slots, inst.edge_slots, inst.y_sq_diffs):
             with pytest.raises(ValueError):
                 layout[0] = 0
 
@@ -325,9 +325,13 @@ def synth_instance(superpixels, seed):
     """A synth scene's graph at ``superpixels`` and z = truth plus noise."""
     sample = synth.generate(synth.SceneSpec(seed=seed))
     data = build_graph(sample, GraphConfig(target_superpixels=superpixels))
-    y = data.features.gt_logdepth
+    y = data.instance.y
     z = y + np.random.default_rng(61).normal(0.0, 0.3, size=y.size)
-    return CrfInstance(n=y.size, similarities=data.similarities, edges=data.edges, y=y), z
+    return data.instance, z
+
+
+def block_widths(inst):
+    return [rows.stop - rows.start for rows in inst.block_rows]
 
 
 class TestDenseReference:
@@ -344,13 +348,14 @@ class TestDenseReference:
         assert rel_err(crf.nll(inst, z, w), ref_value) < 1e-12
         assert rel_err(crf.map_infer(inst, z, w), crf_reference.map_infer(inst, z, w)) < 1e-12
         prec = crf.build_precision(inst, crf.coupling_matrix(inst, w))
-        starts, widths = inst.block_starts, np.diff(inst.block_starts)
-        assert starts[0] == 0 and widths.sum() == inst.n  # no padding rows
+        starts = [rows.start for rows in inst.block_rows]
+        widths = np.array(block_widths(inst))
+        assert starts == [0, *np.cumsum(widths)[:-1]] and widths.sum() == inst.n  # no padding rows
         block = np.searchsorted(starts, np.arange(inst.n), side="right") - 1
         assert np.isin(block[inst.edges[:, 1]] - block[inst.edges[:, 0]], [0, 1]).all()
         # the floor holds for every block; one that took in the tail is wider
         assert widths.min() >= min(crf.MIN_BLOCK, inst.n)
-        assert list(starts) == crf_reference.block_starts(inst.n, inst.edges, crf.MIN_BLOCK)
+        assert [*starts, inst.n] == crf_reference.block_starts(inst.n, inst.edges, crf.MIN_BLOCK)
         assert [g.shape for g in prec.g] == [(w, w) for w in widths]
         assert [h.shape for h in prec.h] == list(zip(widths[1:], widths[:-1]))
         _, ref_chol, ref_logdet = crf_reference.precision(inst, w)
@@ -393,7 +398,7 @@ class TestDenseReference:
 
     def test_ragged_blocks_cut_the_block_cost_at_2000_superpixels(self):
         inst, _ = synth_instance(2000, seed=5)
-        ragged = int(np.sum(np.diff(inst.block_starts) ** 3))
+        ragged = sum(w**3 for w in block_widths(inst))
         assert 2.5 * ragged <= crf_reference.uniform_block_cost(inst, crf.MIN_BLOCK)
 
     @pytest.mark.parametrize(
@@ -414,7 +419,7 @@ class TestDenseReference:
     def test_block_layouts(self, n, edges, widths):
         inst, z, w = edge_list_instance(np.random.default_rng(71), n, edges)
         self.assert_matches(inst, z, w)
-        assert np.diff(inst.block_starts).tolist() == widths
+        assert block_widths(inst) == widths
 
 
 def test_nll_with_grads_working_set_stays_small():

@@ -343,11 +343,21 @@ class TestBuildGraph:
         cfg = GraphConfig(target_superpixels=12, box_size=8, patch_dim=4)
         data = graph.build_graph(sample, cfg)
         count = data.labels.max() + 1
-        assert data.centroids.shape == (count, 2)
+        assert data.instance.n == count
         assert data.features.patch.shape == (count, 4 * 4 * 3)
         assert data.features.gt_logdepth.shape == (count,)
-        assert data.similarities.shape == (3, len(data.edges))
+        assert data.instance.similarities.shape == (3, len(data.edges))
+        assert data.edges is data.instance.edges
         assert np.all(data.edges < count)
+
+    def test_instance_holds_the_ground_truth(self):
+        sample = synth.generate(synth.SceneSpec(height=32, width=32, seed=3))
+        cfg = GraphConfig(target_superpixels=12, box_size=8, patch_dim=4)
+        data = graph.build_graph(sample, cfg)
+        y, truth = data.instance.y, data.features.gt_logdepth
+        assert y.dtype == truth.dtype and y.tobytes() == truth.tobytes()
+        sample.depth = None
+        assert graph.build_graph(sample, cfg).instance.y is None
 
     def test_periodic_shift_permutes_features(self):
         rng = np.random.default_rng(9)
@@ -395,8 +405,14 @@ class TestAgainstReferenceLoops:
             sample = synth.generate(spec)
             fast = graph.build_graph(sample, cfg)
             slow = graph_reference.build_graph(sample, cfg)
-            for name in ("labels", "centroids", "edges", "similarities"):
+            for name in ("labels", "edges"):
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+            for name in ("n", "similarities", "y"):
+                assert np.array_equal(getattr(fast.instance, name),
+                                      getattr(slow.instance, name)), name
+            # graph_reference.segment returns the centroids of its final labels
+            centroids = graph_reference.centroids(slow.labels, slow.instance.n)
+            assert np.array_equal(graph.segment(sample.image, cfg)[1], centroids), "centroids"
             for name in ("mean_color", "color_hist", "lbp_hist", "patch", "gt_logdepth"):
                 assert np.array_equal(
                     getattr(fast.features, name), getattr(slow.features, name)

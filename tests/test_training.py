@@ -66,7 +66,7 @@ class TestPreparation:
     def test_requires_depth(self):
         sample = synth.generate(SceneSpec(height=24, width=24))
         sample.depth = None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ground-truth depth"):
             training.prepare_scene(sample, GRAPH_CFG)
 
     def test_std_floor_on_constant_dimension(self):

@@ -67,7 +67,6 @@ class RunConfig:
     # superpixel graph
     target_superpixels: int = GraphConfig.target_superpixels
     compactness: float = GraphConfig.compactness
-    seg_mode: str = GraphConfig.seg_mode
     box_size: int = GraphConfig.box_size
     patch_dim: int = GraphConfig.patch_dim
     gamma_color: float = GraphConfig.gamma_color

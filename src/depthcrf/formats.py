@@ -268,7 +268,9 @@ def read_checkpoint(path) -> Checkpoint:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"{path}: malformed checkpoint: {exc}")
-    mapping.pop("c1_cap", None)  # a retired key that older checkpoints carry
+    mapping.pop("c1_cap", None)  # retired keys that older checkpoints carry
+    if (seg_mode := mapping.pop("seg_mode", "slic")) != "slic":
+        raise FormatError(f"{path}: seg_mode {seg_mode!r} is retired: segmentation is SLIC only")
     try:
         config = config_from_mapping(mapping)
     except ConfigError as exc:

@@ -1,11 +1,9 @@
 """From rasters to a superpixel graph with appearance features.
 
-``segment`` reads the ``GraphConfig`` fields ``target_superpixels``,
-``compactness`` and ``seg_mode``, one of two modes.  ``grid`` tiles the
-raster into near-equal rectangular blocks and is fully deterministic, which
-makes downstream tests exact.  ``slic`` runs a simplified local k-means in a
-5-D color+position space: seeds on a regular grid, at most ten
-assignment/update sweeps, distance
+``segment`` reads the ``GraphConfig`` fields ``target_superpixels`` and
+``compactness`` and runs SLIC, a simplified local k-means in a 5-D
+color+position space: seeds on a regular grid of near-equal rectangular
+blocks, at most ten assignment/update sweeps, distance
 
     d^2 = |rgb_p - rgb_c|^2 + (m / s)^2 |xy_p - xy_c|^2
 
@@ -33,8 +31,8 @@ Afterwards every superpixel is reduced to its largest 4-connected component
 found by one labelling pass over a doubled grid, and stray pieces are merged
 in label order, each into the most frequent label among its distinct
 adjacent pixels (the lowest on ties), so labels are connected; beyond that
-no connectivity enforcement happens.  Label ids are compacted to 0..n-1 and
-both modes are deterministic functions of their inputs.
+no connectivity enforcement happens.  Label ids are compacted to 0..n-1, and
+labels are a deterministic function of the image and the configuration.
 
 Per superpixel ``extract_features`` computes mean RGB, an L1-normalized
 color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
@@ -108,7 +106,6 @@ class GraphConfig:
 
     target_superpixels: int = 150
     compactness: float = 0.2
-    seg_mode: str = "slic"
     box_size: int = 24
     patch_dim: int = 8
     gamma_color: float = 2.0
@@ -122,8 +119,6 @@ class GraphConfig:
         # segment squares compactness / pitch, and its target <= H W keeps the pitch >= 1
         if not (self.compactness >= 0.0 and self.compactness * self.compactness < np.inf):
             raise ValueError("compactness must be nonnegative with a finite square")
-        if self.seg_mode not in ("grid", "slic"):
-            raise ValueError(f"seg_mode must be 'grid' or 'slic', not {self.seg_mode!r}")
         if not all(0.0 < g < np.inf for g in self.gammas):
             raise ValueError("gamma_color, gamma_hist and gamma_lbp must be finite and > 0")
 
@@ -400,12 +395,11 @@ def _update_centers(table, labels, centres):
 
 
 def segment(image, cfg: GraphConfig):
-    """Partition an image into about ``cfg.target_superpixels`` superpixels
-    by ``cfg.seg_mode`` at ``cfg.compactness``; returns (labels, centroids).
+    """Partition an image into about ``cfg.target_superpixels`` SLIC
+    superpixels at ``cfg.compactness``; returns (labels, centroids).
 
     One (row, col, r, g, b) pixel table, one row per pixel in raster order,
-    serves the seed grid's centroids, every sweep and the final centroids;
-    grid mode returns the seed grid.
+    serves the seed grid's centroids, every sweep and the final centroids.
     """
     image = np.asarray(image, dtype=float)
     height, width = image.shape[:2]
@@ -417,9 +411,6 @@ def segment(image, cfg: GraphConfig):
     pitch = np.sqrt(height * width / cfg.target_superpixels)
     seed_labels = _grid_labels(height, width, pitch)
     centers = _label_means(seed_labels, table[:, :2], seed_labels.max() + 1)
-    if cfg.seg_mode == "grid":
-        return seed_labels, centers
-
     # each seed's colour is sampled at the pixel its centroid rounds to
     pixels = np.clip(np.rint(centers).astype(int), 0, [height - 1, width - 1])
     centres = np.hstack([centers, image[pixels[:, 0], pixels[:, 1]]])

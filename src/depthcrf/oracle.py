@@ -35,19 +35,19 @@ MC_DRAWS = 100_000
 PERTURBATIONS = 1000
 
 
-def random_edges(rng, n, edge_prob: float = 0.6) -> np.ndarray:
-    """A random subset of the undirected pairs on ``n`` nodes."""
+def random_edges(rng, n) -> np.ndarray:
+    """The undirected pairs on ``n`` nodes, each kept with probability 0.6."""
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    chosen = [pq for pq in pairs if rng.random() < edge_prob]
+    chosen = [pq for pq in pairs if rng.random() < 0.6]
     if not chosen:
         return np.empty((0, 2), dtype=np.intp)
     return np.asarray(chosen, dtype=np.intp)
 
 
-def random_instance(rng, n, num_channels=3, edge_prob=0.6, with_y=True, beta=None):
+def random_instance(rng, n, num_channels=3, with_y=True, beta=None):
     """A valid random (instance, z, beta), for randomized cross-checks; unless
     given, ``beta`` holds one coefficient drawn from [0.1, 1.5) per channel."""
-    edges = random_edges(rng, n, edge_prob)
+    edges = random_edges(rng, n)
     # one row of channel similarities per edge, drawn in edge order
     sims = rng.uniform(0.05, 1.0, size=(len(edges), num_channels)).T
     z = rng.normal(0.0, 1.0, size=n)
@@ -113,11 +113,11 @@ def quad_log_partition(instance, z, beta, half_width=None, points=801):
     used here.  Gaussian integrands decay to numerically zero at the box
     ends, where the trapezoid rule converges superalgebraically, so modest
     point counts reach tolerances far beyond what the tests ask for.
-    Dimension is capped at 3; the grid would not fit in memory beyond that.
+    Dimension is capped at 2: at 3 the default grid alone would take 12 GB.
     """
     n = instance.n
-    if n > 3:
-        raise ValueError("quadrature oracle handles at most 3 nodes")
+    if n > 2:
+        raise ValueError("quadrature oracle handles at most 2 nodes")
     if points < 3:
         raise ValueError("need at least 3 quadrature points per axis")
     mean, cov = gaussian_params(instance, z, beta)

@@ -16,7 +16,9 @@ The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
 one call; both passes work in place on the arrays they create.  A model's
 layers are views of one flat vector, ``params``, and ``backward`` returns
-the gradient in its layout: SGD updates that vector.
+the gradient in its layout: SGD updates that vector.  Weight gradients sum
+their rows in chunks of ``GRAD_ROWS``, in order: OpenBLAS splits a longer
+contraction by thread count, which moves its last bits, and a shorter not.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 RELU = "relu"
 LOGISTIC = "logistic"
 LINEAR = "linear"
+GRAD_ROWS = 256
 
 
 def standard_activations(num_layers: int) -> tuple[str, ...]:
@@ -193,7 +196,10 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
             delta *= tape.posts[i]
             delta *= 1.0 - tape.posts[i]
         layer_in = tape.inputs if i == 0 else tape.posts[i - 1]
-        np.matmul(layer_in.T, delta, out=grads_w[i])
+        grad_w, rows = grads_w[i], GRAD_ROWS
+        np.matmul(layer_in[:rows].T, delta[:rows], out=grad_w)
+        for start in range(rows, len(delta), rows):
+            grad_w += layer_in[start : start + rows].T @ delta[start : start + rows]
         delta.sum(axis=0, out=grads_b[i])
         if i:
             delta = delta @ model.weights[i].T

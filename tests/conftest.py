@@ -1,8 +1,14 @@
 """Replays the acceptance criterion lines once capture is released, and
-reports the package's size in lines."""
+reports the package's size in lines and the run's BLAS thread setting,
+usable CPUs and numpy and scipy versions, on which criterion 9's timings
+and the thread-count test of the training gradient depend."""
 
+import os
 import sys
 from pathlib import Path
+
+import numpy
+import scipy
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "depthcrf"
 
@@ -16,5 +22,9 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
     counts = {path.stem: path.read_bytes().count(b"\n") for path in sorted(PACKAGE.glob("*.py"))}
     modules = ", ".join(f"{name} {count}" for name, count in counts.items())
-    terminalreporter.section("size")
+    terminalreporter.section("size and environment")
     terminalreporter.write_line(f"src/depthcrf: {sum(counts.values())} lines ({modules})")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    terminalreporter.write_line(
+        f"environment: OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+        f"{cpus} usable CPUs, numpy {numpy.__version__}, scipy {scipy.__version__}")

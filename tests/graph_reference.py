@@ -105,12 +105,9 @@ def enforce_connectivity(labels, count):
     return compacted.reshape(final.shape), ids.size
 
 
-def segment(image, target_n, compactness=0.2, mode="slic", iters=10):
+def segment(image, target_n, compactness=0.2, iters=10):
     """``graph.segment`` with the per-centre sweep and per-label repair."""
     image = np.asarray(image, dtype=float)
-    if mode != "slic":
-        cfg = GraphConfig(target_superpixels=target_n, compactness=compactness, seg_mode=mode)
-        return graph.segment(image, cfg)
     height, width = image.shape[:2]
     pitch = np.sqrt(height * width / target_n)
     seed_labels = graph._grid_labels(height, width, pitch)
@@ -174,9 +171,7 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     Mean colour, histograms, LBP and edges come from the unchanged ``graph``
     functions applied to the reference labels.
     """
-    labels, centroids = segment(
-        sample.image, cfg.target_superpixels, cfg.compactness, cfg.seg_mode
-    )
+    labels, centroids = segment(sample.image, cfg.target_superpixels, cfg.compactness)
     features = graph.extract_features(sample, labels, centroids, cfg)
     features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)

@@ -346,6 +346,39 @@ def test_predict_rejects_checkpoint_gammas_differing_from_config(tmp_path, train
     assert not (tmp_path / "p.txt").exists()
 
 
+def _with_seg_mode(checkpoint, mode, path):
+    """``checkpoint`` as older versions wrote it: with a ``CONFIG seg_mode``
+    line after ``compactness``."""
+    text, count = re.subn(r"(CONFIG compactness .*\n)", rf"\1CONFIG seg_mode {mode}\n",
+                          checkpoint.read_text())
+    assert count == 1 and "seg_mode" not in checkpoint.read_text()
+    path.write_text(text)
+    return path
+
+
+def test_checkpoint_recording_seg_mode_slic_predicts_the_same_raster(tmp_path, trained):
+    data, checkpoint = trained
+    older = _with_seg_mode(checkpoint, "slic", tmp_path / "older.txt")
+    rasters = []
+    for ckpt in (checkpoint, older):
+        out = tmp_path / f"depth_from_{ckpt.name}"
+        rc = main(["predict", "--checkpoint", str(ckpt),
+                   "--image", str(data / "img_0000.ppm"), "--out", str(out)])
+        assert rc == 0
+        rasters.append(out.read_bytes())
+    assert rasters[0] == rasters[1]
+
+
+def test_checkpoint_recording_seg_mode_grid_exits_3(tmp_path, capsys, trained):
+    data, checkpoint = trained
+    older = _with_seg_mode(checkpoint, "grid", tmp_path / "grid.txt")
+    rc = main(["predict", "--checkpoint", str(older),
+               "--image", str(data / "img_0000.ppm"), "--out", str(tmp_path / "p.txt")])
+    assert rc == 3
+    assert "seg_mode 'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
 # (pattern, replacement) edits of a FAST checkpoint: hidden width 8, input width 48
 INCONSISTENT_CHECKPOINTS = {
     "activations": (r"ACTIVATIONS .*", "ACTIVATIONS relu relu linear"),
@@ -522,7 +555,7 @@ def test_superpixel_count_above_the_pixel_count_exits_2(tmp_path, capsys, traine
 
 
 @pytest.mark.parametrize("bad", ["box_size=0", "patch_dim=0", "target_superpixels=0",
-                                 "gamma_color=0", "seg_mode=watershed"])
+                                 "gamma_color=0", "seg_mode=watershed", "seg_mode=slic"])
 def test_bad_graph_keys_exit_2_before_writing(tmp_path, capsys, trained, bad):
     data, _ = trained
     bad_set = [*FAST, "--set", bad]

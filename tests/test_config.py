@@ -15,7 +15,7 @@ RECORDS = {"scene_spec": SceneSpec, "graph_config": GraphConfig, "train_config":
 KEY_ORDER = [
     "height", "width", "num_planes", "depth_min", "depth_max", "texture", "noise_sigma",
     "count", "seed",
-    "target_superpixels", "compactness", "seg_mode", "box_size", "patch_dim",
+    "target_superpixels", "compactness", "box_size", "patch_dim",
     "gamma_color", "gamma_hist", "gamma_lbp", "use_centroid_depth",
     "hidden_dims",
     "momentum", "lambda1", "lambda2", "lr0", "lr_decay", "lr_decay_every", "epochs",

@@ -17,9 +17,18 @@ def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
     return SceneSample(image=image, depth=np.full((height, width), depth))
 
 
-def config(target, mode="slic", **fields):
-    """A ``GraphConfig`` for ``target`` superpixels in ``mode``."""
-    return GraphConfig(target_superpixels=target, seg_mode=mode, **fields)
+def config(target, **fields):
+    """A ``GraphConfig`` for ``target`` superpixels."""
+    return GraphConfig(target_superpixels=target, **fields)
+
+
+def grid_segment(image, target):
+    """(labels, centroids) of the near-equal blocks that ``graph.segment``
+    seeds SLIC from: superpixels whose features can be worked out by hand."""
+    height, width = image.shape[:2]
+    labels = graph._grid_labels(height, width, np.sqrt(height * width / target))
+    coords = np.indices((height, width)).reshape(2, -1).T
+    return labels, graph._label_means(labels, coords, labels.max() + 1)
 
 
 def pixel_table(image):
@@ -74,7 +83,7 @@ class TestSceneSample:
 class TestGridSegmentation:
     def test_four_blocks_on_ten_by_ten(self):
         image = np.zeros((10, 10, 3))
-        labels, centroids = graph.segment(image, config(4, "grid"))
+        labels, centroids = grid_segment(image, 4)
         expected = np.zeros((10, 10), dtype=int)
         expected[:5, 5:] = 1
         expected[5:, :5] = 2
@@ -83,18 +92,13 @@ class TestGridSegmentation:
         assert np.allclose(centroids, [[2, 2], [2, 7], [7, 2], [7, 7]])
 
     def test_labels_are_contiguous_ids(self):
-        labels, _ = graph.segment(np.zeros((13, 17, 3)), config(7, "grid"))
+        labels, _ = grid_segment(np.zeros((13, 17, 3)), 7)
         ids = np.unique(labels)
         assert np.array_equal(ids, np.arange(ids.size))
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            graph.segment(np.zeros((4, 4, 3)), config(17, "grid"))
-
-    def test_rejects_unknown_mode(self):
-        # the mode is checked where the config is built, before segment runs
-        with pytest.raises(ValueError):
-            graph.segment(np.zeros((4, 4, 3)), config(2, "watershed"))
+            graph.segment(np.zeros((4, 4, 3)), config(17))
 
 
 class TestSlicSegmentation:
@@ -139,7 +143,7 @@ class TestSlicSegmentation:
 
 class TestAdjacency:
     def test_grid_two_by_two(self):
-        labels, _ = graph.segment(np.zeros((10, 10, 3)), config(4, "grid"))
+        labels, _ = grid_segment(np.zeros((10, 10, 3)), 4)
         edges = graph.adjacency(labels)
         assert edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
@@ -187,7 +191,7 @@ class TestLbp:
 class TestFeatures:
     def test_constant_scene_features(self):
         sample = flat_scene(depth=3.0)
-        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        labels, centroids = grid_segment(sample.image, 4)
         feats = graph.extract_features(sample, labels, centroids,
                                        GraphConfig(box_size=4, patch_dim=2))
         assert np.allclose(feats.mean_color, [0.4, 0.6, 0.2])
@@ -259,7 +263,7 @@ class TestFeatures:
     def test_centroid_depth_option(self):
         sample = flat_scene(height=8, width=8)
         sample.depth = np.linspace(1.0, 3.0, 64).reshape(8, 8)
-        labels, centroids = graph.segment(sample.image, config(1, "grid"))
+        labels, centroids = grid_segment(sample.image, 1)
         mean_route = graph.extract_features(sample, labels, centroids,
                                             GraphConfig(box_size=4, patch_dim=2))
         at_centre = GraphConfig(box_size=4, patch_dim=2, use_centroid_depth=True)
@@ -271,7 +275,7 @@ class TestFeatures:
         # at floor(2.5 + 0.5) = 3, not at rint(2.5) = 2
         sample = flat_scene(height=6, width=6)
         sample.depth = np.arange(1.0, 37.0).reshape(6, 6)
-        labels, centroids = graph.segment(sample.image, config(1, "grid"))
+        labels, centroids = grid_segment(sample.image, 1)
         assert np.array_equal(centroids, [[2.5, 2.5]])
         center_route = graph.extract_features(sample, labels, centroids, at_centre)
         assert np.array_equal(center_route.gt_logdepth, np.log([sample.depth[3, 3]]))
@@ -279,7 +283,7 @@ class TestFeatures:
     def test_missing_depth_gives_no_targets(self):
         sample = flat_scene()
         sample.depth = None
-        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        labels, centroids = grid_segment(sample.image, 4)
         feats = graph.extract_features(sample, labels, centroids,
                                        GraphConfig(box_size=4, patch_dim=2))
         assert feats.gt_logdepth is None
@@ -290,7 +294,7 @@ class TestSimilarities:
         rng = np.random.default_rng(seed)
         image = np.clip(rng.normal(0.5, 0.2, (24, 24, 3)), 0, 1)
         sample = SceneSample(image=image, depth=np.full((24, 24), 2.0))
-        labels, centroids = graph.segment(image, config(9, "grid"))
+        labels, centroids = grid_segment(image, 9)
         feats = graph.extract_features(sample, labels, centroids,
                                        GraphConfig(box_size=6, patch_dim=3))
         edges = graph.adjacency(labels)
@@ -306,7 +310,7 @@ class TestSimilarities:
 
     def test_identical_features_give_unit_similarity(self):
         sample = flat_scene()
-        labels, centroids = graph.segment(sample.image, config(4, "grid"))
+        labels, centroids = grid_segment(sample.image, 4)
         feats = graph.extract_features(sample, labels, centroids,
                                        GraphConfig(box_size=4, patch_dim=2))
         edges = graph.adjacency(labels)
@@ -325,7 +329,7 @@ class TestSimilarities:
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(seg_mode="watershed"),
+    [dict(target_superpixels=0), dict(box_size=0), dict(patch_dim=-1), dict(compactness=-1.0),
      dict(gamma_hist=0.0), dict(gamma_hist=np.inf), dict(gamma_color=np.nan),
      dict(gamma_lbp=-1.0), dict(compactness=1e200), dict(compactness=np.inf),
      dict(compactness=np.nan)],
@@ -370,7 +374,7 @@ class TestBuildGraph:
 
         def features_of(img, dep):
             sample = SceneSample(image=img, depth=dep)
-            labels, centroids = graph.segment(img, config(25, "grid"))
+            labels, centroids = grid_segment(img, 25)
             return graph.extract_features(sample, labels, centroids,
                                           GraphConfig(box_size=3, patch_dim=3))
 
@@ -397,10 +401,9 @@ REFERENCE_CORPUS = [
 class TestAgainstReferenceLoops:
     """The blocked front end against the loop-per-item versions it replaced."""
 
-    @pytest.mark.parametrize("mode", ["slic", "grid"])
-    @pytest.mark.parametrize("target", [150, 700, 2000])
-    def test_graph_matches_reference(self, target, mode):
-        cfg = GraphConfig(target_superpixels=target, seg_mode=mode)
+    @pytest.mark.parametrize("target", [150, 700, 2000], ids="{}-slic".format)
+    def test_graph_matches_reference(self, target):
+        cfg = GraphConfig(target_superpixels=target)
         for spec in REFERENCE_CORPUS:
             sample = synth.generate(spec)
             fast = graph.build_graph(sample, cfg)

@@ -106,7 +106,7 @@ class TestEvaluate:
 
 def make_checkpoint(beta, seed=0, **keys):
     """An affine regressor (no hidden layers) with identity input scaling."""
-    keys = dict(target_superpixels=9, seg_mode="grid", box_size=6, patch_dim=3) | keys
+    keys = dict(target_superpixels=9, box_size=6, patch_dim=3) | keys
     config = RunConfig(hidden_dims=(), **keys)
     dim = config.layer_dims()[0]
     return Checkpoint(
@@ -140,7 +140,7 @@ class TestPrediction:
     def test_strong_coupling_reduces_within_region_variance(self):
         spec = SceneSpec(height=48, width=48, num_planes=2, seed=6)
         sample, regions = synth.generate_with_regions(spec)
-        keys = dict(target_superpixels=36, seg_mode="slic", box_size=8, patch_dim=4)
+        keys = dict(target_superpixels=36, box_size=8, patch_dim=4)
         rough = make_checkpoint(np.zeros(3), seed=7, **keys)
         smooth = make_checkpoint(np.full(3, 50.0), seed=7, **keys)
         rough_raster = metrics.predict_image(sample, rough)

@@ -1,5 +1,10 @@
 """The SGD loop: objective accounting, updates, schedules, baselines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,7 @@ from depthcrf.training import TrainConfig
 
 from testutil import rel_err
 
-GRAPH_CFG = GraphConfig(target_superpixels=9, seg_mode="grid", box_size=6, patch_dim=3)
+GRAPH_CFG = GraphConfig(target_superpixels=9, box_size=6, patch_dim=3)
 DIMS = (27, 8, 4, 1)
 
 
@@ -287,3 +292,35 @@ class TestUnaryOnly:
         expected = float(np.sum((scenes[0].instance.y - z) ** 2))
         expected += 0.5 * scenes[0].instance.n * np.log(np.pi)
         assert rel_err(loss, expected) < 1e-9
+
+
+# one training gradient on a 700-superpixel scene: n = 676 nodes, three
+# ``unary.GRAD_ROWS`` chunks of the weight gradients' contraction
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from depthcrf import crf, synth, training, unary
+from depthcrf.graph import GraphConfig
+
+sample = synth.generate(synth.SceneSpec(seed=31))
+(scene,), _, _ = training.prepare_dataset([sample], GraphConfig(target_superpixels=700))
+model = unary.build_model((scene.inputs.shape[1], 32, 16, 1), seed=0)
+z, tape = unary.forward(model, scene.inputs)
+_, grad_z, grad_beta = crf.nll_with_grads(scene.instance, z, np.full(3, 0.5))
+grad_theta = unary.backward(model, tape, grad_z)
+blob = b"".join(g.tobytes() for g in (grad_z, grad_beta, grad_theta))
+print(scene.instance.n, hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_gradient_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count when numpy loads: one process per count
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(training.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].split()[0]) > 2 * unary.GRAD_ROWS

@@ -48,7 +48,7 @@ from .formats import (
     write_ppm,
     write_table,
 )
-from .graph import SceneSample
+from .graph import SceneSample, map_scenes
 
 CHECKPOINT_EVERY = 10
 
@@ -104,18 +104,21 @@ def _out_dir(args, config) -> Path:
     return Path(args.out if args.out is not None else utf8_path(config.out_dir))
 
 
+def _write_sample(idx, spec, seed, out) -> tuple:
+    """Generate sample ``idx`` of dataset ``seed``, write its two files; its manifest row."""
+    sample = synth.generate_sample(spec, seed, idx)
+    img_name, dep_name = f"img_{idx:04d}.ppm", f"depth_{idx:04d}.txt"
+    write_ppm(out / img_name, sample.image)
+    write_depth_raster(out / dep_name, sample.depth)
+    return img_name, dep_name, synth.sample_seed(seed, idx)
+
+
 def cmd_synth(args) -> int:
+    """Write the samples, spread over the usable CPUs by ``map_scenes``, then the manifest."""
     config = config_from_mapping(_collect_overrides(args))
-    samples = synth.generate_dataset(config.scene_spec(), config.count, config.seed)
     out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for idx, sample in enumerate(samples):
-        img_name = f"img_{idx:04d}.ppm"
-        dep_name = f"depth_{idx:04d}.txt"
-        write_ppm(out / img_name, sample.image)
-        write_depth_raster(out / dep_name, sample.depth)
-        rows.append((img_name, dep_name, synth.sample_seed(config.seed, idx)))
+    rows = map_scenes(_write_sample, range(config.count), config.scene_spec(), config.seed, out)
     write_manifest(out / "manifest.txt", rows)
     print(f"wrote {len(rows)} samples to {out}")
     return 0
@@ -177,13 +180,14 @@ _EVAL_COLUMNS = ("mask", "rel", "rms", "log10", "delta1", "delta2", "delta3", "p
 
 
 def cmd_eval(args) -> int:
+    """Pooled metrics over a dataset, predicted over the usable CPUs by ``map_scenes``."""
     ckpt = read_checkpoint(args.checkpoint)
     samples = _load_samples(args.dataset)
     _check_superpixels(ckpt.config.target_superpixels, [s.image for s in samples])
     truths = [s.depth for s in samples]
     if args.c1_cap is not None and not any(np.any(gt < args.c1_cap) for gt in truths):
         raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
-    predictions = [metrics.predict_image(s, ckpt) for s in samples]
+    predictions = map_scenes(metrics.predict_image, samples, ckpt)
     reports = metrics.evaluate(predictions, truths, args.c1_cap)
     if args.out is not None:  # report fields are in column order
         write_table(args.out, _EVAL_COLUMNS,
@@ -251,7 +255,7 @@ def sweep_point(config, train_samples, test_samples) -> tuple[float, float]:
     state = training.train(scenes, train_cfg, training.init_state(config.layer_dims(), train_cfg))
     seconds = time.perf_counter() - started
     ckpt = _checkpoint_of(config, state, input_mean, input_std)
-    predictions = [metrics.predict_image(s, ckpt) for s in test_samples]
+    predictions = map_scenes(metrics.predict_image, test_samples, ckpt)
     return metrics.evaluate(predictions, [s.depth for s in test_samples])["all"].rms, seconds
 
 

@@ -193,6 +193,9 @@ class CrfInstance:
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):  # unpickling checks and freezes the arrays as building does
+        return CrfInstance, (self.n, self.similarities, self.edges, self.y)
+
     @property
     def num_channels(self):
         return self.similarities.shape[0]

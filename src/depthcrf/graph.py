@@ -48,10 +48,13 @@ about ``BLOCK_CELLS`` values, so their working set stays in cache whatever
 the superpixel count.  ``build_graph`` runs all of the above and puts the
 edges, the similarities and the ground truth in the scene's one read-only
 ``crf.CrfInstance``, which training and prediction use as given.
+``map_scenes`` spreads such per-scene work over the usable CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -567,3 +570,54 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     instance = CrfInstance(n=len(features.patch), similarities=similarities(features, cfg, edges),
                            edges=edges, y=features.gt_logdepth)
     return GraphData(labels=labels, features=features, instance=instance)
+
+
+def map_scenes(fn, items, *args) -> list:
+    """``[fn(item, *args) for item in items]``, or its first failing item's exception.
+
+    With w = min(usable CPUs, items) >= 2, ``w - 1`` forked children take items
+    ``k::w`` and pipe their pickled results back while this process takes ``0::w``;
+    below 2, or without ``os.sched_getaffinity`` (not Linux), nothing forks.  A
+    child leaves through ``os._exit``, one that sends nothing raises OSError, and
+    all are reaped before this returns or raises."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers < 2:
+        return [fn(item, *args) for item in items]
+    children = []
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(_share(fn, items[k::workers], args), protocol=5))
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        shares = [_share(fn, items[0::workers], args)]
+        for pid, pipe in children:
+            if not (blob := pipe.read()):
+                raise OSError(f"scene worker {pid} exited without returning its results")
+            shares.append(pickle.loads(blob))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    errors = [(k + workers * len(done), exc) for k, (done, exc) in enumerate(shares) if exc]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(items))]
+
+
+def _share(fn, items, args):
+    """``fn`` over ``items`` in order, up to the first error: (results, exception or None)."""
+    results = []
+    try:
+        for item in items:
+            results.append(fn(item, *args))
+    except Exception as exc:
+        return results, exc
+    return results, None

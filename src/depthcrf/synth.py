@@ -152,11 +152,13 @@ def sample_seed(dataset_seed: int, index: int) -> int:
     return dataset_seed * 1_000_003 + index
 
 
+def generate_sample(template: SceneSpec, seed: int, index: int) -> SceneSample:
+    """Sample ``index`` of the dataset ``seed``: ``template`` at that sample's seed."""
+    return generate(replace(template, seed=sample_seed(seed, index)))
+
+
 def generate_dataset(template: SceneSpec, count: int, seed: int) -> list[SceneSample]:
     """Deterministic list of samples with per-sample seeds from (seed, index)."""
     if count < 1:
         raise ValueError("dataset needs at least one sample")
-    return [
-        generate(replace(template, seed=sample_seed(seed, index)))
-        for index in range(count)
-    ]
+    return [generate_sample(template, seed, index) for index in range(count)]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import crf, unary
 from .crf import CrfInstance, FactorizationError
-from .graph import NUM_CHANNELS, GraphConfig, build_graph
+from .graph import NUM_CHANNELS, GraphConfig, build_graph, map_scenes
 
 STD_FLOOR = 1e-8
 
@@ -119,9 +119,10 @@ def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
 
 
 def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
-    """Prepared scenes and the (mean, std) that standardized their inputs:
-    ``stats`` when training resumes a model, else computed from these scenes."""
-    scenes = [prepare_scene(sample, graph_cfg) for sample in samples]
+    """Prepared scenes, built over the usable CPUs by ``graph.map_scenes``, and
+    the (mean, std) that standardized their inputs: ``stats`` when training
+    resumes a model, else computed from these scenes."""
+    scenes = map_scenes(prepare_scene, samples, graph_cfg)
     mean, std = input_stats(scenes) if stats is None else stats
     for scene in scenes:
         scene.inputs = (scene.inputs - mean) / std

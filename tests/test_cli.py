@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import depthcrf
-from depthcrf import cli, crf, metrics
+from depthcrf import cli, crf, metrics, training
 from depthcrf.config import ConfigError
 from depthcrf.cli import main
 from depthcrf.formats import (
@@ -28,7 +28,7 @@ from depthcrf.formats import (
     write_ppm,
 )
 from depthcrf.graph import SceneSample
-from testutil import corruptions
+from testutil import assert_no_children, corruptions, use_cpus
 
 # small scenes and graphs keep each command fast enough for the suite
 FAST = [
@@ -83,6 +83,51 @@ def test_synth_rerun_is_byte_identical(tmp_path):
     second = make_dataset(tmp_path / "b")
     for name in sorted(p.name for p in first.iterdir()):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_synth_write_failure_in_a_child_exits_3_naming_the_file(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    out = tmp_path / "data"
+    (out / "depth_0001.txt").mkdir(parents=True)  # sample 1 is the child's, and a directory
+    rc = main(["synth", "--out", str(out), "--set", "count=3", *FAST])  # cannot be replaced
+    assert rc == 3
+    assert "depth_0001.txt" in capsys.readouterr().err
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert not (out / "manifest.txt").exists()
+    assert_no_children()
+
+
+def test_eval_exits_3_when_a_scene_worker_dies(tmp_path, capsys, monkeypatch, trained):
+    data, checkpoint = trained
+    parent, predict = os.getpid(), metrics.predict_image
+    monkeypatch.setattr(metrics, "predict_image",
+                        lambda *a: predict(*a) if os.getpid() == parent else os._exit(0))
+    use_cpus(monkeypatch, 2)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data)]) == 3
+    assert "exited without returning its results" in capsys.readouterr().err
+    assert_no_children()
+
+
+def test_one_and_two_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch):
+    """synth files, prepared scenes and their standardization, checkpoints and eval tables."""
+    runs = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        root = tmp_path / f"cpus_{cpus}"
+        data = make_dataset(root, count=3)
+        checkpoint = train_run(root, data, "run", epochs=2) / "checkpoint.txt"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data),
+                     "--out", str(root / "eval.csv")]) == 0
+        graph_cfg = read_checkpoint(checkpoint).config.graph_config()
+        scenes, mean, std = training.prepare_dataset(cli._load_samples(data), graph_cfg)
+        arrays = [mean, std, *(a for s in scenes for a in (s.inputs, s.instance.similarities,
+                                                           s.instance.edges, s.instance.y))]
+        files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        printed = capsys.readouterr().out.replace(str(root), "ROOT")
+        runs.append((files, [a.tobytes() for a in arrays], printed))
+        assert_no_children()
+    # two files per sample, the manifest, checkpoint, history and eval table
+    assert len(runs[0][0]) == 3 * 2 + 4 and runs[0] == runs[1]
 
 
 def test_synth_bad_config_key_exits_2_without_writing(tmp_path, capsys):

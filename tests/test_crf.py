@@ -1,6 +1,7 @@
 """Closed-form CRF quantities against hand values, brute-force oracles and the
 dense-stack reference route."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from depthcrf.graph import GraphConfig, build_graph
 
 import crf_reference
 from testutil import (
+    assert_read_only,
     no_edge_instance,
     permute_instance,
     random_instance,
@@ -80,15 +82,21 @@ class TestValidation:
 
     def test_instance_arrays_are_read_only(self):
         inst, _, _ = random_instance(np.random.default_rng(0), n=4)
-        with pytest.raises(ValueError):
-            inst.similarities[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            inst.edges[0, 0] = 1
-        with pytest.raises(ValueError):
-            inst.y[0] = 1.0
-        for layout in (inst.node_slots, inst.edge_slots, inst.y_sq_diffs):
-            with pytest.raises(ValueError):
-                layout[0] = 0
+        assert_read_only(inst)
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_unpickling_checks_and_freezes_the_instance(self, protocol):
+        inst, _, _ = random_instance(np.random.default_rng(0), n=4)
+        copy = pickle.loads(pickle.dumps(inst, protocol=protocol))
+        assert_read_only(copy)
+        for name in ("similarities", "edges", "y", "node_slots", "edge_slots", "y_sq_diffs"):
+            assert getattr(copy, name).tobytes() == getattr(inst, name).tobytes()
+        assert copy.block_pieces == inst.block_pieces and copy.block_rows == inst.block_rows
+        tampered = inst.similarities.copy()
+        tampered[0, 0] = 1.5
+        object.__setattr__(inst, "similarities", tampered)
+        with pytest.raises(ValueError, match="similarities must lie in"):
+            pickle.loads(pickle.dumps(inst, protocol=protocol))
 
     @ENTRY_POINTS
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Segmentation, adjacency, per-superpixel features and similarity kernels."""
 
+import os
 import tracemalloc
 
 import graph_reference
@@ -10,6 +11,7 @@ import scipy.ndimage
 from depthcrf import graph, synth
 from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig, SceneSample
+from testutil import assert_no_children, use_cpus
 
 
 def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
@@ -856,3 +858,57 @@ def test_graph_working_set_stays_small_at_2000_superpixels():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _square(item, offset=0):
+    return item * item + offset
+
+
+def _fail_at(failing):
+    def fn(item):
+        if item in failing:
+            raise ValueError(f"item {item}")
+        return item
+    return fn
+
+
+def _die_in_children(how):
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(0)
+            raise {"system-exit": SystemExit(0), "interrupt": KeyboardInterrupt()}[how]
+        return item
+    return fn
+
+
+class TestMapScenes:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_results_are_the_serial_loops(self, monkeypatch, cpus, count):
+        use_cpus(monkeypatch, cpus)
+        assert graph.map_scenes(_square, range(count), 3) == [i * i + 3 for i in range(count)]
+        assert_no_children()
+
+    def test_one_item_never_forks(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
+        assert graph.map_scenes(_square, [4]) == [16]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("failing", [{1, 2}, {0, 1}, {2, 3}, {1, 3}, {3}, {4}],
+                             ids=str)
+    def test_the_first_failing_item_raises(self, monkeypatch, cpus, failing):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=f"^item {min(failing)}$"):
+            graph.map_scenes(_fail_at(failing), list(range(5)))
+        assert_no_children()
+
+    @pytest.mark.parametrize("how", ["exit", "system-exit", "interrupt"])
+    def test_a_child_that_returns_nothing_is_an_error(self, monkeypatch, how):
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match="exited without returning its results"):
+            graph.map_scenes(_die_in_children(how), list(range(4)))
+        assert_no_children()

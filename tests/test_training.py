@@ -14,7 +14,7 @@ from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
 from depthcrf.training import TrainConfig
 
-from testutil import rel_err
+from testutil import assert_no_children, assert_read_only, rel_err, use_cpus
 
 GRAPH_CFG = GraphConfig(target_superpixels=9, box_size=6, patch_dim=3)
 DIMS = (27, 8, 4, 1)
@@ -73,6 +73,22 @@ class TestPreparation:
         sample.depth = None
         with pytest.raises(ValueError, match="ground-truth depth"):
             training.prepare_scene(sample, GRAPH_CFG)
+
+    def test_scenes_from_two_workers_are_checked_and_read_only(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        scenes = tiny_scenes(count=3)
+        assert_no_children()
+        for scene in scenes:
+            assert_read_only(scene.instance)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_depthless_sample_raises_the_serial_error(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        samples = synth.generate_dataset(SceneSpec(height=24, width=24), count=4, seed=0)
+        samples[1].depth = samples[3].depth = None  # each handled by the child with 2 CPUs
+        with pytest.raises(ValueError, match="^training scenes need ground-truth depth$"):
+            training.prepare_dataset(samples, GRAPH_CFG)
+        assert_no_children()
 
     def test_std_floor_on_constant_dimension(self):
         class Fake:

@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite: instance factories, error measures and
-seeded file corruptions."""
+"""Shared helpers for the test suite: instance factories, error measures,
+seeded file corruptions and the usable-CPU count that spreads scene work."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from depthcrf.crf import CrfInstance
 from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
@@ -63,3 +66,27 @@ def corruptions(blob: bytes, rng, count: int):
             yield b"".join(lines[:line] + lines[line + 1 :])
         else:
             yield b"".join(lines[: line + 1] + lines[line:])
+
+
+def assert_read_only(inst) -> None:
+    """Every array an instance stores refuses writes."""
+    with pytest.raises(ValueError):
+        inst.similarities[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        inst.edges[0, 0] = 1
+    with pytest.raises(ValueError):
+        inst.y[0] = 1.0
+    for layout in (inst.node_slots, inst.edge_slots, inst.y_sq_diffs):
+        with pytest.raises(ValueError):
+            layout[0] = 0
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make ``graph.map_scenes`` see ``count`` usable CPUs; no real affinity changes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_children() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

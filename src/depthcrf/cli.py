@@ -180,14 +180,14 @@ _EVAL_COLUMNS = ("mask", "rel", "rms", "log10", "delta1", "delta2", "delta3", "p
 
 
 def cmd_eval(args) -> int:
-    """Pooled metrics over a dataset, predicted over the usable CPUs by ``map_scenes``."""
+    """Pooled metrics over a dataset; its images are predicted one at a time."""
     ckpt = read_checkpoint(args.checkpoint)
     samples = _load_samples(args.dataset)
     _check_superpixels(ckpt.config.target_superpixels, [s.image for s in samples])
     truths = [s.depth for s in samples]
     if args.c1_cap is not None and not any(np.any(gt < args.c1_cap) for gt in truths):
         raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
-    predictions = map_scenes(metrics.predict_image, samples, ckpt)
+    predictions = [metrics.predict_image(s, ckpt) for s in samples]
     reports = metrics.evaluate(predictions, truths, args.c1_cap)
     if args.out is not None:  # report fields are in column order
         write_table(args.out, _EVAL_COLUMNS,
@@ -255,7 +255,7 @@ def sweep_point(config, train_samples, test_samples) -> tuple[float, float]:
     state = training.train(scenes, train_cfg, training.init_state(config.layer_dims(), train_cfg))
     seconds = time.perf_counter() - started
     ckpt = _checkpoint_of(config, state, input_mean, input_std)
-    predictions = map_scenes(metrics.predict_image, test_samples, ckpt)
+    predictions = [metrics.predict_image(s, ckpt) for s in test_samples]
     return metrics.evaluate(predictions, [s.depth for s in test_samples])["all"].rms, seconds
 
 

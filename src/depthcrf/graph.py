@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -572,44 +573,69 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     return GraphData(labels=labels, features=features, instance=instance)
 
 
+# Each child adds its own working memory: the peak PSS of the process and its
+# children rose 10-12% with 2 processes and 17-32% with 4 (BENCH_30.json).
+# The cap also bounds the forks where the affinity mask is wider than a CPU quota.
+MAX_WORKERS = 2
+# From Python 3.12 ``os.fork`` warns in a process with more than one thread,
+# such as BLAS's; a pytest run with ``filterwarnings = error`` would fail on it.
+FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
+
+
 def map_scenes(fn, items, *args) -> list:
     """``[fn(item, *args) for item in items]``, or its first failing item's exception.
 
-    With w = min(usable CPUs, items) >= 2, ``w - 1`` forked children take items
-    ``k::w`` and pipe their pickled results back while this process takes ``0::w``;
-    below 2, or without ``os.sched_getaffinity`` (not Linux), nothing forks.  A
-    child leaves through ``os._exit``, one that sends nothing raises OSError, and
-    all are reaped before this returns or raises."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
+    With w = ``_workers(len(items))`` >= 2, ``w - 1`` forked children take items
+    ``k::w`` and pipe their pickled results back while this process takes ``0::w``.
+    A child leaves through ``os._exit``, one that sends nothing raises OSError, and
+    every child is reaped and every pipe closed before this returns or raises."""
+    workers = _workers(len(items))
     if workers < 2:
         return [fn(item, *args) for item in items]
-    children = []
+    children = []  # [pid, read end]; pid is None until the fork has returned
     try:
         for k in range(1, workers):
-            read_end, write_end = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(pickle.dumps(_share(fn, items[k::workers], args), protocol=5))
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
+            read_fd, write_fd = os.pipe()
+            children.append([None, open(read_fd, "rb")])
+            with open(write_fd, "wb") as pipe:  # the parent's copy closes on any path
+                if (pid := os.fork()) == 0:
+                    try:
+                        pickle.dump(_share(fn, items[k::workers], args), pipe)
+                        pipe.flush()
+                    finally:
+                        os._exit(0)
+                children[-1][0] = pid
         shares = [_share(fn, items[0::workers], args)]
         for pid, pipe in children:
-            if not (blob := pipe.read()):
-                raise OSError(f"scene worker {pid} exited without returning its results")
-            shares.append(pickle.loads(blob))
+            try:
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise OSError(f"scene worker {pid} exited without returning its results") from None
     finally:
         for pid, pipe in children:
             pipe.close()
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.waitpid(pid, 0)
     errors = [(k + workers * len(done), exc) for k, (done, exc) in enumerate(shares) if exc]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return [shares[i % workers][0][i // workers] for i in range(len(items))]
+
+
+def _workers(count: int) -> int:
+    """Processes for ``count`` items: the usable CPUs, at most ``MAX_WORKERS``; 1 without
+    ``os.sched_getaffinity`` (not Linux) or where a fork would warn about threads."""
+    if not hasattr(os, "sched_getaffinity") or (FORK_WARNS_WITH_THREADS and _threaded()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), count, MAX_WORKERS)
+
+
+def _threaded() -> bool:
+    """Whether this process runs more than one OS thread (true where that is unknown)."""
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
 
 
 def _share(fn, items, args):

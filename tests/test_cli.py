@@ -97,14 +97,15 @@ def test_synth_write_failure_in_a_child_exits_3_naming_the_file(tmp_path, capsys
     assert_no_children()
 
 
-def test_eval_exits_3_when_a_scene_worker_dies(tmp_path, capsys, monkeypatch, trained):
-    data, checkpoint = trained
-    parent, predict = os.getpid(), metrics.predict_image
-    monkeypatch.setattr(metrics, "predict_image",
-                        lambda *a: predict(*a) if os.getpid() == parent else os._exit(0))
+def test_synth_exits_3_when_a_scene_worker_dies(tmp_path, capsys, monkeypatch):
+    parent, write = os.getpid(), cli._write_sample
+    monkeypatch.setattr(cli, "_write_sample",
+                        lambda *a: write(*a) if os.getpid() == parent else os._exit(0))
     use_cpus(monkeypatch, 2)
-    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data)]) == 3
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--set", "count=3", *FAST]) == 3
     assert "exited without returning its results" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
     assert_no_children()
 
 

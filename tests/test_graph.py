@@ -1,6 +1,7 @@
 """Segmentation, adjacency, per-superpixel features and similarity kernels."""
 
 import os
+import threading
 import tracemalloc
 
 import graph_reference
@@ -11,7 +12,7 @@ import scipy.ndimage
 from depthcrf import graph, synth
 from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig, SceneSample
-from testutil import assert_no_children, use_cpus
+from testutil import assert_no_children, open_fds, use_cpus
 
 
 def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
@@ -872,6 +873,11 @@ def _fail_at(failing):
     return fn
 
 
+class _ExitWhilePickled:
+    def __reduce__(self):
+        os._exit(0)
+
+
 def _die_in_children(how):
     parent = os.getpid()
 
@@ -879,16 +885,24 @@ def _die_in_children(how):
         if os.getpid() != parent:
             if how == "exit":
                 os._exit(0)
+            if how == "mid-stream":  # after about 1 MB of results went down the pipe
+                return bytes(2**20), _ExitWhilePickled()
             raise {"system-exit": SystemExit(0), "interrupt": KeyboardInterrupt()}[how]
         return item
     return fn
+
+
+def _use_workers(monkeypatch, count):
+    """``count`` usable CPUs, and a cap that lets ``map_scenes`` use them all."""
+    use_cpus(monkeypatch, count)
+    monkeypatch.setattr(graph, "MAX_WORKERS", count)
 
 
 class TestMapScenes:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("count", [0, 1, 2, 5])
     def test_results_are_the_serial_loops(self, monkeypatch, cpus, count):
-        use_cpus(monkeypatch, cpus)
+        _use_workers(monkeypatch, cpus)
         assert graph.map_scenes(_square, range(count), 3) == [i * i + 3 for i in range(count)]
         assert_no_children()
 
@@ -901,14 +915,51 @@ class TestMapScenes:
     @pytest.mark.parametrize("failing", [{1, 2}, {0, 1}, {2, 3}, {1, 3}, {3}, {4}],
                              ids=str)
     def test_the_first_failing_item_raises(self, monkeypatch, cpus, failing):
-        use_cpus(monkeypatch, cpus)
+        _use_workers(monkeypatch, cpus)
         with pytest.raises(ValueError, match=f"^item {min(failing)}$"):
             graph.map_scenes(_fail_at(failing), list(range(5)))
         assert_no_children()
 
-    @pytest.mark.parametrize("how", ["exit", "system-exit", "interrupt"])
+    @pytest.mark.parametrize("how", ["exit", "system-exit", "interrupt", "mid-stream"])
     def test_a_child_that_returns_nothing_is_an_error(self, monkeypatch, how):
         use_cpus(monkeypatch, 2)
         with pytest.raises(OSError, match="exited without returning its results"):
             graph.map_scenes(_die_in_children(how), list(range(4)))
+        assert_no_children()
+
+    def test_workers_are_capped(self, monkeypatch):
+        use_cpus(monkeypatch, 16)
+        pids = graph.map_scenes(lambda item: os.getpid(), range(20))
+        assert len(set(pids)) == graph.MAX_WORKERS
+        assert_no_children()
+
+    def test_no_fork_where_it_would_warn_about_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # runs on 3.12 too
+        monkeypatch.setattr(graph, "FORK_WARNS_WITH_THREADS", True)
+        monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert graph.map_scenes(_square, range(4)) == [0, 1, 4, 9]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_a_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch, failing_fork):
+        _use_workers(monkeypatch, 3)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == failing_fork:
+                raise BlockingIOError("fork refused")
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        before = open_fds()
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            graph.map_scenes(_square, range(6))
+        assert open_fds() == before
         assert_no_children()

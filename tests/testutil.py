@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from depthcrf import graph
 from depthcrf.crf import CrfInstance
 from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
 
@@ -81,9 +82,21 @@ def assert_read_only(inst) -> None:
             layout[0] = 0
 
 
+# From Python 3.12, in a process with more than one thread, map_scenes never forks
+CAN_FORK = not (graph.FORK_WARNS_WITH_THREADS and graph._threaded())
+
+
 def use_cpus(monkeypatch, count: int) -> None:
-    """Make ``graph.map_scenes`` see ``count`` usable CPUs; no real affinity changes."""
+    """Make ``graph.map_scenes`` see ``count`` usable CPUs; no real affinity changes.
+    A test that needs two or more is skipped where ``map_scenes`` cannot fork."""
+    if count >= 2 and not CAN_FORK:
+        pytest.skip("os.fork warns in a process with threads from Python 3.12")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def open_fds() -> list[str]:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def assert_no_children() -> None:

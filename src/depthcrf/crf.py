@@ -87,6 +87,7 @@ from scipy.linalg.lapack import dtrtri as _trtri
 # until the fixed cost of each block's calls outweighs them; 32 nodes was
 # the fastest of 16-128 at 144 and 676 nodes.
 MIN_BLOCK = 32
+LOG_PI = math.log(math.pi)
 
 
 class FactorizationError(RuntimeError):
@@ -287,7 +288,7 @@ def coupling_matrix(instance: CrfInstance, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (instance.num_channels,):
         raise ValueError(f"expected {instance.num_channels} weights, got shape {beta.shape}")
-    if not np.all(np.isfinite(beta)) or np.any(beta < 0):
+    if not np.isfinite(beta).all() or (beta < 0).any():
         raise ValueError("pairwise weights must be finite and >= 0")
     return beta @ instance.similarities
 
@@ -349,39 +350,28 @@ def build_precision(instance: CrfInstance, couplings) -> Precision:
 
 
 def _solved(instance, z, beta):
-    """The checked z (n finite values), the couplings, the factor of A and u = A^{-1} z."""
+    """The checked z (n finite values), the couplings, the factor of A, u and log Z."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (instance.n,) or not np.all(np.isfinite(z)):
+    if z.shape != (instance.n,) or not np.isfinite(z).all():
         raise ValueError(f"z must be {instance.n} finite values")
     couplings = coupling_matrix(instance, beta)
     prec = build_precision(instance, couplings)
-    return z, couplings, prec, prec.solve(z)
-
-
-def _log_partition(z, prec, u):
-    return 0.5 * prec.instance.n * np.log(np.pi) - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
+    u = prec.solve(z)
+    log_z = 0.5 * instance.n * LOG_PI - 0.5 * prec.logdet + float(z @ u) - float(z @ z)
+    return z, couplings, prec, u, log_z
 
 
 def log_partition(instance: CrfInstance, z, beta) -> float:
     """log integral of exp(-E) over all depth assignments; ``beta`` is checked
     in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
-    z, _, prec, u = _solved(instance, z, beta)
-    return _log_partition(z, prec, u)
-
-
-def _nll(instance, z, beta):
-    """NLL of the ground truth, with the factorization and u = A^{-1} z behind it."""
-    if instance.y is None:
-        raise ValueError("instance has no ground-truth depths")
-    z, couplings, prec, u = _solved(instance, z, beta)
-    value = float(np.sum((instance.y - z) ** 2)) + float(couplings @ instance.y_sq_diffs)
-    return value + _log_partition(z, prec, u), prec, u
+    return _solved(instance, z, beta)[4]
 
 
 def nll(instance: CrfInstance, z, beta) -> float:
-    """Negative log-likelihood of the instance's ground-truth depths; ``beta``
-    is checked in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
-    return _nll(instance, z, beta)[0]
+    """Negative log-likelihood of the instance's ground-truth depths, the value
+    ``nll_with_grads`` returns; ``beta`` is checked in ``coupling_matrix``: one
+    finite coefficient >= 0 per channel."""
+    return nll_with_grads(instance, z, beta)[0]
 
 
 def map_infer(instance: CrfInstance, z, beta) -> np.ndarray:
@@ -398,7 +388,10 @@ def nll_with_grads(instance: CrfInstance, z, beta):
     Chaining the z gradient with dz/dtheta of the regressor gives the full
     parameter gradient.
     """
-    value, prec, u = _nll(instance, z, beta)
+    if instance.y is None:
+        raise ValueError("instance has no ground-truth depths")
+    z, couplings, prec, u, log_z = _solved(instance, z, beta)
+    value = float(((instance.y - z) ** 2).sum()) + float(couplings @ instance.y_sq_diffs) + log_z
     sims, edges = instance.similarities, instance.edges
     inv_diag, inv_pq = prec.selected_inverse()
     traces = sims @ (inv_diag[edges[:, 0]] + inv_diag[edges[:, 1]] - 2.0 * inv_pq)

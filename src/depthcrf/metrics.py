@@ -104,7 +104,8 @@ def predict_graph(data: GraphData, ckpt: Checkpoint) -> np.ndarray:
 
     FloatingPointError, and no warning, if the regressor's output or a depth overflows.
     """
-    inputs = (data.features.patch - ckpt.input_mean) / ckpt.input_std
+    inputs = data.features.patch - ckpt.input_mean
+    inputs /= ckpt.input_std  # in place: one n x dim array at a time, the same bits
     z, _ = unary.forward(ckpt.model, inputs)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("the regressor's output is not finite")

@@ -5,11 +5,13 @@ The objective over a dataset of prepared scenes is
     sum_i nll_i(theta, beta) + (l1/2) |theta|^2 + (l2/2) |beta|^2
 
 minimized by stochastic gradient descent, one image per step, with classic
-momentum: v <- mu v - lr g, param <- param + v.  After every step beta is
-projected back onto beta >= 0.  The learning rate starts at ``lr0`` and is
-multiplied by ``lr_decay`` every ``lr_decay_every`` epochs.  Scene order is
-reshuffled every epoch from the run's own generator, so a (config, dataset)
-pair determines the final state exactly.
+momentum: v <- mu v - lr g, param <- param + v, each operator applied in place
+on the gradient and velocity arrays the step allocated; these are the same
+IEEE operations in the same order.  After every step beta is projected back
+onto beta >= 0.  The learning rate starts at ``lr0`` and is multiplied by
+``lr_decay`` every ``lr_decay_every`` epochs.  Scene order is reshuffled
+every epoch from the run's own generator, so a (config, dataset) pair
+determines the final state exactly.
 
 A step that yields a non-finite regressor output, loss or gradient, or a
 precision matrix that no longer factors, raises ``DivergenceError`` before
@@ -125,7 +127,8 @@ def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
     scenes = map_scenes(prepare_scene, samples, graph_cfg)
     mean, std = input_stats(scenes) if stats is None else stats
     for scene in scenes:
-        scene.inputs = (scene.inputs - mean) / std
+        scene.inputs = scene.inputs - mean
+        scene.inputs /= std  # in place: one n x dim array at a time, the same bits
     return scenes, mean, std
 
 
@@ -151,7 +154,7 @@ def _diverged(state: TrainState, what: str) -> DivergenceError:
 
 
 def _require_finite(state: TrainState, what: str, *arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise _diverged(state, f"non-finite {what}")
 
 
@@ -173,16 +176,18 @@ def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = Fa
         raise _diverged(state, str(exc)) from exc
     loss += 0.5 * config.lambda1 * float(theta @ theta)
     loss += 0.5 * config.lambda2 * float(beta @ beta)
-    grad_theta = unary.backward(state.model, tape, gz) + config.lambda1 * theta
+    grad_theta = unary.backward(state.model, tape, gz)
+    grad_theta += config.lambda1 * theta
     grad_beta = grad_beta + config.lambda2 * state.beta
     _require_finite(state, "loss or gradient", loss, grad_theta, grad_beta)
-    theta_velocity = config.momentum * state.theta_velocity - lr * grad_theta
+    theta_velocity = config.momentum * state.theta_velocity
+    theta_velocity -= np.multiply(grad_theta, lr, out=grad_theta)
     beta_velocity = config.momentum * state.beta_velocity - lr * grad_beta
-    theta_next = theta + theta_velocity
+    theta_next = np.add(theta, theta_velocity, out=grad_theta)
     beta_next = np.maximum(state.beta + beta_velocity, 0.0)
     _require_finite(state, "parameter update", theta_next, beta_next)
     state.theta_velocity = theta_velocity
-    state.model.params[...] = theta_next
+    theta[...] = theta_next
     if not unary_only:
         state.beta_velocity, state.beta = beta_velocity, beta_next
     return loss

@@ -16,7 +16,7 @@ The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
 one call; both passes work in place on the arrays they create.  A model's
 layers are views of one flat vector, ``params``, and ``backward`` returns
-the gradient in its layout: SGD updates that vector.  Weight gradients sum
+the gradient in its layout, a new array that the SGD step scales in place.  Weight gradients sum
 their rows in chunks of ``GRAD_ROWS``, in order: OpenBLAS splits a longer
 contraction by thread count, which moves its last bits, and a shorter not.
 """
@@ -154,14 +154,15 @@ def forward(model: UnaryModel, features, rng=None, keep_prob: float = 1.0):
     dropping = keep_prob < 1.0
     if dropping and rng is None:
         raise ValueError("dropout needs an rng")
+    dropout_layers = model.dropout_layers if dropping else ()
     pres, posts, masks = [], [], []
     out = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (w, b, act) in enumerate(zip(model.weights, model.biases, model.activations)):
         pre = out @ w
         pre += b
-        post = _apply(model.activations[i], pre)
+        post = _apply(act, pre)
         mask = None
-        if dropping and i in model.dropout_layers:  # a rectified layer: post is new
+        if i in dropout_layers:  # a rectified layer: post is new
             mask = rng.random(post.shape) < keep_prob
             post *= mask
             post /= keep_prob
@@ -185,8 +186,7 @@ def backward(model: UnaryModel, tape: ForwardTape, residual) -> np.ndarray:
     grad = np.empty_like(model.params)
     grads_w, grads_b = model.layers_of(grad)
     delta = res[:, None]
-    for i in range(model.num_layers - 1, -1, -1):
-        act = model.activations[i]
+    for i, act in reversed(tuple(enumerate(model.activations))):
         if tape.masks[i] is not None:
             delta *= tape.masks[i]
             delta /= tape.keep_prob

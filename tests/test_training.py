@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import training_reference
 from depthcrf import crf, oracle, synth, training, unary
-from depthcrf.crf import CrfInstance
+from depthcrf.crf import CrfInstance, FactorizationError
 from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
-from depthcrf.training import TrainConfig
+from depthcrf.training import DivergenceError, TrainConfig
 
 from testutil import assert_no_children, assert_read_only, rel_err, use_cpus
 
@@ -308,6 +309,84 @@ class TestUnaryOnly:
         expected = float(np.sum((scenes[0].instance.y - z) ** 2))
         expected += 0.5 * scenes[0].instance.n * np.log(np.pi)
         assert rel_err(loss, expected) < 1e-9
+
+
+def nan_first(values):
+    """A copy of ``values`` with a NaN as its first entry."""
+    values = np.array(values, dtype=float)
+    values.flat[0] = np.nan
+    return values
+
+
+# each check of a step, and the piece patched to fail it: (module, function,
+# what the patch makes of the real result, the message after the prefix;
+# None for the factorization's own message)
+DIVERGENCES = {
+    "regressor-output": (unary, "forward", lambda out: (nan_first(out[0]), out[1]),
+                         "non-finite regressor output"),
+    "factorization": (crf, "coupling_matrix", nan_first, None),
+    "loss": (crf, "nll_with_grads", lambda out: (np.inf, *out[1:]),
+             "non-finite loss or gradient"),
+    "regressor-gradient": (unary, "backward", nan_first, "non-finite loss or gradient"),
+    "beta-gradient": (crf, "nll_with_grads", lambda out: (*out[:2], nan_first(out[2])),
+                      "non-finite loss or gradient"),
+    "update": (training, "current_lr", lambda lr: np.inf, "non-finite parameter update"),
+}
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("case", DIVERGENCES.values(), ids=DIVERGENCES.keys())
+    def test_raises_its_message_before_any_parameter_moves(self, monkeypatch, case):
+        module, name, poison, what = case
+        scenes = tiny_scenes()
+        config = quiet_config(momentum=0.9, lambda1=5e-4, lambda2=5e-4, dropout_keep=0.5)
+        state = fresh_train(scenes, config)  # one epoch: nonzero velocities, beta moved
+        before = {key: getattr(state, key).copy()
+                  for key in ("theta_velocity", "beta_velocity", "beta")}
+        before["params"] = state.model.params.copy()
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: poison(real(*args)))
+        prefix = (f"training diverged in epoch 1 "
+                  f"(beta = {np.array2string(state.beta, precision=4)}): ")
+        with pytest.raises(DivergenceError) as raised:
+            training.step(state, scenes[0], config)
+        if what is None:
+            assert isinstance(raised.value.__cause__, FactorizationError)
+            what = str(raised.value.__cause__)
+        assert str(raised.value) == prefix + what
+        after = {key: getattr(state, key) for key in ("theta_velocity", "beta_velocity", "beta")}
+        after["params"] = state.model.params
+        assert {k: v.tobytes() for k, v in after.items()} == {
+            k: v.tobytes() for k, v in before.items()}
+
+
+# scenes at the default patch size: 150 superpixels give n = 144 nodes in 4
+# CRF blocks and 700 give n = 676 in 21; the session digests train at 16
+# superpixels, one block, so they cannot see a slip across blocks
+MULTI_BLOCK = pytest.mark.parametrize(
+    "superpixels, seeds, blocks", [(150, (31, 32), 4), (700, (31,), 21)], ids=["150x2", "700x1"]
+)
+
+
+@MULTI_BLOCK
+@pytest.mark.parametrize("unary_only", [False, True], ids=["joint", "unary-only"])
+def test_train_leaves_the_reference_steps_bits(superpixels, seeds, blocks, unary_only):
+    samples = [synth.generate(SceneSpec(seed=seed)) for seed in seeds]
+    scenes, _, _ = training.prepare_dataset(samples, GraphConfig(target_superpixels=superpixels))
+    assert [len(s.instance.block_rows) for s in scenes] == [blocks] * len(seeds)
+    # dropout 0.5, momentum 0.9 and both regularisers at their defaults
+    config = TrainConfig(epochs=4, lr0=1e-3, lr_decay_every=2, train_seed=3)
+    dims = (scenes[0].inputs.shape[1], 32, 16, 1)
+    ours, theirs = (training.init_state(dims, config) for _ in range(2))
+    training.train(scenes, config, ours, unary_only=unary_only)
+    training_reference.train(scenes, config, theirs, unary_only=unary_only)
+    for name in ("theta_velocity", "beta_velocity", "beta"):
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    assert ours.model.params.tobytes() == theirs.model.params.tobytes()
+    assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+    assert [(s.epoch, s.lr.hex(), s.mean_nll.hex()) for s in ours.history] == [
+        (s.epoch, s.lr.hex(), s.mean_nll.hex()) for s in theirs.history]
+    assert len({s.mean_nll for s in ours.history}) == config.epochs
 
 
 # one training gradient on a 700-superpixel scene: n = 676 nodes, three

@@ -368,9 +368,8 @@ def log_partition(instance: CrfInstance, z, beta) -> float:
 
 
 def nll(instance: CrfInstance, z, beta) -> float:
-    """Negative log-likelihood of the instance's ground-truth depths, the value
-    ``nll_with_grads`` returns; ``beta`` is checked in ``coupling_matrix``: one
-    finite coefficient >= 0 per channel."""
+    """Negative log-likelihood of the ground truth, ``nll_with_grads``'s value;
+    ``beta`` is checked in ``coupling_matrix``: one finite coefficient >= 0 per channel."""
     return nll_with_grads(instance, z, beta)[0]
 
 

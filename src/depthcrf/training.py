@@ -180,8 +180,9 @@ def step(state: TrainState, scene, config: TrainConfig, *, unary_only: bool = Fa
     grad_theta += config.lambda1 * theta
     grad_beta = grad_beta + config.lambda2 * state.beta
     _require_finite(state, "loss or gradient", loss, grad_theta, grad_beta)
+    grad_theta *= lr
     theta_velocity = config.momentum * state.theta_velocity
-    theta_velocity -= np.multiply(grad_theta, lr, out=grad_theta)
+    theta_velocity -= grad_theta
     beta_velocity = config.momentum * state.beta_velocity - lr * grad_beta
     theta_next = np.add(theta, theta_velocity, out=grad_theta)
     beta_next = np.maximum(state.beta + beta_velocity, 0.0)

@@ -16,9 +16,10 @@ The forward pass records a tape - inputs, pre-activations, dropout masks -
 from which ``backward`` accumulates parameter gradients for a whole image in
 one call; both passes work in place on the arrays they create.  A model's
 layers are views of one flat vector, ``params``, and ``backward`` returns
-the gradient in its layout, a new array that the SGD step scales in place.  Weight gradients sum
-their rows in chunks of ``GRAD_ROWS``, in order: OpenBLAS splits a longer
-contraction by thread count, which moves its last bits, and a shorter not.
+the gradient in its layout, a new array that the SGD step scales in place.
+Weight gradients sum their rows in chunks of ``GRAD_ROWS``, in order:
+OpenBLAS splits a longer contraction by thread count, which moves its last
+bits, and a shorter not.
 """
 
 from __future__ import annotations

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import training_reference
 from depthcrf import crf, oracle, synth, training, unary
 from depthcrf.crf import CrfInstance, FactorizationError
 from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
 from depthcrf.training import DivergenceError, TrainConfig
 
+import training_reference
 from testutil import assert_no_children, assert_read_only, rel_err, use_cpus
 
 GRAPH_CFG = GraphConfig(target_superpixels=9, box_size=6, patch_dim=3)

@@ -48,7 +48,8 @@ about ``BLOCK_CELLS`` values, so their working set stays in cache whatever
 the superpixel count.  ``build_graph`` runs all of the above and puts the
 edges, the similarities and the ground truth in the scene's one read-only
 ``crf.CrfInstance``, which training and prediction use as given.
-``map_scenes`` spreads such per-scene work over the usable CPUs.
+``map_scenes`` runs such per-scene work in two processes where two CPUs are
+usable: one forked child takes the second half of the scenes.
 """
 
 from __future__ import annotations
@@ -573,61 +574,54 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     return GraphData(labels=labels, features=features, instance=instance)
 
 
-# Each child adds its own working memory: the peak PSS of the process and its
-# children rose 10-12% with 2 processes and 17-32% with 4 (BENCH_30.json).
-# The cap also bounds the forks where the affinity mask is wider than a CPU quota.
-MAX_WORKERS = 2
 # From Python 3.12 ``os.fork`` warns in a process with more than one thread,
 # such as BLAS's; a pytest run with ``filterwarnings = error`` would fail on it.
 FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 
 
+# One child at most: a child adds its own working memory, and the peak PSS of the
+# process and its children rose 10-12% with 2 processes and 17-32% with 4 (BENCH_30.json).
 def map_scenes(fn, items, *args) -> list:
     """``[fn(item, *args) for item in items]``, or its first failing item's exception.
 
-    With w = ``_workers(len(items))`` >= 2, ``w - 1`` forked children take items
-    ``k::w`` and pipe their pickled results back while this process takes ``0::w``.
-    A child leaves through ``os._exit``, one that sends nothing raises OSError, and
-    every child is reaped and every pipe closed before this returns or raises."""
-    workers = _workers(len(items))
-    if workers < 2:
+    Where ``_forks(len(items))``, one forked child takes the last ``len(items) // 2``
+    items and pipes its pickled results back while this process takes the rest, so an
+    error in this process's items comes first.  The child leaves through ``os._exit``,
+    a child that sends nothing raises OSError, and the child is reaped and the pipe
+    closed before this returns or raises."""
+    if not _forks(len(items)):
         return [fn(item, *args) for item in items]
-    children = []  # [pid, read end]; pid is None until the fork has returned
+    split = len(items) - len(items) // 2
+    read_fd, write_fd = os.pipe()
+    pipe, pid = open(read_fd, "rb"), None
     try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            children.append([None, open(read_fd, "rb")])
-            with open(write_fd, "wb") as pipe:  # the parent's copy closes on any path
-                if (pid := os.fork()) == 0:
-                    try:
-                        pickle.dump(_share(fn, items[k::workers], args), pipe)
-                        pipe.flush()
-                    finally:
-                        os._exit(0)
-                children[-1][0] = pid
-        shares = [_share(fn, items[0::workers], args)]
-        for pid, pipe in children:
-            try:
-                shares.append(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                raise OSError(f"scene worker {pid} exited without returning its results") from None
+        with open(write_fd, "wb") as out:  # this process's copy closes on any path
+            if (pid := os.fork()) == 0:
+                try:
+                    pipe.close()  # so that a write finds no reader once this process closes
+                    pickle.dump(_share(fn, items[split:], args), out)
+                    out.flush()
+                finally:
+                    os._exit(0)
+        ours = [fn(item, *args) for item in items[:split]]
+        try:
+            theirs, error = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise OSError(f"scene worker {pid} exited without returning its results") from None
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                os.waitpid(pid, 0)
-    errors = [(k + workers * len(done), exc) for k, (done, exc) in enumerate(shares) if exc]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return [shares[i % workers][0][i // workers] for i in range(len(items))]
+        pipe.close()  # before the reap: a child blocked on a full pipe then fails and exits
+        if pid is not None:
+            os.waitpid(pid, 0)
+    if error is not None:
+        raise error
+    return ours + theirs
 
 
-def _workers(count: int) -> int:
-    """Processes for ``count`` items: the usable CPUs, at most ``MAX_WORKERS``; 1 without
-    ``os.sched_getaffinity`` (not Linux) or where a fork would warn about threads."""
-    if not hasattr(os, "sched_getaffinity") or (FORK_WARNS_WITH_THREADS and _threaded()):
-        return 1
-    return min(len(os.sched_getaffinity(0)), count, MAX_WORKERS)
+def _forks(count: int) -> bool:
+    """Whether ``map_scenes`` forks for ``count`` items: at least two, at least two usable
+    CPUs (``os.sched_getaffinity``, so not off Linux), and no fork that warns about threads."""
+    return (count >= 2 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and not (FORK_WARNS_WITH_THREADS and _threaded()))
 
 
 def _threaded() -> bool:

@@ -88,10 +88,10 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 def test_synth_write_failure_in_a_child_exits_3_naming_the_file(tmp_path, capsys, monkeypatch):
     use_cpus(monkeypatch, 2)
     out = tmp_path / "data"
-    (out / "depth_0001.txt").mkdir(parents=True)  # sample 1 is the child's, and a directory
+    (out / "depth_0002.txt").mkdir(parents=True)  # sample 2 is the child's, and a directory
     rc = main(["synth", "--out", str(out), "--set", "count=3", *FAST])  # cannot be replaced
     assert rc == 3
-    assert "depth_0001.txt" in capsys.readouterr().err
+    assert "depth_0002.txt" in capsys.readouterr().err
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
     assert not (out / "manifest.txt").exists()
     assert_no_children()

@@ -892,19 +892,19 @@ def _die_in_children(how):
     return fn
 
 
-def _use_workers(monkeypatch, count):
-    """``count`` usable CPUs, and a cap that lets ``map_scenes`` use them all."""
-    use_cpus(monkeypatch, count)
-    monkeypatch.setattr(graph, "MAX_WORKERS", count)
-
-
 class TestMapScenes:
+    @pytest.fixture(autouse=True)
+    def _leaves_no_child_and_no_descriptor(self):
+        before = open_fds()
+        yield
+        assert open_fds() == before
+        assert_no_children()
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("count", [0, 1, 2, 5])
     def test_results_are_the_serial_loops(self, monkeypatch, cpus, count):
-        _use_workers(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         assert graph.map_scenes(_square, range(count), 3) == [i * i + 3 for i in range(count)]
-        assert_no_children()
 
     def test_one_item_never_forks(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -912,26 +912,29 @@ class TestMapScenes:
         assert graph.map_scenes(_square, [4]) == [16]
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("failing", [{1, 2}, {0, 1}, {2, 3}, {1, 3}, {3}, {4}],
+    @pytest.mark.parametrize("failing", [{1, 2}, {0, 1}, {2, 3}, {1, 3}, {3}, {4}, {3, 4}],
                              ids=str)
     def test_the_first_failing_item_raises(self, monkeypatch, cpus, failing):
-        _use_workers(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match=f"^item {min(failing)}$"):
             graph.map_scenes(_fail_at(failing), list(range(5)))
-        assert_no_children()
 
     @pytest.mark.parametrize("how", ["exit", "system-exit", "interrupt", "mid-stream"])
     def test_a_child_that_returns_nothing_is_an_error(self, monkeypatch, how):
         use_cpus(monkeypatch, 2)
         with pytest.raises(OSError, match="exited without returning its results"):
             graph.map_scenes(_die_in_children(how), list(range(4)))
-        assert_no_children()
 
-    def test_workers_are_capped(self, monkeypatch):
+    def test_an_error_in_the_callers_half_leaves_no_child_blocked_on_a_full_pipe(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^item 0$"):  # the child's 1 MB outgrows the pipe
+            graph.map_scenes(lambda item: bytes(2**20) if item else _fail_at({0})(item), range(2))
+
+    def test_the_child_takes_the_second_half(self, monkeypatch):
         use_cpus(monkeypatch, 16)
-        pids = graph.map_scenes(lambda item: os.getpid(), range(20))
-        assert len(set(pids)) == graph.MAX_WORKERS
-        assert_no_children()
+        pids = graph.map_scenes(lambda item: os.getpid(), range(5))
+        assert pids[:3] == [os.getpid()] * 3
+        assert pids[3] == pids[4] != os.getpid()
 
     def test_no_fork_where_it_would_warn_about_threads(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # runs on 3.12 too
@@ -947,19 +950,11 @@ class TestMapScenes:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
-    @pytest.mark.parametrize("failing_fork", [1, 2])
-    def test_a_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch, failing_fork):
-        _use_workers(monkeypatch, 3)
-        real_fork, forks = os.fork, []
+    def test_a_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
 
         def fork():
-            forks.append(None)
-            if len(forks) == failing_fork:
-                raise BlockingIOError("fork refused")
-            return real_fork()
+            raise BlockingIOError("fork refused")
         monkeypatch.setattr(os, "fork", fork)
-        before = open_fds()
         with pytest.raises(BlockingIOError, match="fork refused"):
             graph.map_scenes(_square, range(6))
-        assert open_fds() == before
-        assert_no_children()

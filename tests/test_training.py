@@ -86,7 +86,7 @@ class TestPreparation:
     def test_a_depthless_sample_raises_the_serial_error(self, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
         samples = synth.generate_dataset(SceneSpec(height=24, width=24), count=4, seed=0)
-        samples[1].depth = samples[3].depth = None  # each handled by the child with 2 CPUs
+        samples[2].depth = samples[3].depth = None  # both handled by the child with 2 CPUs
         with pytest.raises(ValueError, match="^training scenes need ground-truth depth$"):
             training.prepare_dataset(samples, GRAPH_CFG)
         assert_no_children()

@@ -70,8 +70,9 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
-def _load_samples(dataset_dir):
-    """Every (image, ground-truth depth) pair a dataset's manifest lists."""
+def _load_samples(dataset_dir, superpixels: int):
+    """Every (image, ground-truth depth) pair a dataset's manifest lists, once
+    all are read and each image has at least ``superpixels`` pixels."""
     root = Path(dataset_dir)
     samples = []
     for img_rel, dep_rel, _seed in read_manifest(root / "manifest.txt"):
@@ -82,6 +83,7 @@ def _load_samples(dataset_dir):
         samples.append(SceneSample(image=image, depth=depth))
     if not samples:
         raise FormatError(f"{root / 'manifest.txt'}: the manifest lists no samples")
+    _check_superpixels(superpixels, [s.image for s in samples])
     return samples
 
 
@@ -147,8 +149,7 @@ def cmd_train(args) -> int:
         # resuming in place keeps the history of the epochs the checkpoint holds
         if Path(args.resume).resolve().parent == out.resolve() and (out / "history.csv").exists():
             state.history = [h for h in read_history(out / "history.csv") if h.epoch < state.epoch]
-    samples = _load_samples(args.dataset)
-    _check_superpixels(config.target_superpixels, [s.image for s in samples])
+    samples = _load_samples(args.dataset, config.target_superpixels)
     scenes, input_mean, input_std = training.prepare_dataset(samples, config.graph_config(), stats)
     out.mkdir(parents=True, exist_ok=True)
     # one call at least, so that unary-only training pins beta even for 0 epochs
@@ -182,8 +183,7 @@ _EVAL_COLUMNS = ("mask", "rel", "rms", "log10", "delta1", "delta2", "delta3", "p
 def cmd_eval(args) -> int:
     """Pooled metrics over a dataset; its images are predicted one at a time."""
     ckpt = read_checkpoint(args.checkpoint)
-    samples = _load_samples(args.dataset)
-    _check_superpixels(ckpt.config.target_superpixels, [s.image for s in samples])
+    samples = _load_samples(args.dataset, ckpt.config.target_superpixels)
     truths = [s.depth for s in samples]
     if args.c1_cap is not None and not any(np.any(gt < args.c1_cap) for gt in truths):
         raise ConfigError(f"C1 selection is empty: no ground truth below {args.c1_cap!r}")
@@ -271,9 +271,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"duplicate superpixel counts: {args.counts!r}")
     if any(c < 1 for c in counts):
         raise ConfigError("superpixel counts must be positive")
-    train_samples = _load_samples(args.train_dataset)
-    test_samples = _load_samples(args.test_dataset)
-    _check_superpixels(max(counts), [s.image for s in train_samples + test_samples])
+    train_samples = _load_samples(args.train_dataset, max(counts))
+    test_samples = _load_samples(args.test_dataset, max(counts))
     rows = []
     for count in counts:
         rms, seconds = sweep_point(dataclasses.replace(config, target_superpixels=count),

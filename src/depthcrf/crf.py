@@ -30,8 +30,8 @@ definite, so a Cholesky factorization carries the solves and the
 log-determinant.
 
 ``A`` is factored in blocks, in the natural node order: node ``v`` is row
-``v`` of the factor.  SLIC and grid labels are numbered in row-major seed
-order, so an edge joins nodes whose labels differ by about one row of
+``v`` of the factor.  SLIC labels are numbered in row-major seed order,
+so an edge joins nodes whose labels differ by about one row of
 superpixels at most: the bandwidth ``max(q - p)`` is small (13, 27 and
 about 90 on synthetic scenes of 150, 700 and 2000 superpixels), and most
 edges span much less (99% of them 46 or less at 2000).  So the blocks have

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import unary
 from .config import ConfigError, RunConfig, config_from_mapping, parse_float, parse_int
-from .graph import NUM_CHANNELS
+from .graph import NUM_CHANNELS, SceneSample
 from .training import EpochStats
 
 # magic, then width, height and maxval, each after whitespace or '#' comments
@@ -111,11 +111,7 @@ def _write_lines(path, lines) -> None:
 
 
 def write_ppm(path, image) -> None:
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError("image must have shape (H, W, 3)")
-    if not np.all((image >= 0.0) & (image <= 1.0)):  # false for NaN too
-        raise ValueError("image values must lie in [0, 1]")
+    image = SceneSample(image).image  # its ValueError for a bad shape or value
     height, width = image.shape[:2]
     data = np.rint(image * 255.0).astype(np.uint8)
     _write_whole(path, b"P6\n%d %d\n255\n" % (width, height) + data.tobytes())

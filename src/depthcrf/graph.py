@@ -467,8 +467,11 @@ def lbp_codes(image) -> np.ndarray:
 
 
 def _label_histograms(labels, values, bins, count):
+    """(count, bins): each label's L1-normalized histogram of ``values``."""
     keys = labels * bins + values  # labels broadcast against values
-    return np.bincount(keys.ravel(), minlength=count * bins).reshape(count, bins)
+    hist = np.bincount(keys.ravel(), minlength=count * bins).reshape(count, bins).astype(float)
+    hist /= hist.sum(axis=1, keepdims=True)
+    return hist
 
 
 def _area_average_weights(src: int, dst: int) -> np.ndarray:
@@ -502,11 +505,8 @@ def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelF
 
     bin_idx = np.minimum((image * COLOR_BINS).astype(np.intp), COLOR_BINS - 1)
     bin_idx += np.arange(3) * COLOR_BINS  # channel c's bins are 10 c .. 10 c + 9
-    color_hist = _label_histograms(labels[..., None], bin_idx, 3 * COLOR_BINS, count).astype(float)
-    color_hist /= color_hist.sum(axis=1, keepdims=True)
-
-    lbp_hist = _label_histograms(labels, lbp_codes(image), LBP_BINS, count).astype(float)
-    lbp_hist /= lbp_hist.sum(axis=1, keepdims=True)
+    color_hist = _label_histograms(labels[..., None], bin_idx, 3 * COLOR_BINS, count)
+    lbp_hist = _label_histograms(labels, lbp_codes(image), LBP_BINS, count)
 
     shrink = _area_average_weights(box_size, patch_dim)
     centres = np.floor(centroids + 0.5)

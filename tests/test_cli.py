@@ -120,7 +120,7 @@ def test_one_and_two_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch)
         assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data),
                      "--out", str(root / "eval.csv")]) == 0
         graph_cfg = read_checkpoint(checkpoint).config.graph_config()
-        scenes, mean, std = training.prepare_dataset(cli._load_samples(data), graph_cfg)
+        scenes, mean, std = training.prepare_dataset(cli._load_samples(data, 16), graph_cfg)
         arrays = [mean, std, *(a for s in scenes for a in (s.inputs, s.instance.similarities,
                                                            s.instance.edges, s.instance.y))]
         files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -598,6 +598,15 @@ def test_superpixel_count_above_the_pixel_count_exits_2(tmp_path, capsys, traine
     err = capsys.readouterr().err
     assert err.count("target_superpixels=100000 exceeds the 2304 pixels of a 48x48 image") == 2
     assert "target_superpixels=16 exceeds the 9 pixels of a 3x3 image" in err
+
+
+def test_a_sweep_whose_test_images_alone_are_too_small_exits_2(tmp_path, capsys, trained):
+    data, _ = trained  # 48x48 images
+    small = make_dataset(tmp_path, extra=("--set", "height=8", "--set", "width=8"))
+    rc = main(["sweep-superpixels", "--train-dataset", str(data), "--test-dataset", str(small),
+               "--counts", "9,100", "--out", str(tmp_path / "s.csv"), *FAST])
+    assert rc == 2 and not (tmp_path / "s.csv").exists()
+    assert "target_superpixels=100 exceeds the 64 pixels of a 8x8 image" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["box_size=0", "patch_dim=0", "target_superpixels=0",

@@ -57,10 +57,11 @@ def test_ppm_header_comments_are_skipped(tmp_path):
 
 
 def test_ppm_rejects_bad_inputs(tmp_path):
-    with pytest.raises(ValueError):
-        write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))
+    for shape in ((4, 4), (4, 4, 4)):
+        with pytest.raises(ValueError, match=r"^image must have shape \(H, W, 3\)$"):
+            write_ppm(tmp_path / "x.ppm", np.zeros(shape))
     for bad in (1.5, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^image values must lie in \[0, 1\]$"):
             write_ppm(tmp_path / "x.ppm", np.full((2, 2, 3), bad))
     assert not (tmp_path / "x.ppm").exists()
     bad_magic = tmp_path / "bad.ppm"

@@ -1,6 +1,7 @@
 """Segmentation, adjacency, per-superpixel features and similarity kernels."""
 
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -893,10 +894,20 @@ def _die_in_children(how):
 
 
 class TestMapScenes:
+    DEADLINE_S = 60  # a map that blocks fails the test instead of hanging the suite
+
     @pytest.fixture(autouse=True)
     def _leaves_no_child_and_no_descriptor(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"map_scenes took more than {self.DEADLINE_S} s")
         before = open_fds()
-        yield
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, self.DEADLINE_S)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert open_fds() == before
         assert_no_children()
 

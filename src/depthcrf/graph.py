@@ -28,7 +28,7 @@ whose own centre moved away from them.  On a 700-superpixel synth scene
 the updates before sweeps 5-10 moved 41% down to 1.5% of the centres.
 Afterwards every superpixel is reduced to its largest 4-connected component
 (the first in raster order among equally large ones), all components being
-found by one labelling pass over a doubled grid, and stray pieces are merged
+found by joining horizontal runs of one label, and stray pieces are merged
 in label order, each into the most frequent label among its distinct
 adjacent pixels (the lowest on ties), so labels are connected; beyond that
 no connectivity enforcement happens.  Label ids are compacted to 0..n-1, and
@@ -60,7 +60,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from .crf import CrfInstance
 
@@ -177,23 +176,46 @@ def _label_means(labels, values, count, sizes=None):
     return np.stack(sums, axis=1) / np.maximum(sizes, 1)[:, None]
 
 
+def _components(same_row, same_col):
+    """4-connected components of a raster whose pixel (r, c) joins (r, c + 1)
+    where ``same_row[r, c]`` and (r + 1, c) where ``same_col[r, c]``: each
+    pixel's component id, flat, numbered in the raster order of first pixels.
+
+    Maximal horizontal runs are numbered in raster order, one pair joins the
+    runs of each overlap of two vertically joined runs, and every straddling
+    pair hooks the higher of its roots onto the lower, paths compressed,
+    until none straddles two roots (He, Chao & Suzuki, IEEE TIP 2008).  Each
+    root is then its component's lowest run, which holds its first pixel.
+    """
+    start = np.ones((same_col.shape[0] + 1, same_row.shape[1] + 1), dtype=bool)
+    start[:, 1:] = ~same_row
+    run = np.cumsum(start, dtype=np.intp).reshape(start.shape) - 1
+    # same_col is constant along an overlap, which starts where either run does
+    overlap = (start[:-1] | start[1:]) & same_col
+    upper, lower = run[:-1][overlap], run[1:][overlap]
+    parent = np.arange(run[-1, -1] + 1)
+    roots = parent[upper], parent[lower]
+    while (straddle := roots[0] != roots[1]).any():
+        high, low = np.maximum(*roots)[straddle], np.minimum(*roots)[straddle]
+        np.minimum.at(parent, high, low)
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        roots = parent[upper], parent[lower]
+    rank = np.cumsum(parent == np.arange(parent.size), dtype=np.intp) - 1
+    return rank[parent][run].ravel()
+
+
 def _enforce_connectivity(labels):
     """Keep each label's largest component; merge strays into neighbors.
 
-    One ``ndimage.label`` on a (2H-1, 2W-1) grid finds every component:
-    pixel cells are on, and the cell between two 4-neighbours is on when
-    they share a label.  A component's first cell is a pixel cell, so ids
-    follow the raster order of first pixels: the lowest id is the first of
-    equally large components, and orphans queue in (label, id) order.  An
-    orphan takes the most frequent label among its distinct adjacent pixels,
-    lowest on ties, or waits a round while all of them are unmerged orphans.
+    ``_components`` numbers every component in the raster order of first
+    pixels: the lowest id is the first of equally large components, and
+    orphans queue in (label, id) order.  An orphan takes the most frequent
+    label among its distinct adjacent pixels, lowest on ties, or waits a
+    round while all of them are unmerged orphans.
     """
-    grid = np.ones(2 * np.array(labels.shape) - 1, dtype=bool)
-    grid[1::2, 1::2] = False
-    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
-    grid[1::2, ::2] = labels[:-1, :] == labels[1:, :]
-    comps = scipy.ndimage.label(grid)[0][::2, ::2]  # default structure: the 4-connected cross
-    flat = np.subtract(comps.ravel(), 1, dtype=np.intp)  # ids * pixels below needs 64 bits
+    same_row, same_col = labels[:, :-1] == labels[:, 1:], labels[:-1] == labels[1:]
+    flat = _components(same_row, same_col)  # ids * pixels below needs 64 bits
     sizes = np.bincount(flat)
     owner = np.empty(sizes.size, dtype=np.intp)
     owner[flat] = labels.ravel()
@@ -201,7 +223,7 @@ def _enforce_connectivity(labels):
     main = np.zeros(sizes.size, dtype=bool)
     main[order[np.r_[True, np.diff(owner[order]) != 0]]] = True
     pixel = np.arange(flat.size).reshape(labels.shape)
-    cut_rows, cut_cols = ~grid[::2, 1::2], ~grid[1::2, ::2]
+    cut_rows, cut_cols = ~same_row, ~same_col
     first = np.concatenate([pixel[:, :-1][cut_rows], pixel[:-1][cut_cols]])
     second = np.concatenate([pixel[:, 1:][cut_rows], pixel[1:][cut_cols]])
     pairs = np.concatenate([flat[first] * flat.size + second, flat[second] * flat.size + first])

@@ -2,8 +2,8 @@
 
 ``depthcrf.graph`` evaluates the SLIC assignment in blocks of centres,
 skipping window cells that cannot win, seeding each pixel with its hinted
-centre and stopping at a fixed point, repairs connectivity from one
-labelling pass over a doubled grid, reads patch crops in batches from a
+centre and stopping at a fixed point, repairs connectivity from components
+joined over horizontal label runs, reads patch crops in batches from a
 window view of a padded image and takes similarities in blocks of edges.
 The functions here are the straightforward loops those replace: a full pass
 per centre in each of ``iters`` sweeps, one full-image ``ndimage.label`` and

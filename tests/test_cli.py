@@ -729,6 +729,17 @@ def test_python_m_runs_the_command(argv, code, stdout_line):
         assert stdout_line in done.stdout.splitlines()
 
 
+def test_importing_the_cli_loads_neither_scipy_ndimage_nor_special():
+    # graph labels components in numpy; crf's LAPACK wrappers are the only scipy left
+    env = dict(os.environ, PYTHONPATH=str(Path(depthcrf.__file__).resolve().parents[1]))
+    probe = "import sys, depthcrf.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert "depthcrf.cli" in loaded
+    assert sorted(loaded & {"scipy.ndimage", "scipy.special"}) == []
+
+
 def test_non_ascii_text_key_round_trips_under_an_ascii_locale(tmp_path, trained):
     # files are UTF-8 whatever the locale; under this one Python hands the
     # command line's UTF-8 bytes over undecoded, as surrogates

@@ -721,20 +721,46 @@ class TestAgainstReferenceLoops:
         labels, _ = graph.segment(image, config(2))
         assert np.array_equal(labels, graph_reference.segment(image, 2)[0])
 
-    def test_connectivity_repair_labels_components_once(self, monkeypatch):
-        calls = []
-        label = scipy.ndimage.label
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return label(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.ndimage, "label", counted)
+    def test_component_numbering_matches_a_doubled_grid_labelling(self):
+        # scipy.ndimage.label on a (2H-1, 2W-1) grid whose cell between two
+        # 4-neighbours is on where they share a label numbers each component
+        # by its first pixel in raster order, as the repair's queue needs
         rng = np.random.default_rng(6)
-        for count in (1, 40, 700):
-            calls.clear()
-            graph._enforce_connectivity(rng.integers(0, count, (30, 40)))
-            assert len(calls) == 1, count
+        interlocked = np.zeros((128, 128), dtype=int)
+        interlocked[:-1, 1::2] = 1
+        interlocked[0] = 1  # two combs: long chains of one-pixel runs
+        rasters = [np.zeros((1, 1), int), rng.integers(0, 3, (1, 13)), rng.integers(0, 3, (13, 1)),
+                   np.full((6, 7), 4), np.indices((8, 9)).sum(axis=0) % 2, spiral_corridor(128),
+                   interlocked]
+        for count in np.repeat([2, 3, 7, 40, 700], 40):
+            shape = tuple(rng.integers(1, 40, 2))
+            rasters.append(5 * rng.integers(0, count, shape) + 3)  # ids with gaps
+        for labels in rasters:
+            same_row, same_col = labels[:, :-1] == labels[:, 1:], labels[:-1] == labels[1:]
+            grid = np.ones(2 * np.array(labels.shape) - 1, dtype=bool)
+            grid[1::2, 1::2] = False
+            grid[::2, 1::2], grid[1::2, ::2] = same_row, same_col
+            expected = scipy.ndimage.label(grid)[0][::2, ::2].ravel() - 1
+            assert np.array_equal(graph._components(same_row, same_col), expected)
+
+
+def spiral_corridor(side):
+    """Label 0 on a one-pixel corridor spiralling inwards from the top-left
+    corner of a ``side`` square, label 1 on the wall between its turns."""
+    raster = np.ones((side, side), dtype=int)
+    row, col, d_row, d_col = 0, 0, 0, 1
+    raster[0, 0] = 0
+    while True:
+        for _ in range(2):  # straight on, else a clockwise turn
+            row1, col1, row2, col2 = row + d_row, col + d_col, row + 2 * d_row, col + 2 * d_col
+            fresh = 0 <= row1 < side and 0 <= col1 < side and raster[row1, col1] == 1
+            if fresh and not (0 <= row2 < side and 0 <= col2 < side and raster[row2, col2] == 0):
+                row, col = row1, col1
+                raster[row, col] = 0
+                break
+            d_row, d_col = d_col, -d_row
+        else:
+            return raster
 
 
 class TestAssignmentSemantics:

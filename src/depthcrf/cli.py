@@ -269,14 +269,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--counts must name at least one superpixel count")
     if len(set(counts)) != len(counts):
         raise ConfigError(f"duplicate superpixel counts: {args.counts!r}")
-    if any(c < 1 for c in counts):
-        raise ConfigError("superpixel counts must be positive")
+    configs = [dataclasses.replace(config, target_superpixels=count) for count in counts]
     train_samples = _load_samples(args.train_dataset, max(counts))
     test_samples = _load_samples(args.test_dataset, max(counts))
     rows = []
-    for count in counts:
-        rms, seconds = sweep_point(dataclasses.replace(config, target_superpixels=count),
-                                   train_samples, test_samples)
+    for count, count_config in zip(counts, configs):
+        rms, seconds = sweep_point(count_config, train_samples, test_samples)
         rows.append((count, rms, seconds))
         print(f"count {count:>5d}: rms {rms:.4f}, train {seconds:.2f} s")
     write_table(args.out, ["count", "rms", "train_seconds"], rows)

@@ -3,11 +3,11 @@
 A run is described by a small set of typed keys covering scene synthesis,
 graph construction, the regressor architecture and the training loop; a
 stage's record (``SceneSpec``, ``GraphConfig``, ``TrainConfig``) names the
-keys it reads and states their defaults.  Values arrive as strings (from a
-config file or ``--set key=value`` overrides) and are coerced by key type;
-unknown keys are rejected so a typo cannot silently fall back to a default.
-A text value holding a line break is rejected too: every key is written
-back as one checkpoint line.
+keys it reads, states their defaults and checks them, and a ``RunConfig``
+builds all three whenever it is built.  Values arrive as strings (from a
+config file or ``--set`` overrides) and are coerced by key type; unknown
+keys are rejected so a typo cannot silently fall back to a default.  A text
+value holding a line break is rejected too: every key is one checkpoint line.
 
 Config files are UTF-8 text: one ``key = value`` per line, blank lines
 and ``#`` comments ignored; a file that is not text, or that sets a key on
@@ -89,6 +89,19 @@ class RunConfig:
     # default output directory (commands may override via --out)
     out_dir: str = "out"
 
+    def __post_init__(self):
+        """Cross-check the keys by building every downstream config."""
+        try:
+            self.scene_spec()
+            self.graph_config()
+            self.train_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if any(d < 1 for d in self.hidden_dims):
+            raise ConfigError("hidden_dims must be positive")
+        if self.count < 1:
+            raise ConfigError("count must be at least 1")
+
     def _record(self, record):
         """``record`` built from the keys named like its fields."""
         return record(**{f.name: getattr(self, f.name) for f in dataclasses.fields(record)})
@@ -105,20 +118,6 @@ class RunConfig:
     def layer_dims(self) -> tuple:
         input_dim = 3 * self.patch_dim * self.patch_dim
         return (input_dim, *self.hidden_dims, 1)
-
-    def validate(self) -> "RunConfig":
-        """Cross-check the keys by building every downstream config."""
-        try:
-            self.scene_spec()
-            self.graph_config()
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if any(d < 1 for d in self.hidden_dims):
-            raise ConfigError("hidden_dims must be positive")
-        if self.count < 1:
-            raise ConfigError("count must be at least 1")
-        return self
 
     def to_mapping(self) -> dict:
         """Render every key as a string that parses back identically."""
@@ -163,7 +162,7 @@ def config_from_mapping(mapping, base: RunConfig | None = None) -> RunConfig:
             updates[key] = _PARSERS[fields[key].type](str(raw))
         except (ValueError, KeyError):
             raise ConfigError(f"bad value for {key}: {raw!r}")
-    return dataclasses.replace(base, **updates).validate()
+    return dataclasses.replace(base, **updates)
 
 
 def parse_config_file(path) -> dict:

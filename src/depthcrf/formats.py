@@ -19,8 +19,8 @@ exactly:
   input standardization statistics; a section holds one line per row of
   its last axis, in row-major order, written and read like the rows of a
   depth raster; the reader rejects a repeated key, activation line or
-  tensor, a tensor name it does not know, and tensors that are not finite
-  or that disagree with the configuration or with each other;
+  tensor, an unknown tensor name and a non-finite tensor, and a
+  ``Checkpoint`` refuses tensors at odds with its configuration or each other;
 * training history is CSV with columns epoch, lr, mean_nll, written by
   ``write_table`` like the ``eval --out`` and ``sweep-superpixels`` CSVs,
   lines ending in ``\\n`` as in every other text file here (``read_history``
@@ -53,6 +53,7 @@ PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+([0-9]+)" * 3 + rb"\s")
 DEPTH_MAGIC = "DEPTH"
 MANIFEST_MAGIC = "MANIFEST v1"
 CHECKPOINT_MAGIC = "NFCKPT v1"
+VECTORS = ("beta", "gammas", "input_mean", "input_std")  # a checkpoint's tensors after its layers
 
 
 class FormatError(ValueError):
@@ -203,7 +204,7 @@ def read_manifest(path):
 
 @dataclass
 class Checkpoint:
-    """A trained pipeline plus the configuration that produced it."""
+    """A trained pipeline plus the configuration that produced it, checked when built."""
 
     config: RunConfig
     model: unary.UnaryModel
@@ -211,6 +212,20 @@ class Checkpoint:
     gammas: np.ndarray
     input_mean: np.ndarray
     input_std: np.ndarray
+
+    def __post_init__(self):
+        if (widths := self.model.layer_dims) != (dims := self.config.layer_dims()):
+            raise ValueError(f"regressor widths {widths} differ from the configured {dims}")
+        if self.beta.shape != (NUM_CHANNELS,) or np.any(self.beta < 0.0):
+            raise ValueError(f"beta {self.beta.tolist()} is not {NUM_CHANNELS} values >= 0")
+        dim, std = (self.model.input_dim,), self.input_std
+        if self.input_mean.shape != dim or std.shape != dim or np.any(std <= 0.0):
+            raise ValueError(f"input_mean/input_std are not {dim} values, std > 0")
+        # prediction takes its gammas from the configuration, so the tensor must agree
+        configured = self.config.graph_config().gammas
+        if self.gammas.shape != (NUM_CHANNELS,) or not np.array_equal(self.gammas, configured):
+            raise ValueError(f"gammas tensor {self.gammas.tolist()} differs from "
+                             f"the configured {list(configured)}")
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -221,10 +236,8 @@ def write_checkpoint(path, ckpt: Checkpoint) -> None:
     for i, (w, b) in enumerate(zip(ckpt.model.weights, ckpt.model.biases)):
         lines.extend(_section(f"TENSOR weight{i}", w))
         lines.extend(_section(f"TENSOR bias{i}", b))
-    lines.extend(_section("TENSOR beta", ckpt.beta))
-    lines.extend(_section("TENSOR gammas", ckpt.gammas))
-    lines.extend(_section("TENSOR input_mean", ckpt.input_mean))
-    lines.extend(_section("TENSOR input_std", ckpt.input_std))
+    for name in VECTORS:
+        lines.extend(_section(f"TENSOR {name}", getattr(ckpt, name)))
     _write_lines(path, lines)
 
 
@@ -273,36 +286,18 @@ def read_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: bad configuration: {exc}")
     num_layers = sum(1 for name in tensors if name.startswith("weight"))
     layers = {f"{kind}{i}" for i in range(num_layers) for kind in ("weight", "bias")}
-    if unknown := sorted(set(tensors) - layers - {"beta", "gammas", "input_mean", "input_std"}):
+    if unknown := sorted(set(tensors) - layers - set(VECTORS)):
         raise FormatError(f"{path}: unknown tensors {unknown}")
     try:
         model = unary.UnaryModel(
             weights=[tensors[f"weight{i}"] for i in range(num_layers)],
             biases=[tensors[f"bias{i}"] for i in range(num_layers)],
         )
-        beta, gammas, mean, std = (
-            tensors[name] for name in ("beta", "gammas", "input_mean", "input_std")
-        )
+        if activations != model.activations:
+            raise ValueError(f"activations {activations} differ from {model.activations}")
+        return Checkpoint(config, model, **{name: tensors[name] for name in VECTORS})
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed tensor: {exc}")
-    if (model.layer_dims, activations) != (config.layer_dims(), model.activations):
-        raise FormatError(
-            f"{path}: regressor widths {model.layer_dims} with activations {activations} "
-            f"differ from {config.layer_dims()} with {model.activations}"
-        )
-    if beta.shape != (NUM_CHANNELS,) or np.any(beta < 0.0):
-        raise FormatError(f"{path}: beta {beta.tolist()} is not {NUM_CHANNELS} values >= 0")
-    dim = (model.input_dim,)
-    if mean.shape != dim or std.shape != dim or np.any(std <= 0.0):
-        raise FormatError(f"{path}: input_mean/input_std are not {dim} values, std > 0")
-    # prediction takes its gammas from the configuration, so the tensor must agree
-    configured = config.graph_config().gammas
-    if gammas.shape != (NUM_CHANNELS,) or not np.array_equal(gammas, configured):
-        raise FormatError(
-            f"{path}: gammas tensor {gammas.tolist()} differs from "
-            f"the configured {list(configured)}"
-        )
-    return Checkpoint(config, model, beta, gammas, input_mean=mean, input_std=std)
 
 
 def write_table(path, header, rows) -> None:

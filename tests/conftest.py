@@ -1,5 +1,6 @@
 """Replays the acceptance criterion lines once capture is released, and
-reports the package's size in lines and the run's Python version, BLAS
+reports the package's size in lines (raw, and code lines once blank lines,
+comments and docstrings are dropped) and the run's Python version, BLAS
 thread setting, usable CPUs and numpy and scipy versions, on which
 criterion 9's timings and the thread-count test of the training gradient
 depend, and whether ``graph.map_scenes`` can fork here: where it cannot,
@@ -7,10 +8,13 @@ every test that needs two CPUs skips.  It also reports what ``import
 depthcrf.cli`` costs a fresh interpreter: its peak RSS, its wall time and
 the scipy subpackages it loads."""
 
+import ast
+import io
 import os
 import platform
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy
@@ -20,11 +24,13 @@ from testutil import CAN_FORK
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "depthcrf"
 # Linux carries a process's high-water RSS across exec, so a child of this
 # process would report pytest's peak: a bare interpreter starts the probe
-# and passes on its ru_maxrss (KiB), wall time and loaded scipy subpackages.
+# and passes on its ru_maxrss (KiB), wall time and loaded scipy subpackages
+# (a subpackage is a package: its module has __path__; scipy.version has not).
 IMPORT_PROBE = """
 import os, subprocess, sys, time
-probe = ("import sys, depthcrf.cli; print(*sorted({name.split('.')[1] for name in sys.modules"
-         " if name.startswith('scipy.') and name[6] != '_'}))")
+probe = ("import sys, depthcrf.cli; print(*sorted(name[6:] for name, module in sys.modules.items()"
+         " if name.startswith('scipy.') and name.count('.') == 1 and name[6] != '_'"
+         " and hasattr(module, '__path__')))")
 started = time.perf_counter()
 with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True) as child:
     modules = child.stdout.read().split()
@@ -34,6 +40,23 @@ print(usage.ru_maxrss, time.perf_counter() - started, *modules)
 """
 
 
+def code_lines(source: str) -> int:
+    """Lines holding a token of code: blank lines, comment lines and the lines
+    of module, class and function docstrings are not counted."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+               tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skipped:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def pytest_terminal_summary(terminalreporter):
     module = sys.modules.get("test_acceptance")
     lines = getattr(module, "REPORTED", None)
@@ -41,10 +64,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
-    counts = {path.stem: path.read_bytes().count(b"\n") for path in sorted(PACKAGE.glob("*.py"))}
-    modules = ", ".join(f"{name} {count}" for name, count in counts.items())
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     terminalreporter.section("size and environment")
-    terminalreporter.write_line(f"src/depthcrf: {sum(counts.values())} lines ({modules})")
+    for kind, count in (("lines", lambda text: text.count("\n")), ("code lines", code_lines)):
+        counts = {name: count(text) for name, text in sources.items()}
+        modules = ", ".join(f"{name} {n}" for name, n in counts.items())
+        terminalreporter.write_line(f"src/depthcrf: {sum(counts.values())} {kind} ({modules})")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     terminalreporter.write_line(
         f"environment: Python {platform.python_version()}, "

@@ -448,6 +448,8 @@ INCONSISTENT_CHECKPOINTS = {
     "repeated-activations": (r"(ACTIVATIONS .*\n)", r"\1\1"),
     "repeated-tensor": (r"(TENSOR beta 3\n.*\n)", r"\1\1"),
     "unknown-tensor": (r"(TENSOR )beta( 3\n.*\n)", r"\1beta\2\1foo\2"),
+    "no-layer-tensors": (r"(?s)TENSOR weight0 .*?(?=TENSOR beta )", ""),
+    "missing-bias0": (r"TENSOR bias0 8\n.*\n", ""),
 }
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from depthcrf.config import RunConfig
+from depthcrf.config import ConfigError, RunConfig
 from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
 from depthcrf.training import TrainConfig
@@ -39,3 +39,11 @@ def test_default_run_config_builds_the_default_record(builder):
 
 def test_run_keys_keep_their_order():
     assert list(RunConfig().to_mapping()) == KEY_ORDER
+
+
+def test_run_config_checks_itself_when_built():
+    # dataclasses.replace builds a new record, so it is checked too
+    for build in (lambda: RunConfig(hidden_dims=(0,)), lambda: RunConfig(count=0),
+                  lambda: dataclasses.replace(RunConfig(), target_superpixels=0)):
+        with pytest.raises(ConfigError):
+            build()

@@ -313,6 +313,19 @@ def test_checkpoint_rejects_gammas_differing_from_config(tmp_path, gammas):
         read_checkpoint(path)
 
 
+# _sample_checkpoint's configuration: input width 48, hidden widths 5,3, gammas 2.0
+@pytest.mark.parametrize("field, value, message", [
+    ("model", unary.build_model((48, 5, 4, 1), seed=11), "widths"),
+    ("beta", np.array([1.0, -0.5, 1.0]), "beta"),
+    ("beta", np.ones(2), "beta"),
+    ("input_std", np.concatenate([np.ones(47), [0.0]]), "input_std"),
+    ("gammas", np.array([2.0, 2.0, 3.0]), "gammas"),
+], ids=["hidden-width", "negative-beta", "two-betas", "zero-input-std", "gammas"])
+def test_checkpoint_refuses_what_the_reader_refuses(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(_sample_checkpoint(), **{field: value})
+
+
 FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 
 

@@ -3,11 +3,14 @@
 A run is described by a small set of typed keys covering scene synthesis,
 graph construction, the regressor architecture and the training loop; a
 stage's record (``SceneSpec``, ``GraphConfig``, ``TrainConfig``) names the
-keys it reads, states their defaults and checks them, and a ``RunConfig``
-builds all three whenever it is built.  Values arrive as strings (from a
-config file or ``--set`` overrides) and are coerced by key type; unknown
-keys are rejected so a typo cannot silently fall back to a default.  A text
-value holding a line break is rejected too: every key is one checkpoint line.
+keys it reads, states their defaults and checks them.  ``RunConfig``'s
+fields are those records' fields plus ``count``, ``hidden_dims`` and
+``out_dir``, so a key is declared only in its stage's record, and a
+``RunConfig`` builds all three records whenever it is built.  Values arrive
+as strings (from a config file or ``--set`` overrides) and are coerced by
+key type; unknown keys are rejected so a typo cannot silently fall back to a
+default.  A text value holding a line break is rejected too: every key is
+one checkpoint line.
 
 Config files are UTF-8 text: one ``key = value`` per line, blank lines
 and ``#`` comments ignored; a file that is not text, or that sets a key on
@@ -23,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
 
 from .graph import GraphConfig
 from .synth import SceneSpec
@@ -49,45 +51,8 @@ def parse_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every key in checkpoint order; all but ``count``, ``hidden_dims`` and
-    ``out_dir`` take their defaults from the record of the stage reading them."""
-
-    # scene synthesis
-    height: int = SceneSpec.height
-    width: int = SceneSpec.width
-    num_planes: int = SceneSpec.num_planes
-    depth_min: float = SceneSpec.depth_min
-    depth_max: float = SceneSpec.depth_max
-    texture: str = SceneSpec.texture
-    noise_sigma: float = SceneSpec.noise_sigma
-    count: int = 10
-    seed: int = SceneSpec.seed
-    # superpixel graph
-    target_superpixels: int = GraphConfig.target_superpixels
-    compactness: float = GraphConfig.compactness
-    box_size: int = GraphConfig.box_size
-    patch_dim: int = GraphConfig.patch_dim
-    gamma_color: float = GraphConfig.gamma_color
-    gamma_hist: float = GraphConfig.gamma_hist
-    gamma_lbp: float = GraphConfig.gamma_lbp
-    use_centroid_depth: bool = GraphConfig.use_centroid_depth
-    # regressor architecture (hidden layer widths; input/output are implied)
-    hidden_dims: tuple = (32, 16)
-    # training
-    momentum: float = TrainConfig.momentum
-    lambda1: float = TrainConfig.lambda1
-    lambda2: float = TrainConfig.lambda2
-    lr0: float = TrainConfig.lr0
-    lr_decay: float = TrainConfig.lr_decay
-    lr_decay_every: int = TrainConfig.lr_decay_every
-    epochs: int = TrainConfig.epochs
-    dropout_keep: float = TrainConfig.dropout_keep
-    train_seed: int = TrainConfig.train_seed
-    beta_init: float = TrainConfig.beta_init
-    # default output directory (commands may override via --out)
-    out_dir: str = "out"
+class _RunConfigBase:
+    """The methods of ``RunConfig``, whose fields ``make_dataclass`` adds below."""
 
     def __post_init__(self):
         """Cross-check the keys by building every downstream config."""
@@ -130,6 +95,22 @@ class RunConfig:
                 value = ",".join(str(v) for v in value)
             out[field.name] = repr(value) if isinstance(value, float) else str(value)
         return out
+
+
+def _keys(record) -> list:
+    """``record``'s fields as ``make_dataclass`` takes them: name, annotation text, default."""
+    return [(f.name, f.type, f.default) for f in dataclasses.fields(record)]
+
+
+# Every key in checkpoint order: each stage's record with its types and defaults,
+# plus count (before the scene's seed), hidden_dims (hidden layer widths; input
+# and output are implied) and out_dir (commands may override it via --out).
+*_scene, _seed = _keys(SceneSpec)
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [*_scene, ("count", "int", 10), _seed, *_keys(GraphConfig),
+                  ("hidden_dims", "tuple", (32, 16)), *_keys(TrainConfig), ("out_dir", "str", "out")],
+    bases=(_RunConfigBase,), frozen=True)
+RunConfig.__module__ = __name__  # pickle finds the class by it; make_dataclass(module=) is 3.12+
 
 
 def _parse_str(text: str) -> str:

@@ -621,7 +621,11 @@ def map_scenes(fn, items, *args) -> list:
             if (pid := os.fork()) == 0:
                 try:
                     pipe.close()  # so that a write finds no reader once this process closes
-                    pickle.dump(_share(fn, items[split:], args), out)
+                    try:
+                        payload = [fn(item, *args) for item in items[split:]], None
+                    except Exception as exc:  # the caller drops a failing child's results
+                        payload = None, exc
+                    pickle.dump(payload, out)
                     out.flush()
                 finally:
                     os._exit(0)
@@ -652,14 +656,3 @@ def _threaded() -> bool:
         return len(os.listdir("/proc/self/task")) > 1
     except OSError:
         return True
-
-
-def _share(fn, items, args):
-    """``fn`` over ``items`` in order, up to the first error: (results, exception or None)."""
-    results = []
-    try:
-        for item in items:
-            results.append(fn(item, *args))
-    except Exception as exc:
-        return results, exc
-    return results, None

@@ -1,6 +1,7 @@
 """Each run key that a stage reads is stated once, in that stage's record."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -47,3 +48,11 @@ def test_run_config_checks_itself_when_built():
                   lambda: dataclasses.replace(RunConfig(), target_superpixels=0)):
         with pytest.raises(ConfigError):
             build()
+
+
+def test_run_config_is_an_ordinary_importable_class():
+    # make_dataclass names the module "types" unless told, and pickle finds a class by it
+    assert RunConfig.__module__ == "depthcrf.config"
+    config = RunConfig(texture="flat", count=3, seed=7, use_centroid_depth=True,
+                       hidden_dims=(4,), epochs=2, out_dir="runs")
+    assert pickle.loads(pickle.dumps(config)) == config

@@ -987,6 +987,11 @@ class TestMapScenes:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+        def unlistable(path):
+            raise OSError("no such directory")
+        monkeypatch.setattr(os, "listdir", unlistable)  # so the thread count is unknown
+        assert graph.map_scenes(_square, range(4)) == [0, 1, 4, 9]
+
     def test_a_failed_fork_leaves_no_child_and_no_descriptor(self, monkeypatch):
         use_cpus(monkeypatch, 3)
 

@@ -62,6 +62,10 @@ class TestQuadrature:
             with pytest.raises(ValueError, match="at most 2 nodes"):
                 oracle.quad_log_partition(no_edge_instance(n), np.zeros(n), ONES)
 
+    def test_three_point_floor(self):
+        with pytest.raises(ValueError, match="at least 3 quadrature points"):
+            oracle.quad_log_partition(no_edge_instance(1), [0.0], ONES, points=2)
+
     def test_explicit_half_width(self):
         value = oracle.quad_log_partition(no_edge_instance(1), [0.0], ONES, half_width=7.0,
                                           points=2001)

@@ -71,7 +71,8 @@ def _section(header: str, arr) -> list[str]:
     # a predicted raster repeats one value per superpixel, so format each
     # distinct bit pattern once; bits, not values, keep -0.0 apart from 0.0
     bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(float)], dtype=object)
+    # Python floats' repr, as ``_fmt`` writes them, without a call per value
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     rows = text[inverse].reshape(-1, arr.shape[-1]).tolist()
     return [" ".join([header, *map(str, arr.shape)]), *map(" ".join, rows)]
 

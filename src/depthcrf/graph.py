@@ -34,20 +34,25 @@ adjacent pixels (the lowest on ties), so labels are connected; beyond that
 no connectivity enforcement happens.  Label ids are compacted to 0..n-1, and
 labels are a deterministic function of the image and the configuration.
 
-Per superpixel ``extract_features`` computes mean RGB, an L1-normalized
-color histogram (10 bins x 3 channels), an L1-normalized 256-bin local
-binary pattern histogram over luminance (8 neighbors, radius 1, edge rows
-and columns replicated), a ``box_size`` square patch around the centroid
-(edge-replicated at borders, area-averaged down to ``patch_dim`` a side) and
+Per superpixel ``extract_features`` computes the appearance that weighs the
+CRF's edges: mean RGB, an L1-normalized color histogram (10 bins x 3
+channels) and an L1-normalized 256-bin local binary pattern histogram over
+luminance (8 neighbors, radius 1, edge rows and columns replicated), beside
 the log of the ground-truth depth: its mean, or with ``use_centroid_depth``
-the depth at the centroid.  Pairwise ``similarities`` between adjacent
-superpixels are exp(-gamma_k * ||f_p - f_q||_2) per feature channel, with
-``gammas``, stored per edge: a (3, E) array whose column e belongs to row e
-of the (E, 2) edge list.  Patches and similarities are taken in blocks of
-about ``BLOCK_CELLS`` values, so their working set stays in cache whatever
-the superpixel count.  ``build_graph`` runs all of the above and puts the
-edges, the similarities and the ground truth in the scene's one read-only
-``crf.CrfInstance``, which training and prediction use as given.
+the depth at the centroid.  ``extract_patches`` cuts the regressor's input,
+a ``box_size`` square patch around each centroid (edge-replicated at
+borders, area-averaged down to ``patch_dim`` a side).  Pairwise
+``similarities`` between adjacent superpixels are
+exp(-gamma_k * ||f_p - f_q||_2) per appearance channel, with ``gammas``,
+stored per edge: a (3, E) array whose column e belongs to row e of the
+(E, 2) edge list.  Patches and similarities are taken in blocks of about
+``BLOCK_CELLS`` values, so their working set stays in cache whatever the
+superpixel count.  ``build_graph`` runs all of the above and keeps what
+prediction and training read: the labels, the patch rows, and the scene's
+one read-only ``crf.CrfInstance`` of edges, similarities and ground truth,
+which they use as given.  The appearance tables go once the similarities
+are taken, before the patches are cut; at 2000 superpixels the LBP table
+alone is 4 MB.
 ``map_scenes`` runs such per-scene work in two processes where two CPUs are
 usable: one forked child takes the second half of the scenes.
 """
@@ -133,23 +138,27 @@ class GraphConfig:
 
 @dataclass
 class SuperpixelFeatures:
-    """Per-superpixel descriptors, stacked over the n superpixels of a scene."""
+    """Per-superpixel appearance, stacked over the n superpixels of a scene:
+    the three channels ``similarities`` compares across edges, and the log
+    ground-truth depth (None without depth).  ``build_graph`` lets the
+    channels go once the edges are weighed; the regressor's patches come
+    from ``extract_patches``."""
 
     mean_color: np.ndarray
     color_hist: np.ndarray
     lbp_hist: np.ndarray
-    patch: np.ndarray
     gt_logdepth: np.ndarray | None
 
 
 @dataclass
 class GraphData:
-    """A segmented scene: its labels, its superpixels' features and the
-    read-only CRF instance of its graph (edges in canonical order,
-    similarities (3, E) per edge, and the ground truth when there is one)."""
+    """A segmented scene as prediction and training read it: its labels, the
+    regressor's (n, 3 patch_dim^2) patch rows, and the read-only CRF
+    instance of its graph (edges in canonical order, similarities (3, E) per
+    edge, and the ground truth as ``y`` when there is one)."""
 
     labels: np.ndarray
-    features: SuperpixelFeatures
+    patches: np.ndarray
     instance: CrfInstance
 
     @property
@@ -488,11 +497,19 @@ def lbp_codes(image) -> np.ndarray:
     return codes
 
 
-def _label_histograms(labels, values, bins, count):
-    """(count, bins): each label's L1-normalized histogram of ``values``."""
+def _label_histograms(labels, values, bins, sizes):
+    """(count, bins): each label's L1-normalized histogram of ``values``, for
+    labels 0..count-1 of ``sizes`` pixels each.
+
+    The histograms are counted as one float table in a single ``bincount``,
+    and each row is divided by its label's count of values, its pixels times
+    the values per pixel.  The counts are exact small integers, so each
+    quotient is the one a division by the row's sum would give."""
     keys = labels * bins + values  # labels broadcast against values
-    hist = np.bincount(keys.ravel(), minlength=count * bins).reshape(count, bins).astype(float)
-    hist /= hist.sum(axis=1, keepdims=True)
+    per_pixel = keys.size // labels.size
+    hist = np.bincount(keys.ravel(), weights=np.ones(keys.size), minlength=len(sizes) * bins)
+    hist = hist.reshape(len(sizes), bins)
+    hist /= (sizes * per_pixel)[:, None]
     return hist
 
 
@@ -504,43 +521,65 @@ def _area_average_weights(src: int, dst: int) -> np.ndarray:
     return np.where(overlap > 0, overlap / ratio, 0.0)
 
 
-def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelFeatures:
-    """Per-superpixel descriptors of a scene segmented into ``labels`` (ids
-    0..n-1, row v of every output describing id v) and their ``centroids``,
-    as ``segment`` returns them: each centroid must round to a pixel.
+def _centre_pixels(centroids, shape):
+    """Rows and columns of the pixels that ``centroids`` round to, floor(c + 0.5)."""
+    centres = np.floor(centroids + 0.5)
+    if not np.all((centres >= 0) & (centres < shape)):
+        raise ValueError("centroids must round to pixels of the image")
+    return tuple(centres.astype(np.intp).T)
 
-    A patch's crop is the ``cfg.box_size`` square around the rounded
-    centroid, floor(c + 0.5), rows and columns past the border clipped to
-    it; with ``cfg.use_centroid_depth`` the target is the depth at that
-    pixel.  The image is edge-padded once, by what the corner crops need,
-    so each crop is one window of a ``sliding_window_view``: a
-    (box_size, 3 box_size) block of the padded (H', 3 W') raster, copied in
-    batches of about ``BLOCK_CELLS`` pixels and contracted by the
-    area-average weights, rows then columns, down to ``cfg.patch_dim`` a side.
-    """
-    box_size, patch_dim = cfg.box_size, cfg.patch_dim
+
+def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelFeatures:
+    """Per-superpixel appearance and ground truth of a scene segmented into
+    ``labels`` (ids 0..n-1, row v of every output describing id v) and their
+    ``centroids``, as ``segment`` returns them.  With
+    ``cfg.use_centroid_depth`` the target is the depth at the pixel each
+    centroid rounds to, where ``extract_patches`` centres its crop; that
+    centroid must round to a pixel."""
     image = sample.image
-    height, width = sample.shape
     count = int(labels.max()) + 1
     sizes = np.bincount(labels.ravel(), minlength=count)
     mean_color = _label_means(labels, image.reshape(-1, 3), count, sizes)
 
     bin_idx = np.minimum((image * COLOR_BINS).astype(np.intp), COLOR_BINS - 1)
     bin_idx += np.arange(3) * COLOR_BINS  # channel c's bins are 10 c .. 10 c + 9
-    color_hist = _label_histograms(labels[..., None], bin_idx, 3 * COLOR_BINS, count)
-    lbp_hist = _label_histograms(labels, lbp_codes(image), LBP_BINS, count)
+    color_hist = _label_histograms(labels[..., None], bin_idx, 3 * COLOR_BINS, sizes)
+    lbp_hist = _label_histograms(labels, lbp_codes(image), LBP_BINS, sizes)
 
+    gt_logdepth = None
+    if sample.depth is not None:
+        if cfg.use_centroid_depth:
+            gt_logdepth = np.log(sample.depth[_centre_pixels(centroids, sample.shape)])
+        else:
+            depth = _label_means(labels, sample.depth.reshape(-1, 1), count, sizes)
+            gt_logdepth = np.log(depth[:, 0])
+
+    return SuperpixelFeatures(mean_color, color_hist, lbp_hist, gt_logdepth)
+
+
+def extract_patches(image, centroids, cfg: GraphConfig) -> np.ndarray:
+    """The regressor's inputs: one flattened (``cfg.patch_dim``,
+    ``cfg.patch_dim``, 3) patch row per centroid, each centroid rounding to a
+    pixel of the (H, W, 3) ``image``.
+
+    A patch's crop is the ``cfg.box_size`` square around the rounded
+    centroid, floor(c + 0.5), rows and columns past the border clipped to
+    it.  The image is edge-padded once, by what the corner crops need, so
+    each crop is one window of a ``sliding_window_view``: a
+    (box_size, 3 box_size) block of the padded (H', 3 W') raster, copied in
+    batches of about ``BLOCK_CELLS`` pixels and contracted by the
+    area-average weights, rows then columns, down to ``cfg.patch_dim`` a side.
+    """
+    box_size, patch_dim = cfg.box_size, cfg.patch_dim
+    rows, cols = _centre_pixels(centroids, image.shape[:2])
     shrink = _area_average_weights(box_size, patch_dim)
-    centres = np.floor(centroids + 0.5)
-    if not np.all((centres >= 0) & (centres < [height, width])):
-        raise ValueError("centroids must round to pixels of the image")
     # padded row r + box_size // 2 is row clip(r, 0, height - 1), columns alike
     before = box_size // 2
     padded = np.pad(image, ((before, box_size - 1 - before),) * 2 + ((0, 0),), mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(
         padded.reshape(len(padded), -1), (box_size, 3 * box_size)
     )
-    rows, cols = centres.astype(np.intp).T
+    count = len(rows)
     patches = np.empty((count, patch_dim, patch_dim, 3))
     step = max(1, BLOCK_CELLS // box_size**2)
     for start in range(0, count, step):
@@ -548,23 +587,7 @@ def extract_features(sample, labels, centroids, cfg: GraphConfig) -> SuperpixelF
         crops = windows[rows[block], 3 * cols[block]]
         reduced = shrink @ crops
         patches[block] = shrink @ reduced.reshape(len(crops), patch_dim, box_size, 3)
-    patch = patches.reshape(count, -1)
-
-    gt_logdepth = None
-    if sample.depth is not None:
-        if cfg.use_centroid_depth:
-            gt_logdepth = np.log(sample.depth[rows, cols])
-        else:
-            depth = _label_means(labels, sample.depth.reshape(-1, 1), count, sizes)
-            gt_logdepth = np.log(depth[:, 0])
-
-    return SuperpixelFeatures(
-        mean_color=mean_color,
-        color_hist=color_hist,
-        lbp_hist=lbp_hist,
-        patch=patch,
-        gt_logdepth=gt_logdepth,
-    )
+    return patches.reshape(count, -1)
 
 
 def similarities(features: SuperpixelFeatures, cfg: GraphConfig, edges) -> np.ndarray:
@@ -587,13 +610,18 @@ def similarities(features: SuperpixelFeatures, cfg: GraphConfig, edges) -> np.nd
 
 def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     """Segment, describe and connect a scene in one call; the instance's
-    ``y`` is ``features.gt_logdepth``, None when the sample has no depth."""
+    ``y`` is the features' ``gt_logdepth``, None when the sample has no depth.
+
+    The appearance channels weigh the edges and go before the patches are
+    cut, so the (n, 256) LBP table and the patch rows are never held together."""
     labels, centroids = segment(sample.image, cfg)
-    features = extract_features(sample, labels, centroids, cfg)
     edges = adjacency(labels)
-    instance = CrfInstance(n=len(features.patch), similarities=similarities(features, cfg, edges),
+    features = extract_features(sample, labels, centroids, cfg)
+    instance = CrfInstance(n=len(centroids), similarities=similarities(features, cfg, edges),
                            edges=edges, y=features.gt_logdepth)
-    return GraphData(labels=labels, features=features, instance=instance)
+    del features
+    return GraphData(labels=labels, patches=extract_patches(sample.image, centroids, cfg),
+                     instance=instance)
 
 
 # From Python 3.12 ``os.fork`` warns in a process with more than one thread,

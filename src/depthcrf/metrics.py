@@ -13,8 +13,11 @@ ground truth, over the T masked-in pixels:
 with ground truth below the cap (``C1``) next to all pixels (``C2``).
 Prediction runs a trained model as the ``formats.Checkpoint`` that holds it:
 the regressor, beta, the input standardization, and the run configuration
-whose graph recipe segments the image.  It paints each superpixel's region
-with the exponential of its most probable log-depth.
+whose graph recipe segments the image.  It reads only what
+``graph.build_graph`` keeps, the labels, the patch rows and the CRF
+instance, standardizes a copy of the patch rows (the graph stays as
+built), and paints each superpixel's region with the exponential of its
+most probable log-depth.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def predict_graph(data: GraphData, ckpt: Checkpoint) -> np.ndarray:
 
     FloatingPointError, and no warning, if the regressor's output or a depth overflows.
     """
-    inputs = data.features.patch - ckpt.input_mean
+    inputs = data.patches - ckpt.input_mean
     inputs /= ckpt.input_std  # in place: one n x dim array at a time, the same bits
     z, _ = unary.forward(ckpt.model, inputs)
     if not np.all(np.isfinite(z)):

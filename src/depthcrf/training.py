@@ -24,9 +24,11 @@ The unary-only baseline is the identical loop with beta frozen at zero
 (``unary_only=True``).  Regressor inputs are flattened patches standardized
 per dimension with training-set statistics, kept with the model so that
 prediction and resumed training reproduce them.  Each prepared scene keeps
-its graph, per-edge (3, E) similarities and ground truth as the read-only
-``CrfInstance`` that ``graph.build_graph`` built; each step passes the
+only what ``graph.build_graph`` left for training: its patch rows,
+standardized in place, and its graph, per-edge (3, E) similarities and
+ground truth as the read-only ``CrfInstance``; each step passes the
 regressor's ``z`` to the CRF alongside it, so training builds no instance.
+The appearance channels that weighed the edges are gone by then.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ class TrainConfig:
 
 @dataclass
 class PreparedScene:
-    """One image, ready for the loss: regressor inputs (standardized by
-    ``prepare_dataset``) and the read-only CRF instance of its graph and
-    ground truth."""
+    """One image, ready for the loss: regressor inputs (the graph's patch
+    rows, standardized in place by ``prepare_dataset``) and the read-only CRF
+    instance of its graph and ground truth."""
 
     inputs: np.ndarray
     instance: CrfInstance
@@ -107,9 +109,16 @@ class TrainState:
 
 
 def input_stats(scenes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and (floored) standard deviation of raw inputs."""
+    """Per-dimension mean and (floored) standard deviation of raw inputs.
+
+    The deviation is taken in place on the one stacked copy, in the steps of
+    numpy's ``std`` (subtract the mean, square, sum, divide, root): the same
+    bits as ``stacked.std(axis=0)`` without its second copy."""
     stacked = np.concatenate([s.inputs for s in scenes], axis=0)
-    return stacked.mean(axis=0), np.maximum(stacked.std(axis=0), STD_FLOOR)
+    mean = stacked.mean(axis=0)
+    stacked -= mean
+    var = np.square(stacked, out=stacked).sum(axis=0) / len(stacked)
+    return mean, np.maximum(np.sqrt(var), STD_FLOOR)
 
 
 def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
@@ -117,7 +126,7 @@ def prepare_scene(sample, graph_cfg: GraphConfig) -> PreparedScene:
     data = build_graph(sample, graph_cfg)
     if data.instance.y is None:
         raise ValueError("training scenes need ground-truth depth")
-    return PreparedScene(inputs=data.features.patch, instance=data.instance)
+    return PreparedScene(inputs=data.patches, instance=data.instance)
 
 
 def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
@@ -126,9 +135,9 @@ def prepare_dataset(samples, graph_cfg: GraphConfig, stats=None):
     resumes a model, else computed from these scenes."""
     scenes = map_scenes(prepare_scene, samples, graph_cfg)
     mean, std = input_stats(scenes) if stats is None else stats
-    for scene in scenes:
-        scene.inputs = scene.inputs - mean
-        scene.inputs /= std  # in place: one n x dim array at a time, the same bits
+    for scene in scenes:  # in place, as each scene owns its patch rows: the same bits
+        scene.inputs -= mean
+        scene.inputs /= std
     return scenes, mean, std
 
 

@@ -4,9 +4,11 @@ comments and docstrings are dropped) and the run's Python version, BLAS
 thread setting, usable CPUs and numpy and scipy versions, on which
 criterion 9's timings and the thread-count test of the training gradient
 depend, and whether ``graph.map_scenes`` can fork here: where it cannot,
-every test that needs two CPUs skips.  It also reports what ``import
-depthcrf.cli`` costs a fresh interpreter: its peak RSS, its wall time and
-the scipy subpackages it loads."""
+every test that needs two CPUs skips.  It also reports the traced memory
+of ``graph.build_graph`` at 2000 superpixels (its peak, and what the built
+graph still holds), and what ``import depthcrf.cli`` costs a fresh
+interpreter: its peak RSS, its wall time and the scipy subpackages it
+loads."""
 
 import ast
 import io
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy
 import scipy
-from testutil import CAN_FORK
+from testutil import CAN_FORK, graph_memory
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "depthcrf"
 # Linux carries a process's high-water RSS across exec, so a child of this
@@ -76,6 +78,10 @@ def pytest_terminal_summary(terminalreporter):
         f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
         f"{cpus} usable CPUs, numpy {numpy.__version__}, scipy {scipy.__version__}, "
         f"map_scenes {'can' if CAN_FORK else 'cannot'} fork")
+    _, held, peak = graph_memory()
+    terminalreporter.write_line(
+        f"graph.build_graph at 2000 superpixels (128x128 synth scene, tracemalloc): "
+        f"peak {peak / 2**20:.1f} MiB, {held / 2**20:.1f} MiB held after return")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -168,14 +168,15 @@ def build_graph(sample: SceneSample, cfg: GraphConfig) -> GraphData:
     """``graph.build_graph`` on the reference segmentation, patches and
     similarities.
 
-    Mean colour, histograms, LBP and edges come from the unchanged ``graph``
-    functions applied to the reference labels.
+    Mean colour, histograms, LBP, ground truth and edges come from the
+    unchanged ``graph`` functions applied to the reference labels.
     """
     labels, centroids = segment(sample.image, cfg.target_superpixels, cfg.compactness)
     features = graph.extract_features(sample, labels, centroids, cfg)
-    features.patch = patches(sample.image, centroids, cfg.box_size, cfg.patch_dim)
     edges = graph.adjacency(labels)
     sims = similarities(features, cfg.gammas, edges)
     instance = CrfInstance(n=len(centroids), similarities=sims, edges=edges,
                            y=features.gt_logdepth)
-    return GraphData(labels=labels, features=features, instance=instance)
+    return GraphData(labels=labels,
+                     patches=patches(sample.image, centroids, cfg.box_size, cfg.patch_dim),
+                     instance=instance)

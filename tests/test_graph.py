@@ -13,7 +13,7 @@ import scipy.ndimage
 from depthcrf import graph, synth
 from depthcrf.crf import CrfInstance
 from depthcrf.graph import GraphConfig, SceneSample
-from testutil import assert_no_children, open_fds, use_cpus
+from testutil import assert_no_children, graph_memory, open_fds, traced, use_cpus
 
 
 def flat_scene(height=12, width=12, color=(0.4, 0.6, 0.2), depth=2.0):
@@ -196,14 +196,15 @@ class TestFeatures:
     def test_constant_scene_features(self):
         sample = flat_scene(depth=3.0)
         labels, centroids = grid_segment(sample.image, 4)
-        feats = graph.extract_features(sample, labels, centroids,
-                                       GraphConfig(box_size=4, patch_dim=2))
+        cfg = GraphConfig(box_size=4, patch_dim=2)
+        feats = graph.extract_features(sample, labels, centroids, cfg)
         assert np.allclose(feats.mean_color, [0.4, 0.6, 0.2])
         assert np.allclose(feats.color_hist.sum(axis=1), 1.0)
         assert np.allclose(feats.lbp_hist.sum(axis=1), 1.0)
         # uniform image: all LBP mass on one bin
         assert np.allclose(feats.lbp_hist[:, 255], 1.0)
-        assert np.allclose(feats.patch, np.tile([0.4, 0.6, 0.2], 4))
+        assert np.allclose(graph.extract_patches(sample.image, centroids, cfg),
+                           np.tile([0.4, 0.6, 0.2], 4))
         assert np.allclose(feats.gt_logdepth, np.log(3.0))
 
     def test_color_histogram_hand_count(self):
@@ -237,22 +238,18 @@ class TestFeatures:
     def test_patch_block_average(self):
         image = np.zeros((4, 4, 3))
         image[..., 0] = np.arange(16).reshape(4, 4) / 16.0
-        feats = graph.extract_features(
-            SceneSample(image=image), np.zeros((4, 4), dtype=int), np.array([[1.5, 1.5]]),
-            GraphConfig(box_size=4, patch_dim=2),
-        )
-        patch = feats.patch[0].reshape(2, 2, 3)
+        patches = graph.extract_patches(image, np.array([[1.5, 1.5]]),
+                                        GraphConfig(box_size=4, patch_dim=2))
+        patch = patches[0].reshape(2, 2, 3)
         blocks = image[..., 0].reshape(2, 2, 2, 2).mean(axis=(1, 3))
         assert np.allclose(patch[..., 0], blocks)
 
     def test_patch_replicates_at_borders(self):
         image = np.zeros((6, 6, 3))
         image[..., 2] = np.linspace(0, 1, 36).reshape(6, 6)
-        feats = graph.extract_features(
-            SceneSample(image=image), np.zeros((6, 6), dtype=int), np.array([[0.0, 0.0]]),
-            GraphConfig(box_size=4, patch_dim=4),
-        )
-        patch = feats.patch[0].reshape(4, 4, 3)
+        patches = graph.extract_patches(image, np.array([[0.0, 0.0]]),
+                                        GraphConfig(box_size=4, patch_dim=4))
+        patch = patches[0].reshape(4, 4, 3)
         rows = np.clip(np.arange(-2, 2), 0, 5)
         expected = image[np.ix_(rows, rows)][..., 2]
         assert np.allclose(patch[..., 2], expected)
@@ -260,9 +257,13 @@ class TestFeatures:
     @pytest.mark.parametrize("centroid", [[-0.51, 2.0], [2.0, -0.6], [4.5, 2.0], [2.0, 6.5],
                                           [np.nan, 2.0]])
     def test_patches_reject_centroids_off_the_image(self, centroid):
+        sample, centroids = flat_scene(5, 7), np.array([centroid])
         with pytest.raises(ValueError, match="centroids"):
-            graph.extract_features(flat_scene(5, 7), np.zeros((5, 7), dtype=int),
-                                   np.array([centroid]), GraphConfig(box_size=24, patch_dim=8))
+            graph.extract_patches(sample.image, centroids, GraphConfig(box_size=24, patch_dim=8))
+        # the depth at the centroid is read where the patch would be centred
+        at_centre = GraphConfig(use_centroid_depth=True)
+        with pytest.raises(ValueError, match="centroids"):
+            graph.extract_features(sample, np.zeros((5, 7), dtype=int), centroids, at_centre)
 
     def test_centroid_depth_option(self):
         sample = flat_scene(height=8, width=8)
@@ -352,8 +353,8 @@ class TestBuildGraph:
         data = graph.build_graph(sample, cfg)
         count = data.labels.max() + 1
         assert data.instance.n == count
-        assert data.features.patch.shape == (count, 4 * 4 * 3)
-        assert data.features.gt_logdepth.shape == (count,)
+        assert data.patches.shape == (count, 4 * 4 * 3)
+        assert data.instance.y.shape == (count,)
         assert data.instance.similarities.shape == (3, len(data.edges))
         assert data.edges is data.instance.edges
         assert np.all(data.edges < count)
@@ -362,7 +363,8 @@ class TestBuildGraph:
         sample = synth.generate(synth.SceneSpec(height=32, width=32, seed=3))
         cfg = GraphConfig(target_superpixels=12, box_size=8, patch_dim=4)
         data = graph.build_graph(sample, cfg)
-        y, truth = data.instance.y, data.features.gt_logdepth
+        truth = graph.extract_features(sample, *graph.segment(sample.image, cfg), cfg).gt_logdepth
+        y = data.instance.y
         assert y.dtype == truth.dtype and y.tobytes() == truth.tobytes()
         sample.depth = None
         assert graph.build_graph(sample, cfg).instance.y is None
@@ -379,8 +381,9 @@ class TestBuildGraph:
         def features_of(img, dep):
             sample = SceneSample(image=img, depth=dep)
             labels, centroids = grid_segment(img, 25)
-            return graph.extract_features(sample, labels, centroids,
-                                          GraphConfig(box_size=3, patch_dim=3))
+            cfg = GraphConfig(box_size=3, patch_dim=3)
+            feats = graph.extract_features(sample, labels, centroids, cfg)
+            return vars(feats) | {"patch": graph.extract_patches(img, centroids, cfg)}
 
         base = features_of(image, depth)
         moved = features_of(rolled_img, rolled_depth)
@@ -390,10 +393,10 @@ class TestBuildGraph:
             for j in (1, 2):
                 src, dst = i * 5 + j, (i + 1) * 5 + (j + 1)
                 for name in ("mean_color", "color_hist", "lbp_hist", "patch"):
-                    a = getattr(base, name)[src]
-                    b = getattr(moved, name)[dst]
+                    a = base[name][src]
+                    b = moved[name][dst]
                     assert np.allclose(a, b, atol=1e-12), name
-                assert abs(base.gt_logdepth[src] - moved.gt_logdepth[dst]) < 1e-12
+                assert abs(base["gt_logdepth"][src] - moved["gt_logdepth"][dst]) < 1e-12
 
 
 REFERENCE_CORPUS = [
@@ -417,13 +420,15 @@ class TestAgainstReferenceLoops:
             for name in ("n", "similarities", "y"):
                 assert np.array_equal(getattr(fast.instance, name),
                                       getattr(slow.instance, name)), name
+            assert np.array_equal(fast.patches, slow.patches), "patches"
             # graph_reference.segment returns the centroids of its final labels
             centroids = graph_reference.centroids(slow.labels, slow.instance.n)
-            assert np.array_equal(graph.segment(sample.image, cfg)[1], centroids), "centroids"
-            for name in ("mean_color", "color_hist", "lbp_hist", "patch", "gt_logdepth"):
-                assert np.array_equal(
-                    getattr(fast.features, name), getattr(slow.features, name)
-                ), name
+            labels, fast_centroids = graph.segment(sample.image, cfg)
+            assert np.array_equal(fast_centroids, centroids), "centroids"
+            fast_feats = graph.extract_features(sample, labels, fast_centroids, cfg)
+            slow_feats = graph.extract_features(sample, slow.labels, centroids, cfg)
+            for name in ("mean_color", "color_hist", "lbp_hist", "gt_logdepth"):
+                assert np.array_equal(getattr(fast_feats, name), getattr(slow_feats, name)), name
 
     @pytest.mark.parametrize("block_cells", [1, 50, 10**6])
     def test_assignment_independent_of_block_size(self, monkeypatch, block_cells):
@@ -604,11 +609,10 @@ class TestAgainstReferenceLoops:
         ])
         centroids = np.vstack([centroids, rng.uniform(-0.5, [last_r + 0.49, last_c + 0.49],
                                                       (9, 2))])
-        labels = np.arange(height * width).reshape(height, width) % len(centroids)
-        feats = graph.extract_features(SceneSample(image=image), labels, centroids,
-                                       GraphConfig(box_size=box_size, patch_dim=patch_dim))
+        patches = graph.extract_patches(image, centroids,
+                                        GraphConfig(box_size=box_size, patch_dim=patch_dim))
         expected = graph_reference.patches(image, centroids, box_size, patch_dim)
-        assert np.array_equal(feats.patch, expected)
+        assert np.array_equal(patches, expected)
 
     @pytest.mark.parametrize("block_cells", [1, 10**6])
     def test_similarities_match_reference(self, monkeypatch, block_cells):
@@ -619,7 +623,7 @@ class TestAgainstReferenceLoops:
             mean_color=rng.random((count, 3)),
             color_hist=rng.dirichlet(np.ones(3 * graph.COLOR_BINS), count),
             lbp_hist=rng.dirichlet(np.ones(graph.LBP_BINS), count),
-            patch=np.zeros((count, 0)), gt_logdepth=None,
+            gt_logdepth=None,
         )
         edges = np.array(sorted({tuple(sorted(pair)) for pair in rng.integers(0, count, (300, 2))
                                  if pair[0] != pair[1]}))
@@ -860,6 +864,7 @@ def front_end_peak(target):
         cfg = GraphConfig(target_superpixels=target, box_size=24, patch_dim=8)
         labels, centroids = graph.segment(sample.image, cfg)
         graph.extract_features(sample, labels, centroids, cfg)
+        graph.extract_patches(sample.image, centroids, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -886,6 +891,34 @@ def test_graph_working_set_stays_small_at_2000_superpixels():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_a_built_graph_holds_only_what_its_readers_read():
+    # with the appearance tables kept beside the patch rows, this peaked at
+    # 10.3 MiB and held 7.9 MiB; the arrays kept are 3.4 MiB
+    data, held, peak = graph_memory()
+    instance = data.instance
+    stored = [value for value in vars(instance).values() if isinstance(value, np.ndarray)]
+    kept = sum(array.nbytes for array in [data.labels, data.patches, *stored]) + 2**16
+    assert held <= kept
+    assert peak <= kept + instance.n * graph.LBP_BINS * 8  # one (n, 256) float table
+
+
+@pytest.mark.parametrize("bins, per_pixel", [(graph.LBP_BINS, 1), (3 * graph.COLOR_BINS, 3)],
+                         ids=["lbp", "color"])
+def test_label_histograms_peak_at_one_float_table_and_its_keys(bins, per_pixel):
+    count = 2000
+    labels = (np.arange(128 * 128) % count).reshape(128, 128, 1)
+    values = np.random.default_rng(bins).integers(0, bins, (128, 128, per_pixel))
+    sizes = np.bincount(labels.ravel(), minlength=count)
+    hist, _, peak = traced(graph._label_histograms, labels, values, bins, sizes)
+    # the table, the keys and their unit weights; an int table and its float
+    # copy peaked at twice the table
+    assert peak <= hist.nbytes + 2 * 8 * np.broadcast(labels, values).size + 2**16
+    counts = np.bincount((labels * bins + values).ravel(), minlength=count * bins)
+    expected = counts.reshape(count, bins).astype(float)
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert np.array_equal(hist, expected)
 
 
 def _square(item, offset=0):

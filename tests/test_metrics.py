@@ -125,7 +125,7 @@ class TestPrediction:
         ckpt = make_checkpoint(np.zeros(3), seed=3)
         raster = metrics.predict_image(sample, ckpt)
         data = graph.build_graph(sample, ckpt.config.graph_config())
-        z, _ = unary.forward(ckpt.model, data.features.patch)
+        z, _ = unary.forward(ckpt.model, data.patches)
         assert np.allclose(raster, np.exp(z)[data.labels])
         assert np.array_equal(metrics.predict_graph(data, ckpt), raster)
 

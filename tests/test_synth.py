@@ -80,14 +80,12 @@ class TestGenerate:
         # must be positively rank-correlated
         spec = SceneSpec(height=64, width=64, num_planes=5, seed=9)
         sample = synth.generate(spec)
-        data = graph.build_graph(
-            sample, graph.GraphConfig(target_superpixels=49, box_size=8, patch_dim=4)
-        )
-        p, q = data.edges[:, 0], data.edges[:, 1]
-        color_dist = np.linalg.norm(
-            data.features.mean_color[p] - data.features.mean_color[q], axis=1
-        )
-        depth_dist = np.abs(data.features.gt_logdepth[p] - data.features.gt_logdepth[q])
+        cfg = graph.GraphConfig(target_superpixels=49, box_size=8, patch_dim=4)
+        labels, centroids = graph.segment(sample.image, cfg)
+        feats = graph.extract_features(sample, labels, centroids, cfg)
+        p, q = graph.adjacency(labels).T
+        color_dist = np.linalg.norm(feats.mean_color[p] - feats.mean_color[q], axis=1)
+        depth_dist = np.abs(feats.gt_logdepth[p] - feats.gt_logdepth[q])
         rho = scipy.stats.spearmanr(color_dist, depth_dist).statistic
         assert rho > 0.2
 

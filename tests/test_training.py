@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depthcrf import crf, oracle, synth, training, unary
+from depthcrf import crf, graph, oracle, synth, training, unary
 from depthcrf.crf import CrfInstance, FactorizationError
 from depthcrf.graph import GraphConfig
 from depthcrf.synth import SceneSpec
@@ -90,6 +91,24 @@ class TestPreparation:
         with pytest.raises(ValueError, match="^training scenes need ground-truth depth$"):
             training.prepare_dataset(samples, GRAPH_CFG)
         assert_no_children()
+
+    @pytest.mark.parametrize("heights", [(24,), (24, 40, 32)], ids=["one-scene", "unequal"])
+    def test_stats_and_inputs_are_numpys_bit_for_bit(self, heights):
+        samples = [synth.generate(SceneSpec(height=h, width=24, num_planes=3, seed=i))
+                   for i, h in enumerate(heights)]
+        raw = [graph.build_graph(sample, GRAPH_CFG).patches for sample in samples]
+        stacked = np.concatenate(raw)
+        mean = stacked.mean(axis=0)
+        std = np.maximum(stacked.std(axis=0), training.STD_FLOOR)
+        got = training.input_stats([SimpleNamespace(inputs=inputs) for inputs in raw])
+        assert [a.tobytes() for a in got] == [mean.tobytes(), std.tobytes()]
+        assert np.concatenate(raw).tobytes() == stacked.tobytes()  # it worked on its own copy
+        given = (mean + 0.25, std * 1.5)
+        for stats, (shift, scale) in ((None, (mean, std)), (given, given)):
+            scenes, *used = training.prepare_dataset(samples, GRAPH_CFG, stats)
+            assert [a.tobytes() for a in used] == [shift.tobytes(), scale.tobytes()]
+            for scene, inputs in zip(scenes, raw):
+                assert scene.inputs.tobytes() == ((inputs - shift) / scale).tobytes()
 
     def test_std_floor_on_constant_dimension(self):
         class Fake:

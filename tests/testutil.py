@@ -1,14 +1,16 @@
 """Shared helpers for the test suite: instance factories, error measures,
-seeded file corruptions and the usable-CPU count that spreads scene work."""
+seeded file corruptions, the usable-CPU count that spreads scene work and
+the traced memory of a call."""
 
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from depthcrf import graph
+from depthcrf import graph, synth
 from depthcrf.crf import CrfInstance
 from depthcrf.oracle import random_instance, rel_err  # noqa: F401  (re-exported)
 
@@ -103,3 +105,24 @@ def assert_no_children() -> None:
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def traced(fn, *args):
+    """``fn(*args)``, with the bytes ``tracemalloc`` (which sees numpy's
+    buffers) counts it still holding once it returned, and at its peak.  A
+    first, untraced call warms what a first call allocates once."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def graph_memory():
+    """``traced(graph.build_graph, ...)`` on the 128x128 seed-3 synth scene at
+    2000 superpixels: the graph, the bytes it holds and the peak."""
+    sample = synth.generate(synth.SceneSpec(seed=3))
+    return traced(graph.build_graph, sample, graph.GraphConfig(target_superpixels=2000))
